@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,8 +35,14 @@ from .log import (
     render_view,
     token_estimate,
 )
-from .retrieval import RetrievalConfig, render_table_slice, select_table_slice, truncate_span
-from .sources import SourceBundle
+from .retrieval import (
+    RetrievalConfig,
+    TableSlice,
+    render_table_slice,
+    select_table_slice,
+    truncate_span,
+)
+from .sources import SourceBundle, Table
 from .textutil import GAP_PHRASES, normalize, parse_numerals, tokenize
 from .verify import Finding, verify_deterministic
 
@@ -166,41 +173,51 @@ def _best_match_range(passage_text: str, question: str) -> tuple[int, int]:
     return best
 
 
-def _sources_block(
+def _source_blocks(
     role: AgentRole,
     sources: SourceBundle,
     question: str,
     config: AgentConfig,
-    shrink: int,
-) -> str:
-    """Role-specific source text at a given shrink level (0 = full)."""
-    parts: list[str] = []
+    table_slices: Sequence[TableSlice] | None,
+) -> Iterator[str]:
+    """Role-specific source text at shrink levels 0 (full) to 3, lazily.
+
+    What does not depend on the level (the table slices, the BM25 ranking
+    and each passage's best-matching sentence) is worked out once.
+    """
     if role is AgentRole.TABLE:
-        row_cap = {0: 50, 1: 10, 2: 3}.get(shrink, 1)
-        for table in sources.tables:
-            slice_ = select_table_slice(table, question, row_cap=row_cap)
-            if shrink > 0:
-                slice_ = retrieval.TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols)
-            parts.append(render_table_slice(table, slice_))
+        if table_slices is None:
+            table_slices = [select_table_slice(table, question) for table in sources.tables]
+        for row_cap in (None, 10, 3, 1):
+            yield "\n\n".join(
+                render_table_slice(table, TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols))
+                for table, slice_ in zip(sources.tables, table_slices)
+            )
     elif role is AgentRole.CONTEXT:
-        window = max(0, config.retrieval.sentence_window_k - shrink)
         idx = retrieval.index(sources.passages)
         ranked = retrieval.retrieve(idx, question, config.retrieval.top_n, config.retrieval)
         chosen = [doc_id for doc_id, _ in ranked]
         if not chosen:
             chosen = [p.id for p in sources.passages[: config.retrieval.top_n]]
-        for passage in sources.passages:
-            if passage.id not in chosen:
-                continue
-            clipped = truncate_span(passage.text, _best_match_range(passage.text, question), window)
-            parts.append(f"Passage {passage.id}: {clipped}")
-    elif role is AgentRole.VISUAL:
-        budget = {0: None, 1: 400, 2: 160}.get(shrink, 80)
-        for image in sources.images:
-            parts.append(
-                f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
+        matches = [
+            (passage, _best_match_range(passage.text, question))
+            for passage in sources.passages
+            if passage.id in chosen
+        ]
+        for shrink in range(4):
+            window = max(0, config.retrieval.sentence_window_k - shrink)
+            yield "\n\n".join(
+                f"Passage {passage.id}: {truncate_span(passage.text, match, window)}"
+                for passage, match in matches
             )
-    return "\n\n".join(parts)
+    elif role is AgentRole.VISUAL:
+        for budget in (None, 400, 160, 80):
+            yield "\n\n".join(
+                f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
+                for image in sources.images
+            )
+    else:
+        yield ""
 
 
 def build_prompt(
@@ -209,11 +226,13 @@ def build_prompt(
     sources: SourceBundle,
     config: AgentConfig,
     answer_text: str | None = None,
+    table_slices: Sequence[TableSlice] | None = None,
 ) -> str:
     """Instantiate the role template within the configured context window.
 
     Sources are truncated before the log view; as a last resort the oldest
-    part of the view is dropped.
+    part of the view is dropped. table_slices, one per table of sources,
+    saves slicing again what the caller has sliced for this run.
     """
     question = log.question()
     instructions = {
@@ -244,8 +263,7 @@ def build_prompt(
             pieces.append(flag_line)
         return "\n\n".join(pieces)
 
-    for shrink in range(4):
-        block = _sources_block(role, sources, question, config, shrink)
+    for block in _source_blocks(role, sources, question, config, table_slices):
         prompt = compose(block, view)
         if token_estimate(prompt) <= config.context_window:
             return prompt
@@ -271,34 +289,40 @@ def build_prompt(
 
 # --- provenance extraction ---------------------------------------------------
 
-def _contains_tokens(haystack: list[str], needle: list[str]) -> bool:
-    if not needle or len(needle) > len(haystack):
-        return False
-    for i in range(len(haystack) - len(needle) + 1):
-        if haystack[i : i + len(needle)] == needle:
-            return True
-    return False
-
-
 def extract_table_anchors(
     reply: str, sources: SourceBundle, question: str
 ) -> list[TableAnchor]:
-    """Anchors for table cells the reply states.
+    """Anchors for table cells the reply states, in (table, row, col) order.
 
-    Cells whose text merely echoes the question are excluded (they are the
-    lookup key, not the retrieved fact), unless that would empty the set.
+    A cell is stated when its normalized text is a run of consecutive
+    normalized reply tokens. The runs are collected once, only up to the
+    longest cell met so far, so each cell costs one set lookup rather than
+    a scan of the reply. Cells whose text merely echoes the question are
+    excluded (they are the lookup key, not the retrieved fact), unless that
+    would empty the set.
     """
     reply_tokens = normalize(reply).split()
-    question_tokens = normalize(question).split()
+    runs: set[str] = set()  # space-joined runs of up to `built` reply tokens
+    built = 0
+    # Tokens hold no spaces, so a padded phrase occurs in the padded
+    # question exactly when it is a run of the question's tokens.
+    padded_question = f" {normalize(question)} "
     matched: list[tuple[bool, TableAnchor]] = []
     for table in sources.tables:
         for r, row in enumerate(table.rows):
             for c, cell in enumerate(row):
-                cell_tokens = normalize(cell).split()
-                if not cell_tokens:
+                phrase = normalize(cell)
+                if not phrase:
                     continue
-                if _contains_tokens(reply_tokens, cell_tokens):
-                    echoes = _contains_tokens(question_tokens, cell_tokens)
+                length = phrase.count(" ") + 1
+                while built < length and built < len(reply_tokens):
+                    built += 1
+                    runs.update(
+                        " ".join(reply_tokens[i : i + built])
+                        for i in range(len(reply_tokens) - built + 1)
+                    )
+                if phrase in runs:
+                    echoes = f" {phrase} " in padded_question
                     matched.append((echoes, TableAnchor(table.id, r, c)))
     informative = [anchor for echoes, anchor in matched if not echoes]
     return informative or [anchor for _, anchor in matched]
@@ -364,10 +388,23 @@ class TableAgent:
     def __init__(self, config: AgentConfig | None = None) -> None:
         self.config = config or AgentConfig(AgentRole.TABLE)
         self.reported: set[tuple[str, int]] = set()
+        # (id(table), question) -> (table, slice). The agent set lives for
+        # one run, so each table is sliced once per run and never across
+        # runs; holding the table keeps its id from being reused.
+        self._slices: dict[tuple[int, str], tuple[Table, TableSlice]] = {}
+
+    def _table_slices(self, sources: SourceBundle, question: str) -> list[TableSlice]:
+        slices = []
+        for table in sources.tables:
+            key = (id(table), question)
+            if key not in self._slices:
+                self._slices[key] = (table, select_table_slice(table, question))
+            slices.append(self._slices[key][1])
+        return slices
 
     def _relevant_columns(self, sources: SourceBundle, question: str):
-        for table in sources.tables:
-            for col in select_table_slice(table, question).kept_cols:
+        for table, slice_ in zip(sources.tables, self._table_slices(sources, question)):
+            for col in slice_.kept_cols:
                 yield (table.id, col)
 
     def should_act(self, log: SharedLog, sources: SourceBundle, round_idx: int) -> bool:
@@ -384,7 +421,10 @@ class TableAgent:
 
     def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
         question = log.question()
-        prompt = build_prompt(self.role, log, sources, self.config)
+        prompt = build_prompt(
+            self.role, log, sources, self.config,
+            table_slices=self._table_slices(sources, question),
+        )
         reply = backend.generate(prompt, self.config.temperature, self.config.max_tokens)
         self.reported.update(self._relevant_columns(sources, question))
         if _is_abstention(reply):

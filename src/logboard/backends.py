@@ -97,8 +97,10 @@ class HttpBackend(UsageMixin):
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 payload = json.loads(response.read().decode("utf-8"))
             reply = payload["choices"][0]["message"]["content"]
-        except (urllib.error.URLError, OSError, KeyError, IndexError, ValueError) as exc:
+        except (urllib.error.URLError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"chat completion request failed: {exc}") from exc
+        if not isinstance(reply, str):
+            raise TransportError(f"chat completion content is not text: {reply!r}")
         self._record(prompt, reply)
         return reply
 

@@ -18,7 +18,7 @@ from .backends import BASE_URL_ENV, HttpBackend, ScriptedBackend
 from .gating import LogisticGate, mine_samples_from_dir, train
 from .harness import FaultSpec, FaultType, inject_faults, load_benchmark, run_benchmark
 from .log import load_trace
-from .scheduler import SchedulerConfig, TransportAbort, run, write_trace
+from .scheduler import SchedulerConfig, TransportAbort, run, write_run_summary, write_trace
 from .sources import bundle_to_dict, load_sources
 
 FAULT_NAMES = {
@@ -142,10 +142,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trace(result, out / "trace.jsonl")
-    (out / "run.json").write_text(
-        json.dumps(result.summary_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_run_summary(result, out / "run.json")
     print(f"termination: {result.termination.value}", file=sys.stderr)
     if result.final_answer is not None:
         print(result.final_answer)

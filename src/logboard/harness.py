@@ -505,6 +505,9 @@ def load_benchmark(path: str | Path) -> list[BenchmarkRecord]:
         if not line:
             continue
         data = json.loads(line)
+        for name in ("question", "gold_answers"):
+            if name not in data:
+                raise ValueError(f"benchmark record has no {name!r} field")
         if "sources_path" in data:
             from .sources import load_sources
 

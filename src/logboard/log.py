@@ -380,12 +380,15 @@ def provenance_to_dict(p: Provenance) -> dict:
 
 def provenance_from_dict(d: dict) -> Provenance:
     kind = d.get("kind")
-    if kind == "table":
-        return TableAnchor(d["id"], int(d["row"]), int(d["col"]))
-    if kind == "doc":
-        return DocSpan(d["id"], int(d["start"]), int(d["end"]))
-    if kind == "image":
-        return ImageRef(d["id"])
+    try:
+        if kind == "table":
+            return TableAnchor(d["id"], int(d["row"]), int(d["col"]))
+        if kind == "doc":
+            return DocSpan(d["id"], int(d["start"]), int(d["end"]))
+        if kind == "image":
+            return ImageRef(d["id"])
+    except KeyError as exc:
+        raise ValidationError(f"{kind} provenance has no {exc.args[0]!r} field") from None
     raise ValidationError(f"unknown provenance kind: {kind!r}")
 
 
@@ -401,8 +404,16 @@ def entry_to_json(entry: LogEntry) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
+_ENTRY_FIELDS = ("agent", "type", "content", "step")
+
+
 def entry_from_json(line: str) -> LogEntry:
     record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"trace line is not a JSON object: {line[:80]!r}")
+    for name in _ENTRY_FIELDS:
+        if name not in record:
+            raise ValueError(f"trace entry has no {name!r} field: {line[:80]!r}")
     return LogEntry(
         agent=record["agent"],
         entry_type=EntryType(record["type"]),

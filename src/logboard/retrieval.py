@@ -3,6 +3,13 @@
 Lexical BM25 only; a dense reranker can be plugged in as a score-adjusting
 callback on retrieve(). The tokenizer lowercases, splits on
 non-alphanumerics, and keeps numerals intact.
+
+Nothing here caches. A table's slice depends only on the table and the
+question, so the Table agent, which lives for one run, slices each table
+once per run; a prompt ranks passages by BM25 once, whatever its shrink
+level. Neither result outlives the run: a user pays this work once per
+question, and a cache kept across runs, or work moved to load time, would
+only hide that cost.
 """
 
 from __future__ import annotations
@@ -123,29 +130,33 @@ def _is_numeric_column(table: Table, col: int) -> bool:
     cells = [row[col] for row in table.rows if row[col].strip()]
     if not cells:
         return False
-    numeric = sum(1 for cell in cells if any(ch.isdigit() for ch in cell))
+    numeric = sum(1 for cell in cells if any(map(str.isdigit, cell)))
     return numeric * 2 > len(cells)
 
 
-def select_table_slice(table: Table, question: str, row_cap: int = 50) -> TableSlice:
+_FALLBACK_ROWS = 50
+
+
+def select_table_slice(table: Table, question: str) -> TableSlice:
     """Columns matching the question plus numeric columns; rows that overlap.
 
-    If no row shares a token with the question, the first rows up to the
-    cap are kept. Original order is preserved; the header always survives.
+    If no row shares a token with the question, the first 50 rows are
+    kept. Original order is preserved; the header always survives.
     """
     q_tokens = set(tokenize(question))
     kept_cols = []
     for col, name in enumerate(table.header):
-        if set(tokenize(name)) & q_tokens or _is_numeric_column(table, col):
+        if not q_tokens.isdisjoint(tokenize(name)) or _is_numeric_column(table, col):
             kept_cols.append(col)
     if not kept_cols:
         kept_cols = list(range(len(table.header)))
-    kept_rows = []
-    for i, row in enumerate(table.rows):
-        if any(set(tokenize(cell)) & q_tokens for cell in row):
-            kept_rows.append(i)
+    # A token never spans the separator, so the joined row's tokens are
+    # exactly its cells' tokens; one tokenize call per row.
+    kept_rows = [
+        i for i, row in enumerate(table.rows) if not q_tokens.isdisjoint(tokenize(" ".join(row)))
+    ]
     if not kept_rows:
-        kept_rows = list(range(min(len(table.rows), row_cap)))
+        kept_rows = list(range(min(len(table.rows), _FALLBACK_ROWS)))
     return TableSlice(kept_rows=kept_rows, kept_cols=kept_cols)
 
 

@@ -59,12 +59,6 @@ class SourceBundle:
                     raise ValueError(f"duplicate {kind} id: {item.id!r}")
                 seen.add(item.id)
 
-    def table_by_id(self, table_id: str) -> Table | None:
-        for table in self.tables:
-            if table.id == table_id:
-                return table
-        return None
-
     def passage_by_id(self, passage_id: str) -> Passage | None:
         for passage in self.passages:
             if passage.id == passage_id:
@@ -72,17 +66,36 @@ class SourceBundle:
         return None
 
 
+def _field(item: dict, name: str, kind: str):
+    try:
+        return item[name]
+    except KeyError:
+        raise ValueError(f"{kind} has no {name!r} field") from None
+
+
+def _table_from_dict(t: dict) -> Table:
+    return Table(
+        id=_field(t, "id", "table"),
+        header=list(_field(t, "header", "table")),
+        rows=[list(r) for r in _field(t, "rows", "table")],
+    )
+
+
+def _passage_from_dict(p: dict) -> Passage:
+    return Passage(id=_field(p, "id", "passage"), text=_field(p, "text", "passage"))
+
+
+def _image_from_dict(i: dict) -> Image:
+    return Image(id=_field(i, "id", "image"), caption=i.get("caption", ""),
+                 ocr_text=i.get("ocr_text", ""))
+
+
 def bundle_from_dict(data: dict) -> SourceBundle:
-    tables = [
-        Table(id=t["id"], header=list(t["header"]), rows=[list(r) for r in t["rows"]])
-        for t in data.get("tables", [])
-    ]
-    passages = [Passage(id=p["id"], text=p["text"]) for p in data.get("passages", [])]
-    images = [
-        Image(id=i["id"], caption=i.get("caption", ""), ocr_text=i.get("ocr_text", ""))
-        for i in data.get("images", [])
-    ]
-    return SourceBundle(tables=tables, passages=passages, images=images)
+    return SourceBundle(
+        tables=[_table_from_dict(t) for t in data.get("tables", [])],
+        passages=[_passage_from_dict(p) for p in data.get("passages", [])],
+        images=[_image_from_dict(i) for i in data.get("images", [])],
+    )
 
 
 def bundle_to_dict(bundle: SourceBundle) -> dict:
@@ -132,15 +145,9 @@ def load_sources(path: str | Path) -> SourceBundle:
             name = child.stem.lower()
             if name.startswith("table"):
                 items = data if isinstance(data, list) else [data]
-                for t in items:
-                    tables.append(Table(id=t["id"], header=list(t["header"]),
-                                        rows=[list(r) for r in t["rows"]]))
+                tables.extend(_table_from_dict(t) for t in items)
             elif name.startswith("passage"):
-                passages.extend(Passage(id=p["id"], text=p["text"]) for p in data)
+                passages.extend(_passage_from_dict(p) for p in data)
             elif name.startswith("image"):
-                images.extend(
-                    Image(id=i["id"], caption=i.get("caption", ""),
-                          ocr_text=i.get("ocr_text", ""))
-                    for i in data
-                )
+                images.extend(_image_from_dict(i) for i in data)
     return SourceBundle(tables=tables, passages=passages, images=images)

@@ -7,7 +7,6 @@ metric normalizers are all built from these pieces.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -193,10 +192,6 @@ def canonicalize_numerals(text: str) -> str:
 
 def numeral_values(text: str) -> list[float]:
     return [m.value for m in parse_numerals(text)]
-
-
-def values_close(a: float, b: float, rel: float = 1e-9) -> bool:
-    return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
 def qa_normalize(text: str, strip_articles: bool = True) -> str:

@@ -1,7 +1,9 @@
 """Backends: scripted matching/sequencing and the HTTP chat client."""
 
+import io
 import json
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -13,6 +15,9 @@ from logboard.backends import (
     ScriptedBackend,
     TransportError,
 )
+from logboard.scheduler import TransportAbort, run
+
+from helpers import GOLDEN_QUESTION, golden_sources
 
 
 def test_scripted_first_match_wins_in_file_order():
@@ -128,3 +133,34 @@ def test_http_backend_requires_base_url(monkeypatch):
     monkeypatch.delenv(BASE_URL_ENV, raising=False)
     with pytest.raises(ValueError):
         HttpBackend()
+
+
+def _serve_payload(monkeypatch, payload):
+    def urlopen(request, timeout):
+        return io.BytesIO(json.dumps(payload).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": 7}}]},
+        {"choices": [{"message": {"content": ["text"]}}]},
+        {"choices": ["not a message"]},
+        ["not", "an", "object"],
+    ],
+)
+def test_http_backend_non_text_content_is_transport_error(monkeypatch, payload):
+    _serve_payload(monkeypatch, payload)
+    backend = HttpBackend(base_url="http://stub.invalid")
+    with pytest.raises(TransportError):
+        backend.generate("ping", 0.0)
+    assert backend.calls == 0
+
+
+def test_http_backend_null_content_aborts_run_after_retries(monkeypatch):
+    _serve_payload(monkeypatch, {"choices": [{"message": {"content": None}}]})
+    with pytest.raises(TransportAbort):
+        run(GOLDEN_QUESTION, golden_sources(), HttpBackend(base_url="http://stub.invalid"))

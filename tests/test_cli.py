@@ -224,6 +224,29 @@ def test_trace_renders_markdown_table(tmp_path, capsys):
     assert any(line.startswith("| VerificationAgent (OK) |") for line in lines)
 
 
+def test_trace_missing_content_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"agent": "User", "type": "Query", "step": 0}\n', encoding="utf-8")
+    code = main(["trace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'content'" in err
+
+
+def test_inject_table_without_id_is_clean_error(tmp_path, capsys):
+    sources = json.loads((FIXTURES / "golden_sources.json").read_text())
+    del sources["tables"][0]["id"]
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps(sources), encoding="utf-8")
+    code = main(["inject", str(path), "--type", "arithmetic", "--rate", "0.5",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "'id'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

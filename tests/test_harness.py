@@ -459,3 +459,13 @@ def test_load_benchmark_fixture_roundtrip():
     assert len(records) == 5
     assert all(r.gold_answers for r in records)
     assert records[0].sources.tables[0].id == "Table 1"
+
+
+@pytest.mark.parametrize("field", ["question", "gold_answers"])
+def test_load_benchmark_names_missing_field(tmp_path, field):
+    record = {"question": "q?", "gold_answers": ["a"], "sources": {}}
+    del record[field]
+    path = tmp_path / "bench.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"no '{field}' field"):
+        load_benchmark(path)

@@ -1,6 +1,7 @@
 """Shared log: append/dedup, budgeted rendering, markers, JSONL trace."""
 
 import itertools
+import json
 import random
 import threading
 
@@ -263,3 +264,23 @@ def test_dump_and_load_trace():
         EntryType.ANSWER,
         EntryType.OK,
     ]
+
+
+@pytest.mark.parametrize("field", ["agent", "type", "content", "step"])
+def test_load_trace_names_missing_field(field):
+    record = json.loads(entry_to_json(LogEntry(USER, EntryType.QUERY, "q?", step=0)))
+    del record[field]
+    with pytest.raises(ValueError, match=repr(field)):
+        load_trace(json.dumps(record) + "\n")
+
+
+def test_load_trace_rejects_non_object_line():
+    with pytest.raises(ValueError, match="not a JSON object"):
+        load_trace("[1, 2]\n")
+
+
+def test_load_trace_names_missing_provenance_field():
+    record = json.loads(entry_to_json(lookup("Revenue was $50M.")))
+    del record["provenance"][0]["row"]
+    with pytest.raises(ValueError, match="table provenance has no 'row' field"):
+        load_trace(json.dumps(record))

@@ -86,3 +86,26 @@ def test_empty_csv_rejected(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
         load_table_csv(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"tables": [{"header": ["a"], "rows": []}]}, "table has no 'id' field"),
+        ({"tables": [{"id": "t", "rows": []}]}, "table has no 'header' field"),
+        ({"tables": [{"id": "t", "header": ["a"]}]}, "table has no 'rows' field"),
+        ({"passages": [{"id": "p"}]}, "passage has no 'text' field"),
+        ({"images": [{"caption": "c"}]}, "image has no 'id' field"),
+    ],
+)
+def test_bundle_from_dict_names_missing_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        bundle_from_dict(data)
+
+
+def test_load_sources_directory_names_missing_table_id(tmp_path):
+    (tmp_path / "tables.json").write_text(
+        json.dumps([{"header": ["a"], "rows": [["1"]]}]), encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match="table has no 'id' field"):
+        load_sources(tmp_path)

@@ -1,0 +1,307 @@
+"""Table slicing, provenance anchors and source blocks against the old code.
+
+The references below are the straightforward versions the runtime used to
+run on every call: per-cell tokenizing in select_table_slice, a scan of the
+reply's tokens for every cell in extract_table_anchors, and a fresh slice
+and BM25 ranking at every prompt shrink level. The faster code must give
+the same results on any input, and the Table agent must slice each table
+once per run.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import logboard.agents
+import logboard.retrieval
+from logboard import retrieval
+from logboard.agents import (
+    AgentConfig,
+    AgentRole,
+    TableAgent,
+    _best_match_range,
+    _source_blocks,
+    extract_table_anchors,
+)
+from logboard.backends import ScriptedBackend
+from logboard.log import TableAnchor
+from logboard.retrieval import TableSlice, render_table_slice, select_table_slice, truncate_span
+from logboard.scheduler import run
+from logboard.sources import Image, Passage, SourceBundle, Table
+from logboard.textutil import normalize, tokenize
+
+from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
+
+# --- references -------------------------------------------------------------
+
+
+def reference_select_table_slice(table, question, row_cap=50):
+    q_tokens = set(tokenize(question))
+    kept_cols = []
+    for col, name in enumerate(table.header):
+        if set(tokenize(name)) & q_tokens or retrieval._is_numeric_column(table, col):
+            kept_cols.append(col)
+    if not kept_cols:
+        kept_cols = list(range(len(table.header)))
+    kept_rows = []
+    for i, row in enumerate(table.rows):
+        if any(set(tokenize(cell)) & q_tokens for cell in row):
+            kept_rows.append(i)
+    if not kept_rows:
+        kept_rows = list(range(min(len(table.rows), row_cap)))
+    return TableSlice(kept_rows=kept_rows, kept_cols=kept_cols)
+
+
+def reference_contains_tokens(haystack, needle):
+    if not needle or len(needle) > len(haystack):
+        return False
+    for i in range(len(haystack) - len(needle) + 1):
+        if haystack[i : i + len(needle)] == needle:
+            return True
+    return False
+
+
+def reference_extract_table_anchors(reply, sources, question):
+    reply_tokens = normalize(reply).split()
+    question_tokens = normalize(question).split()
+    matched = []
+    for table in sources.tables:
+        for r, row in enumerate(table.rows):
+            for c, cell in enumerate(row):
+                cell_tokens = normalize(cell).split()
+                if not cell_tokens:
+                    continue
+                if reference_contains_tokens(reply_tokens, cell_tokens):
+                    echoes = reference_contains_tokens(question_tokens, cell_tokens)
+                    matched.append((echoes, TableAnchor(table.id, r, c)))
+    informative = [anchor for echoes, anchor in matched if not echoes]
+    return informative or [anchor for _, anchor in matched]
+
+
+def reference_sources_block(role, sources, question, config, shrink):
+    parts = []
+    if role is AgentRole.TABLE:
+        row_cap = {0: 50, 1: 10, 2: 3}.get(shrink, 1)
+        for table in sources.tables:
+            slice_ = reference_select_table_slice(table, question, row_cap=row_cap)
+            if shrink > 0:
+                slice_ = TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols)
+            parts.append(render_table_slice(table, slice_))
+    elif role is AgentRole.CONTEXT:
+        window = max(0, config.retrieval.sentence_window_k - shrink)
+        idx = retrieval.index(sources.passages)
+        ranked = retrieval.retrieve(idx, question, config.retrieval.top_n, config.retrieval)
+        chosen = [doc_id for doc_id, _ in ranked]
+        if not chosen:
+            chosen = [p.id for p in sources.passages[: config.retrieval.top_n]]
+        for passage in sources.passages:
+            if passage.id not in chosen:
+                continue
+            clipped = truncate_span(passage.text, _best_match_range(passage.text, question), window)
+            parts.append(f"Passage {passage.id}: {clipped}")
+    elif role is AgentRole.VISUAL:
+        budget = {0: None, 1: 400, 2: 160}.get(shrink, 80)
+        for image in sources.images:
+            parts.append(
+                f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
+            )
+    return "\n\n".join(parts)
+
+
+# --- strategies -------------------------------------------------------------
+
+WORDS = ["revenue", "2019", "Year", "total", "ünits", "straße", "σΣ", "İd", "Kelvin", "a_b"]
+NUMERALS = ["$1,000.5M", "-3.2%", "$50M", "1,234", "0.5", "7 million", "(12)"]
+PUNCT = [" ", "  ", ", ", ". ", "-", "_", "/", "$", "%", "(", ")", "'", "\t", ": "]
+
+word = st.sampled_from(WORDS + NUMERALS)
+free_text = st.text(
+    alphabet=st.sampled_from(list("abcXYZ019 .,$%-_'/éßΣİK \t")), max_size=10
+)
+cell = st.one_of(
+    st.just(""),
+    word,
+    st.lists(word, min_size=2, max_size=4).map(" ".join),
+    free_text,
+)
+
+
+@st.composite
+def tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 8))
+    header = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), max_size=n_rows))
+    return header, rows
+
+
+@st.composite
+def bundles(draw):
+    specs = draw(st.lists(tables(), min_size=1, max_size=3))
+    return SourceBundle(
+        tables=[Table(f"t{i}", header, rows) for i, (header, rows) in enumerate(specs)]
+    )
+
+
+def phrase(draw, pieces):
+    """Pieces joined by random punctuation, so tokens survive but text varies."""
+    chosen = draw(st.lists(st.sampled_from(pieces), max_size=8))
+    out = ""
+    for piece in chosen:
+        out += draw(st.sampled_from(PUNCT)) + piece
+    return out
+
+
+@st.composite
+def bundle_question_reply(draw):
+    sources = draw(bundles())
+    cells = [c for t in sources.tables for row in [t.header, *t.rows] for c in row]
+    question = phrase(draw, WORDS + NUMERALS + cells)
+    reply = phrase(draw, WORDS + NUMERALS + cells + [question])
+    if draw(st.booleans()):
+        reply = question + draw(st.sampled_from(PUNCT)) + reply  # echoes the question
+    return sources, question, reply
+
+
+# --- equivalence -------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle_question_reply())
+def test_select_table_slice_matches_per_cell_reference(case):
+    sources, question, _ = case
+    for table in sources.tables:
+        assert select_table_slice(table, question) == reference_select_table_slice(table, question)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle_question_reply())
+def test_extract_table_anchors_matches_quadratic_reference(case):
+    sources, question, reply = case
+    assert extract_table_anchors(reply, sources, question) == reference_extract_table_anchors(
+        reply, sources, question
+    )
+
+
+def test_anchor_references_agree_on_long_cells_and_repeats():
+    table = Table("t", ["text"], [["a b a b c"], ["b a"], ["a a a"], ["c"], ["a b c d e f"]])
+    sources = SourceBundle(tables=[table])
+    for reply in ["a b a b a b c", "a a", "c a b", "a b c d e f g", ""]:
+        assert extract_table_anchors(reply, sources, "b") == reference_extract_table_anchors(
+            reply, sources, "b"
+        )
+
+
+passage_text = st.lists(
+    st.lists(st.sampled_from(WORDS + NUMERALS + ["sales", "grew"]), min_size=1, max_size=6).map(
+        " ".join
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda sentences: ". ".join(sentences) + ".")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bundle_question_reply(),
+    st.lists(passage_text, max_size=5),
+    st.lists(st.tuples(free_text, free_text), max_size=3),
+)
+def test_source_blocks_match_per_level_reference(case, texts, images):
+    sources, question, _ = case
+    sources = SourceBundle(
+        tables=sources.tables,
+        passages=[Passage(f"p{i}", text) for i, text in enumerate(texts)],
+        images=[Image(f"i{i}", caption, ocr) for i, (caption, ocr) in enumerate(images)],
+    )
+    for role in (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL):
+        config = AgentConfig(role)
+        blocks = list(_source_blocks(role, sources, question, config, None))
+        assert blocks == [
+            reference_sources_block(role, sources, question, config, shrink) for shrink in range(4)
+        ]
+
+
+# --- call counts --------------------------------------------------------------
+
+
+def two_table_sources():
+    sources = golden_sources()
+    staff = Table("Table 2", ["Year", "Staff"], [["2018", "120"], ["2019", "130"]])
+    return SourceBundle(tables=[*sources.tables, staff], passages=sources.passages)
+
+
+def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
+    sliced = []
+    acts = []
+    indexed = []
+    context_prompts = []
+
+    def counting_slice(table, question):
+        sliced.append(table.id)
+        return select_table_slice(table, question)
+
+    def counting_act(agent, *args, **kwargs):
+        acts.append(agent.role)
+        return original_act(agent, *args, **kwargs)
+
+    def counting_index(passages):
+        indexed.append(len(passages))
+        return original_index(passages)
+
+    def counting_build_prompt(role, *args, **kwargs):
+        if role is AgentRole.CONTEXT:
+            context_prompts.append(role)
+        return original_build_prompt(role, *args, **kwargs)
+
+    original_act = TableAgent.act
+    original_index = logboard.retrieval.index
+    original_build_prompt = logboard.agents.build_prompt
+    monkeypatch.setattr(logboard.agents, "select_table_slice", counting_slice)
+    monkeypatch.setattr(TableAgent, "act", counting_act)
+    monkeypatch.setattr(logboard.retrieval, "index", counting_index)
+    monkeypatch.setattr(logboard.agents, "build_prompt", counting_build_prompt)
+
+    script = golden_script()
+    script["verification agent"] = "Flagged incorrect calculation in the claim."
+    result = run(GOLDEN_QUESTION, two_table_sources(), ScriptedBackend(script))
+
+    assert result.metrics.rounds == 2  # the Flag bought a re-engagement round
+    assert len(acts) >= 2
+    assert sorted(sliced) == ["Table 1", "Table 2"]
+    assert context_prompts and len(indexed) == len(context_prompts)
+
+
+@pytest.mark.parametrize("question", ["What was the revenue count?", "Nothing shared here?"])
+def test_large_table_blocks_match_reference(question):
+    # 200 rows: more matching rows than any cap, and a fallback longer than 50.
+    rows = [[f"item{i}", str(i), "revenue" if i % 3 else "cost"] for i in range(200)]
+    sources = SourceBundle(tables=[Table("big", ["name", "count", "kind"], rows)])
+    config = AgentConfig(AgentRole.TABLE)
+    blocks = list(_source_blocks(AgentRole.TABLE, sources, question, config, None))
+    assert blocks == [
+        reference_sources_block(AgentRole.TABLE, sources, question, config, shrink)
+        for shrink in range(4)
+    ]
+
+
+def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
+    indexed = []
+    original_index = logboard.retrieval.index
+
+    def counting_index(passages):
+        indexed.append(len(passages))
+        return original_index(passages)
+
+    monkeypatch.setattr(logboard.retrieval, "index", counting_index)
+    passages = [
+        Passage(f"p{i}", ". ".join(f"sales word{j} growth" for j in range(60)) + ".")
+        for i in range(6)
+    ]
+    sources = SourceBundle(passages=passages)
+    question = "What happened to sales growth?"
+    config = AgentConfig(AgentRole.CONTEXT, context_window=140)
+    blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, config, None))
+    prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), sources, config)
+    assert blocks[0] not in prompt and blocks[1] in prompt  # shrunk one level
+    assert indexed == [6, 6]  # once for the blocks above, once for the prompt
