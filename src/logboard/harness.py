@@ -35,7 +35,15 @@ from .log import (
     TableAnchor,
     dump_trace,
 )
-from .sources import SourceBundle, bundle_from_dict, bundle_to_dict
+from .sources import (
+    SourceBundle,
+    bundle_from_dict,
+    bundle_to_dict,
+    json_field,
+    json_strings,
+    json_value,
+    load_sources,
+)
 from .textutil import (
     NumericMention,
     canonical_numeral_token,
@@ -232,6 +240,46 @@ def _copy_entry(entry: LogEntry) -> LogEntry:
     return replace(entry, provenance=list(entry.provenance))
 
 
+# Faults that mutate a single log entry, offline or in flight.
+_ENTRY_FAULTS = frozenset(
+    {FaultType.ARITHMETIC_CORRUPTION, FaultType.ROW_OFF_BY_ONE, FaultType.OCR_MISREAD}
+)
+
+
+def _anchor_index(entry: LogEntry) -> int | None:
+    return next(
+        (k for k, p in enumerate(entry.provenance) if isinstance(p, TableAnchor)), None
+    )
+
+
+def _mutate_entry(
+    entry: LogEntry, fault_type: FaultType, rng: random.Random
+) -> tuple[str, str] | None:
+    """Apply one entry fault in place; returns (original, corrupted).
+
+    Returns None, leaving the entry untouched, when it offers nothing the
+    fault can change. ArithmeticCorruption and OcrMisread rewrite the
+    content; RowOffByOne moves the first table anchor down one row.
+    """
+    if fault_type is FaultType.ROW_OFF_BY_ONE:
+        pos = _anchor_index(entry)
+        if pos is None:
+            return None
+        anchor = entry.provenance[pos]
+        shifted = TableAnchor(anchor.table_id, anchor.row + 1, anchor.col)
+        entry.provenance[pos] = shifted
+        return anchor.cite(), shifted.cite()
+    if fault_type is FaultType.ARITHMETIC_CORRUPTION:
+        mutated = perturb_numeral(entry.content, rng)
+        new_content = mutated[0] if mutated else None
+    else:  # OcrMisread
+        new_content = _swap_two_numerals(entry.content, rng)
+    if new_content is None:
+        return None
+    original, entry.content = entry.content, new_content
+    return original, new_content
+
+
 def _inject_entries(entries: list[LogEntry], spec: FaultSpec) -> tuple[list[LogEntry], list[FaultLabel]]:
     out = [_copy_entry(e) for e in entries]
     labels: list[FaultLabel] = []
@@ -241,44 +289,7 @@ def _inject_entries(entries: list[LogEntry], spec: FaultSpec) -> tuple[list[LogE
     def eligible_steps(predicate: Callable[[LogEntry], bool]) -> list[int]:
         return [i for i, e in enumerate(out) if predicate(e)]
 
-    if ft is FaultType.ARITHMETIC_CORRUPTION:
-        idxs = eligible_steps(
-            lambda e: e.entry_type in EVIDENCE_TYPES and bool(_corruptible_numerals(e.content))
-        )
-        _require_targets(idxs, "retrieval entries with numerals")
-        for i in _select(len(idxs), spec):
-            entry = out[idxs[i]]
-            mutated = perturb_numeral(entry.content, rng)
-            assert mutated is not None
-            new_content, _, _ = mutated
-            labels.append(FaultLabel(entry.step, ft, entry.content, new_content))
-            entry.content = new_content
-    elif ft is FaultType.ROW_OFF_BY_ONE:
-        idxs = eligible_steps(
-            lambda e: any(isinstance(p, TableAnchor) for p in e.provenance)
-        )
-        _require_targets(idxs, "entries with table anchors")
-        for i in _select(len(idxs), spec):
-            entry = out[idxs[i]]
-            pos = next(
-                k for k, p in enumerate(entry.provenance) if isinstance(p, TableAnchor)
-            )
-            anchor = entry.provenance[pos]
-            shifted = TableAnchor(anchor.table_id, anchor.row + 1, anchor.col)
-            entry.provenance[pos] = shifted
-            labels.append(FaultLabel(entry.step, ft, anchor.cite(), shifted.cite()))
-    elif ft is FaultType.OCR_MISREAD:
-        idxs = eligible_steps(
-            lambda e: e.entry_type is EntryType.VISUAL and _swappable(e.content)
-        )
-        _require_targets(idxs, "visual entries with two distinct numerals")
-        for i in _select(len(idxs), spec):
-            entry = out[idxs[i]]
-            swapped = _swap_two_numerals(entry.content, rng)
-            assert swapped is not None
-            labels.append(FaultLabel(entry.step, ft, entry.content, swapped))
-            entry.content = swapped
-    elif ft is FaultType.CONTRADICTION_INJECTION:
+    if ft is FaultType.CONTRADICTION_INJECTION:
         idxs = eligible_steps(
             lambda e: e.entry_type is EntryType.LOOKUP and bool(_corruptible_numerals(e.content))
         )
@@ -302,8 +313,24 @@ def _inject_entries(entries: list[LogEntry], spec: FaultSpec) -> tuple[list[LogE
             labels.append(FaultLabel(next_step, ft, entry.content, content))
             out.append(quote)
             next_step += 1
+        return out, labels
+    if ft is FaultType.ROW_OFF_BY_ONE:
+        # Unlike in-flight injection, any anchored entry qualifies, evidence or not.
+        idxs = eligible_steps(lambda e: _anchor_index(e) is not None)
+        _require_targets(idxs, "entries with table anchors")
+    elif ft is FaultType.ARITHMETIC_CORRUPTION:
+        idxs = eligible_steps(lambda e: _entry_eligible(e, ft))
+        _require_targets(idxs, "retrieval entries with numerals")
+    elif ft is FaultType.OCR_MISREAD:
+        idxs = eligible_steps(lambda e: _entry_eligible(e, ft))
+        _require_targets(idxs, "visual entries with two distinct numerals")
     else:
         raise ValueError(f"{ft.value} requires table sources, not log entries")
+    for i in _select(len(idxs), spec):
+        entry = out[idxs[i]]
+        mutated = _mutate_entry(entry, ft, rng)
+        assert mutated is not None
+        labels.append(FaultLabel(entry.step, ft, *mutated))
     return out, labels
 
 
@@ -500,26 +527,20 @@ def load_benchmark(path: str | Path) -> list[BenchmarkRecord]:
     """Read records from JSONL: {"question","gold_answers","sources"}."""
     records = []
     base = Path(path).parent
+    kind = "benchmark record"
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        for name in ("question", "gold_answers"):
-            if name not in data:
-                raise ValueError(f"benchmark record has no {name!r} field")
+        data = json_value(json.loads(line), dict, kind)
+        question = json_field(data, "question", kind)
+        gold_answers = json_strings(json_field(data, "gold_answers", kind, list), "gold_answers")
         if "sources_path" in data:
-            from .sources import load_sources
-
-            bundle = load_sources(base / data["sources_path"])
+            bundle = load_sources(base / json_field(data, "sources_path", kind))
         else:
-            bundle = bundle_from_dict(data.get("sources", {}))
+            bundle = bundle_from_dict(json_field(data, "sources", kind, dict, {}))
         records.append(
-            BenchmarkRecord(
-                question=data["question"],
-                sources=bundle,
-                gold_answers=list(data["gold_answers"]),
-            )
+            BenchmarkRecord(question=question, sources=bundle, gold_answers=gold_answers)
         )
     return records
 
@@ -561,13 +582,12 @@ class Metrics:
         return out
 
 
-_ENTRY_FAULTS = frozenset(
-    {FaultType.ARITHMETIC_CORRUPTION, FaultType.ROW_OFF_BY_ONE, FaultType.OCR_MISREAD}
-)
-
-
 class _InFlightInjector:
-    """Mutates selected retrieval appends of one record during a live run."""
+    """Mutates selected retrieval appends of one record during a live run.
+
+    `occurrence` counts the eligible appends seen so far; with an empty
+    chosen set the injector mutates nothing and only counts (the dry pass).
+    """
 
     def __init__(self, spec: FaultSpec, record_index: int, chosen: set[int]) -> None:
         self.spec = spec
@@ -584,31 +604,9 @@ class _InFlightInjector:
         if occ not in self.chosen:
             return entry
         rng = random.Random(f"{self.spec.seed}:{self.record_index}:{occ}")
-        original = entry.content
-        ft = self.spec.fault_type
-        if ft is FaultType.ARITHMETIC_CORRUPTION:
-            mutated = perturb_numeral(entry.content, rng)
-            if mutated is None:
-                return entry
-            entry.content = mutated[0]
-            self.mutated.append((entry, original, entry.content))
-        elif ft is FaultType.OCR_MISREAD:
-            swapped = _swap_two_numerals(entry.content, rng)
-            if swapped is None:
-                return entry
-            entry.content = swapped
-            self.mutated.append((entry, original, entry.content))
-        elif ft is FaultType.ROW_OFF_BY_ONE:
-            pos = next(
-                (k for k, p in enumerate(entry.provenance) if isinstance(p, TableAnchor)),
-                None,
-            )
-            if pos is None:
-                return entry
-            anchor = entry.provenance[pos]
-            shifted = TableAnchor(anchor.table_id, anchor.row + 1, anchor.col)
-            entry.provenance[pos] = shifted
-            self.mutated.append((entry, anchor.cite(), shifted.cite()))
+        mutated = _mutate_entry(entry, self.spec.fault_type, rng)
+        if mutated is not None:
+            self.mutated.append((entry, *mutated))
         return entry
 
     def labels(self) -> list[FaultLabel]:
@@ -634,21 +632,8 @@ def _entry_eligible(entry: LogEntry, fault_type: FaultType) -> bool:
     if fault_type is FaultType.OCR_MISREAD:
         return entry.entry_type is EntryType.VISUAL and _swappable(entry.content)
     if fault_type is FaultType.ROW_OFF_BY_ONE:
-        return any(isinstance(p, TableAnchor) for p in entry.provenance)
+        return _anchor_index(entry) is not None
     return False
-
-
-class _EligibilityCounter:
-    """Dry-pass mutator: counts eligible retrieval appends, mutates nothing."""
-
-    def __init__(self, fault_type: FaultType) -> None:
-        self.fault_type = fault_type
-        self.count = 0
-
-    def __call__(self, entry: LogEntry) -> LogEntry:
-        if _entry_eligible(entry, self.fault_type):
-            self.count += 1
-        return entry
 
 
 def _run_record(
@@ -682,10 +667,13 @@ def run_benchmark(
 ) -> tuple[Metrics, list[dict]]:
     """Run every record, aggregate Metrics, and optionally write reports.
 
-    With a fault spec, a dry pass first enumerates eligible retrieval
-    appends across the whole benchmark so that exactly ceil(rate * N)
-    targets are selected by seed; the live pass then corrupts those appends
-    in flight, letting verification, re-engagement, and repair react.
+    With a fault spec, a dry pass first runs every record unmutated to
+    enumerate eligible retrieval appends across the whole benchmark, so that
+    exactly ceil(rate * N) targets are selected by seed; the live pass then
+    corrupts those appends in flight, letting verification, re-engagement,
+    and repair react. A record with no selected target keeps its dry run,
+    which is the run the live pass would repeat, so it runs once; a record
+    with a target, or whose dry run raised, runs again live.
     Individual run failures score EM 0 with an error note; the benchmark
     always completes.
     """
@@ -696,6 +684,7 @@ def run_benchmark(
     config = config or sched.SchedulerConfig()
 
     chosen_by_record: dict[int, set[int]] = {}
+    clean_runs: dict[int, sched.RunResult] = {}
     if fault_spec is not None:
         if fault_spec.fault_type not in _ENTRY_FAULTS:
             raise ValueError(
@@ -704,16 +693,17 @@ def run_benchmark(
             )
         eligible: list[tuple[int, int]] = []
         for i, record in enumerate(records):
-            counter = _EligibilityCounter(fault_spec.fault_type)
+            counter = _InFlightInjector(fault_spec, i, set())
             try:
-                _run_record(record, config, backend_factory, gate, counter)
+                clean_runs[i] = _run_record(record, config, backend_factory, gate, counter)
             except Exception:
                 logger.exception("dry pass failed for record %d", i)
-            eligible.extend((i, occ) for occ in range(counter.count))
+            eligible.extend((i, occ) for occ in range(counter.occurrence))
         _require_targets(eligible, "eligible retrieval entries in the benchmark")
         for pos in _select(len(eligible), fault_spec):
             rec, occ = eligible[pos]
             chosen_by_record.setdefault(rec, set()).add(occ)
+            clean_runs.pop(rec, None)
 
     reports: list[dict] = []
     traces: list[list[LogEntry]] = []
@@ -729,15 +719,16 @@ def run_benchmark(
 
     for i, record in enumerate(records):
         injector = None
-        if fault_spec is not None:
-            injector = _InFlightInjector(fault_spec, i, chosen_by_record.get(i, set()))
         error = None
-        try:
-            result = _run_record(record, config, backend_factory, gate, injector)
-        except Exception as exc:  # a failed run scores zero; the bench goes on
-            logger.exception("run failed for record %d", i)
-            error = f"{type(exc).__name__}: {exc}"
-            result = None
+        result = clean_runs.pop(i, None)
+        if result is None:
+            if fault_spec is not None:
+                injector = _InFlightInjector(fault_spec, i, chosen_by_record.get(i, set()))
+            try:
+                result = _run_record(record, config, backend_factory, gate, injector)
+            except Exception as exc:  # a failed run scores zero; the bench goes on
+                logger.exception("run failed for record %d", i)
+                error = f"{type(exc).__name__}: {exc}"
 
         answer = result.final_answer if result else None
         em = bool(answer) and exact_match(answer, record.gold_answers)

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import textutil
+from .sources import json_field, json_value
 
 
 class EntryType(Enum):
@@ -129,18 +130,28 @@ class AppendResult(Enum):
     REJECTED_DUPLICATE = "RejectedDuplicate"
 
 
+_DedupKey = tuple[list[str], set[tuple[str, ...]]]
+
+
+def _dedup_key(text: str) -> _DedupKey:
+    """Normalized words and their word 3-grams."""
+    words = textutil.normalize(text).split()
+    return words, textutil.word_ngrams(words, 3)
+
+
+def _keys_near_duplicate(a: _DedupKey, b: _DedupKey) -> bool:
+    (wa, ga), (wb, gb) = a, b
+    if len(wa) < 3 or len(wb) < 3:
+        return wa == wb
+    return textutil.jaccard(ga, gb) >= 0.85
+
+
 def is_near_duplicate(a: str, b: str) -> bool:
     """Word-3-gram Jaccard >= 0.85 after lowercasing and punctuation stripping.
 
     Texts shorter than three words fall back to normalized exact equality.
     """
-    wa = textutil.normalize(a).split()
-    wb = textutil.normalize(b).split()
-    if len(wa) < 3 or len(wb) < 3:
-        return wa == wb
-    ga = textutil.word_ngrams(wa, 3)
-    gb = textutil.word_ngrams(wb, 3)
-    return textutil.jaccard(ga, gb) >= 0.85
+    return _keys_near_duplicate(_dedup_key(a), _dedup_key(b))
 
 
 def _required_provenance(entry_type: EntryType) -> Optional[type]:
@@ -225,25 +236,20 @@ class SharedLog:
         self.estimator = estimator
         self.clock = clock or SimClock()
         self._lock = threading.Lock()
-        self._norm_cache: list[tuple[list[str], set]] = []
+        self._norm_cache: list[_DedupKey] = []  # one per committed entry
 
     def append(self, entry: LogEntry) -> AppendResult:
         """Validate, dedup, and commit an entry with the next step index."""
         validate_entry(entry)
-        words = textutil.normalize(entry.content).split()
-        grams = textutil.word_ngrams(words, 3)
+        key = _dedup_key(entry.content)
         with self._lock:
-            for other_words, other_grams in self._norm_cache:
-                if len(words) < 3 or len(other_words) < 3:
-                    if words == other_words:
-                        return AppendResult.REJECTED_DUPLICATE
-                elif textutil.jaccard(grams, other_grams) >= 0.85:
-                    return AppendResult.REJECTED_DUPLICATE
+            if any(_keys_near_duplicate(key, other) for other in self._norm_cache):
+                return AppendResult.REJECTED_DUPLICATE
             entry.step = self.next_step
             entry.ts_ms = self.clock.now_ms()
             self.next_step += 1
             self.entries.append(entry)
-            self._norm_cache.append((words, grams))
+            self._norm_cache.append(key)
             self.clock.advance(1)
         return AppendResult.ACCEPTED
 
@@ -379,16 +385,19 @@ def provenance_to_dict(p: Provenance) -> dict:
 
 
 def provenance_from_dict(d: dict) -> Provenance:
+    json_value(d, dict, "provenance")
     kind = d.get("kind")
-    try:
-        if kind == "table":
-            return TableAnchor(d["id"], int(d["row"]), int(d["col"]))
-        if kind == "doc":
-            return DocSpan(d["id"], int(d["start"]), int(d["end"]))
-        if kind == "image":
-            return ImageRef(d["id"])
-    except KeyError as exc:
-        raise ValidationError(f"{kind} provenance has no {exc.args[0]!r} field") from None
+    what = f"{kind} provenance"
+    if kind == "table":
+        return TableAnchor(
+            json_field(d, "id", what), json_field(d, "row", what, int), json_field(d, "col", what, int)
+        )
+    if kind == "doc":
+        return DocSpan(
+            json_field(d, "id", what), json_field(d, "start", what, int), json_field(d, "end", what, int)
+        )
+    if kind == "image":
+        return ImageRef(json_field(d, "id", what))
     raise ValidationError(f"unknown provenance kind: {kind!r}")
 
 
@@ -404,23 +413,19 @@ def entry_to_json(entry: LogEntry) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-_ENTRY_FIELDS = ("agent", "type", "content", "step")
-
-
 def entry_from_json(line: str) -> LogEntry:
+    """Parse one trace line; ValueError names a missing or mistyped field."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError(f"trace line is not a JSON object: {line[:80]!r}")
-    for name in _ENTRY_FIELDS:
-        if name not in record:
-            raise ValueError(f"trace entry has no {name!r} field: {line[:80]!r}")
+    what = f"trace entry {line[:80]!r}"
     return LogEntry(
-        agent=record["agent"],
-        entry_type=EntryType(record["type"]),
-        content=record["content"],
-        step=int(record["step"]),
-        ts_ms=int(record.get("ts_ms", 0)),
-        provenance=[provenance_from_dict(p) for p in record.get("provenance", [])],
+        agent=json_field(record, "agent", what),
+        entry_type=EntryType(json_field(record, "type", what)),
+        content=json_field(record, "content", what),
+        step=json_field(record, "step", what, int),
+        ts_ms=json_field(record, "ts_ms", what, int, 0),
+        provenance=[provenance_from_dict(p) for p in json_field(record, "provenance", what, list, [])],
     )
 
 

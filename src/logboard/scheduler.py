@@ -77,13 +77,10 @@ class RoundAudit:
 class RunState:
     round: int = 0
     updated: bool = False
-    re_engaged: bool = False
     consecutive_nonanswer_summaries: int = 0
     action_counts: dict[AgentRole, int] = field(
         default_factory=lambda: {role: 0 for role in RETRIEVAL_ROLES}
     )
-    backend_calls: int = 0
-    token_usage: int = 0
     new_entries_this_round: int = 0
     last_summary_round: int = -1
     re_engage_count: int = 0
@@ -267,7 +264,6 @@ def run(
                             final_answer = parse_answer(summary_entry.content)
                         elif state.re_engage_count < config.reengage_limit:
                             state.re_engage_count += 1
-                            state.re_engaged = True
                             allowed_rounds = max(allowed_rounds, round_idx + 2)
                             retrieval_frozen = False
                             flag_granted = True
@@ -326,14 +322,10 @@ def run(
             termination = Termination.MAX_ROUNDS
             final_answer = None
 
-    state.backend_calls = backend.calls - calls_before
-    state.token_usage = (
-        backend.prompt_tokens + backend.completion_tokens - tokens_before
-    )
     metrics = RunMetrics(
         rounds=round_idx,
-        backend_calls=state.backend_calls,
-        token_usage=state.token_usage,
+        backend_calls=backend.calls - calls_before,
+        token_usage=backend.prompt_tokens + backend.completion_tokens - tokens_before,
         wall_ms=clock.now_ms(),
     )
     return RunResult(

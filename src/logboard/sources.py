@@ -66,35 +66,88 @@ class SourceBundle:
         return None
 
 
-def _field(item: dict, name: str, kind: str):
-    try:
-        return item[name]
-    except KeyError:
-        raise ValueError(f"{kind} has no {name!r} field") from None
+_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
+_REQUIRED = object()
 
 
-def _table_from_dict(t: dict) -> Table:
-    return Table(
-        id=_field(t, "id", "table"),
-        header=list(_field(t, "header", "table")),
-        rows=[list(r) for r in _field(t, "rows", "table")],
+def _json_type_name(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return _TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def json_value(value, expected: type, what: str):
+    """Return a parsed JSON value if it has the expected type.
+
+    Raises ValueError naming `what` and both types otherwise; a boolean is
+    not an integer here.
+    """
+    # The exact-type test is the cheap common case; bool subclasses int.
+    if type(value) is not expected and (isinstance(value, bool) or not isinstance(value, expected)):
+        raise ValueError(
+            f"{what} must be {_TYPE_NAMES[expected]}, not {_json_type_name(value)}"
+        )
+    return value
+
+
+def json_field(record: dict, name: str, kind: str, expected: type = str, default=_REQUIRED):
+    """record[name], type-checked; ValueError names a missing or mistyped field."""
+    value = record.get(name, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ValueError(f"{kind} has no {name!r} field")
+        return default
+    return json_value(value, expected, f"{kind} field {name!r}")
+
+
+def json_strings(value, what: str) -> list[str]:
+    """A JSON array of strings, copied; ValueError names `what` otherwise."""
+    # One pass over the item types is the common case; only a wrong array
+    # is walked item by item to name the first bad one.
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        for i, item in enumerate(json_value(value, list, what)):
+            json_value(item, str, f"{what} item {i}")
+    return list(value)
+
+
+def _table_from_dict(t) -> Table:
+    json_value(t, dict, "table")
+    table_id = json_field(t, "id", "table")
+    header = json_strings(json_field(t, "header", "table", list), "table field 'header'")
+    rows = [
+        json_strings(row, f"table {table_id!r} row {i}")
+        for i, row in enumerate(json_field(t, "rows", "table", list))
+    ]
+    return Table(id=table_id, header=header, rows=rows)
+
+
+def _passage_from_dict(p) -> Passage:
+    json_value(p, dict, "passage")
+    return Passage(id=json_field(p, "id", "passage"), text=json_field(p, "text", "passage"))
+
+
+def _image_from_dict(i) -> Image:
+    json_value(i, dict, "image")
+    return Image(
+        id=json_field(i, "id", "image"),
+        caption=json_field(i, "caption", "image", str, ""),
+        ocr_text=json_field(i, "ocr_text", "image", str, ""),
     )
 
 
-def _passage_from_dict(p: dict) -> Passage:
-    return Passage(id=_field(p, "id", "passage"), text=_field(p, "text", "passage"))
-
-
-def _image_from_dict(i: dict) -> Image:
-    return Image(id=_field(i, "id", "image"), caption=i.get("caption", ""),
-                 ocr_text=i.get("ocr_text", ""))
-
-
-def bundle_from_dict(data: dict) -> SourceBundle:
+def bundle_from_dict(data) -> SourceBundle:
+    """Build a bundle from parsed JSON, raising ValueError on a wrong shape."""
+    json_value(data, dict, "sources")
     return SourceBundle(
-        tables=[_table_from_dict(t) for t in data.get("tables", [])],
-        passages=[_passage_from_dict(p) for p in data.get("passages", [])],
-        images=[_image_from_dict(i) for i in data.get("images", [])],
+        tables=[_table_from_dict(t) for t in json_field(data, "tables", "sources", list, [])],
+        passages=[
+            _passage_from_dict(p) for p in json_field(data, "passages", "sources", list, [])
+        ],
+        images=[_image_from_dict(i) for i in json_field(data, "images", "sources", list, [])],
     )
 
 
@@ -147,7 +200,7 @@ def load_sources(path: str | Path) -> SourceBundle:
                 items = data if isinstance(data, list) else [data]
                 tables.extend(_table_from_dict(t) for t in items)
             elif name.startswith("passage"):
-                passages.extend(_passage_from_dict(p) for p in data)
+                passages.extend(_passage_from_dict(p) for p in json_value(data, list, child.name))
             elif name.startswith("image"):
-                images.extend(_image_from_dict(i) for i in data)
+                images.extend(_image_from_dict(i) for i in json_value(data, list, child.name))
     return SourceBundle(tables=tables, passages=passages, images=images)

@@ -247,6 +247,30 @@ def test_inject_table_without_id_is_clean_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_inject_mistyped_tables_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps({"tables": "abc"}), encoding="utf-8")
+    code = main(["inject", str(path), "--type", "arithmetic", "--rate", "0.5",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "'tables'" in err and "JSON array" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_null_step_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"agent": "User", "type": "Query", "content": "q?", "step": null}\n',
+                    encoding="utf-8")
+    code = main(["trace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'step' must be an integer, not null" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

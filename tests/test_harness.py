@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from logboard.backends import ScriptedBackend
+from logboard import scheduler
+from logboard.backends import ScriptedBackend, TransportError
 from logboard.harness import (
     FaultLabel,
     FaultSpec,
@@ -454,6 +455,96 @@ def test_benchmark_writes_expected_files(tmp_path):
     assert all({"record", "target", "caught", "repaired"} <= set(row) for row in faults)
 
 
+class _CountingRuns:
+    """Counts scheduler.run calls per question and backends made."""
+
+    def __init__(self, monkeypatch, make_backend):
+        self.runs: dict[str, int] = {}
+        self.backends = 0
+        run = scheduler.run
+
+        def counted_run(question, *args, **kwargs):
+            self.runs[question] = self.runs.get(question, 0) + 1
+            return run(question, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "run", counted_run)
+        self._make_backend = make_backend
+
+    def factory(self):
+        self.backends += 1
+        return self._make_backend()
+
+
+def _labeled_records(out_dir) -> set[int]:
+    return {row["record"] for row in json.loads((out_dir / "faults.json").read_text())}
+
+
+def test_fault_mode_runs_each_clean_record_once(tmp_path, monkeypatch):
+    records, script = _delta_suite(6)
+    counting = _CountingRuns(monkeypatch, lambda: ScriptedBackend(script))
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=3)
+    run_benchmark(records, backend_factory=counting.factory, fault_spec=spec, out_dir=tmp_path)
+    labeled = _labeled_records(tmp_path)
+    assert 0 < len(labeled) < len(records)
+    expected_runs = len(records) + len(labeled)
+    assert sum(counting.runs.values()) == expected_runs
+    assert counting.backends == expected_runs
+    for i, record in enumerate(records):
+        assert counting.runs[record.question] == (2 if i in labeled else 1)
+
+
+def test_reused_clean_runs_match_fault_free_outputs(tmp_path):
+    records, script = _delta_suite(6)
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=3)
+    for name, fault_spec in (("faulted", spec), ("clean", None)):
+        run_benchmark(
+            records,
+            backend_factory=lambda: ScriptedBackend(script),
+            fault_spec=fault_spec,
+            out_dir=tmp_path / name,
+        )
+    labeled = _labeled_records(tmp_path / "faulted")
+    reports = {
+        name: (tmp_path / name / "report.jsonl").read_text().splitlines()
+        for name in ("faulted", "clean")
+    }
+    unlabeled = [i for i in range(len(records)) if i not in labeled]
+    assert unlabeled
+    for i in unlabeled:
+        assert reports["faulted"][i] == reports["clean"][i]
+        trace = f"trace_{i:03d}.jsonl"
+        assert (tmp_path / "faulted" / trace).read_bytes() == (tmp_path / "clean" / trace).read_bytes()
+    for i in labeled:
+        assert reports["faulted"][i] != reports["clean"][i]
+
+
+class _DownFor(ScriptedBackend):
+    """A scripted backend whose transport fails for prompts naming one firm."""
+
+    def __init__(self, script, name):
+        super().__init__(script)
+        self.name = name
+
+    def generate(self, prompt, temperature, max_tokens=512):
+        if self.name in prompt:
+            raise TransportError("connection refused")
+        return super().generate(prompt, temperature, max_tokens)
+
+
+def test_record_whose_dry_run_raised_runs_live(tmp_path, monkeypatch):
+    records, script = _delta_suite(6)
+    counting = _CountingRuns(monkeypatch, lambda: _DownFor(script, "Firm2"))
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=3)
+    _, reports = run_benchmark(
+        records, backend_factory=counting.factory, fault_spec=spec, out_dir=tmp_path
+    )
+    assert counting.runs[records[2].question] == 2
+    assert reports[2]["error"].startswith("TransportAbort")
+    assert reports[2]["termination"] == "Error"
+    assert 2 not in _labeled_records(tmp_path)
+    assert all("error" not in r for i, r in enumerate(reports) if i != 2)
+
+
 def test_load_benchmark_fixture_roundtrip():
     records = load_benchmark(FIXTURES / "golden_bench.jsonl")
     assert len(records) == 5
@@ -468,4 +559,21 @@ def test_load_benchmark_names_missing_field(tmp_path, field):
     path = tmp_path / "bench.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"no '{field}' field"):
+        load_benchmark(path)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([], "benchmark record must be a JSON object"),
+        ({"question": 1, "gold_answers": ["a"]}, "'question' must be a string, not a number"),
+        ({"question": "q?", "gold_answers": "a"}, "'gold_answers' must be a JSON array, not a string"),
+        ({"question": "q?", "gold_answers": [1]}, "gold_answers item 0 must be a string"),
+        ({"question": "q?", "gold_answers": ["a"], "sources": []}, "'sources' must be a JSON object"),
+    ],
+)
+def test_load_benchmark_names_mistyped_field(tmp_path, record, message):
+    path = tmp_path / "bench.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
         load_benchmark(path)

@@ -105,9 +105,15 @@ def test_dedup_soundness_over_random_sequences():
     rng = random.Random(7)
     vocab = ["alpha", "beta", "gamma", "delta", "sales", "rose", "fell", "2019"]
     log = SharedLog()
+    rejected = 0
     for _ in range(120):
         content = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
-        log.append(LogEntry("Planner", EntryType.SUMMARY, content))
+        committed = list(log.entries)
+        if log.append(LogEntry("Planner", EntryType.SUMMARY, content)) is AppendResult.ACCEPTED:
+            continue
+        rejected += 1
+        assert any(is_near_duplicate(content, e.content) for e in committed)
+    assert rejected > 0
     for a, b in itertools.combinations(log.entries, 2):
         assert not is_near_duplicate(a.content, b.content)
 
@@ -284,3 +290,26 @@ def test_load_trace_names_missing_provenance_field():
     del record["provenance"][0]["row"]
     with pytest.raises(ValueError, match="table provenance has no 'row' field"):
         load_trace(json.dumps(record))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("step", None, "'step' must be an integer, not null"),
+        ("step", "3", "'step' must be an integer, not a string"),
+        ("ts_ms", 1.5, "'ts_ms' must be an integer, not a number"),
+        ("content", 5, "'content' must be a string, not a number"),
+        ("agent", ["User"], "'agent' must be a string, not a JSON array"),
+        ("provenance", "doc", "'provenance' must be a JSON array, not a string"),
+        ("provenance", ["doc"], "provenance must be a JSON object, not a string"),
+        ("provenance", [{"kind": "table", "id": "t", "row": True, "col": 0}],
+         "table provenance field 'row' must be an integer, not a boolean"),
+        ("provenance", [{"kind": "doc", "id": 1, "start": 0, "end": 1}],
+         "doc provenance field 'id' must be a string, not a number"),
+    ],
+)
+def test_load_trace_names_mistyped_field(field, value, message):
+    record = json.loads(entry_to_json(LogEntry(USER, EntryType.QUERY, "q?", step=0)))
+    record[field] = value
+    with pytest.raises(ValueError, match=message):
+        load_trace(json.dumps(record) + "\n")

@@ -103,6 +103,31 @@ def test_bundle_from_dict_names_missing_field(data, message):
         bundle_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "sources must be a JSON object, not a JSON array"),
+        ({"tables": "abc"}, "sources field 'tables' must be a JSON array, not a string"),
+        ({"tables": ["abc"]}, "table must be a JSON object, not a string"),
+        ({"tables": [{"id": 7, "header": [], "rows": []}]}, "table field 'id' must be a string, not a number"),
+        ({"tables": [{"id": "t", "header": "a", "rows": []}]}, "table field 'header' must be a JSON array"),
+        ({"tables": [{"id": "t", "header": ["a"], "rows": [[1]]}]}, "table 't' row 0 item 0 must be a string"),
+        ({"tables": [{"id": "t", "header": ["a"], "rows": ["a"]}]}, "table 't' row 0 must be a JSON array"),
+        ({"passages": [{"id": "p", "text": None}]}, "passage field 'text' must be a string, not null"),
+        ({"images": [{"id": "i", "caption": True}]}, "image field 'caption' must be a string, not a boolean"),
+    ],
+)
+def test_bundle_from_dict_names_mistyped_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        bundle_from_dict(data)
+
+
+def test_load_sources_directory_rejects_non_array_passages(tmp_path):
+    (tmp_path / "passages.json").write_text(json.dumps({"id": "p", "text": "t"}), encoding="utf-8")
+    with pytest.raises(ValueError, match="passages.json must be a JSON array"):
+        load_sources(tmp_path)
+
+
 def test_load_sources_directory_names_missing_table_id(tmp_path):
     (tmp_path / "tables.json").write_text(
         json.dumps([{"header": ["a"], "rows": [["1"]]}]), encoding="utf-8"
