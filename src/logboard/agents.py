@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import retrieval
@@ -36,7 +36,8 @@ from .log import (
     token_estimate,
 )
 from .retrieval import (
-    RetrievalConfig,
+    SENTENCE_WINDOW_K,
+    TOP_N,
     TableSlice,
     render_table_slice,
     select_table_slice,
@@ -74,18 +75,12 @@ _DETERMINISTIC_ROLES = frozenset({AgentRole.SUMMARIZING, AgentRole.VERIFICATION}
 class AgentConfig:
     role: AgentRole
     temperature: float | None = None
-    per_query_action_cap: int = 2
     context_window: int = 4096
     max_tokens: int = DEFAULT_MAX_TOKENS
-    retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
-    cross_check: bool = False
-    gap_check: bool = False
 
     def __post_init__(self) -> None:
         if self.temperature is None:
             self.temperature = 0.0 if self.role in _DETERMINISTIC_ROLES else 0.3
-        if self.per_query_action_cap < 1:
-            raise ValueError("per_query_action_cap must be >= 1")
 
 
 _IMAGE_MENTION_RE = re.compile(r"image|figure", re.IGNORECASE)
@@ -177,7 +172,6 @@ def _source_blocks(
     role: AgentRole,
     sources: SourceBundle,
     question: str,
-    config: AgentConfig,
     table_slices: Sequence[TableSlice] | None,
 ) -> Iterator[str]:
     """Role-specific source text at shrink levels 0 (full) to 3, lazily.
@@ -195,17 +189,16 @@ def _source_blocks(
             )
     elif role is AgentRole.CONTEXT:
         idx = retrieval.index(sources.passages)
-        ranked = retrieval.retrieve(idx, question, config.retrieval.top_n, config.retrieval)
-        chosen = [doc_id for doc_id, _ in ranked]
+        chosen = [doc_id for doc_id, _ in retrieval.retrieve(idx, question)]
         if not chosen:
-            chosen = [p.id for p in sources.passages[: config.retrieval.top_n]]
+            chosen = [p.id for p in sources.passages[:TOP_N]]
         matches = [
             (passage, _best_match_range(passage.text, question))
             for passage in sources.passages
             if passage.id in chosen
         ]
         for shrink in range(4):
-            window = max(0, config.retrieval.sentence_window_k - shrink)
+            window = max(0, SENTENCE_WINDOW_K - shrink)
             yield "\n\n".join(
                 f"Passage {passage.id}: {truncate_span(passage.text, match, window)}"
                 for passage, match in matches
@@ -263,7 +256,7 @@ def build_prompt(
             pieces.append(flag_line)
         return "\n\n".join(pieces)
 
-    for block in _source_blocks(role, sources, question, config, table_slices):
+    for block in _source_blocks(role, sources, question, table_slices):
         prompt = compose(block, view)
         if token_estimate(prompt) <= config.context_window:
             return prompt
@@ -556,9 +549,7 @@ def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig |
     if answer_entry is None:
         raise ValueError("verification requires a prior Answer entry")
     answer_text = parse_answer(answer_entry.content) or answer_entry.content
-    findings = verify_deterministic(
-        log, answer_text, cross_check=config.cross_check, gap_check=config.gap_check
-    )
+    findings = verify_deterministic(log, answer_text)
     if findings:
         return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag_content(findings[0]))
     prompt = build_prompt(AgentRole.VERIFICATION, log, SourceBundle(), config, answer_text)
@@ -580,26 +571,12 @@ def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig |
 RETRIEVAL_ROLES = (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL)
 
 
-def build_agents(
-    per_query_action_cap: int = 2,
-    retrieval_config: RetrievalConfig | None = None,
-    cross_check: bool = False,
-) -> dict[AgentRole, object]:
+def build_agents() -> dict[AgentRole, object]:
     """Fresh per-run agent set with standard per-role temperatures."""
-    retrieval_config = retrieval_config or RetrievalConfig()
-
-    def cfg(role: AgentRole) -> AgentConfig:
-        return AgentConfig(
-            role,
-            per_query_action_cap=per_query_action_cap,
-            retrieval=retrieval_config,
-            cross_check=cross_check,
-        )
-
     return {
-        AgentRole.TABLE: TableAgent(cfg(AgentRole.TABLE)),
-        AgentRole.CONTEXT: ContextAgent(cfg(AgentRole.CONTEXT)),
-        AgentRole.VISUAL: VisualAgent(cfg(AgentRole.VISUAL)),
-        AgentRole.SUMMARIZING: SummarizingAgent(cfg(AgentRole.SUMMARIZING)),
-        AgentRole.VERIFICATION: VerificationAgent(cfg(AgentRole.VERIFICATION)),
+        AgentRole.TABLE: TableAgent(),
+        AgentRole.CONTEXT: ContextAgent(),
+        AgentRole.VISUAL: VisualAgent(),
+        AgentRole.SUMMARIZING: SummarizingAgent(),
+        AgentRole.VERIFICATION: VerificationAgent(),
     }

@@ -19,7 +19,7 @@ from .gating import LogisticGate, mine_samples_from_dir, train
 from .harness import FaultSpec, FaultType, inject_faults, load_benchmark, run_benchmark
 from .log import load_trace
 from .scheduler import SchedulerConfig, TransportAbort, run, write_run_summary, write_trace
-from .sources import bundle_to_dict, load_sources
+from .sources import bundle_to_dict, json_value, load_sources
 
 FAULT_NAMES = {
     "missing-row": FaultType.MISSING_ROW,
@@ -29,16 +29,17 @@ FAULT_NAMES = {
     "contradiction": FaultType.CONTRADICTION_INJECTION,
 }
 
-_CONFIG_KEYS = (
-    "max_rounds",
-    "no_verify",
-    "seed",
-    "out",
-    "scripted",
-    "backend_url",
-    "gate",
-    "model",
-)
+# Config file keys and the JSON type of the flag each one defaults.
+_CONFIG_TYPES = {
+    "max_rounds": int,
+    "no_verify": bool,
+    "seed": int,
+    "out": str,
+    "scripted": str,
+    "backend_url": str,
+    "gate": str,
+    "model": str,
+}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
@@ -95,8 +96,15 @@ def _apply_config_file(
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
         with open(probe.config, encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        accepted = {k: v for k, v in defaults.items() if k in _CONFIG_KEYS}
+            try:
+                defaults = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {probe.config} is not JSON: {exc}") from None
+        accepted = {
+            key: json_value(value, _CONFIG_TYPES[key], f"config key {key!r}")
+            for key, value in json_value(defaults, dict, f"config file {probe.config}").items()
+            if key in _CONFIG_TYPES
+        }
         # Subparsers re-apply their own defaults over the parent namespace,
         # so config-supplied defaults must land on every subparser too.
         for p in [parser, *subparsers]:
@@ -240,10 +248,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = _build_parser()
-    args = _apply_config_file(parser, subparsers, list(sys.argv[1:] if argv is None else argv))
     try:
+        args = _apply_config_file(parser, subparsers, list(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

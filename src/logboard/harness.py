@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import scheduler as sched
-from .agents import build_agents, flagged_steps
+from .agents import flagged_steps
 from .backends import TextBackend
 from .gating import LogisticGate
 from .log import (
@@ -104,7 +104,11 @@ def _corruptible_numerals(text: str) -> list[NumericMention]:
 
 
 def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | None:
-    """Shift one numeral by one leading unit; returns (new_text, old, new)."""
+    """Shift one numeral by one leading unit; returns (new_text, old, new).
+
+    The written sign is kept, so a shift never crosses zero: "-0.5" becomes
+    "-1.5", not "--0.5".
+    """
     eligible = _corruptible_numerals(text)
     if not eligible:
         return None
@@ -112,6 +116,8 @@ def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | Non
     delta = rng.choice((-1.0, 1.0))
     if mention.raw + delta == 0 or (mention.raw >= 0 and mention.raw + delta < 0):
         delta = 1.0
+    elif mention.raw < 0 < mention.raw + delta:
+        delta = -1.0
     new_raw = abs(mention.raw) + (delta if mention.raw >= 0 else -delta)
     body_match = re.search(r"[\d,]+(?:\.\d+)?", mention.text)
     assert body_match is not None
@@ -643,14 +649,11 @@ def _run_record(
     gate: LogisticGate | None,
     mutator,
 ) -> sched.RunResult:
-    backend = backend_factory()
-    agents = build_agents(per_query_action_cap=config.per_agent_cap)
     return sched.run(
         record.question,
         record.sources,
-        backend,
+        backend_factory(),
         config=config,
-        agents=agents,
         gate=gate,
         entry_mutator=mutator,
     )

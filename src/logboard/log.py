@@ -110,14 +110,11 @@ class TokenBudget:
 
     soft_limit: int = 4096
     compress_trigger: int = 3600
-    summary_cap: int = 300
     target_after: int = 3900
 
     def __post_init__(self) -> None:
         if not self.compress_trigger < self.target_after <= self.soft_limit:
             raise ValueError("budget requires compress_trigger < target_after <= soft_limit")
-        if not self.summary_cap < self.compress_trigger:
-            raise ValueError("budget requires summary_cap < compress_trigger")
 
 
 def token_estimate(text: str) -> int:
@@ -278,28 +275,17 @@ def format_entry(entry: LogEntry) -> str:
     return line
 
 
-def _stub_line(replaced: list[LogEntry], summarize_fn, cap_tokens: int, estimator) -> str:
+def _stub_line(replaced: list[LogEntry]) -> str:
     cites: list[str] = []
     for entry in replaced:
         cites.extend(entry.citations())
-    summary = ""
-    if summarize_fn is not None:
-        text = summarize_fn("\n".join(e.content for e in replaced)) or ""
-        limit = cap_tokens * 4
-        while text and estimator(text) > cap_tokens:
-            text = text[:limit].rstrip()
-            limit -= 4
-        summary = " " + text if text else ""
-    line = f"{SUMMARIZING_AGENT} (Summary): [history: {len(replaced)} earlier entries compressed]{summary}"
+    line = f"{SUMMARIZING_AGENT} (Summary): [history: {len(replaced)} earlier entries compressed]"
     if cites:
         line += " [cite: " + " | ".join(cites) + "]"
     return line
 
 
-def render_view(
-    log: SharedLog,
-    summarize_fn: Callable[[str], str] | None = None,
-) -> str:
+def render_view(log: SharedLog) -> str:
     """Render the log newest-last, compressing history to fit the budget.
 
     If the verbatim estimate exceeds the compress trigger, the oldest
@@ -313,7 +299,7 @@ def render_view(
     if log.estimator(view) <= log.budget.compress_trigger:
         return view
     for k in range(1, len(entries) + 1):
-        stub = _stub_line(entries[:k], summarize_fn, log.budget.summary_cap, log.estimator)
+        stub = _stub_line(entries[:k])
         view = "\n".join([stub] + lines[k:])
         if log.estimator(view) <= log.budget.target_after:
             return view

@@ -1,8 +1,7 @@
 """Input filtering: BM25 over passages, table slicing, span truncation.
 
-Lexical BM25 only; a dense reranker can be plugged in as a score-adjusting
-callback on retrieve(). The tokenizer lowercases, splits on
-non-alphanumerics, and keeps numerals intact.
+Lexical BM25 only. The tokenizer lowercases, splits on non-alphanumerics,
+and keeps numerals intact.
 
 Nothing here caches. A table's slice depends only on the table and the
 question, so the Table agent, which lives for one run, slices each table
@@ -17,26 +16,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .sources import Image, Passage, Table
 from .textutil import parse_numerals, split_sentences, tokenize
 
 
-@dataclass(frozen=True)
-class RetrievalConfig:
-    k1: float = 1.2
-    b: float = 0.75
-    top_n: int = 3
-    sentence_window_k: int = 2
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+K1 = 1.2  # BM25 term-frequency saturation
+B = 0.75  # BM25 document-length normalization
+TOP_N = 3  # passages a Context prompt keeps
+SENTENCE_WINDOW_K = 2  # sentences kept on each side of a passage's best match
 
 
 @dataclass
@@ -75,47 +64,33 @@ def _idf(index_: CorpusIndex, term: str) -> float:
     return math.log(1.0 + (index_.doc_count - df + 0.5) / (df + 0.5))
 
 
-def bm25_score(index_: CorpusIndex, query_terms: Sequence[str], doc_id: str,
-               k1: float = 1.2, b: float = 0.75) -> float:
+def bm25_score(index_: CorpusIndex, query_terms: Sequence[str], doc_id: str) -> float:
     """Direct BM25 of one document; also the enumeration oracle's formula."""
     tf = index_.term_freqs[doc_id]
     dl = index_.doc_len[doc_id]
-    norm = k1 * (1.0 - b + b * dl / index_.avg_doc_len) if index_.avg_doc_len else k1
+    norm = K1 * (1.0 - B + B * dl / index_.avg_doc_len) if index_.avg_doc_len else K1
     score = 0.0
     for term in query_terms:
         f = tf.get(term, 0)
         if f == 0:
             continue
-        score += _idf(index_, term) * f * (k1 + 1.0) / (f + norm)
+        score += _idf(index_, term) * f * (K1 + 1.0) / (f + norm)
     return score
 
 
-Reranker = Callable[[str, list[tuple[str, float]]], list[tuple[str, float]]]
-
-
-def retrieve(
-    index_: CorpusIndex,
-    query: str,
-    n: int | None = None,
-    config: RetrievalConfig = RetrievalConfig(),
-    rerank: Reranker | None = None,
-) -> list[tuple[str, float]]:
+def retrieve(index_: CorpusIndex, query: str, n: int = TOP_N) -> list[tuple[str, float]]:
     """Top-n (doc_id, score) by BM25, descending; ties break on doc_id.
 
-    Only strictly positive scores are returned. The optional rerank hook
-    may adjust candidate scores before the cut (dense reranker stand-in).
+    Only strictly positive scores are returned.
     """
-    n = config.top_n if n is None else n
     if n < 1:
         raise ValueError("n must be >= 1")
     terms = tokenize(query)
     scored = []
     for doc_id in index_.doc_ids:
-        score = bm25_score(index_, terms, doc_id, config.k1, config.b)
+        score = bm25_score(index_, terms, doc_id)
         if score > 0.0:
             scored.append((doc_id, score))
-    if rerank is not None:
-        scored = [(d, s) for d, s in rerank(query, scored) if s > 0.0]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:n]
 

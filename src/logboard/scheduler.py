@@ -2,17 +2,15 @@
 
 One run is a sequential state machine over a fresh shared log. Each round
 offers turns to Table, Context, Visual in that fixed order, then invokes
-the Summarizer when something changed (or patience ran out), then the
-Verifier on a proposed Answer. A Flag buys a single re-engagement round;
-guardrails (max rounds, per-agent caps, dedup, no-progress detection)
-bound every run regardless of backend behavior.
+the Summarizer, then the Verifier on a proposed Answer. A Flag buys a
+single re-engagement round; guardrails (max rounds, per-agent caps, dedup,
+no-progress detection) bound every run regardless of backend behavior.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -36,17 +34,15 @@ from .log import (
 from .sources import SourceBundle
 
 BACKEND_CALL_TICK_MS = 5  # simulated latency per backend call
+PER_AGENT_CAP = 2  # retrieval acts per role per run, re-engagement included
 
 
 @dataclass
 class SchedulerConfig:
     max_rounds: int = 6
-    patience: int = 1
-    per_agent_cap: int = 2
     verifier_enabled: bool = True
     reengage_limit: int = 1
     gate_enabled: bool = False
-    parallel_retrieval: bool = False
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -82,7 +78,6 @@ class RunState:
         default_factory=lambda: {role: 0 for role in RETRIEVAL_ROLES}
     )
     new_entries_this_round: int = 0
-    last_summary_round: int = -1
     re_engage_count: int = 0
 
 
@@ -130,8 +125,8 @@ EntryMutator = Callable[[LogEntry], LogEntry]
 
 
 def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
-               backend: TextBackend, config: SchedulerConfig, round_idx: int,
-               retry: Callable, mutator: EntryMutator | None = None) -> bool:
+               backend: TextBackend, round_idx: int, retry: Callable,
+               mutator: EntryMutator | None = None) -> bool:
     """Offer one retrieval turn; True iff an entry was accepted.
 
     A dedup-rejected append still counts toward the role's cap but leaves
@@ -139,18 +134,13 @@ def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
     but no cap.
     """
     role = agent.role
-    if state.action_counts[role] >= config.per_agent_cap:
+    if state.action_counts[role] >= PER_AGENT_CAP:
         return False
     if not agent.should_act(log, sources, round_idx):
         return False
     entry = retry(lambda: agent.act(log, sources, backend))
     if entry is None:
         return False
-    return _commit(entry, role, state, log, mutator)
-
-
-def _commit(entry: LogEntry, role: AgentRole, state: RunState, log: SharedLog,
-            mutator: EntryMutator | None) -> bool:
     if mutator is not None:
         entry = mutator(entry)
     result = log.append(entry)
@@ -173,7 +163,6 @@ def run(
     sources: SourceBundle,
     backend: TextBackend,
     config: SchedulerConfig | None = None,
-    agents: dict[AgentRole, object] | None = None,
     gate: LogisticGate | None = None,
     clock: Clock | None = None,
     entry_mutator: EntryMutator | None = None,
@@ -186,7 +175,7 @@ def run(
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
-    agents = agents or build_agents(per_query_action_cap=config.per_agent_cap)
+    agents = build_agents()
     clock = clock or _default_clock(backend)
     log = SharedLog(clock=clock)
     log.append(LogEntry(USER, EntryType.QUERY, question))
@@ -215,7 +204,7 @@ def run(
 
     def pending_roles(next_round: int) -> bool:
         return any(
-            state.action_counts[role] < config.per_agent_cap
+            state.action_counts[role] < PER_AGENT_CAP
             and agents[role].should_act(log, sources, next_round)
             for role in RETRIEVAL_ROLES
         )
@@ -228,57 +217,42 @@ def run(
         retrieval_ran = not retrieval_frozen
 
         if not retrieval_frozen:
-            if config.parallel_retrieval:
-                _parallel_retrieval_phase(
-                    agents, state, log, sources, backend, config, round_idx, retry, entry_mutator
-                )
-            else:
-                for role in RETRIEVAL_ROLES:
-                    offer_turn(
-                        agents[role], state, log, sources, backend, config,
-                        round_idx, retry, entry_mutator,
-                    )
+            for role in RETRIEVAL_ROLES:
+                offer_turn(agents[role], state, log, sources, backend, round_idx, retry, entry_mutator)
 
-        run_summary = (
-            state.updated
-            or round_idx == 0
-            or round_idx - state.last_summary_round >= config.patience
-        )
-        if run_summary:
-            state.last_summary_round = round_idx
-            summarizer = agents[AgentRole.SUMMARIZING]
-            summary_entry = retry(lambda: summarizer.act(log, sources, backend))
-            if summary_entry is not None:
-                log.append(summary_entry)
-                if summary_entry.entry_type is EntryType.ANSWER:
-                    state.consecutive_nonanswer_summaries = 0
-                    if config.verifier_enabled:
-                        verifier = agents[AgentRole.VERIFICATION]
-                        calls_pre = backend.calls
-                        verdict = verifier.act(log, sources, backend)
-                        if backend.calls > calls_pre:
-                            clock.advance(BACKEND_CALL_TICK_MS)
-                        log.append(verdict)
-                        if verdict.entry_type is EntryType.OK:
-                            termination = Termination.ANSWER_VERIFIED
-                            final_answer = parse_answer(summary_entry.content)
-                        elif state.re_engage_count < config.reengage_limit:
-                            state.re_engage_count += 1
-                            allowed_rounds = max(allowed_rounds, round_idx + 2)
-                            retrieval_frozen = False
-                            flag_granted = True
-                            for role in RETRIEVAL_ROLES:
-                                agents[role].notify_flag()
-                        else:
-                            termination = Termination.ANSWER_UNVERIFIED
-                            final_answer = parse_answer(summary_entry.content)
+        summarizer = agents[AgentRole.SUMMARIZING]
+        summary_entry = retry(lambda: summarizer.act(log, sources, backend))
+        if summary_entry is not None:
+            log.append(summary_entry)
+            if summary_entry.entry_type is EntryType.ANSWER:
+                state.consecutive_nonanswer_summaries = 0
+                if config.verifier_enabled:
+                    verifier = agents[AgentRole.VERIFICATION]
+                    calls_pre = backend.calls
+                    verdict = verifier.act(log, sources, backend)
+                    if backend.calls > calls_pre:
+                        clock.advance(BACKEND_CALL_TICK_MS)
+                    log.append(verdict)
+                    if verdict.entry_type is EntryType.OK:
+                        termination = Termination.ANSWER_VERIFIED
+                        final_answer = parse_answer(summary_entry.content)
+                    elif state.re_engage_count < config.reengage_limit:
+                        state.re_engage_count += 1
+                        allowed_rounds = max(allowed_rounds, round_idx + 2)
+                        retrieval_frozen = False
+                        flag_granted = True
+                        for role in RETRIEVAL_ROLES:
+                            agents[role].notify_flag()
                     else:
                         termination = Termination.ANSWER_UNVERIFIED
                         final_answer = parse_answer(summary_entry.content)
                 else:
-                    state.consecutive_nonanswer_summaries += 1
+                    termination = Termination.ANSWER_UNVERIFIED
+                    final_answer = parse_answer(summary_entry.content)
             else:
                 state.consecutive_nonanswer_summaries += 1
+        else:
+            state.consecutive_nonanswer_summaries += 1
 
         any_pending = pending_roles(round_idx + 1)
         audits.append(
@@ -335,33 +309,6 @@ def run(
         metrics=metrics,
         audits=audits,
     )
-
-
-def _parallel_retrieval_phase(agents, state, log, sources, backend, config,
-                              round_idx, retry, mutator) -> None:
-    """Concurrent retrieval acts, committed in fixed role order.
-
-    Triggers are evaluated against the round-start log; commits serialize
-    through the log's step counter so traces stay deterministic.
-    """
-    ready = []
-    for role in RETRIEVAL_ROLES:
-        agent = agents[role]
-        if state.action_counts[role] >= config.per_agent_cap:
-            continue
-        if agent.should_act(log, sources, round_idx):
-            ready.append(agent)
-    if not ready:
-        return
-    with ThreadPoolExecutor(max_workers=len(ready)) as pool:
-        futures = [
-            (agent, pool.submit(retry, lambda a=agent: a.act(log, sources, backend)))
-            for agent in ready
-        ]
-    for agent, future in futures:
-        entry = future.result()
-        if entry is not None:
-            _commit(entry, agent.role, state, log, mutator)
 
 
 def write_trace(result: RunResult, path: str | Path) -> None:

@@ -59,14 +59,14 @@ class SourceBundle:
                     raise ValueError(f"duplicate {kind} id: {item.id!r}")
                 seen.add(item.id)
 
-    def passage_by_id(self, passage_id: str) -> Passage | None:
-        for passage in self.passages:
-            if passage.id == passage_id:
-                return passage
-        return None
 
-
-_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
+_TYPE_NAMES = {
+    dict: "a JSON object",
+    list: "a JSON array",
+    str: "a string",
+    int: "an integer",
+    bool: "a boolean",
+}
 _REQUIRED = object()
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 # Phrases the Summarizer uses to signal an information gap. Shared by the
-# Context trigger, the gating features, and the optional verifier gap check.
+# Context trigger and the gating features.
 GAP_PHRASES = ("needed", "missing", "not sure", "don't have")
 
 _WORD_RE = re.compile(r"[a-z0-9]+")

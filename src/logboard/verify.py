@@ -1,10 +1,10 @@
 """Deterministic answer verification over the shared log.
 
-The checks recompute arithmetic claims from Lookup numerals, compare unit
-suffixes, and require every answer numeral to be present in (or derivable
-from) evidence entries. They are exact by construction: an arithmetic lie
-about a difference of Lookup values is always flagged, independent of any
-backend model.
+The checks recompute arithmetic claims from Lookup and Visual numerals,
+compare unit suffixes, and require every answer numeral to be present in
+(or derivable from) evidence entries, and every run applies all of them.
+They are exact by construction: an arithmetic lie about a difference of
+Lookup values is always flagged, independent of any backend model.
 """
 
 from __future__ import annotations
@@ -14,20 +14,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .log import EntryType, LogEntry, SharedLog
-from .textutil import (
-    GAP_PHRASES,
-    NumericMention,
-    is_year_like,
-    parse_numerals,
-    split_sentences,
-)
+from .textutil import NumericMention, is_year_like, parse_numerals
 
 
 class FindingKind(Enum):
     ARITHMETIC_MISMATCH = "ArithmeticMismatch"
     UNIT_MISMATCH = "UnitMismatch"
     UNSUPPORTED_CLAIM = "UnsupportedClaim"
-    MISSING_ITEM = "MissingItem"
 
 
 @dataclass
@@ -249,71 +242,6 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
     return assessments
 
 
-def cross_evidence_findings(log: SharedLog) -> list[Finding]:
-    """Near-miss numeric conflicts between Lookup and Quote entries.
-
-    Heuristic: two numerals with the same explicit unit, close but not
-    equal, one from a Lookup and one from a Quote, read as contradictory.
-    """
-    lookups: list[tuple[NumericMention, int]] = []
-    quotes: list[tuple[NumericMention, int]] = []
-    for entry in log.entries:
-        if entry.entry_type is EntryType.LOOKUP:
-            bucket = lookups
-        elif entry.entry_type is EntryType.QUOTE:
-            bucket = quotes
-        else:
-            continue
-        for mention in parse_numerals(entry.content):
-            if not is_year_like(mention):
-                bucket.append((mention, entry.step))
-    findings = []
-    for lm, lstep in lookups:
-        for qm, qstep in quotes:
-            if not (lm.explicit_unit and lm.unit == qm.unit):
-                continue
-            gap = abs(lm.value - qm.value)
-            if 0 < gap <= 0.15 * max(abs(lm.value), abs(qm.value), 1.0):
-                findings.append(
-                    Finding(
-                        FindingKind.UNSUPPORTED_CLAIM,
-                        f"Lookup value {lm.text} conflicts with Quote value {qm.text}",
-                        sorted({lstep, qstep}),
-                    )
-                )
-    return findings
-
-
-def gap_admission_findings(answer_text: str) -> list[Finding]:
-    """MissingItem findings when the answer itself names a gap."""
-    findings = []
-    for start, end in split_sentences(answer_text):
-        sentence = answer_text[start:end]
-        lowered = sentence.lower()
-        if any(phrase in lowered for phrase in GAP_PHRASES):
-            findings.append(
-                Finding(FindingKind.MISSING_ITEM, f"answer admits a gap: {sentence.strip()}")
-            )
-    return findings
-
-
-def verify_deterministic(
-    log: SharedLog,
-    answer_text: str,
-    *,
-    cross_check: bool = False,
-    gap_check: bool = False,
-) -> list[Finding]:
-    """All deterministic findings for an answer; empty when clean.
-
-    cross_check enables the Lookup-vs-Quote conflict heuristic and
-    gap_check the answer gap-admission check; both default off.
-    """
-    findings = [
-        a.finding for a in assess_answer_numerals(answer_text, log) if a.finding
-    ]
-    if cross_check:
-        findings.extend(cross_evidence_findings(log))
-    if gap_check:
-        findings.extend(gap_admission_findings(answer_text))
-    return findings
+def verify_deterministic(log: SharedLog, answer_text: str) -> list[Finding]:
+    """All deterministic findings for an answer, in answer order; empty when clean."""
+    return [a.finding for a in assess_answer_numerals(answer_text, log) if a.finding]

@@ -94,7 +94,7 @@ def test_context_act_quotes_span():
     entry = agent.act(fresh_log(), golden_sources(), backend)
     assert entry is not None and entry.entry_type is EntryType.QUOTE
     (span,) = entry.provenance
-    passage = golden_sources().passage_by_id(span.doc_id)
+    (passage,) = [p for p in golden_sources().passages if p.id == span.doc_id]
     quoted = passage.text[span.start_char : span.end_char]
     assert quoted == "The revenue increase in 2019 was primarily due to higher sales volume."
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from logboard.cli import main
 from logboard.log import load_trace
 
@@ -311,6 +313,29 @@ def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "flag-wins" / "trace.jsonl").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file"),
+        ("max_rounds = 4\n", "is not JSON"),
+        ("[1, 2]", "must be a JSON object, not a JSON array"),
+        ('{"no_verify": "false"}', "config key 'no_verify' must be a boolean, not a string"),
+        ('{"max_rounds": "4"}', "config key 'max_rounds' must be an integer, not a string"),
+    ],
+)
+def test_bad_config_file_is_one_error_line(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content, encoding="utf-8")
+    code = main(["--config", str(config), *ask_args(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_determinism_across_invocations(tmp_path, capsys):

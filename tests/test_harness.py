@@ -64,6 +64,15 @@ def test_perturb_keeps_decimals_and_commas():
     assert new in ("5,000,001", "4,999,999")
 
 
+def test_perturb_keeps_one_sign_below_one():
+    # A negative numeral below 1 used to gain a second minus ("--0.5%").
+    for text, expected in (("-0.5%", "-1.5%"), ("-$0.25M", "-$1.25M"), ("−0.3 million", "−1.3 million")):
+        for seed in range(8):
+            new_text, old, new = perturb_numeral(f"Margin was {text}.", random.Random(seed))
+            assert (old, new) == (text, expected)
+            assert new_text == f"Margin was {expected}."
+
+
 def test_arithmetic_corruption_on_entries():
     entries = [lookup(f"Metric {chr(65 + i)} was ${50 + i}M in the ledger.") for i in range(45)]
     for i, e in enumerate(entries):

@@ -148,9 +148,9 @@ def test_estimator_is_pluggable():
 
 def test_budget_invariants():
     with pytest.raises(ValueError):
-        TokenBudget(soft_limit=100, compress_trigger=99, summary_cap=10, target_after=101)
+        TokenBudget(soft_limit=100, compress_trigger=99, target_after=101)
     with pytest.raises(ValueError):
-        TokenBudget(compress_trigger=200, summary_cap=300, target_after=300, soft_limit=400)
+        TokenBudget(compress_trigger=300, target_after=300, soft_limit=400)
 
 
 def test_render_view_below_trigger_is_verbatim():
@@ -200,17 +200,6 @@ def test_render_view_stub_keeps_specific_anchor():
     # The first (oldest) entry is certainly compressed; its anchor survives.
     assert "table:t0@0,0" in view
     assert "entry 0 " not in view
-
-
-def test_render_view_summarize_fn_capped():
-    log = _busy_log(20, 300)
-    view = render_view(log, summarize_fn=lambda text: "long summary " * 500)
-    stub_line = view.splitlines()[0]
-    summary_text = stub_line[
-        stub_line.index("compressed]") + len("compressed]") : stub_line.index("[cite:")
-    ]
-    assert token_estimate(summary_text.strip()) <= log.budget.summary_cap
-    assert token_estimate(view) <= log.budget.target_after
 
 
 def test_parse_answer_marker():

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from logboard.retrieval import (
-    RetrievalConfig,
     index,
     render_visual_text,
     retrieve,
@@ -108,17 +107,6 @@ def test_random_corpora_match_oracle():
         assert got == brute_force_bm25(passages, query)[:n_docs]
 
 
-def test_rerank_hook_adjusts_scores():
-    idx = index(TOY)
-    flipped = retrieve(
-        idx,
-        "revenue sales",
-        3,
-        rerank=lambda q, scored: [(d, 1.0 if d == "d2" else 0.5) for d, _ in scored],
-    )
-    assert flipped[0][0] == "d2"
-
-
 TRACE_TABLE = Table(
     id="Table 1",
     header=["Year", "Revenue"],
@@ -207,12 +195,3 @@ def test_visual_text_numeral_preservation_under_truncation():
 def test_visual_text_empty_ocr():
     image = Image("i", caption="just a logo", ocr_text="")
     assert render_visual_text(image, max_chars=6) == "just a"
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RetrievalConfig(k1=0)
-    with pytest.raises(ValueError):
-        RetrievalConfig(b=1.5)
-    with pytest.raises(ValueError):
-        RetrievalConfig(top_n=0)

@@ -78,7 +78,7 @@ def reference_extract_table_anchors(reply, sources, question):
     return informative or [anchor for _, anchor in matched]
 
 
-def reference_sources_block(role, sources, question, config, shrink):
+def reference_sources_block(role, sources, question, shrink):
     parts = []
     if role is AgentRole.TABLE:
         row_cap = {0: 50, 1: 10, 2: 3}.get(shrink, 1)
@@ -88,12 +88,12 @@ def reference_sources_block(role, sources, question, config, shrink):
                 slice_ = TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols)
             parts.append(render_table_slice(table, slice_))
     elif role is AgentRole.CONTEXT:
-        window = max(0, config.retrieval.sentence_window_k - shrink)
+        window = max(0, retrieval.SENTENCE_WINDOW_K - shrink)
         idx = retrieval.index(sources.passages)
-        ranked = retrieval.retrieve(idx, question, config.retrieval.top_n, config.retrieval)
+        ranked = retrieval.retrieve(idx, question, retrieval.TOP_N)
         chosen = [doc_id for doc_id, _ in ranked]
         if not chosen:
-            chosen = [p.id for p in sources.passages[: config.retrieval.top_n]]
+            chosen = [p.id for p in sources.passages[: retrieval.TOP_N]]
         for passage in sources.passages:
             if passage.id not in chosen:
                 continue
@@ -215,10 +215,9 @@ def test_source_blocks_match_per_level_reference(case, texts, images):
         images=[Image(f"i{i}", caption, ocr) for i, (caption, ocr) in enumerate(images)],
     )
     for role in (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL):
-        config = AgentConfig(role)
-        blocks = list(_source_blocks(role, sources, question, config, None))
+        blocks = list(_source_blocks(role, sources, question, None))
         assert blocks == [
-            reference_sources_block(role, sources, question, config, shrink) for shrink in range(4)
+            reference_sources_block(role, sources, question, shrink) for shrink in range(4)
         ]
 
 
@@ -277,10 +276,9 @@ def test_large_table_blocks_match_reference(question):
     # 200 rows: more matching rows than any cap, and a fallback longer than 50.
     rows = [[f"item{i}", str(i), "revenue" if i % 3 else "cost"] for i in range(200)]
     sources = SourceBundle(tables=[Table("big", ["name", "count", "kind"], rows)])
-    config = AgentConfig(AgentRole.TABLE)
-    blocks = list(_source_blocks(AgentRole.TABLE, sources, question, config, None))
+    blocks = list(_source_blocks(AgentRole.TABLE, sources, question, None))
     assert blocks == [
-        reference_sources_block(AgentRole.TABLE, sources, question, config, shrink)
+        reference_sources_block(AgentRole.TABLE, sources, question, shrink)
         for shrink in range(4)
     ]
 
@@ -301,7 +299,7 @@ def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
     sources = SourceBundle(passages=passages)
     question = "What happened to sales growth?"
     config = AgentConfig(AgentRole.CONTEXT, context_window=140)
-    blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, config, None))
+    blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, None))
     prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), sources, config)
     assert blocks[0] not in prompt and blocks[1] in prompt  # shrunk one level
     assert indexed == [6, 6]  # once for the blocks above, once for the prompt

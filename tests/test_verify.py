@@ -2,13 +2,7 @@
 
 import random
 
-from logboard.verify import (
-    FindingKind,
-    classify_claim,
-    cross_evidence_findings,
-    gap_admission_findings,
-    verify_deterministic,
-)
+from logboard.verify import FindingKind, classify_claim, verify_deterministic
 from logboard.textutil import parse_numerals
 
 from helpers import GOLDEN_QUESTION, log_with, lookup, quote, visual
@@ -157,37 +151,13 @@ def test_classify_claim_patterns():
     assert classify_claim(text3, parse_numerals(text3)[0]) == "ratio"
 
 
-def test_cross_evidence_near_miss_conflict():
-    log = log_with(
-        "Revenue?",
-        lookup("Revenue in 2019 was $55M."),
-        quote("A footnote puts the 2019 figure at $56M."),
-    )
-    findings = cross_evidence_findings(log)
-    assert len(findings) == 1
-    assert sorted(findings[0].implicated_steps) == [1, 2]
-    # Distant values and matching values are not conflicts.
-    agree = log_with(
-        "Revenue?",
-        lookup("Revenue in 2019 was $55M."),
-        quote("The report confirms $55M for 2019 and 120 staff."),
-    )
-    assert cross_evidence_findings(agree) == []
-
-
-def test_gap_admission_findings():
-    findings = gap_admission_findings("The 2020 CEO name is missing. Revenue grew.")
-    assert kinds(findings) == [FindingKind.MISSING_ITEM]
-    assert gap_admission_findings("All figures are present.") == []
-
-
-def test_verify_flags_only_when_enabled():
+def test_quote_near_miss_is_not_flagged():
+    # Only answer numerals are checked: a Quote that disagrees with a Lookup
+    # the answer does not use, or an answer naming a gap, is no finding.
     log = log_with(
         "Revenue?",
         lookup("Revenue in 2019 was $55M."),
         quote("A footnote puts the 2019 figure at $56M."),
     )
     assert verify_deterministic(log, "Answer: $55M.") == []
-    assert kinds(verify_deterministic(log, "Answer: $55M.", cross_check=True)) == [
-        FindingKind.UNSUPPORTED_CLAIM
-    ]
+    assert verify_deterministic(log, "Answer: $55M; the CEO name is missing.") == []
