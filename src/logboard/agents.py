@@ -15,6 +15,7 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from . import retrieval
 from .backends import DEFAULT_MAX_TOKENS, TextBackend, TransportError
@@ -288,11 +289,12 @@ def extract_table_anchors(
     """Anchors for table cells the reply states, in (table, row, col) order.
 
     A cell is stated when its normalized text is a run of consecutive
-    normalized reply tokens. The runs are collected once, only up to the
-    longest cell met so far, so each cell costs one set lookup rather than
-    a scan of the reply. Cells whose text merely echoes the question are
-    excluded (they are the lookup key, not the retrieved fact), unless that
-    would empty the set.
+    normalized reply tokens. Each table's distinct cell strings are
+    normalized once and looked up in the set of the reply's runs, built
+    only up to the longest phrase met; then only rows holding a stated cell
+    are visited. Cells whose text merely echoes the question are excluded
+    (they are the lookup key, not the retrieved fact), unless that would
+    empty the set.
     """
     reply_tokens = normalize(reply).split()
     runs: set[str] = set()  # space-joined runs of up to `built` reply tokens
@@ -302,21 +304,26 @@ def extract_table_anchors(
     padded_question = f" {normalize(question)} "
     matched: list[tuple[bool, TableAnchor]] = []
     for table in sources.tables:
+        phrases = {cell: normalize(cell) for cell in set(chain.from_iterable(table.rows))}
+        longest = max((phrase.count(" ") + 1 for phrase in phrases.values() if phrase), default=0)
+        while built < longest and built < len(reply_tokens):
+            built += 1
+            runs.update(
+                " ".join(reply_tokens[i : i + built])
+                for i in range(len(reply_tokens) - built + 1)
+            )
+        # Stated cell -> whether it echoes the question.
+        hits = {
+            cell: f" {phrase} " in padded_question
+            for cell, phrase in phrases.items()
+            if phrase in runs
+        }
         for r, row in enumerate(table.rows):
+            if hits.keys().isdisjoint(row):
+                continue
             for c, cell in enumerate(row):
-                phrase = normalize(cell)
-                if not phrase:
-                    continue
-                length = phrase.count(" ") + 1
-                while built < length and built < len(reply_tokens):
-                    built += 1
-                    runs.update(
-                        " ".join(reply_tokens[i : i + built])
-                        for i in range(len(reply_tokens) - built + 1)
-                    )
-                if phrase in runs:
-                    echoes = f" {phrase} " in padded_question
-                    matched.append((echoes, TableAnchor(table.id, r, c)))
+                if cell in hits:
+                    matched.append((hits[cell], TableAnchor(table.id, r, c)))
     informative = [anchor for echoes, anchor in matched if not echoes]
     return informative or [anchor for _, anchor in matched]
 

@@ -100,10 +100,15 @@ def _apply_config_file(
                 defaults = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config file {probe.config} is not JSON: {exc}") from None
+        defaults = json_value(defaults, dict, f"config file {probe.config}")
+        unknown = sorted(defaults.keys() - _CONFIG_TYPES.keys())
+        if unknown:
+            raise ValueError(
+                f"config file {probe.config} has unknown keys: {', '.join(map(repr, unknown))}"
+            )
         accepted = {
             key: json_value(value, _CONFIG_TYPES[key], f"config key {key!r}")
-            for key, value in json_value(defaults, dict, f"config file {probe.config}").items()
-            if key in _CONFIG_TYPES
+            for key, value in defaults.items()
         }
         # Subparsers re-apply their own defaults over the parent namespace,
         # so config-supplied defaults must land on every subparser too.

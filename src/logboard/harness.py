@@ -106,19 +106,19 @@ def _corruptible_numerals(text: str) -> list[NumericMention]:
 def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | None:
     """Shift one numeral by one leading unit; returns (new_text, old, new).
 
-    The written sign is kept, so a shift never crosses zero: "-0.5" becomes
-    "-1.5", not "--0.5".
+    The written sign is kept, so a shift never reaches or crosses zero; such
+    a shift steps away from zero instead: "-0.5" becomes "-1.5", not
+    "--0.5", and "-1" becomes "-2", not "-0".
     """
     eligible = _corruptible_numerals(text)
     if not eligible:
         return None
     mention = eligible[rng.randrange(len(eligible))]
-    delta = rng.choice((-1.0, 1.0))
-    if mention.raw + delta == 0 or (mention.raw >= 0 and mention.raw + delta < 0):
-        delta = 1.0
-    elif mention.raw < 0 < mention.raw + delta:
-        delta = -1.0
-    new_raw = abs(mention.raw) + (delta if mention.raw >= 0 else -delta)
+    delta = rng.choice((-1.0, 1.0))  # shift of the value
+    step = delta if mention.raw >= 0 else -delta  # the same shift of the magnitude
+    if abs(mention.raw) + step <= 0:
+        step = 1.0
+    new_raw = abs(mention.raw) + step
     body_match = re.search(r"[\d,]+(?:\.\d+)?", mention.text)
     assert body_match is not None
     body = body_match.group()

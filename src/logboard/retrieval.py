@@ -3,19 +3,25 @@
 Lexical BM25 only. The tokenizer lowercases, splits on non-alphanumerics,
 and keeps numerals intact.
 
-Nothing here caches. A table's slice depends only on the table and the
-question, so the Table agent, which lives for one run, slices each table
-once per run; a prompt ranks passages by BM25 once, whatever its shrink
-level. Neither result outlives the run: a user pays this work once per
-question, and a cache kept across runs, or work moved to load time, would
-only hide that cost.
+Nothing here keeps a cache of its own. A table's slice depends only on
+the table and the question, so the Table agent, which lives for one run,
+slices each table once per run; a prompt ranks passages by BM25 once,
+whatever its shrink level. Slicing works once per row (one compiled
+search of the row's text) and once per distinct value of a column.
+Neither result outlives the run: a user pays this work once per
+question, and a cache kept across runs, or work moved to load time,
+would only hide that cost. The one exception is the question's compiled
+pattern, which `re` keeps in its module cache, so a repeated question
+skips the compile that a new one pays.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .sources import Image, Passage, Table
@@ -102,11 +108,15 @@ class TableSlice:
 
 
 def _is_numeric_column(table: Table, col: int) -> bool:
-    cells = [row[col] for row in table.rows if row[col].strip()]
-    if not cells:
-        return False
-    numeric = sum(1 for cell in cells if any(map(str.isdigit, cell)))
-    return numeric * 2 > len(cells)
+    """More than half the non-blank cells hold a digit; each distinct value is tested once."""
+    numeric = total = 0
+    for cell, count in Counter(map(itemgetter(col), table.rows)).items():
+        if not cell.strip():
+            continue
+        total += count
+        if any(map(str.isdigit, cell)):
+            numeric += count
+    return numeric * 2 > total
 
 
 _FALLBACK_ROWS = 50
@@ -125,11 +135,16 @@ def select_table_slice(table: Table, question: str) -> TableSlice:
             kept_cols.append(col)
     if not kept_cols:
         kept_cols = list(range(len(table.header)))
-    # A token never spans the separator, so the joined row's tokens are
-    # exactly its cells' tokens; one tokenize call per row.
-    kept_rows = [
-        i for i, row in enumerate(table.rows) if not q_tokens.isdisjoint(tokenize(" ".join(row)))
-    ]
+    kept_rows = []
+    if q_tokens:
+        # A row shares a token with the question when one of the question's
+        # tokens stands in its lowered text as a whole [a-z0-9] run, which is
+        # what tokenize would cut out of it. Tokens are [a-z0-9]+, so the
+        # alternation needs no escaping; one search per row runs in C.
+        shares_token = re.compile(
+            r"(?<![a-z0-9])(?:%s)(?![a-z0-9])" % "|".join(sorted(q_tokens))
+        ).search
+        kept_rows = [i for i, row in enumerate(table.rows) if shares_token(" ".join(row).lower())]
     if not kept_rows:
         kept_rows = list(range(min(len(table.rows), _FALLBACK_ROWS)))
     return TableSlice(kept_rows=kept_rows, kept_cols=kept_cols)

@@ -323,6 +323,7 @@ def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
         ("[1, 2]", "must be a JSON object, not a JSON array"),
         ('{"no_verify": "false"}', "config key 'no_verify' must be a boolean, not a string"),
         ('{"max_rounds": "4"}', "config key 'max_rounds' must be an integer, not a string"),
+        ('{"max_round": 1, "no-verify": true}', "has unknown keys: 'max_round', 'no-verify'"),
     ],
 )
 def test_bad_config_file_is_one_error_line(tmp_path, capsys, content, message):

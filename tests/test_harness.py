@@ -73,6 +73,15 @@ def test_perturb_keeps_one_sign_below_one():
             assert new_text == f"Margin was {expected}."
 
 
+def test_perturb_steps_away_from_zero():
+    # A shift that would land on zero used to write "-1" as "-0".
+    for text, expected in (("-1", "-2"), ("−$1M", "−$2M"), ("+1", "+2"), ("1%", "2%"), ("-1.0", "-2.0")):
+        for seed in range(21):
+            new_text, old, new = perturb_numeral(f"Margin was {text}.", random.Random(seed))
+            assert (old, new) == (text, expected)
+            assert new_text == f"Margin was {expected}."
+
+
 def test_arithmetic_corruption_on_entries():
     entries = [lookup(f"Metric {chr(65 + i)} was ${50 + i}M in the ledger.") for i in range(45)]
     for i, e in enumerate(entries):

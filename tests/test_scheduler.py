@@ -2,13 +2,18 @@
 
 import dataclasses
 import inspect
+from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logboard.agents import AgentConfig, AgentRole, TableAgent, build_agents
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
-from logboard.log import EntryType, dump_trace
+from logboard.log import EntryType, dump_trace, is_near_duplicate, parse_answer
 from logboard.scheduler import (
+    PER_AGENT_CAP,
     RunState,
     SchedulerConfig,
     Termination,
@@ -279,6 +284,123 @@ def test_termination_and_call_bound_under_chaos():
         assert (result.final_answer is not None) == (
             result.termination in (Termination.ANSWER_VERIFIED, Termination.ANSWER_UNVERIFIED)
         )
+
+
+SUMMARY_ROLE = "You are the summarizing agent"
+
+# Reply pools keyed by each role's prompt opening. Every pool mixes
+# abstentions or empty replies, near-duplicates that differ only in case and
+# punctuation, and for the Summarizer and Verifier answers and Flags.
+GUARDRAIL_REPLIES = {
+    "You are a table analyst": [
+        "no relevant info found",
+        "",
+        "The widget line was $7M according to Table 1.",
+        "the widget line was $7M, according to table 1!",
+        "The gadget line was $9M according to Table 1.",
+    ],
+    "You are a passage reader": [
+        "no relevant info found",
+        "According to the text: 'Demand for widgets rose sharply.'",
+        "According to the text - 'demand for widgets rose sharply.'",
+        "Nothing in the passages mentions it.",
+    ],
+    "You are an image interpreter": [
+        "no relevant info found",
+        "The chart shows 7 and 9 for the two lines.",
+        "The chart shows 7 and 9, for the two lines!",
+    ],
+    SUMMARY_ROLE: [
+        "Still missing the gadget figure. More data needed.",
+        "Still missing the gadget figure; more data needed!",
+        "Therefore, the widget line leads. Answer: $7M.",
+        "Answer: $2M increase.",
+        "",
+    ],
+    "You are the verification agent": [
+        "OK",
+        "Everything lines up. (No issues flagged.)",
+        "Flagged incorrect calculation in the claim.",
+        "The gadget value is missing from the evidence.",
+    ],
+}
+
+
+@st.composite
+def guardrail_cases(draw):
+    script = {
+        role: draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        for role, pool in GUARDRAIL_REPLIES.items()
+    }
+    config = SchedulerConfig(
+        max_rounds=draw(st.integers(1, 4)),
+        verifier_enabled=draw(st.booleans()),
+        reengage_limit=draw(st.sampled_from([0, 1])),
+    )
+    return script, config, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(guardrail_cases())
+def test_guardrails_hold_for_any_scripted_replies(case):
+    script, config, with_images = case
+    sources = fuzz_sources()
+    if with_images:
+        sources.images.append(Image("chart", caption="two lines", ocr_text="7 9"))
+    # Retrieval entries offered to the log, and None at each Summarizer call,
+    # which comes once per round after that round's retrieval turns.
+    events = []
+
+    class RecordingBackend(ScriptedBackend):
+        def generate(self, prompt, temperature, max_tokens=512):
+            if SUMMARY_ROLE in prompt:
+                events.append(None)
+            return super().generate(prompt, temperature, max_tokens)
+
+    def record(entry):
+        events.append(entry)
+        return entry
+
+    result = run(
+        "How did the widget figure move?", sources, RecordingBackend(script),
+        config=config, entry_mutator=record,
+    )
+    entries = result.log.entries
+
+    flagged = any(e.entry_type is EntryType.FLAG for e in entries)
+    extra = config.reengage_limit if flagged else 0  # the round a Flag buys
+    assert result.metrics.rounds <= config.max_rounds + extra
+
+    offered = [e for e in events if e is not None]
+    assert max(Counter(e.agent for e in offered).values(), default=0) <= PER_AGENT_CAP
+
+    for a, b in combinations(entries, 2):
+        assert not is_near_duplicate(a.content, b.content)
+
+    # A round made progress when one of its retrieval entries was committed;
+    # the Summarizer's n-th call gets the n-th scripted reply (the last repeats).
+    committed = {id(e) for e in entries}
+    rounds, current = [], []
+    for event in events:
+        if event is None:
+            rounds.append(current)
+            current = []
+        else:
+            current.append(event)
+    assert len(rounds) == result.metrics.rounds == len(result.audits)
+    summaries = script[SUMMARY_ROLE]
+    nonanswers = 0
+    for i, (offered_in_round, audit) in enumerate(zip(rounds, result.audits)):
+        progress = any(id(e) in committed for e in offered_in_round)
+        reply = summaries[min(i, len(summaries) - 1)]
+        nonanswers = 0 if reply.strip() and parse_answer(reply) else nonanswers + 1
+        assert audit.updated == progress
+        assert audit.consecutive_nonanswer_summaries == nonanswers
+        stalled = not progress and not audit.any_pending and nonanswers >= 2
+        last = i == len(rounds) - 1
+        assert not stalled or last  # a stalled round is the last one
+        if last:
+            assert stalled == (result.termination is Termination.NO_PROGRESS)
 
 
 def test_visual_runs_and_anchors_image():

@@ -1,12 +1,18 @@
 """Table slicing, provenance anchors and source blocks against the old code.
 
 The references below are the straightforward versions the runtime used to
-run on every call: per-cell tokenizing in select_table_slice, a scan of the
-reply's tokens for every cell in extract_table_anchors, and a fresh slice
-and BM25 ranking at every prompt shrink level. The faster code must give
-the same results on any input, and the Table agent must slice each table
-once per run.
+run on every call: per-cell tokenizing and a per-cell digit test in
+select_table_slice, a normalize and a scan of the reply's tokens for every
+cell in extract_table_anchors, and a fresh slice and BM25 ranking at every
+prompt shrink level. Of the code they check, they call only tokenize. The
+faster code must give the same results on any input, the Table agent must
+slice each table once per run, and anchoring must normalize each distinct
+cell string of a table once.
 """
+
+import re
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +41,19 @@ from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
 # --- references -------------------------------------------------------------
 
 
+def reference_is_numeric_column(table, col):
+    cells = [row[col] for row in table.rows if row[col].strip()]
+    if not cells:
+        return False
+    numeric = sum(1 for cell in cells if any(ch.isdigit() for ch in cell))
+    return numeric * 2 > len(cells)
+
+
 def reference_select_table_slice(table, question, row_cap=50):
     q_tokens = set(tokenize(question))
     kept_cols = []
     for col, name in enumerate(table.header):
-        if set(tokenize(name)) & q_tokens or retrieval._is_numeric_column(table, col):
+        if set(tokenize(name)) & q_tokens or reference_is_numeric_column(table, col):
             kept_cols.append(col)
     if not kept_cols:
         kept_cols = list(range(len(table.header)))
@@ -61,14 +75,18 @@ def reference_contains_tokens(haystack, needle):
     return False
 
 
+def reference_normalize_tokens(text):
+    return re.sub(r"[^\w\s]", " ", text.lower()).split()
+
+
 def reference_extract_table_anchors(reply, sources, question):
-    reply_tokens = normalize(reply).split()
-    question_tokens = normalize(question).split()
+    reply_tokens = reference_normalize_tokens(reply)
+    question_tokens = reference_normalize_tokens(question)
     matched = []
     for table in sources.tables:
         for r, row in enumerate(table.rows):
             for c, cell in enumerate(row):
-                cell_tokens = normalize(cell).split()
+                cell_tokens = reference_normalize_tokens(cell)
                 if not cell_tokens:
                     continue
                 if reference_contains_tokens(reply_tokens, cell_tokens):
@@ -110,16 +128,22 @@ def reference_sources_block(role, sources, question, shrink):
 
 # --- strategies -------------------------------------------------------------
 
-WORDS = ["revenue", "2019", "Year", "total", "ünits", "straße", "σΣ", "İd", "Kelvin", "a_b"]
+# Besides plain words and numerals: "İ" lowers to "i" plus a combining dot,
+# the Kelvin sign "\u212a" lowers to ASCII "k", "ſ" stays itself but is
+# alphanumeric, a final "Σ" lowers by context, "\u0301" is a combining
+# mark, and "_" is a word character that is not a token character.
+WORDS = ["revenue", "2019", "Year", "total", "ünits", "straße", "σΣ", "ΟΔΟΣ", "İd", "Kelvin",
+         "\u212am", "ſale", "cafe\u0301", "a_b", "snake_case", "line\nbreak"]
 NUMERALS = ["$1,000.5M", "-3.2%", "$50M", "1,234", "0.5", "7 million", "(12)"]
-PUNCT = [" ", "  ", ", ", ". ", "-", "_", "/", "$", "%", "(", ")", "'", "\t", ": "]
+PUNCT = [" ", "  ", ", ", ". ", "-", "_", "/", "$", "%", "(", ")", "'", "\t", "\n", ": "]
+BLANKS = ["", " ", "\t", "\n"]
 
 word = st.sampled_from(WORDS + NUMERALS)
 free_text = st.text(
-    alphabet=st.sampled_from(list("abcXYZ019 .,$%-_'/éßΣİK \t")), max_size=10
+    alphabet=st.sampled_from(list("abcXYZ019 .,$%-_'/éßΣİKſ\u212a\u0301 \t\n")), max_size=10
 )
 cell = st.one_of(
-    st.just(""),
+    st.sampled_from(BLANKS),
     word,
     st.lists(word, min_size=2, max_size=4).map(" ".join),
     free_text,
@@ -129,9 +153,19 @@ cell = st.one_of(
 @st.composite
 def tables(draw):
     n_cols = draw(st.integers(1, 4))
-    n_rows = draw(st.integers(0, 8))
     header = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
-    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), max_size=n_rows))
+    # Drawing cells from a small pool repeats cell strings across rows and
+    # columns; repeated rows are drawn from the rows made so far.
+    pool = draw(st.lists(cell, min_size=1, max_size=3))
+    row = st.lists(st.one_of(cell, st.sampled_from(pool)), min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows).map(list), max_size=3))
+        rows = draw(st.permutations(rows))
+    for col in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):  # blank columns
+        blanks = draw(st.lists(st.sampled_from(BLANKS), min_size=1, max_size=2))
+        for i, r in enumerate(rows):
+            r[col] = blanks[i % len(blanks)]
     return header, rows
 
 
@@ -156,7 +190,10 @@ def phrase(draw, pieces):
 def bundle_question_reply(draw):
     sources = draw(bundles())
     cells = [c for t in sources.tables for row in [t.header, *t.rows] for c in row]
-    question = phrase(draw, WORDS + NUMERALS + cells)
+    if draw(st.integers(0, 4)) == 0:  # a question with no [a-z0-9] token
+        question = draw(st.text(alphabet=st.sampled_from(list("ſΣσ .?_-\u0301\n")), max_size=8))
+    else:
+        question = phrase(draw, WORDS + NUMERALS + cells)
     reply = phrase(draw, WORDS + NUMERALS + cells + [question])
     if draw(st.booleans()):
         reply = question + draw(st.sampled_from(PUNCT)) + reply  # echoes the question
@@ -190,6 +227,29 @@ def test_anchor_references_agree_on_long_cells_and_repeats():
         assert extract_table_anchors(reply, sources, "b") == reference_extract_table_anchors(
             reply, sources, "b"
         )
+
+
+def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
+    calls = []
+
+    def counting_normalize(text):
+        calls.append(text)
+        return normalize(text)
+
+    monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
+    rows = [["widget", "$7M"], ["gadget", "$7M"], ["widget", "$7M"], ["", "$9M"]]
+    sources = SourceBundle(
+        tables=[
+            Table("t1", ["Item", "Value"], rows),
+            Table("t2", ["Item", "Value"], [["widget", "$9M"], ["widget", "$9M"]]),
+        ]
+    )
+    reply, question = "The widget line was $7M.", "What was the widget line?"
+    anchors = extract_table_anchors(reply, sources, question)
+    assert anchors == reference_extract_table_anchors(reply, sources, question)
+    assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 1, 1), TableAnchor("t1", 2, 1)]
+    distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
+    assert Counter(calls) == Counter([reply, question, *distinct])
 
 
 passage_text = st.lists(
