@@ -100,7 +100,9 @@ class FaultLabel:
 
 
 def _corruptible_numerals(text: str) -> list[NumericMention]:
-    return [m for m in parse_numerals(text) if not is_year_like(m)]
+    # Years are labels, not amounts. From 2**53 up floats skip integers, so a
+    # one-unit shift could parse to the value it had: such numerals are refused.
+    return [m for m in parse_numerals(text) if not is_year_like(m) and abs(m.value) < 2**53]
 
 
 def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | None:
@@ -676,9 +678,11 @@ def run_benchmark(
     corrupts those appends in flight, letting verification, re-engagement,
     and repair react. A record with no selected target keeps its dry run,
     which is the run the live pass would repeat, so it runs once; a record
-    with a target, or whose dry run raised, runs again live.
-    Individual run failures score EM 0 with an error note; the benchmark
-    always completes.
+    with a target runs again live. A record whose dry run raised is not run
+    again: its report carries the dry run's error text, and its dry-pass
+    appends are not eligible, since no committed run could carry their
+    labels. Individual run failures score EM 0 with an error note; the
+    benchmark always completes.
     """
     if not records:
         raise ValueError("run_benchmark needs at least one record")
@@ -688,6 +692,7 @@ def run_benchmark(
 
     chosen_by_record: dict[int, set[int]] = {}
     clean_runs: dict[int, sched.RunResult] = {}
+    errors: dict[int, str] = {}  # error text of a record's failed run
     if fault_spec is not None:
         if fault_spec.fault_type not in _ENTRY_FAULTS:
             raise ValueError(
@@ -699,8 +704,10 @@ def run_benchmark(
             counter = _InFlightInjector(fault_spec, i, set())
             try:
                 clean_runs[i] = _run_record(record, config, backend_factory, gate, counter)
-            except Exception:
+            except Exception as exc:  # the record is reported failed, not run again
                 logger.exception("dry pass failed for record %d", i)
+                errors[i] = f"{type(exc).__name__}: {exc}"
+                continue
             eligible.extend((i, occ) for occ in range(counter.occurrence))
         _require_targets(eligible, "eligible retrieval entries in the benchmark")
         for pos in _select(len(eligible), fault_spec):
@@ -722,16 +729,16 @@ def run_benchmark(
 
     for i, record in enumerate(records):
         injector = None
-        error = None
         result = clean_runs.pop(i, None)
-        if result is None:
+        if result is None and i not in errors:
             if fault_spec is not None:
                 injector = _InFlightInjector(fault_spec, i, chosen_by_record.get(i, set()))
             try:
                 result = _run_record(record, config, backend_factory, gate, injector)
             except Exception as exc:  # a failed run scores zero; the bench goes on
                 logger.exception("run failed for record %d", i)
-                error = f"{type(exc).__name__}: {exc}"
+                errors[i] = f"{type(exc).__name__}: {exc}"
+        error = errors.get(i)
 
         answer = result.final_answer if result else None
         em = bool(answer) and exact_match(answer, record.gold_answers)

@@ -6,13 +6,15 @@ and keeps numerals intact.
 Nothing here keeps a cache of its own. A table's slice depends only on
 the table and the question, so the Table agent, which lives for one run,
 slices each table once per run; a prompt ranks passages by BM25 once,
-whatever its shrink level. Slicing works once per row (one compiled
-search of the row's text) and once per distinct value of a column.
-Neither result outlives the run: a user pays this work once per
-question, and a cache kept across runs, or work moved to load time,
-would only hide that cost. The one exception is the question's compiled
-pattern, which `re` keeps in its module cache, so a repeated question
-skips the compile that a new one pays.
+whatever its shrink level. BM25 tokenizes each passage once per ranking
+and counts only the question's terms in it, with each term's idf worked
+out once. Slicing works once per row (one compiled search of the row's
+text) and once per distinct value of a column. Neither result outlives
+the run: a user pays this work once per question, and a cache kept
+across runs, or work moved to load time, would only hide that cost. The
+one exception is the question's compiled pattern, which `re` keeps in
+its module cache, so a repeated question skips the compile that a new
+one pays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -36,11 +39,9 @@ SENTENCE_WINDOW_K = 2  # sentences kept on each side of a passage's best match
 
 @dataclass
 class CorpusIndex:
-    doc_ids: list[str] = field(default_factory=list)
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    term_freqs: dict[str, Counter] = field(default_factory=dict)
-    doc_len: dict[str, int] = field(default_factory=dict)
-    avg_doc_len: float = 0.0
+    doc_ids: list[str]
+    doc_tokens: list[list[str]]
+    avg_doc_len: float
 
     @property
     def doc_count(self) -> int:
@@ -48,53 +49,45 @@ class CorpusIndex:
 
 
 def index(passages: Sequence[Passage]) -> CorpusIndex:
-    """Build exact frequency statistics over the passages."""
-    idx = CorpusIndex()
-    for passage in passages:
-        if passage.id in idx.term_freqs:
-            raise ValueError(f"duplicate passage id: {passage.id!r}")
-        tokens = tokenize(passage.text)
-        idx.doc_ids.append(passage.id)
-        idx.term_freqs[passage.id] = Counter(tokens)
-        idx.doc_len[passage.id] = len(tokens)
-        for term in set(tokens):
-            idx.doc_freq[term] = idx.doc_freq.get(term, 0) + 1
-    if idx.doc_ids:
-        idx.avg_doc_len = sum(idx.doc_len.values()) / len(idx.doc_ids)
-    return idx
-
-
-def _idf(index_: CorpusIndex, term: str) -> float:
-    df = index_.doc_freq.get(term, 0)
-    # Non-negative variant so the score > 0 cutoff is meaningful.
-    return math.log(1.0 + (index_.doc_count - df + 0.5) / (df + 0.5))
-
-
-def bm25_score(index_: CorpusIndex, query_terms: Sequence[str], doc_id: str) -> float:
-    """Direct BM25 of one document; also the enumeration oracle's formula."""
-    tf = index_.term_freqs[doc_id]
-    dl = index_.doc_len[doc_id]
-    norm = K1 * (1.0 - B + B * dl / index_.avg_doc_len) if index_.avg_doc_len else K1
-    score = 0.0
-    for term in query_terms:
-        f = tf.get(term, 0)
-        if f == 0:
-            continue
-        score += _idf(index_, term) * f * (K1 + 1.0) / (f + norm)
-    return score
+    """Tokenize each passage once; retrieve counts the query's terms in them."""
+    ids = [passage.id for passage in passages]
+    repeated = [doc_id for doc_id, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"duplicate passage id: {repeated[0]!r}")
+    tokens = [tokenize(passage.text) for passage in passages]
+    return CorpusIndex(ids, tokens, sum(map(len, tokens)) / len(ids) if ids else 0.0)
 
 
 def retrieve(index_: CorpusIndex, query: str, n: int = TOP_N) -> list[tuple[str, float]]:
     """Top-n (doc_id, score) by BM25, descending; ties break on doc_id.
 
-    Only strictly positive scores are returned.
+    Only strictly positive scores are returned. Each passage is counted for
+    the query's distinct terms only and each term's idf is computed once; a
+    score adds its terms in query order, repeats included.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     terms = tokenize(query)
+    in_query = set(terms).__contains__
+    term_freqs = [Counter(filter(in_query, tokens)) for tokens in index_.doc_tokens]
+    # A Counter iterates over its keys, so each passage adds one to the
+    # document frequency of every query term it holds.
+    doc_freq = Counter(chain.from_iterable(term_freqs))
+    # Non-negative idf variant, so the score > 0 cutoff is meaningful.
+    idf = {
+        term: math.log(1.0 + (index_.doc_count - df + 0.5) / (df + 0.5))
+        for term, df in doc_freq.items()
+    }
     scored = []
-    for doc_id in index_.doc_ids:
-        score = bm25_score(index_, terms, doc_id)
+    for doc_id, tokens, tf in zip(index_.doc_ids, index_.doc_tokens, term_freqs):
+        if not tf:
+            continue  # score 0; a passage with a term has tokens, so avg_doc_len > 0
+        norm = K1 * (1.0 - B + B * len(tokens) / index_.avg_doc_len)
+        score = 0.0
+        for term in terms:
+            f = tf[term]
+            if f:
+                score += idf[term] * f * (K1 + 1.0) / (f + norm)
         if score > 0.0:
             scored.append((doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

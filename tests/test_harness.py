@@ -537,30 +537,38 @@ def test_reused_clean_runs_match_fault_free_outputs(tmp_path):
 
 
 class _DownFor(ScriptedBackend):
-    """A scripted backend whose transport fails for prompts naming one firm."""
+    """A scripted backend whose transport fails for prompts holding every needle."""
 
-    def __init__(self, script, name):
+    def __init__(self, script, *needles):
         super().__init__(script)
-        self.name = name
+        self.needles = needles
 
     def generate(self, prompt, temperature, max_tokens=512):
-        if self.name in prompt:
+        if all(needle in prompt for needle in self.needles):
             raise TransportError("connection refused")
         return super().generate(prompt, temperature, max_tokens)
 
 
-def test_record_whose_dry_run_raised_runs_live(tmp_path, monkeypatch):
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_record_whose_dry_run_raised_reports_its_error(tmp_path, monkeypatch, seed):
+    # Firm2's Summarizer is down, so its dry run raises only after its
+    # Lookup, an eligible append, has entered the log. Were that append
+    # counted, seeds 4 and 5 would choose it for a run that cannot commit.
     records, script = _delta_suite(6)
-    counting = _CountingRuns(monkeypatch, lambda: _DownFor(script, "Firm2"))
-    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=3)
+    counting = _CountingRuns(monkeypatch, lambda: _DownFor(script, "summarizing agent", "Firm2"))
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=seed)
     _, reports = run_benchmark(
         records, backend_factory=counting.factory, fault_spec=spec, out_dir=tmp_path
     )
-    assert counting.runs[records[2].question] == 2
+    assert counting.runs[records[2].question] == 1  # the dry run's error is reported
     assert reports[2]["error"].startswith("TransportAbort")
     assert reports[2]["termination"] == "Error"
-    assert 2 not in _labeled_records(tmp_path)
     assert all("error" not in r for i, r in enumerate(reports) if i != 2)
+    # Only the five records that completed their dry run offer targets.
+    labeled = _labeled_records(tmp_path)
+    assert 2 not in labeled
+    assert len(labeled) == math.ceil(spec.rate * 5)
+    assert sum(counting.runs.values()) == len(records) + len(labeled)
 
 
 def test_load_benchmark_fixture_roundtrip():

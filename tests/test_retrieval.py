@@ -5,8 +5,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import logboard.retrieval
 from logboard.retrieval import (
+    B,
+    K1,
     index,
     render_visual_text,
     retrieve,
@@ -46,15 +51,30 @@ def brute_force_bm25(passages, query, k1=1.2, b=0.75):
     return ranked
 
 
+def hand_score(f, df, dl, n_docs, avg_dl):
+    """One term's BM25 contribution from hand-counted statistics."""
+    idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+    return idf * f * (K1 + 1.0) / (f + K1 * (1.0 - B + B * dl / avg_dl))
+
+
 def test_index_statistics_match_hand_counts():
-    idx = index(TOY)
-    assert idx.doc_count == 3
-    assert idx.doc_freq["revenue"] == 2
-    assert idx.doc_freq["sales"] == 2
-    assert idx.doc_freq["weather"] == 1
-    assert idx.term_freqs["d1"]["sales"] == 1
-    assert idx.doc_len["d1"] == 6
-    assert idx.avg_doc_len == pytest.approx((6 + 7 + 6) / 3)
+    # Doc lengths 6, 7, 6 and 3 tokens; "sales" is in d1, d2 and twice in d4.
+    passages = [*TOY, Passage("d4", "Sales, sales: revenue!")]
+    idx = index(passages)
+    assert idx.doc_count == 4
+    avg = (6 + 7 + 6 + 3) / 4
+    assert idx.avg_doc_len == avg
+    d1, d2, d4 = (hand_score(f, 3, dl, 4, avg) for f, dl in ((1, 6), (1, 7), (2, 3)))
+    assert retrieve(idx, "sales", 4) == sorted(
+        [("d1", d1), ("d2", d2), ("d4", d4)], key=lambda pair: (-pair[1], pair[0])
+    )
+    assert retrieve(idx, "weather", 4) == [("d3", hand_score(1, 1, 6, 4, avg))]
+    # A repeated query term adds its contribution once per occurrence.
+    (top,) = retrieve(idx, "weather WEATHER", 1)
+    assert top == ("d3", hand_score(1, 1, 6, 4, avg) + hand_score(1, 1, 6, 4, avg))
+    # "revenue" (df 3) then "sales" (df 3), added in query order.
+    revenue_sales = dict(retrieve(idx, "revenue sales", 4))
+    assert revenue_sales["d4"] == hand_score(1, 3, 3, 4, avg) + d4
 
 
 def test_index_rejects_duplicate_ids():
@@ -70,7 +90,44 @@ def test_empty_corpus():
 
 def test_reindex_is_deterministic():
     a, b = index(TOY), index(TOY)
-    assert a.doc_freq == b.doc_freq and a.term_freqs == b.term_freqs
+    assert a == b
+    for query in ("revenue sales", "weather", "the sales of widgets", "zzz"):
+        assert retrieve(a, query, 3) == retrieve(b, query, 3)
+
+
+def test_ranking_tokenizes_each_passage_once(monkeypatch):
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(logboard.retrieval, "tokenize", counting_tokenize)
+    query = "revenue sales revenue"
+    retrieve(index(TOY), query, 3)
+    assert Counter(calls) == Counter([p.text for p in TOY] + [query])
+
+
+# Mixed case, digits glued to words, a dotted capital I (lowercases to "i"
+# plus a combining dot), the Kelvin sign (lowercases to "k") and words with
+# no [a-z0-9] run at all.
+WORDS = ["Revenue", "revenue", "REVENUE", "sales", "Firm0", "firm0", "v1", "2019",
+         "\u0130stanbul", "istanbul", "\u212aelvin", "kelvin", "\u00e9t\u00e9", "--", "?!"]
+words = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+
+
+@st.composite
+def corpora(draw):
+    texts = draw(st.lists(words, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        texts.append(texts[0])  # a second passage with the same text ties with the first
+    return [Passage(f"p{i}", text) for i, text in enumerate(texts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), words, st.integers(1, 8))
+def test_retrieve_equals_brute_force_exactly(passages, query, n):
+    assert retrieve(index(passages), query, n) == brute_force_bm25(passages, query)[:n]
 
 
 def test_unique_match_ranks_first():
