@@ -189,8 +189,7 @@ def _source_blocks(
                 for table, slice_ in zip(sources.tables, table_slices)
             )
     elif role is AgentRole.CONTEXT:
-        idx = retrieval.index(sources.passages)
-        chosen = [doc_id for doc_id, _ in retrieval.retrieve(idx, question)]
+        chosen = [doc_id for doc_id, _ in retrieval.retrieve(sources.passage_index, question)]
         if not chosen:
             chosen = [p.id for p in sources.passages[:TOP_N]]
         matches = [
@@ -542,6 +541,10 @@ def flagged_steps(content: str) -> list[int]:
     return [int(part) for part in match.group(1).split(",") if part.strip()]
 
 
+# The verifier's prompt shows the log, not the sources; built once, never changed.
+_NO_SOURCES = SourceBundle()
+
+
 def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig | None = None) -> LogEntry:
     """Verify the latest Answer: Flag on any deterministic finding, else
     defer to the backend verdict.
@@ -559,7 +562,7 @@ def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig |
     findings = verify_deterministic(log, answer_text)
     if findings:
         return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag_content(findings[0]))
-    prompt = build_prompt(AgentRole.VERIFICATION, log, SourceBundle(), config, answer_text)
+    prompt = build_prompt(AgentRole.VERIFICATION, log, _NO_SOURCES, config, answer_text)
     try:
         reply = backend.generate(prompt, config.temperature, config.max_tokens)
     except TransportError:

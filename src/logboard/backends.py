@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -77,6 +75,11 @@ class HttpBackend(UsageMixin):
         self.timeout = timeout
 
     def generate(self, prompt: str, temperature: float, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
+        # Imported here, the only place that sends: it costs tens of ms at
+        # import time, which no scripted run needs.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {
                 "model": self.model,

@@ -139,12 +139,13 @@ def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | Non
 
 
 def _swap_two_numerals(text: str, rng: random.Random) -> str | None:
+    """Swap two numerals of different value; None when the text has none."""
     mentions = parse_numerals(text)
     distinct = [
         (a, b)
         for i, a in enumerate(mentions)
         for b in mentions[i + 1 :]
-        if a.text != b.text
+        if a.value != b.value
     ]
     if not distinct:
         return None
@@ -222,7 +223,7 @@ def _inject_sources(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle
         targets = [
             i for i, img in enumerate(out.images) if _swappable(img.ocr_text)
         ]
-        _require_targets(targets, "images with two distinct OCR numerals")
+        _require_targets(targets, "images with two OCR numerals of different value")
         for i in _select(len(targets), spec):
             image = out.images[targets[i]]
             swapped = _swap_two_numerals(image.ocr_text, rng)
@@ -235,8 +236,8 @@ def _inject_sources(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle
 
 
 def _swappable(text: str) -> bool:
-    mentions = parse_numerals(text)
-    return len({m.text for m in mentions}) >= 2
+    # Values, not texts: swapping "5" and "5.0" would change no value.
+    return len({m.value for m in parse_numerals(text)}) >= 2
 
 
 def _require_targets(targets, description: str) -> None:
@@ -532,9 +533,15 @@ class BenchmarkRecord:
 
 
 def load_benchmark(path: str | Path) -> list[BenchmarkRecord]:
-    """Read records from JSONL: {"question","gold_answers","sources"}."""
+    """Read records from JSONL: {"question","gold_answers","sources"}.
+
+    A record names its sources inline or by "sources_path" (relative to the
+    JSONL file). Each distinct path is loaded once, so records naming one
+    path share one bundle, and with it one passage index.
+    """
     records = []
     base = Path(path).parent
+    loaded: dict[Path, SourceBundle] = {}
     kind = "benchmark record"
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -544,7 +551,10 @@ def load_benchmark(path: str | Path) -> list[BenchmarkRecord]:
         question = json_field(data, "question", kind)
         gold_answers = json_strings(json_field(data, "gold_answers", kind, list), "gold_answers")
         if "sources_path" in data:
-            bundle = load_sources(base / json_field(data, "sources_path", kind))
+            sources_path = base / json_field(data, "sources_path", kind)
+            if sources_path not in loaded:
+                loaded[sources_path] = load_sources(sources_path)
+            bundle = loaded[sources_path]
         else:
             bundle = bundle_from_dict(json_field(data, "sources", kind, dict, {}))
         records.append(

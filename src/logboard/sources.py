@@ -1,8 +1,10 @@
 """Evidence sources for one question: tables, passages, and image text.
 
 Image content arrives pre-extracted (caption + OCR text); no vision model
-runs here. Loaders accept a single bundle JSON file or a directory of
-per-kind files (tables as JSON or CSV with a header row).
+runs here. A bundle indexes its passages for BM25 when it is built, so
+every question asked of it ranks from the same statistics. Loaders accept
+a single bundle JSON file or a directory of per-kind files (tables as JSON
+or CSV with a header row).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from . import retrieval
 
 
 @dataclass
@@ -46,18 +50,18 @@ class SourceBundle:
     tables: list[Table] = field(default_factory=list)
     passages: list[Passage] = field(default_factory=list)
     images: list[Image] = field(default_factory=list)
+    # Built from `passages` below; the passages are not changed afterwards.
+    passage_index: retrieval.CorpusIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for kind, items in (
-            ("table", self.tables),
-            ("passage", self.passages),
-            ("image", self.images),
-        ):
+        for kind, items in (("table", self.tables), ("image", self.images)):
             seen = set()
             for item in items:
                 if item.id in seen:
                     raise ValueError(f"duplicate {kind} id: {item.id!r}")
                 seen.add(item.id)
+        # Refuses a duplicate passage id.
+        self.passage_index = retrieval.index(self.passages)
 
 
 _TYPE_NAMES = {

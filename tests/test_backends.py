@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import logboard
 from logboard.backends import (
     API_KEY_ENV,
     BASE_URL_ENV,
@@ -133,6 +138,16 @@ def test_http_backend_requires_base_url(monkeypatch):
     monkeypatch.delenv(BASE_URL_ENV, raising=False)
     with pytest.raises(ValueError):
         HttpBackend()
+
+
+def test_import_leaves_urllib_request_unloaded():
+    # Only HttpBackend.generate sends, so only it imports urllib.request.
+    env = dict(os.environ, PYTHONPATH=str(Path(logboard.__file__).parents[1]))
+    code = "import sys, logboard; print('urllib.request' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _serve_payload(monkeypatch, payload):

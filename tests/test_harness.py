@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from logboard import scheduler
+import logboard.retrieval
+from logboard import harness, scheduler
 from logboard.backends import ScriptedBackend, TransportError
 from logboard.harness import (
     FaultLabel,
@@ -29,6 +30,7 @@ from logboard.log import (
     LogEntry,
     TableAnchor,
 )
+from logboard.retrieval import retrieve
 from logboard.scheduler import SchedulerConfig
 from logboard.sources import Image, SourceBundle, Table
 
@@ -576,6 +578,43 @@ def test_load_benchmark_fixture_roundtrip():
     assert len(records) == 5
     assert all(r.gold_answers for r in records)
     assert records[0].sources.tables[0].id == "Table 1"
+
+
+def test_load_benchmark_shares_one_bundle_per_sources_path(tmp_path, monkeypatch):
+    bundle = {"passages": [{"id": "p1", "text": "Revenue rose."}, {"id": "p2", "text": "Costs fell."}]}
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle), encoding="utf-8")
+    inline = {"passages": [{"id": "p1", "text": "Revenue rose."}]}
+    lines = [
+        {"question": "q1?", "gold_answers": ["a"], "sources_path": "bundle.json"},
+        {"question": "q2?", "gold_answers": ["a"], "sources": inline},
+        {"question": "q3?", "gold_answers": ["a"], "sources_path": "bundle.json"},
+        {"question": "q4?", "gold_answers": ["a"], "sources": inline},
+        {"question": "q5?", "gold_answers": ["a"], "sources_path": "bundle.json"},
+    ]
+    path = tmp_path / "bench.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    parsed, indexed = [], []
+    original_load, original_index = harness.load_sources, logboard.retrieval.index
+
+    def counting_load(sources_path):
+        parsed.append(sources_path)
+        return original_load(sources_path)
+
+    def counting_index(passages):
+        indexed.append(len(passages))
+        return original_index(passages)
+
+    monkeypatch.setattr(harness, "load_sources", counting_load)
+    monkeypatch.setattr(logboard.retrieval, "index", counting_index)
+    records = load_benchmark(path)
+
+    shared = records[0].sources
+    assert records[2].sources is shared and records[4].sources is shared
+    assert parsed == [tmp_path / "bundle.json"]
+    assert records[1].sources is not records[3].sources  # inline sources: one bundle each
+    assert records[1].sources is not shared
+    assert indexed == [2, 1, 1]
+    assert [doc_id for doc_id, _ in retrieve(shared.passage_index, "revenue")] == ["p1"]
 
 
 @pytest.mark.parametrize("field", ["question", "gold_answers"])

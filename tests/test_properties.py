@@ -97,13 +97,24 @@ def test_perturb_numeral_changes_exactly_one_numeral(text, seed):
 @settings(max_examples=300, deadline=None)
 @given(numeral_texts(), st.integers(0, 2**32))
 def test_swap_two_numerals_keeps_the_numeral_multiset(text, seed):
-    before = Counter(m.text for m in parse_numerals(text))
+    """A swap moves two numerals of different value, so both positions change value.
+
+    Texts that differ but parse to one value ("5" and "5.0", "1,000" and
+    "1000") are no swap: the label would record a corruption no value check
+    can see.
+    """
+    mentions = parse_numerals(text)
+    before = Counter(m.text for m in mentions)
     swapped = _swap_two_numerals(text, random.Random(seed))
-    if len(before) < 2:
+    if len({m.value for m in mentions}) < 2:
         assert swapped is None
         return
     assert swapped != text
-    assert Counter(m.text for m in parse_numerals(swapped)) == before
+    after = parse_numerals(swapped)
+    assert Counter(m.text for m in after) == before
+    moved = [i for i, (a, b) in enumerate(zip(mentions, after)) if a.text != b.text]
+    assert len(moved) == 2
+    assert all(after[i].value != mentions[i].value for i in moved)
 
 
 # --- loaders ---------------------------------------------------------------

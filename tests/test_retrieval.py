@@ -18,7 +18,14 @@ from logboard.retrieval import (
     select_table_slice,
     truncate_span,
 )
-from logboard.sources import Image, Passage, Table
+from logboard.sources import (
+    Image,
+    Passage,
+    SourceBundle,
+    Table,
+    bundle_from_dict,
+    bundle_to_dict,
+)
 from logboard.textutil import parse_numerals, tokenize
 
 TOY = [
@@ -127,7 +134,13 @@ def corpora(draw):
 @settings(max_examples=300, deadline=None)
 @given(corpora(), words, st.integers(1, 8))
 def test_retrieve_equals_brute_force_exactly(passages, query, n):
-    assert retrieve(index(passages), query, n) == brute_force_bm25(passages, query)[:n]
+    expected = brute_force_bm25(passages, query)[:n]
+    assert retrieve(index(passages), query, n) == expected
+    # The index a bundle builds when it is made, directly or from JSON.
+    bundle = SourceBundle(passages=passages)
+    assert retrieve(bundle.passage_index, query, n) == expected
+    loaded = bundle_from_dict(bundle_to_dict(bundle))
+    assert retrieve(loaded.passage_index, query, n) == expected
 
 
 def test_unique_match_ranks_first():

@@ -294,6 +294,7 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     sliced = []
     acts = []
     indexed = []
+    ranked = []
     context_prompts = []
 
     def counting_slice(table, question):
@@ -308,27 +309,37 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
         indexed.append(len(passages))
         return original_index(passages)
 
+    def counting_retrieve(index_, *args, **kwargs):
+        ranked.append(index_)
+        return original_retrieve(index_, *args, **kwargs)
+
     def counting_build_prompt(role, *args, **kwargs):
         if role is AgentRole.CONTEXT:
             context_prompts.append(role)
         return original_build_prompt(role, *args, **kwargs)
 
+    sources = two_table_sources()  # indexes its passages here, before the run
     original_act = TableAgent.act
     original_index = logboard.retrieval.index
+    original_retrieve = logboard.retrieval.retrieve
     original_build_prompt = logboard.agents.build_prompt
     monkeypatch.setattr(logboard.agents, "select_table_slice", counting_slice)
     monkeypatch.setattr(TableAgent, "act", counting_act)
     monkeypatch.setattr(logboard.retrieval, "index", counting_index)
+    monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     monkeypatch.setattr(logboard.agents, "build_prompt", counting_build_prompt)
 
     script = golden_script()
     script["verification agent"] = "Flagged incorrect calculation in the claim."
-    result = run(GOLDEN_QUESTION, two_table_sources(), ScriptedBackend(script))
+    result = run(GOLDEN_QUESTION, sources, ScriptedBackend(script))
 
     assert result.metrics.rounds == 2  # the Flag bought a re-engagement round
     assert len(acts) >= 2
     assert sorted(sliced) == ["Table 1", "Table 2"]
-    assert context_prompts and len(indexed) == len(context_prompts)
+    # The run ranks from the bundle's index: one ranking per Context prompt.
+    assert indexed == []
+    assert context_prompts and len(ranked) == len(context_prompts)
+    assert all(index_ is sources.passage_index for index_ in ranked)
 
 
 @pytest.mark.parametrize("question", ["What was the revenue count?", "Nothing shared here?"])
@@ -344,22 +355,31 @@ def test_large_table_blocks_match_reference(question):
 
 
 def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
-    indexed = []
-    original_index = logboard.retrieval.index
-
-    def counting_index(passages):
-        indexed.append(len(passages))
-        return original_index(passages)
-
-    monkeypatch.setattr(logboard.retrieval, "index", counting_index)
     passages = [
         Passage(f"p{i}", ". ".join(f"sales word{j} growth" for j in range(60)) + ".")
         for i in range(6)
     ]
     sources = SourceBundle(passages=passages)
+    indexed = []
+    ranked = []
+    original_index = logboard.retrieval.index
+    original_retrieve = logboard.retrieval.retrieve
+
+    def counting_index(passages):
+        indexed.append(len(passages))
+        return original_index(passages)
+
+    def counting_retrieve(index_, *args, **kwargs):
+        ranked.append(index_)
+        return original_retrieve(index_, *args, **kwargs)
+
+    monkeypatch.setattr(logboard.retrieval, "index", counting_index)
+    monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     question = "What happened to sales growth?"
     config = AgentConfig(AgentRole.CONTEXT, context_window=140)
     blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, None))
     prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), sources, config)
     assert blocks[0] not in prompt and blocks[1] in prompt  # shrunk one level
-    assert indexed == [6, 6]  # once for the blocks above, once for the prompt
+    # Once for the blocks above, once for the prompt, both from the bundle's index.
+    assert indexed == []
+    assert len(ranked) == 2 and all(index_ is sources.passage_index for index_ in ranked)
