@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .log import EVIDENCE_TYPES, EntryType, LogEntry, SharedLog, load_trace, parse_answer
-from .sources import SourceBundle
+from .sources import JSON_NUMBER, SourceBundle, json_field, json_value
 from .textutil import count_gap_phrases, numeral_values
 
 logger = logging.getLogger(__name__)
@@ -34,43 +34,48 @@ class GateFeatures:
     new_entries: int
     pending_needs_delta: int
 
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                float(self.image_present),
-                self.summary_confidence,
-                float(self.new_entries),
-                float(self.pending_needs_delta),
-            ]
+    def as_vector(self) -> tuple[float, float, float, float]:
+        return (
+            float(self.image_present),
+            float(self.summary_confidence),
+            float(self.new_entries),
+            float(self.pending_needs_delta),
         )
 
 
 @dataclass
 class LogisticGate:
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    weights: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
     bias: float = 0.0
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (4,):
+        """Accept any sequence of 4 finite real numbers (a string is not one)."""
+        params = (*self.weights, self.bias, self.threshold)
+        if any(isinstance(p, bool) or not isinstance(p, numbers.Real) for p in params):
+            raise ValueError("gate parameters must be numbers")
+        try:
+            self.weights = tuple(map(float, self.weights))
+            self.bias = float(self.bias)
+            self.threshold = float(self.threshold)
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("gate parameters must be finite") from None
+        if len(self.weights) != 4:
             raise ValueError("gate expects exactly 4 feature weights")
-        if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.bias)):
+        if not all(map(math.isfinite, (*self.weights, self.bias, self.threshold))):
             raise ValueError("gate parameters must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "threshold": float(self.threshold),
-        }
+        return {"weights": list(self.weights), "bias": self.bias, "threshold": self.threshold}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogisticGate":
+        """A gate from parsed JSON; ValueError names a missing or mistyped field."""
+        json_value(data, dict, "gate")
         return cls(
-            weights=np.asarray(data["weights"], dtype=float),
-            bias=float(data["bias"]),
-            threshold=float(data.get("threshold", 0.5)),
+            weights=json_field(data, "weights", "gate", list),
+            bias=json_field(data, "bias", "gate", JSON_NUMBER),
+            threshold=json_field(data, "threshold", "gate", JSON_NUMBER, default=0.5),
         )
 
     def save(self, path: str | Path) -> None:
@@ -79,7 +84,10 @@ class LogisticGate:
     @classmethod
     def load(cls, path: str | Path) -> "LogisticGate":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:  # JSONDecodeError is one too
+                raise ValueError(f"gate file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -138,14 +146,23 @@ def extract_features(log, state, sources: SourceBundle | None = None) -> GateFea
 
 def sigmoid(z: float) -> float:
     if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    ez = np.exp(z)
-    return float(ez / (1.0 + ez))
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def _dot(w: Sequence[float], x: Sequence[float]) -> float:
+    return w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3]
 
 
 def predict_continue(gate: LogisticGate, features: GateFeatures) -> float:
     """Probability that another retrieval round is worthwhile."""
-    return float(sigmoid(float(gate.weights @ features.as_vector()) + gate.bias))
+    return sigmoid(_dot(gate.weights, features.as_vector()) + gate.bias)
+
+
+def _clipped_logistic(z: float) -> float:
+    """The training-time logistic, with z clipped to +-500 so exp stays finite."""
+    return 1.0 / (1.0 + math.exp(-min(max(z, -500.0), 500.0)))
 
 
 def train(
@@ -166,31 +183,31 @@ def train(
             "training needs both labels present; use threshold-only gating "
             "for single-class data"
         )
-    X = np.stack([s.features.as_vector() for s in samples])
-    y = np.array([float(s.label) for s in samples])
+    xs = [s.features.as_vector() for s in samples]
+    ys = [float(s.label) for s in samples]
     n = len(samples)
-    w = np.zeros(X.shape[1])
+    w = [0.0, 0.0, 0.0, 0.0]
     b = 0.0
     for _ in range(epochs):
-        z = X @ w + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        grad_w = X.T @ (p - y) / n + l2 * w
-        grad_b = float(np.mean(p - y))
-        w -= learning_rate * grad_w
+        residuals = [_clipped_logistic(_dot(w, x) + b) - y for x, y in zip(xs, ys)]
+        grad_w = [
+            sum(r * x[j] for r, x in zip(residuals, xs)) / n + l2 * w[j] for j in range(4)
+        ]
+        grad_b = sum(residuals) / n
+        w = [wj - learning_rate * g for wj, g in zip(w, grad_w)]
         b -= learning_rate * grad_b
     gate = LogisticGate(weights=w, bias=b)
     return gate, training_loss(samples, gate, l2=l2)
 
 
 def training_loss(samples: Sequence[GateSample], gate: LogisticGate, l2: float = 1e-3) -> float:
-    X = np.stack([s.features.as_vector() for s in samples])
-    y = np.array([float(s.label) for s in samples])
-    z = X @ gate.weights + gate.bias
-    p = np.clip(1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))), 1e-12, 1.0 - 1e-12)
-    return float(
-        -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-        + 0.5 * l2 * float(gate.weights @ gate.weights)
-    )
+    total = 0.0
+    for s in samples:
+        p = _clipped_logistic(_dot(gate.weights, s.features.as_vector()) + gate.bias)
+        p = min(max(p, 1e-12), 1.0 - 1e-12)
+        y = float(s.label)
+        total += y * math.log(p) + (1.0 - y) * math.log(1.0 - p)
+    return -total / len(samples) + 0.5 * l2 * _dot(gate.weights, gate.weights)
 
 
 # --- mining samples from traces ----------------------------------------------
@@ -275,8 +292,13 @@ def mine_samples(traces: Iterable[Sequence[LogEntry]]) -> list[GateSample]:
 
 
 def mine_samples_from_dir(path: str | Path) -> list[GateSample]:
-    """Mine samples from every *.jsonl trace under a directory."""
+    """Mine samples from every *.jsonl trace under a directory.
+
+    The per-record `report.jsonl` that `run_benchmark` writes beside its
+    traces is not a trace and is skipped.
+    """
     traces = []
     for file in sorted(Path(path).glob("**/*.jsonl")):
-        traces.append(load_trace(file.read_text(encoding="utf-8")))
+        if file.name != "report.jsonl":
+            traces.append(load_trace(file.read_text(encoding="utf-8")))
     return mine_samples(traces)

@@ -14,12 +14,11 @@ import logging
 import math
 import random
 import re
+import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import scheduler as sched
 from .agents import flagged_steps
@@ -503,20 +502,34 @@ def bootstrap_ci(
     level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap of the mean."""
+    """Seeded percentile bootstrap of the mean (resampled with random.Random(seed))."""
     if len(values) == 0:
         raise ValueError("bootstrap_ci needs at least one value")
-    arr = np.asarray(values, dtype=float)
-    if arr.min() == arr.max():
+    if min(values) == max(values):
         # Degenerate distribution: the interval is the point itself, without
         # float-summation noise from resampled means.
-        return float(arr[0]), float(arr[0])
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(resamples, len(arr)))
-    means = arr[idx].mean(axis=1)
+        return float(values[0]), float(values[0])
+    rng = random.Random(seed)
+    n = len(values)
+    means = [statistics.fmean(rng.choices(values, k=n)) for _ in range(resamples)]
     alpha = (1.0 - level) / 2.0
-    low, high = np.percentile(means, [100 * alpha, 100 * (1 - alpha)])
-    return float(low), float(high)
+    return _percentile(means, 100 * alpha), _percentile(means, 100 * (1 - alpha))
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """The q-th percentile (0 <= q <= 100) of values, as numpy's default "linear" method.
+
+    Same virtual index and the same two-sided interpolation, so the result
+    is the one `np.percentile(values, q)` gives, to the bit.
+    """
+    xs = sorted(values)
+    index = q / 100 * (len(xs) - 1)
+    lo = math.floor(index)
+    a, b = xs[lo], xs[min(lo + 1, len(xs) - 1)]
+    t = index - lo
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 # --- benchmark runner ---------------------------------------------------------
@@ -813,22 +826,22 @@ def run_benchmark(
         bucket = "1-6" if n <= 6 else ("7-8" if n <= 8 else "9+")
         buckets.setdefault(bucket, []).append(em)
     metrics = Metrics(
-        em=float(np.mean(em_values)),
+        em=statistics.fmean(em_values),
         rouge1=rouge_sums["rouge1"] / len(records),
         rouge2=rouge_sums["rouge2"] / len(records),
         rougeL=rouge_sums["rougeL"] / len(records),
         log_groundedness=(
-            float(np.mean(groundedness_values)) if groundedness_values else 0.0
+            statistics.fmean(groundedness_values) if groundedness_values else 0.0
         ),
         catch_rate=caught / label_total if label_total else 0.0,
         repair_rate=repaired / label_total if label_total else 0.0,
         ci_low=ci_low,
         ci_high=ci_high,
-        backend_calls_mean=float(np.mean(calls)) if calls else 0.0,
-        token_mean=float(np.mean(tokens)) if tokens else 0.0,
-        latency_ms_p50=float(np.percentile(wall, 50)) if wall else 0.0,
-        latency_ms_p95=float(np.percentile(wall, 95)) if wall else 0.0,
-        em_by_log_bucket={k: float(np.mean(v)) for k, v in sorted(buckets.items())},
+        backend_calls_mean=statistics.fmean(calls) if calls else 0.0,
+        token_mean=statistics.fmean(tokens) if tokens else 0.0,
+        latency_ms_p50=_percentile(wall, 50) if wall else 0.0,
+        latency_ms_p95=_percentile(wall, 95) if wall else 0.0,
+        em_by_log_bucket={k: statistics.fmean(v) for k, v in sorted(buckets.items())},
     )
 
     if out_dir is not None:

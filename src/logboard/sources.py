@@ -64,12 +64,14 @@ class SourceBundle:
         self.passage_index = retrieval.index(self.passages)
 
 
+JSON_NUMBER = (int, float)  # the `expected` of json_value for any JSON number
 _TYPE_NAMES = {
     dict: "a JSON object",
     list: "a JSON array",
     str: "a string",
     int: "an integer",
     bool: "a boolean",
+    JSON_NUMBER: "a number",
 }
 _REQUIRED = object()
 
@@ -85,10 +87,10 @@ def _json_type_name(value) -> str:
 
 
 def json_value(value, expected: type, what: str):
-    """Return a parsed JSON value if it has the expected type.
+    """Return a parsed JSON value if it has the expected type (or JSON_NUMBER).
 
     Raises ValueError naming `what` and both types otherwise; a boolean is
-    not an integer here.
+    not an integer or a number here.
     """
     # The exact-type test is the cheap common case; bool subclasses int.
     if type(value) is not expected and (isinstance(value, bool) or not isinstance(value, expected)):

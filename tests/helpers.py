@@ -8,6 +8,7 @@ from pathlib import Path
 
 from logboard import (
     BenchmarkRecord,
+    Image,
     LogEntry,
     Passage,
     ScriptedBackend,
@@ -114,6 +115,58 @@ def delta_record(name: str, a: int, b: int) -> tuple[BenchmarkRecord, dict]:
     }
     record = BenchmarkRecord(question=question, sources=sources, gold_answers=[f"${d}M increase"])
     return record, script
+
+
+def gate_fixture(quick: int = 25, slow: int = 25) -> tuple[list[BenchmarkRecord], dict]:
+    """Questions that resolve in one round (quick) or need three (slow).
+
+    A slow question's trace yields both gate labels: its first round is
+    followed by cited evidence, its second is not.
+    """
+    records, script = [], {}
+    for i in range(quick):
+        record, s = delta_record(f"Quick{chr(65 + i)}", 40 + i, 45 + i)
+        records.append(record)
+        script.update(s)
+    for i in range(slow):
+        name = f"Slow{chr(65 + i)}"
+        later = 46 + i
+        question = f"How did the {name} revenue figure change across the two periods?"
+        sources = SourceBundle(
+            tables=[
+                Table(
+                    id="periods",
+                    header=["Period", "Revenue"],
+                    rows=[["earlier", "$40M"], ["later", f"${later}M"]],
+                )
+            ],
+            passages=[
+                Passage("report", f"The later figure was ${later}M. Other remarks follow.")
+            ],
+            images=[Image("chart", caption="revenue chart", ocr_text="")],
+        )
+        records.append(
+            BenchmarkRecord(
+                question=question,
+                sources=sources,
+                gold_answers=[f"${later}M for the later period"],
+            )
+        )
+        script[f"table analyst&&{name}"] = (
+            f"{name} revenue was $40M in the earlier period, per the revenue table."
+        )
+        script[f"passage reader&&{name}"] = [
+            "no relevant info found",
+            f"According to the report: 'The later figure was ${later}M.'",
+        ]
+        script[f"image interpreter&&{name}"] = "no relevant info found"
+        script[f"summarizing agent&&{name}"] = [
+            "I have the earlier figure only; the later figure is missing.",
+            "Both figures are in the log now; finalizing.",
+            f"Therefore the later figure stands. Answer: ${later}M for the later period.",
+        ]
+    script.setdefault("verification agent", "Checks out against the log. (No issues flagged.)")
+    return records, script
 
 
 class RandomReplyBackend(UsageMixin):

@@ -19,7 +19,6 @@ from logboard.backends import ScriptedBackend
 from logboard.cli import main as cli_main
 from logboard.gating import mine_samples, train
 from logboard.harness import (
-    BenchmarkRecord,
     FaultSpec,
     FaultType,
     bootstrap_ci,
@@ -41,7 +40,7 @@ from logboard.log import (
 )
 from logboard.retrieval import index, retrieve
 from logboard.scheduler import SchedulerConfig, Termination, run
-from logboard.sources import Image, Passage, SourceBundle, Table
+from logboard.sources import Image, Passage
 from logboard.verify import FindingKind, verify_deterministic
 from logboard.agents import verification_act
 
@@ -52,6 +51,7 @@ from helpers import (
     RandomReplyBackend,
     delta_record,
     fuzz_sources,
+    gate_fixture,
     log_with,
     lookup,
 )
@@ -289,57 +289,9 @@ def test_criterion_06_bm25_oracle_equivalence():
     _announce(6, "BM25 oracle equivalence over 200 random corpora", budget.check())
 
 
-def _gate_fixture():
-    """50 questions: half resolve in one round, half need three."""
-    records, script = [], {}
-    for i in range(25):
-        record, s = delta_record(f"Quick{chr(65 + i)}", 40 + i, 45 + i)
-        records.append(record)
-        script.update(s)
-    for i in range(25):
-        name = f"Slow{chr(65 + i)}"
-        later = 46 + i
-        question = f"How did the {name} revenue figure change across the two periods?"
-        sources = SourceBundle(
-            tables=[
-                Table(
-                    id="periods",
-                    header=["Period", "Revenue"],
-                    rows=[["earlier", "$40M"], ["later", f"${later}M"]],
-                )
-            ],
-            passages=[
-                Passage("report", f"The later figure was ${later}M. Other remarks follow.")
-            ],
-            images=[Image("chart", caption="revenue chart", ocr_text="")],
-        )
-        records.append(
-            BenchmarkRecord(
-                question=question,
-                sources=sources,
-                gold_answers=[f"${later}M for the later period"],
-            )
-        )
-        script[f"table analyst&&{name}"] = (
-            f"{name} revenue was $40M in the earlier period, per the revenue table."
-        )
-        script[f"passage reader&&{name}"] = [
-            "no relevant info found",
-            f"According to the report: 'The later figure was ${later}M.'",
-        ]
-        script[f"image interpreter&&{name}"] = "no relevant info found"
-        script[f"summarizing agent&&{name}"] = [
-            "I have the earlier figure only; the later figure is missing.",
-            "Both figures are in the log now; finalizing.",
-            f"Therefore the later figure stands. Answer: ${later}M for the later period.",
-        ]
-    script.setdefault("verification agent", "Checks out against the log. (No issues flagged.)")
-    return records, script
-
-
 def test_criterion_07_gate_efficacy(tmp_path):
     budget = Budget(60.0)
-    records, script = _gate_fixture()
+    records, script = gate_fixture()
     factory = lambda: ScriptedBackend(script)  # noqa: E731
 
     base_out = tmp_path / "base"

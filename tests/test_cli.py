@@ -7,7 +7,10 @@ import pytest
 from logboard.cli import main
 from logboard.log import load_trace
 
-from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION
+from logboard.harness import run_benchmark
+from logboard.backends import ScriptedBackend
+
+from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION, gate_fixture
 
 
 def ask_args(out_dir, *extra):
@@ -171,6 +174,58 @@ def test_train_gate_from_traces(tmp_path, capsys):
     gate = json.loads(gate_path.read_text())
     assert set(gate) == {"weights", "bias", "threshold"}
     assert len(gate["weights"]) == 4
+
+
+def test_train_gate_on_bench_output_dir(tmp_path, capsys):
+    records, script = gate_fixture(quick=1, slow=2)
+    bench_dir = tmp_path / "bench"
+    run_benchmark(records, backend_factory=lambda: ScriptedBackend(script), out_dir=bench_dir)
+    assert (bench_dir / "report.jsonl").exists()
+    gate_path = tmp_path / "gate.json"
+    code = main(["train-gate", str(bench_dir), "--out", str(gate_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "final loss" in out
+    assert len(json.loads(gate_path.read_text())["weights"]) == 4
+
+
+@pytest.mark.parametrize("command", ["ask", "bench"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{}", "gate has no 'weights' field"),
+        ("[]", "gate must be a JSON object, not a JSON array"),
+        ('{"weights": [1, 2, 3, 4], "bias": null}', "gate field 'bias' must be a number, not null"),
+        ('{"weights": {"a": 1}, "bias": 0}', "gate field 'weights' must be a JSON array, not a JSON object"),
+        ('{"weights": "1234", "bias": 0}', "gate field 'weights' must be a JSON array, not a string"),
+        ('{"weights": [1, 2, "3", 4], "bias": 0}', "gate parameters must be numbers"),
+        ('{"weights": [1, 2, 3], "bias": 0}', "exactly 4 feature weights"),
+    ],
+    ids=["empty", "array", "null-bias", "object-weights", "string-weights", "string-weight", "3-weights"],
+)
+def test_malformed_gate_file_is_one_error_line(tmp_path, capsys, command, content, message):
+    gate = tmp_path / "gate.json"
+    gate.write_text(content, encoding="utf-8")
+    if command == "ask":
+        argv = ask_args(tmp_path / "run", "--gate", str(gate))
+    else:
+        argv = [
+            "bench",
+            str(FIXTURES / "golden_bench.jsonl"),
+            "--scripted",
+            str(FIXTURES / "golden_bench_script.json"),
+            "--out",
+            str(tmp_path / "run"),
+            "--gate",
+            str(gate),
+        ]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: gate file {gate}: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_inject_writes_corrupted_sources_and_labels(tmp_path, capsys):

@@ -12,6 +12,7 @@ from logboard.gating import (
     extract_features,
     mine_samples,
     predict_continue,
+    sigmoid,
     split_rounds,
     train,
     training_loss,
@@ -96,6 +97,13 @@ def test_predict_continue_matches_sigmoid():
     assert 0.0 < predict_continue(gate, GateFeatures(1, 1.0, 100, 50)) < 1.0
 
 
+@pytest.mark.parametrize("z", [-800.0, -2.0, -1e-9, 0.0, 2.0, 800.0])
+def test_sigmoid_returns_a_python_float(z):
+    p = sigmoid(z)
+    assert type(p) is float
+    assert 0.0 <= p <= 1.0
+
+
 def separable_samples():
     return [
         GateSample(GateFeatures(0, 0.0, 3, 2), 1),
@@ -156,6 +164,8 @@ def test_gate_json_roundtrip(tmp_path):
 def test_gate_rejects_nonfinite():
     with pytest.raises(ValueError):
         LogisticGate(weights=np.array([np.nan, 0, 0, 0]))
+    with pytest.raises(ValueError):
+        LogisticGate(threshold=math.nan)  # would never stop a run
 
 
 def test_split_rounds_on_golden_trace():

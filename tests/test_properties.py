@@ -1,19 +1,24 @@
-"""Hypothesis properties of the numeral fault mutations and the JSON loaders.
+"""Hypothesis properties of the numeral fault mutations, the JSON loaders
+and the metrics' percentile.
 
 The mutations splice text: whatever they change must stay inside one
 numeral's span, and the parser must read a formatted numeral as exactly
 one mention or a mutation could cut it apart. The loaders read untrusted
-JSON, so any document, however malformed, may only raise ValueError.
+JSON, so any document, however malformed, may only raise ValueError. The
+percentile replaces numpy's and must give its result to the bit.
 """
 
 import json
+import math
 import random
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logboard.harness import _swap_two_numerals, perturb_numeral
+from logboard.gating import LogisticGate
+from logboard.harness import _percentile, _swap_two_numerals, perturb_numeral
 from logboard.log import load_trace
 from logboard.sources import bundle_from_dict
 from logboard.textutil import is_year_like, parse_numerals
@@ -206,3 +211,39 @@ def test_load_trace_raises_only_value_error(lines):
         load_trace(text)
     except ValueError:
         pass
+
+
+gate_numbers = st.floats() | st.integers(-3, 3) | st.just(10**400)
+gates = records(
+    {
+        "weights": st.lists(gate_numbers, min_size=3, max_size=5),
+        "bias": gate_numbers,
+        "threshold": gate_numbers,
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gates | json_documents)
+def test_gate_from_dict_raises_only_value_error(document):
+    try:
+        gate = LogisticGate.from_dict(document)
+    except ValueError:
+        return
+    assert list(gate.weights) == document["weights"]
+    assert all(type(w) is float and math.isfinite(w) for w in gate.weights)
+
+
+# --- metrics -----------------------------------------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.floats(0, 100),
+)
+def test_percentile_is_numpy_linear_percentile(xs, q):
+    got = _percentile(xs, q)
+    expected = float(np.percentile(xs, q))
+    # Two finite values whose difference overflows give nan on both sides.
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert type(got) is float
