@@ -48,7 +48,6 @@ from .log import (
     LogEntry,
     SharedLog,
     TableAnchor,
-    TokenBudget,
     dump_trace,
     is_near_duplicate,
     load_trace,

@@ -26,7 +26,6 @@ FAULT_NAMES = {
     "row-off-by-one": FaultType.ROW_OFF_BY_ONE,
     "arithmetic": FaultType.ARITHMETIC_CORRUPTION,
     "ocr": FaultType.OCR_MISREAD,
-    "contradiction": FaultType.CONTRADICTION_INJECTION,
 }
 
 # Config file keys and the JSON type of the flag each one defaults.
@@ -130,7 +129,6 @@ def _scheduler_config(args: argparse.Namespace) -> SchedulerConfig:
     return SchedulerConfig(
         max_rounds=args.max_rounds,
         verifier_enabled=not args.no_verify,
-        gate_enabled=bool(args.gate),
     )
 
 

@@ -1,11 +1,11 @@
 """Learned continue/stop policy over log-derived features.
 
-Features: image presence, confidence of the latest summary, accepted
-entries this round, and the change in pending needs between the last two
-summaries. A small logistic classifier over those four values decides
-whether the next retrieval round is worth its cost. Training data is mined
-from recorded run traces: a round is a positive example when evidence
-appended after it ends up cited in the final answer.
+Features: image presence, confidence of the latest summary, evidence
+entries accepted this round, and the change in pending needs between the
+last two summaries. A small logistic classifier over those four values
+decides whether the next retrieval round is worth its cost. Training data
+is mined from recorded run traces: a round is a positive example when
+evidence appended after it ends up cited in the final answer.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ def _latest_summaries(entries: Sequence[LogEntry]) -> list[LogEntry]:
     ]
 
 
-def extract_features(log, state, sources: SourceBundle | None = None) -> GateFeatures:
+def extract_features(log, new_entries: int, sources: SourceBundle | None = None) -> GateFeatures:
     """Features of the live run at the end of a round.
 
-    state only needs a new_entries_this_round attribute (accepted appends
-    in the round just finished).
+    new_entries is the number of evidence entries accepted in the round
+    just finished.
     """
     entries = _entries_of(log)
     image_present = 0
@@ -139,7 +139,7 @@ def extract_features(log, state, sources: SourceBundle | None = None) -> GateFea
     return GateFeatures(
         image_present=image_present,
         summary_confidence=confidence,
-        new_entries=int(getattr(state, "new_entries_this_round", 0)),
+        new_entries=new_entries,
         pending_needs_delta=delta,
     )
 
@@ -286,8 +286,8 @@ def mine_samples(traces: Iterable[Sequence[LogEntry]]) -> list[GateSample]:
                 if e.entry_type in EVIDENCE_TYPES
             ]
             label = int(any(_cited_in_answer(e, answer_text) for e in later_evidence))
-            state = type("MinedState", (), {"new_entries_this_round": len(round_.entries)})()
-            samples.append(GateSample(extract_features(prefix, state), label))
+            new_entries = sum(e.entry_type in EVIDENCE_TYPES for e in round_.entries)
+            samples.append(GateSample(extract_features(prefix, new_entries), label))
     return samples
 
 

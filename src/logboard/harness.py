@@ -1,8 +1,10 @@
 """Evaluation harness: fault injection, metrics, and the benchmark runner.
 
 Faults reproduce the observed error taxonomy (missing rows, off-by-one row
-references, arithmetic corruption, OCR misreads, cross-evidence
-contradictions) as seeded, labeled mutations of sources or log entries.
+references, arithmetic corruption, OCR misreads) as seeded, labeled
+mutations. `inject_faults` corrupts a copy of a source bundle; the
+benchmark runner corrupts retrieval entries in flight, as they are
+appended, so verification and re-engagement react to them.
 Metrics cover exact match, ROUGE, log-groundedness, catch/repair rates,
 efficiency accounting, and percentile-bootstrap confidence intervals.
 """
@@ -15,7 +17,7 @@ import math
 import random
 import re
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -26,8 +28,6 @@ from .backends import TextBackend
 from .gating import LogisticGate
 from .log import (
     EVIDENCE_TYPES,
-    CONTEXT_AGENT,
-    DocSpan,
     EntryType,
     LogEntry,
     SharedLog,
@@ -62,7 +62,6 @@ class FaultType(Enum):
     ROW_OFF_BY_ONE = "RowOffByOne"
     ARITHMETIC_CORRUPTION = "ArithmeticCorruption"
     OCR_MISREAD = "OcrMisread"
-    CONTRADICTION_INJECTION = "ContradictionInjection"
 
 
 @dataclass(frozen=True)
@@ -158,22 +157,14 @@ def _select(count_from: int, spec: FaultSpec) -> list[int]:
     return sorted(rng.sample(range(count_from), count))
 
 
-def inject_faults(
-    target: SourceBundle | Sequence[LogEntry], spec: FaultSpec
-) -> tuple[SourceBundle | list[LogEntry], list[FaultLabel]]:
-    """Apply ceil(rate * |eligible|) seeded mutations; label every one.
+def inject_faults(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, list[FaultLabel]]:
+    """Apply ceil(rate * |eligible|) seeded mutations to a copy of the sources.
 
-    SourceBundle targets support MissingRow, RowOffByOne, OcrMisread, and
-    ArithmeticCorruption (on table cells); entry lists support
-    ArithmeticCorruption, RowOffByOne (anchor shift), OcrMisread (visual
-    text), and ContradictionInjection (a conflicting Quote is appended).
+    MissingRow deletes table rows, RowOffByOne rotates a table's rows by one,
+    ArithmeticCorruption shifts a numeral in a table cell, and OcrMisread
+    swaps two numerals of an image's OCR text. Every mutation is labeled.
+    Log entries are corrupted in flight instead, by `run_benchmark`.
     """
-    if isinstance(target, SourceBundle):
-        return _inject_sources(target, spec)
-    return _inject_entries(list(target), spec)
-
-
-def _inject_sources(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, list[FaultLabel]]:
     out = bundle_from_dict(bundle_to_dict(bundle))  # deep copy
     labels: list[FaultLabel] = []
     rng = random.Random(spec.seed)
@@ -218,7 +209,7 @@ def _inject_sources(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle
             new_cell, _, _ = mutated
             labels.append(FaultLabel(table.id, ft, table.rows[r][c], new_cell))
             table.rows[r][c] = new_cell
-    elif ft is FaultType.OCR_MISREAD:
+    else:  # OcrMisread
         targets = [
             i for i, img in enumerate(out.images) if _swappable(img.ocr_text)
         ]
@@ -229,8 +220,6 @@ def _inject_sources(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle
             assert swapped is not None
             labels.append(FaultLabel(image.id, ft, image.ocr_text, swapped))
             image.ocr_text = swapped
-    else:
-        raise ValueError(f"{ft.value} requires log entries, not sources")
     return out, labels
 
 
@@ -244,11 +233,7 @@ def _require_targets(targets, description: str) -> None:
         raise ValueError(f"fault rate selects zero targets: no {description}")
 
 
-def _copy_entry(entry: LogEntry) -> LogEntry:
-    return replace(entry, provenance=list(entry.provenance))
-
-
-# Faults that mutate a single log entry, offline or in flight.
+# Faults that mutate a single log entry, in flight.
 _ENTRY_FAULTS = frozenset(
     {FaultType.ARITHMETIC_CORRUPTION, FaultType.ROW_OFF_BY_ONE, FaultType.OCR_MISREAD}
 )
@@ -262,17 +247,15 @@ def _anchor_index(entry: LogEntry) -> int | None:
 
 def _mutate_entry(
     entry: LogEntry, fault_type: FaultType, rng: random.Random
-) -> tuple[str, str] | None:
-    """Apply one entry fault in place; returns (original, corrupted).
+) -> tuple[str, str]:
+    """Apply one entry fault in place to an eligible entry; returns (original, corrupted).
 
-    Returns None, leaving the entry untouched, when it offers nothing the
-    fault can change. ArithmeticCorruption and OcrMisread rewrite the
-    content; RowOffByOne moves the first table anchor down one row.
+    ArithmeticCorruption and OcrMisread rewrite the content; RowOffByOne
+    moves the first table anchor down one row.
     """
     if fault_type is FaultType.ROW_OFF_BY_ONE:
         pos = _anchor_index(entry)
-        if pos is None:
-            return None
+        assert pos is not None
         anchor = entry.provenance[pos]
         shifted = TableAnchor(anchor.table_id, anchor.row + 1, anchor.col)
         entry.provenance[pos] = shifted
@@ -282,64 +265,9 @@ def _mutate_entry(
         new_content = mutated[0] if mutated else None
     else:  # OcrMisread
         new_content = _swap_two_numerals(entry.content, rng)
-    if new_content is None:
-        return None
+    assert new_content is not None
     original, entry.content = entry.content, new_content
     return original, new_content
-
-
-def _inject_entries(entries: list[LogEntry], spec: FaultSpec) -> tuple[list[LogEntry], list[FaultLabel]]:
-    out = [_copy_entry(e) for e in entries]
-    labels: list[FaultLabel] = []
-    rng = random.Random(spec.seed)
-    ft = spec.fault_type
-
-    def eligible_steps(predicate: Callable[[LogEntry], bool]) -> list[int]:
-        return [i for i, e in enumerate(out) if predicate(e)]
-
-    if ft is FaultType.CONTRADICTION_INJECTION:
-        idxs = eligible_steps(
-            lambda e: e.entry_type is EntryType.LOOKUP and bool(_corruptible_numerals(e.content))
-        )
-        _require_targets(idxs, "lookup entries with numerals")
-        next_step = max((e.step for e in out), default=-1) + 1
-        last_ts = max((e.ts_ms for e in out), default=0)
-        for i in _select(len(idxs), spec):
-            entry = out[idxs[i]]
-            mutated = perturb_numeral(entry.content, rng)
-            assert mutated is not None
-            _, old_text, new_text = mutated
-            content = f"However, a note in the report states the figure was {new_text}."
-            quote = LogEntry(
-                CONTEXT_AGENT,
-                EntryType.QUOTE,
-                content,
-                step=next_step,
-                ts_ms=last_ts,
-                provenance=[DocSpan("injected-note", 0, len(content))],
-            )
-            labels.append(FaultLabel(next_step, ft, entry.content, content))
-            out.append(quote)
-            next_step += 1
-        return out, labels
-    if ft is FaultType.ROW_OFF_BY_ONE:
-        # Unlike in-flight injection, any anchored entry qualifies, evidence or not.
-        idxs = eligible_steps(lambda e: _anchor_index(e) is not None)
-        _require_targets(idxs, "entries with table anchors")
-    elif ft is FaultType.ARITHMETIC_CORRUPTION:
-        idxs = eligible_steps(lambda e: _entry_eligible(e, ft))
-        _require_targets(idxs, "retrieval entries with numerals")
-    elif ft is FaultType.OCR_MISREAD:
-        idxs = eligible_steps(lambda e: _entry_eligible(e, ft))
-        _require_targets(idxs, "visual entries with two distinct numerals")
-    else:
-        raise ValueError(f"{ft.value} requires table sources, not log entries")
-    for i in _select(len(idxs), spec):
-        entry = out[idxs[i]]
-        mutated = _mutate_entry(entry, ft, rng)
-        assert mutated is not None
-        labels.append(FaultLabel(entry.step, ft, *mutated))
-    return out, labels
 
 
 # --- metrics ------------------------------------------------------------------
@@ -635,9 +563,7 @@ class _InFlightInjector:
         if occ not in self.chosen:
             return entry
         rng = random.Random(f"{self.spec.seed}:{self.record_index}:{occ}")
-        mutated = _mutate_entry(entry, self.spec.fault_type, rng)
-        if mutated is not None:
-            self.mutated.append((entry, *mutated))
+        self.mutated.append((entry, *_mutate_entry(entry, self.spec.fault_type, rng)))
         return entry
 
     def labels(self) -> list[FaultLabel]:
@@ -662,9 +588,7 @@ def _entry_eligible(entry: LogEntry, fault_type: FaultType) -> bool:
         return bool(_corruptible_numerals(entry.content))
     if fault_type is FaultType.OCR_MISREAD:
         return entry.entry_type is EntryType.VISUAL and _swappable(entry.content)
-    if fault_type is FaultType.ROW_OFF_BY_ONE:
-        return _anchor_index(entry) is not None
-    return False
+    return _anchor_index(entry) is not None  # RowOffByOne
 
 
 def _run_record(

@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import textutil
 from .sources import json_field, json_value
@@ -104,21 +104,14 @@ class LogEntry:
         return [p.cite() for p in self.provenance]
 
 
-@dataclass(frozen=True)
-class TokenBudget:
-    """Soft context budget for rendered views, in estimator tokens."""
-
-    soft_limit: int = 4096
-    compress_trigger: int = 3600
-    target_after: int = 3900
-
-    def __post_init__(self) -> None:
-        if not self.compress_trigger < self.target_after <= self.soft_limit:
-            raise ValueError("budget requires compress_trigger < target_after <= soft_limit")
+# Context budget for rendered views, in token_estimate tokens: a view above
+# COMPRESS_TRIGGER has its history folded until it is at most TARGET_AFTER.
+COMPRESS_TRIGGER = 3600
+TARGET_AFTER = 3900
 
 
 def token_estimate(text: str) -> int:
-    """Default token estimator: ceil(chars / 4)."""
+    """Token estimate of a text: ceil(chars / 4)."""
     return math.ceil(len(text) / 4)
 
 
@@ -221,16 +214,9 @@ class SharedLog:
     order is the step order. Reads are pure and freely shareable.
     """
 
-    def __init__(
-        self,
-        budget: TokenBudget | None = None,
-        estimator: Callable[[str], int] = token_estimate,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self.entries: list[LogEntry] = []
         self.next_step = 0
-        self.budget = budget or TokenBudget()
-        self.estimator = estimator
         self.clock = clock or SimClock()
         self._lock = threading.Lock()
         self._norm_cache: list[_DedupKey] = []  # one per committed entry
@@ -296,12 +282,12 @@ def render_view(log: SharedLog) -> str:
     entries = log.entries
     lines = [format_entry(e) for e in entries]
     view = "\n".join(lines)
-    if log.estimator(view) <= log.budget.compress_trigger:
+    if token_estimate(view) <= COMPRESS_TRIGGER:
         return view
     for k in range(1, len(entries) + 1):
         stub = _stub_line(entries[:k])
         view = "\n".join([stub] + lines[k:])
-        if log.estimator(view) <= log.budget.target_after:
+        if token_estimate(view) <= TARGET_AFTER:
             return view
     return view
 

@@ -42,7 +42,6 @@ class SchedulerConfig:
     max_rounds: int = 6
     verifier_enabled: bool = True
     reengage_limit: int = 1
-    gate_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -164,19 +163,19 @@ def run(
     backend: TextBackend,
     config: SchedulerConfig | None = None,
     gate: LogisticGate | None = None,
-    clock: Clock | None = None,
     entry_mutator: EntryMutator | None = None,
 ) -> RunResult:
     """Execute one question to termination and return the full accounting.
 
-    entry_mutator, when given, rewrites retrieval entries just before they
-    are committed (the fault-injection hook).
+    gate, when given, may stop retrieval after a round that the gate deems
+    not worth continuing. entry_mutator, when given, rewrites retrieval
+    entries just before they are committed (the fault-injection hook).
     """
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
     agents = build_agents()
-    clock = clock or _default_clock(backend)
+    clock = _default_clock(backend)
     log = SharedLog(clock=clock)
     log.append(LogEntry(USER, EntryType.QUERY, question))
     state = RunState()
@@ -276,11 +275,10 @@ def run(
         if (
             termination is None
             and gate is not None
-            and config.gate_enabled
             and not flag_granted
             and not retrieval_frozen
         ):
-            features = extract_features(log, state, sources)
+            features = extract_features(log, state.new_entries_this_round, sources)
             if predict_continue(gate, features) < gate.threshold:
                 retrieval_frozen = True
 

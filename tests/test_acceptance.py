@@ -26,6 +26,8 @@ from logboard.harness import (
     run_benchmark,
 )
 from logboard.log import (
+    COMPRESS_TRIGGER,
+    TARGET_AFTER,
     TABLE_AGENT,
     USER,
     EntryType,
@@ -239,8 +241,8 @@ def test_criterion_05_log_budget():
         verbatim = "\n".join(format_entry(e) for e in log.entries)
         pre = token_estimate(verbatim)
         view = render_view(log)
-        if pre > log.budget.compress_trigger:
-            assert token_estimate(view) <= log.budget.target_after, (n_entries, tokens_each)
+        if pre > COMPRESS_TRIGGER:
+            assert token_estimate(view) <= TARGET_AFTER, (n_entries, tokens_each)
         else:
             assert token_estimate(view) <= pre
         # 100% provenance-anchor preservation.
@@ -308,7 +310,6 @@ def test_criterion_07_gate_efficacy(tmp_path):
 
     gated_metrics, gated_reports = run_benchmark(
         records,
-        config=SchedulerConfig(gate_enabled=True),
         backend_factory=factory,
         gate=gate,
     )

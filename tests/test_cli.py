@@ -251,21 +251,14 @@ def test_inject_writes_corrupted_sources_and_labels(tmp_path, capsys):
     assert corrupted["tables"] != original["tables"]
 
 
-def test_inject_contradiction_on_sources_is_error(tmp_path, capsys):
-    code = main(
-        [
-            "inject",
-            str(FIXTURES / "golden_sources.json"),
-            "--type",
-            "contradiction",
-            "--rate",
-            "0.5",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+def test_inject_unknown_type_is_refused(tmp_path, capsys):
+    for name in ("contradiction", "bogus"):
+        with pytest.raises(SystemExit) as exc:
+            main(["inject", str(FIXTURES / "golden_sources.json"), "--type", name,
+                  "--rate", "0.5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_trace_renders_markdown_table(tmp_path, capsys):

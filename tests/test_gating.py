@@ -23,7 +23,7 @@ from logboard.log import (
     EntryType,
     LogEntry,
 )
-from logboard.scheduler import SchedulerConfig, Termination, run
+from logboard.scheduler import Termination, run
 from logboard.backends import ScriptedBackend
 
 from helpers import (
@@ -37,14 +37,9 @@ from helpers import (
 )
 
 
-class FakeState:
-    def __init__(self, new_entries):
-        self.new_entries_this_round = new_entries
-
-
 def test_features_defaults_without_summary():
     log = log_with("plain question")
-    feats = extract_features(log, FakeState(0))
+    feats = extract_features(log, 0)
     assert feats.summary_confidence == 0.5
     assert feats.pending_needs_delta == 0
     assert feats.image_present == 0
@@ -53,14 +48,14 @@ def test_features_defaults_without_summary():
 def test_features_gap_summary_zero_confidence():
     log = log_with("q?")
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "I don't have X yet."))
-    feats = extract_features(log, FakeState(1))
+    feats = extract_features(log, 1)
     assert feats.summary_confidence == 0.0
 
 
 def test_features_answer_full_confidence_and_counts():
     log = log_with("q?")
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.ANSWER, "Answer: 42"))
-    feats = extract_features(log, FakeState(3))
+    feats = extract_features(log, 3)
     assert feats.summary_confidence == 1.0
     assert feats.new_entries == 3
 
@@ -69,7 +64,7 @@ def test_pending_needs_delta_between_summaries():
     log = log_with("q?")
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "Figures are missing; more data needed."))
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "One figure is still missing."))
-    feats = extract_features(log, FakeState(0))
+    feats = extract_features(log, 0)
     assert feats.pending_needs_delta == 1 - 2
 
 
@@ -77,12 +72,12 @@ def test_image_presence_from_sources_or_log():
     from logboard.sources import Image, SourceBundle
 
     log = log_with("what does the figure show?")
-    feats = extract_features(log, FakeState(0), SourceBundle(images=[Image("i")]))
+    feats = extract_features(log, 0, SourceBundle(images=[Image("i")]))
     assert feats.image_present == 1
-    feats = extract_features(log, FakeState(0), SourceBundle())
+    feats = extract_features(log, 0, SourceBundle())
     assert feats.image_present == 1  # the question mentions a figure
     plain = log_with("no visuals at all")
-    assert extract_features(plain, FakeState(0), SourceBundle()).image_present == 0
+    assert extract_features(plain, 0, SourceBundle()).image_present == 0
 
 
 def test_predict_continue_matches_sigmoid():
@@ -184,6 +179,33 @@ def test_mine_samples_golden_trace_has_no_nonfinal_rounds():
     assert mine_samples([run_golden().log.entries]) == []
 
 
+def test_mined_features_match_the_scheduler_features(monkeypatch):
+    # The gate is trained on features mined from traces and applied to the
+    # features the scheduler computes; both must see the same values. The
+    # golden sources hold no image, so image_present agrees without them.
+    import logboard.scheduler
+
+    seen = []
+
+    def recording(log, new_entries, sources=None):
+        features = extract_features(log, new_entries, sources)
+        seen.append(features)
+        return features
+
+    monkeypatch.setattr(logboard.scheduler, "extract_features", recording)
+    script = golden_script()
+    script["summarizing agent"] = [
+        "Partial take; the source of the increase is missing.",
+        script["summarizing agent"],
+    ]
+    never_stop = LogisticGate(bias=5.0)
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), gate=never_stop)
+    assert result.metrics.rounds == 2
+    mined = [s.features for s in mine_samples([result.log.entries])]
+    assert mined == seen
+    assert seen[0].new_entries == 2  # the round's Lookup and Quote, not its Summary
+
+
 def _multi_round_trace(cite_round_one: bool):
     """Two-round trace; the answer cites round-1 evidence when asked to."""
     log = log_with(
@@ -241,8 +263,7 @@ def test_always_stop_gate_limits_retrieval_to_one_round():
         "Still incomplete; data needed.",
         "No answer can be formed.",
     ]
-    config = SchedulerConfig(gate_enabled=True)
-    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), config=config, gate=gate)
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), gate=gate)
     retrieval_rounds = sum(1 for audit in result.audits if audit.retrieval_ran)
     assert retrieval_rounds <= 1
     assert result.termination in (Termination.NO_PROGRESS, Termination.MAX_ROUNDS)
@@ -252,8 +273,7 @@ def test_flag_overrides_gate_freeze():
     gate = LogisticGate(weights=np.zeros(4), bias=-5.0)
     script = golden_script()
     script["verification agent"] = "Flagged incorrect calculation in the claim."
-    config = SchedulerConfig(gate_enabled=True)
-    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), config=config, gate=gate)
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), gate=gate)
     # Flag forces the re-engagement round's retrieval even though the gate
     # would freeze it.
     assert result.metrics.rounds == 2

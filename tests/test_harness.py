@@ -11,6 +11,7 @@ import logboard.retrieval
 from logboard import harness, scheduler
 from logboard.backends import ScriptedBackend, TransportError
 from logboard.harness import (
+    BenchmarkRecord,
     FaultLabel,
     FaultSpec,
     FaultType,
@@ -29,10 +30,12 @@ from logboard.log import (
     EntryType,
     LogEntry,
     TableAnchor,
+    load_trace,
 )
 from logboard.retrieval import retrieve
 from logboard.scheduler import SchedulerConfig
 from logboard.sources import Image, SourceBundle, Table
+from logboard.textutil import numeral_values, parse_numerals
 
 from helpers import (
     FIXTURES,
@@ -84,34 +87,18 @@ def test_perturb_steps_away_from_zero():
             assert new_text == f"Margin was {expected}."
 
 
-def test_arithmetic_corruption_on_entries():
-    entries = [lookup(f"Metric {chr(65 + i)} was ${50 + i}M in the ledger.") for i in range(45)]
-    for i, e in enumerate(entries):
-        e.step = i
-    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.10, seed=9)
-    corrupted, labels = inject_faults(entries, spec)
-    assert len(labels) == math.ceil(0.10 * 45) == 5
-    for label in labels:
-        assert label.original != label.corrupted
-        assert label.fault_type is FaultType.ARITHMETIC_CORRUPTION
-    # Untouched entries are byte-identical.
-    changed = {label.target for label in labels}
-    for i, (before, after) in enumerate(zip(entries, corrupted)):
-        if i in changed:
-            assert before.content != after.content
-        else:
-            assert before.content == after.content
-
-
 def test_injection_is_seed_deterministic():
-    entries = [lookup(f"Row {chr(65 + i)} holds ${10 + i}M.") for i in range(10)]
-    for i, e in enumerate(entries):
-        e.step = i
+    bundle = SourceBundle(
+        tables=[Table("t1", ["row", "v"], [[chr(65 + i), f"${10 + i}M"] for i in range(10)])]
+    )
     spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.3, seed=42)
-    first = inject_faults(entries, spec)
-    second = inject_faults(entries, spec)
+    first = inject_faults(bundle, spec)
+    second = inject_faults(bundle, spec)
+    assert len(first[1]) == math.ceil(0.3 * 10)
     assert [l.to_dict() for l in first[1]] == [l.to_dict() for l in second[1]]
-    assert [e.content for e in first[0]] == [e.content for e in second[0]]
+    assert first[0].tables[0].rows == second[0].tables[0].rows
+    # The input bundle is left as it was.
+    assert bundle.tables[0].rows == [[chr(65 + i), f"${10 + i}M"] for i in range(10)]
 
 
 def test_missing_row_deletes_rows():
@@ -131,15 +118,6 @@ def test_row_off_by_one_rotates_table():
     assert labels[0].target == "t1"
 
 
-def test_row_off_by_one_shifts_entry_anchor():
-    entry = lookup("Revenue was $50M.")
-    entry.step = 4
-    corrupted, labels = inject_faults([entry], FaultSpec(FaultType.ROW_OFF_BY_ONE, 1.0, seed=0))
-    anchor = next(p for p in corrupted[0].provenance if isinstance(p, TableAnchor))
-    assert anchor.row == 1  # shifted off the original row 0
-    assert labels[0].target == 4
-
-
 def test_ocr_misread_swaps_numerals():
     bundle = SourceBundle(images=[Image("bar", caption="chart", ocr_text="2020 5.2 2021 6.1")])
     corrupted, labels = inject_faults(bundle, FaultSpec(FaultType.OCR_MISREAD, 1.0, seed=5))
@@ -147,31 +125,22 @@ def test_ocr_misread_swaps_numerals():
     assert sorted(corrupted.images[0].ocr_text.split()) == sorted("2020 5.2 2021 6.1".split())
 
 
-def test_contradiction_appends_conflicting_quote():
-    entry = lookup("Revenue in 2019 was $55M (from Table 1).")
-    entry.step = 1
-    corrupted, labels = inject_faults(
-        [entry], FaultSpec(FaultType.CONTRADICTION_INJECTION, 1.0, seed=1)
-    )
-    assert len(corrupted) == 2
-    injected = corrupted[-1]
-    assert injected.entry_type is EntryType.QUOTE
-    assert labels[0].target == injected.step == 2
-
-
-def test_fault_type_target_mismatch_raises():
-    with pytest.raises(ValueError, match="sources"):
-        inject_faults([lookup("$5M here.")], FaultSpec(FaultType.MISSING_ROW, 0.5))
-    with pytest.raises(ValueError, match="entries"):
-        inject_faults(SourceBundle(), FaultSpec(FaultType.CONTRADICTION_INJECTION, 0.5))
+def test_run_benchmark_refuses_source_faults():
+    records, script = _delta_suite(2)
+    with pytest.raises(ValueError, match="source-level faults"):
+        run_benchmark(
+            records,
+            backend_factory=lambda: ScriptedBackend(script),
+            fault_spec=FaultSpec(FaultType.MISSING_ROW, 0.5),
+        )
 
 
 def test_zero_eligible_targets_is_an_error():
+    no_numbers = SourceBundle(tables=[Table("t1", ["name"], [["alpha"], ["beta"]])])
     with pytest.raises(ValueError, match="zero targets"):
-        inject_faults(
-            [quote("No numbers in this text at all.")],
-            FaultSpec(FaultType.ARITHMETIC_CORRUPTION, 0.5),
-        )
+        inject_faults(no_numbers, FaultSpec(FaultType.ARITHMETIC_CORRUPTION, 0.5))
+    with pytest.raises(ValueError, match="zero targets"):
+        inject_faults(SourceBundle(), FaultSpec(FaultType.OCR_MISREAD, 0.5))
 
 
 def test_rate_validation():
@@ -435,6 +404,77 @@ def test_benchmark_noop_verifier_catches_nothing():
         fault_spec=spec,
     )
     assert metrics.catch_rate == 0.0 and metrics.repair_rate == 0.0
+
+
+def _golden_bench():
+    records = load_benchmark(FIXTURES / "golden_bench.jsonl")
+    script = json.loads((FIXTURES / "golden_bench_script.json").read_text())
+    return records, script
+
+
+def test_in_flight_row_off_by_one_shifts_committed_anchor(tmp_path):
+    records, script = _golden_bench()
+    run_benchmark(
+        records,
+        backend_factory=lambda: ScriptedBackend(script),
+        fault_spec=FaultSpec(FaultType.ROW_OFF_BY_ONE, 1.0, seed=3),
+        out_dir=tmp_path,
+    )
+    faults = json.loads((tmp_path / "faults.json").read_text())
+    assert [row["record"] for row in faults] == list(range(len(records)))
+    for row in faults:
+        assert row["fault_type"] == "RowOffByOne"
+        assert (row["original"], row["corrupted"]) == ("table:Table 1@0,1", "table:Table 1@1,1")
+        trace = load_trace((tmp_path / f"trace_{row['record']:03d}.jsonl").read_text())
+        entry = next(e for e in trace if e.step == row["target"])
+        assert entry.entry_type is EntryType.LOOKUP
+        assert entry.provenance[0] == TableAnchor("Table 1", 1, 1)
+        assert "table:Table 1@0,1" not in entry.citations()
+
+
+def test_in_flight_ocr_misread_swaps_visual_numerals(tmp_path):
+    reply = "The bar chart shows revenue in 2020 as $5.2M and in 2021 as $6.1M."
+    record = BenchmarkRecord(
+        question="What does the figure show about revenue?",
+        sources=SourceBundle(
+            images=[Image("chart-1", caption="bar chart of revenue", ocr_text="2020 5.2 2021 6.1")]
+        ),
+        gold_answers=["$0.9M increase"],
+    )
+    script = {
+        "image interpreter": reply,
+        "summarizing agent": "Therefore revenue rose. Answer: $0.9M increase.",
+        "verification agent": "Looks consistent. (No issues flagged.)",
+    }
+    run_benchmark(
+        [record],
+        backend_factory=lambda: ScriptedBackend(script),
+        fault_spec=FaultSpec(FaultType.OCR_MISREAD, 1.0, seed=0),
+        out_dir=tmp_path,
+    )
+    faults = json.loads((tmp_path / "faults.json").read_text())
+    assert len(faults) == 1
+    row = faults[0]
+    assert row["fault_type"] == "OcrMisread"
+    assert row["original"] == reply
+    # The same numerals, two of different value in each other's place.
+    numerals = [m.text for m in parse_numerals(reply)]
+    assert sorted(m.text for m in parse_numerals(row["corrupted"])) == sorted(numerals)
+    assert numeral_values(row["corrupted"]) != numeral_values(reply)
+    trace = load_trace((tmp_path / "trace_000.jsonl").read_text())
+    entry = next(e for e in trace if e.step == row["target"])
+    assert entry.entry_type is EntryType.VISUAL
+    assert entry.content == row["corrupted"]
+
+
+def test_in_flight_ocr_misread_without_visual_reads_selects_nothing():
+    records, script = _golden_bench()
+    with pytest.raises(ValueError, match="zero targets"):
+        run_benchmark(
+            records,
+            backend_factory=lambda: ScriptedBackend(script),
+            fault_spec=FaultSpec(FaultType.OCR_MISREAD, 1.0, seed=3),
+        )
 
 
 def test_benchmark_outputs_are_byte_deterministic(tmp_path):

@@ -12,6 +12,8 @@ from logboard.log import (
     TABLE_AGENT,
     USER,
     VERIFICATION_AGENT,
+    COMPRESS_TRIGGER,
+    TARGET_AFTER,
     AppendResult,
     DocSpan,
     EntryType,
@@ -19,7 +21,6 @@ from logboard.log import (
     LogEntry,
     SharedLog,
     TableAnchor,
-    TokenBudget,
     ValidationError,
     dump_trace,
     entry_from_json,
@@ -138,21 +139,6 @@ def test_token_estimate():
     assert token_estimate("abcde") == 2
 
 
-def test_estimator_is_pluggable():
-    words = lambda text: len(text.split())  # noqa: E731
-    log = SharedLog(estimator=words)
-    log.append(LogEntry(USER, EntryType.QUERY, "short question here"))
-    view = render_view(log)
-    assert log.estimator(view) == len(view.split())
-
-
-def test_budget_invariants():
-    with pytest.raises(ValueError):
-        TokenBudget(soft_limit=100, compress_trigger=99, target_after=101)
-    with pytest.raises(ValueError):
-        TokenBudget(compress_trigger=300, target_after=300, soft_limit=400)
-
-
 def test_render_view_below_trigger_is_verbatim():
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, "short?"))
@@ -180,9 +166,9 @@ def _busy_log(n_entries: int, tokens_each: int) -> SharedLog:
 
 def test_render_view_compresses_to_target():
     log = _busy_log(20, 300)
-    assert token_estimate("\n".join(format_entry(e) for e in log.entries)) > log.budget.compress_trigger
+    assert token_estimate("\n".join(format_entry(e) for e in log.entries)) > COMPRESS_TRIGGER
     view = render_view(log)
-    assert token_estimate(view) <= log.budget.target_after
+    assert token_estimate(view) <= TARGET_AFTER
     assert "[history:" in view
 
 

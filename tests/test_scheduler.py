@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from logboard.agents import AgentConfig, AgentRole, TableAgent, build_agents
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
-from logboard.log import EntryType, dump_trace, is_near_duplicate, parse_answer
+from logboard.harness import FaultType, inject_faults
+from logboard.log import EntryType, SharedLog, dump_trace, is_near_duplicate, parse_answer
 from logboard.scheduler import (
     PER_AGENT_CAP,
     RunState,
@@ -262,13 +263,23 @@ def test_configuration_surface():
     # make it a constant or delete it rather than add it here. The only
     # test-set fields kept (reengage_limit, temperature, context_window)
     # reach rules the runtime has: no re-engagement, prompt shrink levels.
+    # The scheduler gates exactly when run is given a gate; log entries are
+    # corrupted only in flight, so inject_faults takes sources alone.
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
-        "max_rounds", "verifier_enabled", "reengage_limit", "gate_enabled",
+        "max_rounds", "verifier_enabled", "reengage_limit",
     ]
     assert [f.name for f in dataclasses.fields(AgentConfig)] == [
         "role", "temperature", "context_window", "max_tokens",
     ]
     assert not inspect.signature(build_agents).parameters
+    assert list(inspect.signature(SharedLog.__init__).parameters) == ["self", "clock"]
+    assert list(inspect.signature(run).parameters) == [
+        "question", "sources", "backend", "config", "gate", "entry_mutator",
+    ]
+    assert list(inspect.signature(inject_faults).parameters) == ["bundle", "spec"]
+    assert [t.value for t in FaultType] == [
+        "MissingRow", "RowOffByOne", "ArithmeticCorruption", "OcrMisread",
+    ]
 
 
 def test_termination_and_call_bound_under_chaos():
