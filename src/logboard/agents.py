@@ -15,7 +15,8 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 
 from . import retrieval
 from .backends import DEFAULT_MAX_TOKENS, TextBackend, TransportError
@@ -290,10 +291,11 @@ def extract_table_anchors(
     A cell is stated when its normalized text is a run of consecutive
     normalized reply tokens. Each table's distinct cell strings are
     normalized once and looked up in the set of the reply's runs, built
-    only up to the longest phrase met; then only rows holding a stated cell
-    are visited. Cells whose text merely echoes the question are excluded
-    (they are the lookup key, not the retrieved fact), unless that would
-    empty the set.
+    only up to the longest phrase met. Cells whose text merely echoes the
+    question are left out (they are the lookup key, not the retrieved
+    fact) unless no table states another cell. Stated cells are sorted into
+    these two sets before any anchor is built, so anchors are built only
+    for the chosen cells, on the rows that hold one (found in C).
     """
     reply_tokens = normalize(reply).split()
     runs: set[str] = set()  # space-joined runs of up to `built` reply tokens
@@ -301,7 +303,9 @@ def extract_table_anchors(
     # Tokens hold no spaces, so a padded phrase occurs in the padded
     # question exactly when it is a run of the question's tokens.
     padded_question = f" {normalize(question)} "
-    matched: list[tuple[bool, TableAnchor]] = []
+    # Per table, the stated cells that the question does not echo, and those it does.
+    informative: list[set[str]] = []
+    echoed: list[set[str]] = []
     for table in sources.tables:
         phrases = {cell: normalize(cell) for cell in set(chain.from_iterable(table.rows))}
         longest = max((phrase.count(" ") + 1 for phrase in phrases.values() if phrase), default=0)
@@ -311,20 +315,21 @@ def extract_table_anchors(
                 " ".join(reply_tokens[i : i + built])
                 for i in range(len(reply_tokens) - built + 1)
             )
-        # Stated cell -> whether it echoes the question.
-        hits = {
-            cell: f" {phrase} " in padded_question
-            for cell, phrase in phrases.items()
-            if phrase in runs
-        }
-        for r, row in enumerate(table.rows):
-            if hits.keys().isdisjoint(row):
-                continue
-            for c, cell in enumerate(row):
-                if cell in hits:
-                    matched.append((hits[cell], TableAnchor(table.id, r, c)))
-    informative = [anchor for echoes, anchor in matched if not echoes]
-    return informative or [anchor for _, anchor in matched]
+        informative.append(set())
+        echoed.append(set())
+        for cell, phrase in phrases.items():
+            if phrase in runs:
+                (echoed if f" {phrase} " in padded_question else informative)[-1].add(cell)
+    # A stated cell is taken from its table's rows, so some table states an
+    # informative cell exactly when some informative anchor exists.
+    anchors: list[TableAnchor] = []
+    for table, cells in zip(sources.tables, informative if any(informative) else echoed):
+        rows = table.rows
+        for r in compress(range(len(rows)), map(not_, map(cells.isdisjoint, rows))):
+            anchors.extend(
+                TableAnchor(table.id, r, c) for c, cell in enumerate(rows[r]) if cell in cells
+            )
+    return anchors
 
 
 _QUOTED_RE = re.compile(

@@ -27,6 +27,11 @@ class TransportError(RuntimeError):
     """The backend could not produce a reply; the scheduler may retry."""
 
 
+class RequestRejected(TransportError):
+    """The backend refused the request itself (an HTTP 4xx other than 408
+    or 429); sending it again would be refused again, so it is not retried."""
+
+
 @runtime_checkable
 class TextBackend(Protocol):
     calls: int
@@ -56,7 +61,8 @@ class HttpBackend(UsageMixin):
 
     Base URL and API key default to the LOGBOARD_BASE_URL / LOGBOARD_API_KEY
     environment variables. Any network, HTTP, or payload failure raises
-    TransportError; retries are the caller's policy.
+    TransportError; retries are the caller's policy. An HTTP 4xx other than
+    408 (timeout) or 429 (rate limit) raises its subclass RequestRejected.
     """
 
     def __init__(
@@ -100,6 +106,10 @@ class HttpBackend(UsageMixin):
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 payload = json.loads(response.read().decode("utf-8"))
             reply = payload["choices"][0]["message"]["content"]
+        except urllib.error.HTTPError as exc:
+            if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise RequestRejected(f"chat completion request rejected: {exc}") from exc
+            raise TransportError(f"chat completion request failed: {exc}") from exc
         except (urllib.error.URLError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"chat completion request failed: {exc}") from exc
         if not isinstance(reply, str):

@@ -28,7 +28,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -156,13 +156,22 @@ def select_table_slice(table: Table, question: str) -> TableSlice:
 
 
 def render_table_slice(table: Table, slice_: TableSlice) -> str:
-    def render_row(cells: Sequence[str]) -> str:
-        return " | ".join(cells[c] for c in slice_.kept_cols)
+    """The table's id line, then its header and kept rows, one line each.
 
-    lines = [f"Table {table.id}:", render_row(table.header)]
-    for r in slice_.kept_rows:
-        lines.append(render_row(table.rows[r]))
-    return "\n".join(lines)
+    A line joins the row's kept cells with " | ". Rows are picked and cut
+    by C-level `map` and `itemgetter`; `itemgetter` of one index gives the
+    cell itself, not a tuple, and of none cannot be built, so one and zero
+    kept columns render apart.
+    """
+    cols = slice_.kept_cols
+    rows = chain((table.header,), map(table.rows.__getitem__, slice_.kept_rows))
+    if len(cols) > 1:
+        lines = map(" | ".join, map(itemgetter(*cols), rows))
+    elif cols:
+        lines = map(itemgetter(cols[0]), rows)
+    else:
+        lines = repeat("", 1 + len(slice_.kept_rows))
+    return "\n".join(chain((f"Table {table.id}:",), lines))
 
 
 def truncate_span(passage: str, match_char_range: tuple[int, int], k: int) -> str:

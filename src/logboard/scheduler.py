@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .agents import RETRIEVAL_ROLES, AgentRole, build_agents
-from .backends import HttpBackend, TextBackend, TransportError
+from .backends import HttpBackend, RequestRejected, TextBackend, TransportError
 from .gating import LogisticGate, extract_features, predict_continue
 from .log import (
     USER,
@@ -187,6 +187,8 @@ def run(
         for _ in range(3):  # initial attempt plus 2 retries
             try:
                 result = fn()
+            except RequestRejected as exc:
+                raise TransportAbort(f"backend refused the request, not retried: {exc}", log) from exc
             except TransportError as exc:
                 last = exc
                 continue

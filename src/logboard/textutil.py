@@ -15,7 +15,7 @@ from dataclasses import dataclass
 GAP_PHRASES = ("needed", "missing", "not sure", "don't have")
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
-_PUNCT_RE = re.compile(r"[^\w\s]")
+_WORD_CHARS_RE = re.compile(r"\w+")
 _SENTENCE_END_RE = re.compile(r"[.?!]+(?=\s)")
 
 _ARTICLES = {"a", "an", "the"}
@@ -55,10 +55,14 @@ _UNIT_ALIASES = {
 
 
 def normalize(text: str) -> str:
-    """Lowercase and strip punctuation, collapsing whitespace."""
-    lowered = text.lower()
-    stripped = _PUNCT_RE.sub(" ", lowered)
-    return " ".join(stripped.split())
+    """Lowercase and strip punctuation, collapsing whitespace.
+
+    The result is the lowered text's runs of word characters, one space
+    between each: the words left by blanking every character that is
+    neither a word character nor whitespace and splitting, since `re` and
+    `str.split()` agree on what is whitespace.
+    """
+    return " ".join(_WORD_CHARS_RE.findall(text.lower()))
 
 
 def tokenize(text: str) -> list[str]:

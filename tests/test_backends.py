@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -17,6 +18,7 @@ from logboard.backends import (
     API_KEY_ENV,
     BASE_URL_ENV,
     HttpBackend,
+    RequestRejected,
     ScriptedBackend,
     TransportError,
 )
@@ -183,3 +185,50 @@ def test_http_backend_null_content_aborts_run_after_retries(monkeypatch):
     _serve_payload(monkeypatch, {"choices": [{"message": {"content": None}}]})
     with pytest.raises(TransportAbort):
         run(GOLDEN_QUESTION, golden_sources(), HttpBackend(base_url="http://stub.invalid"))
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_client_error_is_request_rejected(stub_server, status):
+    _StubHandler.status = status
+    with pytest.raises(RequestRejected, match=str(status)):
+        HttpBackend(base_url=stub_server).generate("ping", 0.0)
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+def test_http_retryable_status_is_plain_transport_error(stub_server, status):
+    _StubHandler.status = status
+    with pytest.raises(TransportError) as exc:
+        HttpBackend(base_url=stub_server).generate("ping", 0.0)
+    assert not isinstance(exc.value, RequestRejected)
+
+
+@pytest.mark.parametrize("status, attempts", [(400, 1), (401, 1), (404, 1), (408, 3), (429, 3), (503, 3)])
+def test_run_sends_a_rejected_request_once_and_retries_the_rest(stub_server, status, attempts):
+    _StubHandler.status = status
+    with pytest.raises(TransportAbort) as exc:
+        run(GOLDEN_QUESTION, golden_sources(), HttpBackend(base_url=stub_server))
+    assert len(_StubHandler.requests) == attempts
+    if attempts == 1:
+        assert "not retried" in str(exc.value) and str(status) in str(exc.value)
+    else:
+        assert "after 2 retries" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [urllib.error.URLError("connection refused"), TimeoutError("timed out"), None],
+    ids=["url-error", "timeout", "malformed-payload"],
+)
+def test_unreachable_backend_or_malformed_reply_is_retried(monkeypatch, error):
+    attempts = []
+
+    def urlopen(request, timeout):
+        attempts.append(request)
+        if error is None:
+            return io.BytesIO(b'{"choices": []}')
+        raise error
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(TransportAbort, match="after 2 retries"):
+        run(GOLDEN_QUESTION, golden_sources(), HttpBackend(base_url="http://stub.invalid"))
+    assert len(attempts) == 3

@@ -7,8 +7,10 @@ import pytest
 from logboard.cli import main
 from logboard.log import load_trace
 
+from logboard.gating import LogisticGate
 from logboard.harness import run_benchmark
 from logboard.backends import ScriptedBackend
+from logboard.sources import bundle_to_dict
 
 from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION, gate_fixture
 
@@ -187,6 +189,32 @@ def test_train_gate_on_bench_output_dir(tmp_path, capsys):
     assert code == 0, err
     assert "final loss" in out
     assert len(json.loads(gate_path.read_text())["weights"]) == 4
+
+
+def test_gate_bench_fixtures_are_gate_fixture_3_3():
+    records, script = gate_fixture(quick=3, slow=3)
+    lines = (FIXTURES / "gate_bench.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"question": r.question, "gold_answers": r.gold_answers, "sources": bundle_to_dict(r.sources)}
+        for r in records
+    ]
+    assert json.loads((FIXTURES / "gate_bench_script.json").read_text(encoding="utf-8")) == script
+
+
+def test_readme_bench_train_gate_and_gated_bench_on_fixtures(tmp_path, capsys):
+    bench = ["bench", str(FIXTURES / "gate_bench.jsonl"),
+             "--scripted", str(FIXTURES / "gate_bench_script.json"), "--seed", "11"]
+    assert main([*bench, "--out", str(tmp_path / "bench")]) == 0
+    assert "em=1.000" in capsys.readouterr().out
+    gate_path = tmp_path / "gate.json"
+    code = main(["train-gate", str(tmp_path / "bench"), "--out", str(gate_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.startswith("trained on 6 samples")
+    LogisticGate.load(gate_path)
+    assert main([*bench, "--gate", str(gate_path), "--out", str(tmp_path / "gated")]) == 0
+    assert "em=1.000" in capsys.readouterr().out
+    assert json.loads((tmp_path / "gated" / "metrics.json").read_text())["em"] == 1.0
 
 
 @pytest.mark.parametrize("command", ["ask", "bench"])

@@ -4,10 +4,12 @@ The references below are the straightforward versions the runtime used to
 run on every call: per-cell tokenizing and a per-cell digit test in
 select_table_slice, a normalize and a scan of the reply's tokens for every
 cell in extract_table_anchors, and a fresh slice and BM25 ranking at every
-prompt shrink level. Of the code they check, they call only tokenize. The
-faster code must give the same results on any input, the Table agent must
-slice each table once per run, and anchoring must normalize each distinct
-cell string of a table once.
+prompt shrink level, a per-row join in render_table_slice, and the old
+normalize formula (blank what is neither word nor whitespace, then split).
+Of the code they check, they call only tokenize. The faster code must give
+the same results on any input, the Table agent must slice each table once
+per run, and anchoring must normalize each distinct cell string of a table
+once and build only the anchors it returns.
 """
 
 import re
@@ -33,7 +35,7 @@ from logboard.backends import ScriptedBackend
 from logboard.log import TableAnchor
 from logboard.retrieval import TableSlice, render_table_slice, select_table_slice, truncate_span
 from logboard.scheduler import run
-from logboard.sources import Image, Passage, SourceBundle, Table
+from logboard.sources import Image, Passage, SourceBundle, Table, bundle_from_dict
 from logboard.textutil import normalize, tokenize
 
 from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
@@ -96,6 +98,16 @@ def reference_extract_table_anchors(reply, sources, question):
     return informative or [anchor for _, anchor in matched]
 
 
+def reference_render_table_slice(table, slice_):
+    def render_row(cells):
+        return " | ".join(cells[c] for c in slice_.kept_cols)
+
+    lines = [f"Table {table.id}:", render_row(table.header)]
+    for r in slice_.kept_rows:
+        lines.append(render_row(table.rows[r]))
+    return "\n".join(lines)
+
+
 def reference_sources_block(role, sources, question, shrink):
     parts = []
     if role is AgentRole.TABLE:
@@ -104,7 +116,7 @@ def reference_sources_block(role, sources, question, shrink):
             slice_ = reference_select_table_slice(table, question, row_cap=row_cap)
             if shrink > 0:
                 slice_ = TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols)
-            parts.append(render_table_slice(table, slice_))
+            parts.append(reference_render_table_slice(table, slice_))
     elif role is AgentRole.CONTEXT:
         window = max(0, retrieval.SENTENCE_WINDOW_K - shrink)
         idx = retrieval.index(sources.passages)
@@ -131,9 +143,12 @@ def reference_sources_block(role, sources, question, shrink):
 # Besides plain words and numerals: "İ" lowers to "i" plus a combining dot,
 # the Kelvin sign "\u212a" lowers to ASCII "k", "ſ" stays itself but is
 # alphanumeric, a final "Σ" lowers by context, "\u0301" is a combining
-# mark, and "_" is a word character that is not a token character.
+# mark, and "_" is a word character that is not a token character. "20" and
+# "rev" are prefixes of other words, "19" a suffix, "x" and "9" one-character
+# tokens.
 WORDS = ["revenue", "2019", "Year", "total", "ünits", "straße", "σΣ", "ΟΔΟΣ", "İd", "Kelvin",
-         "\u212am", "ſale", "cafe\u0301", "a_b", "snake_case", "line\nbreak"]
+         "\u212am", "ſale", "cafe\u0301", "a_b", "snake_case", "line\nbreak",
+         "20", "19", "rev", "x", "9"]
 NUMERALS = ["$1,000.5M", "-3.2%", "$50M", "1,234", "0.5", "7 million", "(12)"]
 PUNCT = [" ", "  ", ", ", ". ", "-", "_", "/", "$", "%", "(", ")", "'", "\t", "\n", ": "]
 BLANKS = ["", " ", "\t", "\n"]
@@ -250,6 +265,102 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
     assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 1, 1), TableAnchor("t1", 2, 1)]
     distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
     assert Counter(calls) == Counter([reply, question, *distinct])
+
+
+@st.composite
+def echo_and_informative_bundles(draw):
+    """Tables that state only cells the question echoes, beside one stating a fact.
+
+    Echoed cells are drawn from WORDS and facts from NUMERALS, whose tokens
+    no word shares, so the fact table always holds an informative cell.
+    """
+    echoes = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    facts = draw(st.lists(st.sampled_from(NUMERALS), min_size=1, max_size=2))
+    question = "What about " + " ".join(echoes) + "?"
+    reply = phrase(draw, echoes + facts) + " " + " ".join(facts) + ". " + question
+    echo_cell = st.one_of(st.sampled_from(echoes), st.sampled_from(BLANKS))
+    fact_cell = st.one_of(st.sampled_from(echoes + facts), st.sampled_from(BLANKS))
+
+    def rows_of(cell_):
+        n_cols = draw(st.integers(1, 3))
+        return n_cols, draw(st.lists(st.lists(cell_, min_size=n_cols, max_size=n_cols), max_size=6))
+
+    specs = [rows_of(echo_cell) for _ in range(draw(st.integers(1, 2)))]
+    n_cols, rows = rows_of(fact_cell)
+    rows.append(draw(st.permutations([draw(st.sampled_from(facts))] + [""] * (n_cols - 1))))
+    fact_at = draw(st.integers(0, len(specs)))
+    specs.insert(fact_at, (n_cols, rows))
+    tables_ = [Table(f"t{i}", [f"c{j}" for j in range(n)], r) for i, (n, r) in enumerate(specs)]
+    return SourceBundle(tables=tables_), question, reply, f"t{fact_at}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(echo_and_informative_bundles())
+def test_informative_cell_in_one_table_drops_echoes_in_all(case):
+    sources, question, reply, fact_table = case
+    anchors = extract_table_anchors(reply, sources, question)
+    assert anchors == reference_extract_table_anchors(reply, sources, question)
+    assert {anchor.table_id for anchor in anchors} == {fact_table}
+
+
+def test_anchoring_builds_only_the_anchors_it_returns(monkeypatch):
+    built = []
+
+    def counting_anchor(*args):
+        built.append(args)
+        return TableAnchor(*args)
+
+    monkeypatch.setattr(logboard.agents, "TableAnchor", counting_anchor)
+    # The echoed cell "Revenue" fills every row; one row states the fact.
+    rows = [["Revenue", f"Firm{i}", f"${i}M"] for i in range(300)]
+    sources = SourceBundle(tables=[Table("t", ["Metric", "Company", "Value"], rows)])
+    reply, question = "Firm7 revenue was $7M.", "What was the revenue of Firm7?"
+    anchors = extract_table_anchors(reply, sources, question)
+    assert anchors == reference_extract_table_anchors(reply, sources, question)
+    assert anchors == [TableAnchor("t", 7, 2)]
+    assert len(built) == len(anchors)
+
+
+# \x1c and \x85 are whitespace to both str.split and re, "_" is a word
+# character, "İ" lowers to "i" and a combining dot, and a final "Σ" lowers
+# to "ς".
+NORMALIZE_CHARS = list("aZ9 _.,-'$\t\n\x1c\x85\u00a0\u2028\u0301\u0307İΣΑσς\u212a")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(NORMALIZE_CHARS), st.characters()), max_size=16))
+def test_normalize_matches_blank_and_split_formula(text):
+    assert normalize(text) == " ".join(reference_normalize_tokens(text))
+
+
+@st.composite
+def table_slices(draw):
+    """A table of 0-4 columns, sliced to none, one, some or all of them and any rows."""
+    n_cols = draw(st.integers(0, 4))
+    header = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), max_size=6))
+    col_choices = [st.just([]), st.just(list(range(n_cols)))]
+    if n_cols:
+        col_choices.append(st.integers(0, n_cols - 1).map(lambda col: [col]))
+        col_choices.append(st.sets(st.integers(0, n_cols - 1)).map(sorted))
+    kept_cols = draw(st.one_of(col_choices))
+    kept_rows = draw(st.sets(st.integers(0, len(rows) - 1)).map(sorted)) if rows else []
+    return Table("t", header, rows), TableSlice(kept_rows, kept_cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_slices())
+def test_render_table_slice_matches_per_row_reference(case):
+    table, slice_ = case
+    assert render_table_slice(table, slice_) == reference_render_table_slice(table, slice_)
+
+
+def test_zero_column_json_table_renders_blank_lines():
+    sources = bundle_from_dict({"tables": [{"id": "T", "header": [], "rows": [[], []]}]})
+    table = sources.tables[0]
+    slice_ = select_table_slice(table, "What was the revenue?")
+    assert slice_ == TableSlice(kept_rows=[0, 1], kept_cols=[])
+    assert render_table_slice(table, slice_) == "Table T:\n\n\n"
 
 
 passage_text = st.lists(
