@@ -1,11 +1,12 @@
 """The five agent roles: trigger heuristics, prompts, and typed entries.
 
-Retrieval roles (Table, Context, Visual) decide for themselves whether to
-act on the current log; the Summarizing and Verification roles are invoked
-by the scheduler. Every act() builds a role prompt over the rendered log
-and truncated sources, makes exactly one backend call, and parses the
-reply into a typed entry with provenance extracted from source references.
-An abstention is a parsed outcome, not an error.
+Retrieval roles (Table, Context, Visual) are agents that decide for
+themselves whether to act on the current log; the Summarizing and
+Verification roles are the functions summarize and verification_act, which
+the scheduler calls. Each builds a role prompt over the rendered log and
+truncated sources, makes exactly one backend call, and parses the reply
+into a typed entry with provenance extracted from source references. An
+abstention is a parsed outcome, not an error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .retrieval import (
     truncate_span,
 )
 from .sources import SourceBundle, Table
-from .textutil import GAP_PHRASES, normalize, parse_numerals, tokenize
+from .textutil import GAP_PHRASES, mentions_image, normalize, parse_numerals, tokenize
 from .verify import Finding, verify_deterministic
 
 logger = logging.getLogger(__name__)
@@ -62,14 +63,6 @@ class AgentRole(Enum):
     VERIFICATION = "Verification"
 
 
-ROLE_AGENT_NAMES = {
-    AgentRole.TABLE: TABLE_AGENT,
-    AgentRole.CONTEXT: CONTEXT_AGENT,
-    AgentRole.VISUAL: VISUAL_AGENT,
-    AgentRole.SUMMARIZING: SUMMARIZING_AGENT,
-    AgentRole.VERIFICATION: VERIFICATION_AGENT,
-}
-
 _DETERMINISTIC_ROLES = frozenset({AgentRole.SUMMARIZING, AgentRole.VERIFICATION})
 
 
@@ -83,13 +76,6 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.temperature is None:
             self.temperature = 0.0 if self.role in _DETERMINISTIC_ROLES else 0.3
-
-
-_IMAGE_MENTION_RE = re.compile(r"image|figure", re.IGNORECASE)
-
-
-def _log_mentions_images(log: SharedLog) -> bool:
-    return any(_IMAGE_MENTION_RE.search(e.content) for e in log.entries)
 
 
 def _latest_flag_reason(log: SharedLog) -> str | None:
@@ -479,9 +465,8 @@ class VisualAgent:
         self.config = config or AgentConfig(AgentRole.VISUAL)
 
     def should_act(self, log: SharedLog, sources: SourceBundle, round_idx: int) -> bool:
-        if not sources.images:
-            return False
-        return bool(_IMAGE_MENTION_RE.search(log.question())) or _log_mentions_images(log)
+        # The question is the log's Query entry, so it is among those searched.
+        return bool(sources.images) and any(mentions_image(e.content) for e in log.entries)
 
     def notify_flag(self) -> None:
         pass
@@ -496,36 +481,6 @@ class VisualAgent:
             logger.debug("VisualAgent reply referenced no image; treated as abstention")
             return None
         return LogEntry(VISUAL_AGENT, EntryType.VISUAL, reply.strip(), provenance=list(refs))
-
-
-class SummarizingAgent:
-    """Synthesizes a progress Summary or the final Answer from the log."""
-
-    role = AgentRole.SUMMARIZING
-
-    def __init__(self, config: AgentConfig | None = None) -> None:
-        self.config = config or AgentConfig(AgentRole.SUMMARIZING)
-
-    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        prompt = build_prompt(self.role, log, sources, self.config)
-        reply = backend.generate(prompt, self.config.temperature, self.config.max_tokens)
-        if not reply.strip():
-            logger.debug("SummarizingAgent returned an empty reply")
-            return None
-        entry_type = EntryType.ANSWER if parse_answer(reply) else EntryType.SUMMARY
-        return LogEntry(SUMMARIZING_AGENT, entry_type, reply.strip())
-
-
-class VerificationAgent:
-    """Deterministic checks first; the backend covers semantic support."""
-
-    role = AgentRole.VERIFICATION
-
-    def __init__(self, config: AgentConfig | None = None) -> None:
-        self.config = config or AgentConfig(AgentRole.VERIFICATION)
-
-    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry:
-        return verification_act(log, backend, self.config)
 
 
 def flag_content(finding: Finding) -> str:
@@ -546,11 +501,24 @@ def flagged_steps(content: str) -> list[int]:
     return [int(part) for part in match.group(1).split(",") if part.strip()]
 
 
-# The verifier's prompt shows the log, not the sources; built once, never changed.
+# The Summarizer's and verifier's prompts show the log, not the sources;
+# built once, never changed.
 _NO_SOURCES = SourceBundle()
 
 
-def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig | None = None) -> LogEntry:
+def summarize(log: SharedLog, backend: TextBackend) -> LogEntry | None:
+    """A progress Summary or the final Answer, synthesized from the log."""
+    config = AgentConfig(AgentRole.SUMMARIZING)
+    prompt = build_prompt(AgentRole.SUMMARIZING, log, _NO_SOURCES, config)
+    reply = backend.generate(prompt, config.temperature, config.max_tokens)
+    if not reply.strip():
+        logger.debug("Summarizer returned an empty reply")
+        return None
+    entry_type = EntryType.ANSWER if parse_answer(reply) else EntryType.SUMMARY
+    return LogEntry(SUMMARIZING_AGENT, entry_type, reply.strip())
+
+
+def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     """Verify the latest Answer: Flag on any deterministic finding, else
     defer to the backend verdict.
 
@@ -559,7 +527,7 @@ def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig |
     while the deterministic checks are clean, the verdict fails open to OK
     with a note; arithmetic failures can never be masked this way.
     """
-    config = config or AgentConfig(AgentRole.VERIFICATION)
+    config = AgentConfig(AgentRole.VERIFICATION)
     answer_entry = log.latest(EntryType.ANSWER)
     if answer_entry is None:
         raise ValueError("verification requires a prior Answer entry")
@@ -576,10 +544,8 @@ def verification_act(log: SharedLog, backend: TextBackend, config: AgentConfig |
             EntryType.OK,
             "OK (backend-unavailable; deterministic checks passed)",
         )
-    verdict = parse_verdict(reply) if reply.strip() else None
-    if verdict is None or verdict.ok:
-        content = reply.strip() or "OK"
-        return LogEntry(VERIFICATION_AGENT, EntryType.OK, content)
+    if not reply.strip() or parse_verdict(reply):
+        return LogEntry(VERIFICATION_AGENT, EntryType.OK, reply.strip() or "OK")
     return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, reply.strip())
 
 
@@ -587,11 +553,9 @@ RETRIEVAL_ROLES = (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL)
 
 
 def build_agents() -> dict[AgentRole, object]:
-    """Fresh per-run agent set with standard per-role temperatures."""
+    """Fresh per-run retrieval agents with standard per-role temperatures."""
     return {
         AgentRole.TABLE: TableAgent(),
         AgentRole.CONTEXT: ContextAgent(),
         AgentRole.VISUAL: VisualAgent(),
-        AgentRole.SUMMARIZING: SummarizingAgent(),
-        AgentRole.VERIFICATION: VerificationAgent(),
     }

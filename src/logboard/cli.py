@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
-from .backends import BASE_URL_ENV, HttpBackend, ScriptedBackend
+from .backends import BASE_URL_ENV, HttpBackend, ScriptedBackend, TextBackend
 from .gating import LogisticGate, mine_samples_from_dir, train
 from .harness import FaultSpec, FaultType, inject_faults, load_benchmark, run_benchmark
 from .log import load_trace
@@ -116,13 +117,20 @@ def _apply_config_file(
     return parser.parse_args(argv)
 
 
-def _make_backend(args: argparse.Namespace):
+def _backend_factory(args: argparse.Namespace) -> Callable[[], TextBackend]:
+    """Fresh backends for ask or bench; one is built here, so a missing
+    fixture or base URL is an error before the first question."""
     if args.scripted:
         path = Path(args.scripted)
         if not path.exists():
             raise FileNotFoundError(f"scripted fixture not found: {path}")
-        return ScriptedBackend.from_file(path)
-    return HttpBackend(base_url=args.backend_url, model=args.model)
+        with open(path, encoding="utf-8") as fh:
+            script = json.load(fh)
+        factory = lambda: ScriptedBackend(script)  # noqa: E731
+    else:
+        factory = lambda: HttpBackend(base_url=args.backend_url, model=args.model)  # noqa: E731
+    factory()
+    return factory
 
 
 def _scheduler_config(args: argparse.Namespace) -> SchedulerConfig:
@@ -137,7 +145,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
         print("error: question must be non-empty", file=sys.stderr)
         return 1
     sources = load_sources(args.sources)
-    backend = _make_backend(args)
+    backend = _backend_factory(args)()
     gate = LogisticGate.load(args.gate) if args.gate else None
     try:
         result = run(
@@ -163,13 +171,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     records = load_benchmark(args.dataset)
-    if args.scripted:
-        path = Path(args.scripted)
-        with open(path, encoding="utf-8") as fh:
-            script = json.load(fh)
-        backend_factory = lambda: ScriptedBackend(script)  # noqa: E731
-    else:
-        backend_factory = lambda: HttpBackend(base_url=args.backend_url, model=args.model)  # noqa: E731
+    backend_factory = _backend_factory(args)
     fault_spec = None
     if args.fault_type or args.fault_rate is not None:
         if not (args.fault_type and args.fault_rate is not None):

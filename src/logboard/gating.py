@@ -20,11 +20,9 @@ from typing import Iterable, Sequence
 
 from .log import EVIDENCE_TYPES, EntryType, LogEntry, SharedLog, load_trace, parse_answer
 from .sources import JSON_NUMBER, SourceBundle, json_field, json_value
-from .textutil import count_gap_phrases, numeral_values
+from .textutil import count_gap_phrases, mentions_image, numeral_values
 
 logger = logging.getLogger(__name__)
-
-FEATURE_NAMES = ("image_present", "summary_confidence", "new_entries", "pending_needs_delta")
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def extract_features(log, new_entries: int, sources: SourceBundle | None = None)
     image_present = 0
     if sources is not None and sources.images:
         image_present = 1
-    elif any("image" in e.content.lower() or "figure" in e.content.lower() for e in entries):
+    elif any(mentions_image(e.content) for e in entries):
         image_present = 1
     summaries = _latest_summaries(entries)
     if not summaries:

@@ -324,26 +324,13 @@ def parse_answer(content: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    reason: str = ""
-
-
 _OK_TOKEN_RE = re.compile(r"\bOK\b")
 _NO_ISSUES_RE = re.compile(r"no issues flagged", re.IGNORECASE)
-_FLAG_WORD_RE = re.compile(r"flag|incorrect|missing", re.IGNORECASE)
 
 
-def parse_verdict(content: str) -> Verdict:
-    """Map verification text to OK or Flag(reason)."""
-    if _OK_TOKEN_RE.search(content) or _NO_ISSUES_RE.search(content):
-        return Verdict(ok=True)
-    for start, end in textutil.split_sentences(content):
-        sentence = content[start:end].strip()
-        if _FLAG_WORD_RE.search(sentence):
-            return Verdict(ok=False, reason=sentence)
-    return Verdict(ok=False, reason="unparseable verdict")
+def parse_verdict(content: str) -> bool:
+    """True when verification text says OK; anything else is a Flag."""
+    return bool(_OK_TOKEN_RE.search(content) or _NO_ISSUES_RE.search(content))
 
 
 # --- JSONL trace interchange -------------------------------------------------

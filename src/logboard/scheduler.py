@@ -2,7 +2,7 @@
 
 One run is a sequential state machine over a fresh shared log. Each round
 offers turns to Table, Context, Visual in that fixed order, then invokes
-the Summarizer, then the Verifier on a proposed Answer. A Flag buys a
+the Summarizer, then the Verifier on the committed Answer. A Flag buys a
 single re-engagement round; guardrails (max rounds, per-agent caps, dedup,
 no-progress detection) bound every run regardless of backend behavior.
 """
@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .agents import RETRIEVAL_ROLES, AgentRole, build_agents
+from .agents import RETRIEVAL_ROLES, AgentRole, build_agents, summarize, verification_act
 from .backends import HttpBackend, RequestRejected, TextBackend, TransportError
 from .gating import LogisticGate, extract_features, predict_continue
 from .log import (
@@ -70,8 +70,6 @@ class RoundAudit:
 
 @dataclass
 class RunState:
-    round: int = 0
-    updated: bool = False
     consecutive_nonanswer_summaries: int = 0
     action_counts: dict[AgentRole, int] = field(
         default_factory=lambda: {role: 0 for role in RETRIEVAL_ROLES}
@@ -88,12 +86,7 @@ class RunMetrics:
     wall_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "backend_calls": self.backend_calls,
-            "token_usage": self.token_usage,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -128,8 +121,8 @@ def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
                mutator: EntryMutator | None = None) -> bool:
     """Offer one retrieval turn; True iff an entry was accepted.
 
-    A dedup-rejected append still counts toward the role's cap but leaves
-    the round's updated flag untouched. Abstentions cost a backend call
+    A dedup-rejected append still counts toward the role's cap but not
+    toward the round's new entries. Abstentions cost a backend call
     but no cap.
     """
     role = agent.role
@@ -145,7 +138,6 @@ def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
     result = log.append(entry)
     state.action_counts[role] += 1
     if result is AppendResult.ACCEPTED:
-        state.updated = True
         state.new_entries_this_round += 1
         return True
     return False
@@ -197,7 +189,6 @@ def run(
         raise TransportAbort(f"backend transport failed after 2 retries: {last}", log)
 
     termination: Termination | None = None
-    final_answer: Optional[str] = None
     audits: list[RoundAudit] = []
     retrieval_frozen = False
     allowed_rounds = config.max_rounds
@@ -211,8 +202,6 @@ def run(
         )
 
     while round_idx < allowed_rounds and termination is None:
-        state.round = round_idx
-        state.updated = False
         state.new_entries_this_round = 0
         flag_granted = False
         retrieval_ran = not retrieval_frozen
@@ -221,45 +210,45 @@ def run(
             for role in RETRIEVAL_ROLES:
                 offer_turn(agents[role], state, log, sources, backend, round_idx, retry, entry_mutator)
 
-        summarizer = agents[AgentRole.SUMMARIZING]
-        summary_entry = retry(lambda: summarizer.act(log, sources, backend))
+        summary_entry = retry(lambda: summarize(log, backend))
         if summary_entry is not None:
             log.append(summary_entry)
-            if summary_entry.entry_type is EntryType.ANSWER:
-                state.consecutive_nonanswer_summaries = 0
-                if config.verifier_enabled:
-                    verifier = agents[AgentRole.VERIFICATION]
-                    calls_pre = backend.calls
-                    verdict = verifier.act(log, sources, backend)
-                    if backend.calls > calls_pre:
-                        clock.advance(BACKEND_CALL_TICK_MS)
-                    log.append(verdict)
-                    if verdict.entry_type is EntryType.OK:
-                        termination = Termination.ANSWER_VERIFIED
-                        final_answer = parse_answer(summary_entry.content)
-                    elif state.re_engage_count < config.reengage_limit:
-                        state.re_engage_count += 1
-                        allowed_rounds = max(allowed_rounds, round_idx + 2)
-                        retrieval_frozen = False
-                        flag_granted = True
-                        for role in RETRIEVAL_ROLES:
-                            agents[role].notify_flag()
-                    else:
-                        termination = Termination.ANSWER_UNVERIFIED
-                        final_answer = parse_answer(summary_entry.content)
+        # A dedup-rejected Answer stands for the committed Answer it repeats,
+        # so the verifier checks log.latest(ANSWER) either way.
+        if (
+            summary_entry is not None
+            and summary_entry.entry_type is EntryType.ANSWER
+            and log.latest(EntryType.ANSWER) is not None
+        ):
+            state.consecutive_nonanswer_summaries = 0
+            if config.verifier_enabled:
+                calls_pre = backend.calls
+                verdict = verification_act(log, backend)
+                if backend.calls > calls_pre:
+                    clock.advance(BACKEND_CALL_TICK_MS)
+                log.append(verdict)
+                if verdict.entry_type is EntryType.OK:
+                    termination = Termination.ANSWER_VERIFIED
+                elif state.re_engage_count < config.reengage_limit:
+                    state.re_engage_count += 1
+                    allowed_rounds = max(allowed_rounds, round_idx + 2)
+                    retrieval_frozen = False
+                    flag_granted = True
+                    for role in RETRIEVAL_ROLES:
+                        agents[role].notify_flag()
                 else:
                     termination = Termination.ANSWER_UNVERIFIED
-                    final_answer = parse_answer(summary_entry.content)
             else:
-                state.consecutive_nonanswer_summaries += 1
+                termination = Termination.ANSWER_UNVERIFIED
         else:
             state.consecutive_nonanswer_summaries += 1
 
+        updated = state.new_entries_this_round > 0
         any_pending = pending_roles(round_idx + 1)
         audits.append(
             RoundAudit(
                 round_idx=round_idx,
-                updated=state.updated,
+                updated=updated,
                 consecutive_nonanswer_summaries=state.consecutive_nonanswer_summaries,
                 any_pending=any_pending,
                 retrieval_ran=retrieval_ran,
@@ -267,12 +256,11 @@ def run(
         )
         if (
             termination is None
-            and not state.updated
+            and not updated
             and not any_pending
             and state.consecutive_nonanswer_summaries >= 2
         ):
             termination = Termination.NO_PROGRESS
-            final_answer = None
 
         if (
             termination is None
@@ -286,15 +274,13 @@ def run(
 
         round_idx += 1
 
+    # The run's answer is the committed Answer, the one the verifier checked.
+    answer = log.latest(EntryType.ANSWER)
     if termination is None:
-        # Round budget exhausted; score whatever the Summarizer last produced.
-        last_answer = log.latest(EntryType.ANSWER)
-        if last_answer is not None:
-            termination = Termination.ANSWER_UNVERIFIED
-            final_answer = parse_answer(last_answer.content)
-        else:
-            termination = Termination.MAX_ROUNDS
-            final_answer = None
+        # Round budget exhausted; an Answer that was never verified still counts.
+        termination = Termination.MAX_ROUNDS if answer is None else Termination.ANSWER_UNVERIFIED
+    answered = termination in (Termination.ANSWER_VERIFIED, Termination.ANSWER_UNVERIFIED)
+    final_answer = parse_answer(answer.content) if answered else None
 
     metrics = RunMetrics(
         rounds=round_idx,

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 # Context trigger and the gating features.
 GAP_PHRASES = ("needed", "missing", "not sure", "don't have")
 
+# Words that bring the Visual agent in. Shared by its trigger and the
+# gating features.
+_IMAGE_MENTION_RE = re.compile(r"image|figure", re.IGNORECASE)
+
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _WORD_CHARS_RE = re.compile(r"\w+")
 _SENTENCE_END_RE = re.compile(r"[.?!]+(?=\s)")
@@ -210,6 +214,10 @@ def qa_normalize(text: str, strip_articles: bool = True) -> str:
     if strip_articles:
         words = [w for w in words if w not in _ARTICLES]
     return " ".join(words)
+
+
+def mentions_image(text: str) -> bool:
+    return _IMAGE_MENTION_RE.search(text) is not None
 
 
 def count_gap_phrases(text: str) -> int:

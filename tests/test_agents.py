@@ -6,16 +6,16 @@ from logboard.agents import (
     AgentConfig,
     AgentRole,
     ContextAgent,
-    SummarizingAgent,
     TableAgent,
-    VerificationAgent,
     VisualAgent,
     build_prompt,
     extract_doc_spans,
     extract_table_anchors,
+    summarize,
     verification_act,
 )
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
+from logboard.gating import extract_features
 from logboard.log import (
     SUMMARIZING_AGENT,
     EntryType,
@@ -53,6 +53,20 @@ def test_visual_fires_on_image_mention():
     assert not agent.should_act(fresh_log("What was the revenue?"), sources, 0)
     mentioned = log_with("What was it?", lookup("See the image in Table 1 appendix."))
     assert agent.should_act(mentioned, sources, 1)
+
+
+# The four strings where a case-insensitive match and a lowercased
+# substring test disagree, then one mention and one non-mention.
+@pytest.mark.parametrize(
+    ("question", "mentions"),
+    [("İmage", True), ("fİgure", True), ("ımage", True), ("fıgure", True),
+     ("What does the figure show?", True), ("What was the revenue?", False)],
+)
+def test_visual_trigger_and_gate_feature_agree_on_image_mentions(question, mentions):
+    log = fresh_log(question)
+    sources = SourceBundle(images=[Image("img1", caption="a chart")])
+    assert VisualAgent().should_act(log, sources, 0) is mentions
+    assert extract_features(log, 0, SourceBundle()).image_present == mentions
 
 
 def test_context_round_zero_and_gap_trigger():
@@ -115,12 +129,11 @@ def test_unparseable_reply_becomes_abstention_not_malformed_entry():
 
 
 def test_summarizer_act_types():
-    agent = SummarizingAgent()
     backend = ScriptedBackend({"summarizing agent": "Answer: 42"})
-    entry = agent.act(fresh_log(), golden_sources(), backend)
+    entry = summarize(fresh_log(), backend)
     assert entry.entry_type is EntryType.ANSWER and parse_answer(entry.content) == "42"
     backend = ScriptedBackend({"summarizing agent": "Still missing the 2019 figure."})
-    entry = agent.act(fresh_log(), golden_sources(), backend)
+    entry = summarize(fresh_log(), backend)
     assert entry.entry_type is EntryType.SUMMARY
 
 
@@ -277,10 +290,10 @@ def test_role_type_discipline_through_act():
     for agent, expected in (
         (TableAgent(), EntryType.LOOKUP),
         (ContextAgent(), EntryType.QUOTE),
-        (SummarizingAgent(), EntryType.ANSWER),
     ):
         entry = agent.act(log, sources, backend)
         assert entry.entry_type is expected
+    assert summarize(log, backend).entry_type is EntryType.ANSWER
 
 
 def test_scripted_determinism_of_act():

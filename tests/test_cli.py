@@ -9,7 +9,7 @@ from logboard.log import load_trace
 
 from logboard.gating import LogisticGate
 from logboard.harness import run_benchmark
-from logboard.backends import ScriptedBackend
+from logboard.backends import BASE_URL_ENV, ScriptedBackend
 from logboard.sources import bundle_to_dict
 
 from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION, gate_fixture
@@ -123,6 +123,17 @@ def test_bench_writes_metrics_and_prints_summary(tmp_path, capsys):
     assert metrics["em"] == 1.0
     assert (tmp_path / "report.jsonl").exists()
     assert (tmp_path / "trace_000.jsonl").exists()
+
+
+def test_bench_without_a_backend_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(BASE_URL_ENV, raising=False)
+    code = main(["bench", str(FIXTURES / "golden_bench.jsonl"), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "no base URL given" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "report.jsonl").exists()
 
 
 def test_bench_with_faults_writes_faults_json(tmp_path):

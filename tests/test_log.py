@@ -206,15 +206,13 @@ def test_parse_answer_roundtrip_through_template():
 
 
 def test_parse_verdict():
-    assert parse_verdict("Verified. The table checks out. (No issues flagged.)").ok
-    assert parse_verdict("OK").ok
-    v = parse_verdict("Flagged incorrect calculation: 55-50 is not 6.")
-    assert not v.ok and "Flagged incorrect" in v.reason
-    v = parse_verdict("The table value is unsupported; CEO in 2020 missing.")
-    assert not v.ok and "missing" in v.reason
-    assert parse_verdict("gibberish").reason == "unparseable verdict"
+    assert parse_verdict("Verified. The table checks out. (No issues flagged.)")
+    assert parse_verdict("OK")
+    assert not parse_verdict("Flagged incorrect calculation: 55-50 is not 6.")
+    assert not parse_verdict("The table value is unsupported; CEO in 2020 missing.")
+    assert not parse_verdict("gibberish")
     # Standalone token only: lowercase or embedded "ok" is not a verdict.
-    assert not parse_verdict("it is broken, not okay").ok
+    assert not parse_verdict("it is broken, not okay")
 
 
 def test_jsonl_roundtrip():

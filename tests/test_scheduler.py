@@ -23,6 +23,7 @@ from logboard.scheduler import (
     run,
 )
 from logboard.sources import Image, SourceBundle, Table
+from logboard.verify import verify_deterministic
 
 from helpers import (
     GOLDEN_ANSWER,
@@ -145,6 +146,56 @@ def test_max_rounds_with_unverified_answer_returns_it():
     assert result.final_answer == GOLDEN_ANSWER
 
 
+# A multi-sentence Answer, and the same text with another amount: long
+# enough that dedup rejects the second as a near-duplicate of the first.
+LONG_ANSWER = (
+    "Table 1 gives revenue of $50M for 2018 and $55M for 2019. The report says the "
+    "increase in 2019 was primarily due to higher sales volume. Both facts are in the "
+    "shared log, one from the table lookup and one from the passage quote, and they agree "
+    "with each other. Therefore revenue grew over the year, driven by sales volume. "
+    f"Answer: {GOLDEN_ANSWER}"
+)
+WRONG_ANSWER = GOLDEN_ANSWER.replace("$5M", "$6M")
+
+
+@pytest.mark.parametrize("verifier_enabled", [True, False])
+def test_dedup_rejected_answer_returns_the_committed_answer(verifier_enabled):
+    repeat = LONG_ANSWER.replace(GOLDEN_ANSWER, WRONG_ANSWER)
+    assert is_near_duplicate(LONG_ANSWER, repeat)
+    script = golden_script()
+    script["summarizing agent"] = [LONG_ANSWER, repeat]
+    script["verification agent"] = ["The answer is incorrect: the reason is not supported.", "OK"]
+    config = SchedulerConfig(verifier_enabled=verifier_enabled)
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), config=config)
+    answers = [e for e in result.log.entries if e.entry_type is EntryType.ANSWER]
+    assert [e.content for e in answers] == [LONG_ANSWER]
+    # The repeat was never committed, and the verifier would flag it if it were.
+    assert verify_deterministic(result.log, WRONG_ANSWER)
+    assert result.final_answer == GOLDEN_ANSWER
+    if verifier_enabled:
+        assert result.termination is Termination.ANSWER_VERIFIED
+        assert result.metrics.rounds == 2
+    else:
+        assert result.termination is Termination.ANSWER_UNVERIFIED
+        assert result.metrics.rounds == 1
+
+
+@pytest.mark.parametrize("verifier_enabled", [True, False])
+def test_rejected_answer_with_none_committed_is_a_nonanswer_summary(verifier_enabled):
+    summary = (
+        "The revenue was $50M in 2018 and $55M in 2019 according to Table 1, and the report "
+        "attributes the increase to higher sales volume, so the log already holds both facts."
+    )
+    script = golden_script()
+    script["summarizing agent"] = [summary, f"{summary} Answer: $5M increase."]
+    config = SchedulerConfig(verifier_enabled=verifier_enabled)
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), config=config)
+    assert result.log.latest(EntryType.ANSWER) is None
+    assert result.termination is Termination.NO_PROGRESS
+    assert result.final_answer is None
+    assert result.audits[-1].consecutive_nonanswer_summaries == 2
+
+
 def test_verifier_disabled_never_verifies():
     config = SchedulerConfig(verifier_enabled=False)
     result = run_golden(config=config)
@@ -193,7 +244,7 @@ def test_offer_turn_appends_lookup():
     acted = offer_turn(
         agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0, lambda fn: fn(),
     )
-    assert acted and state.updated and state.action_counts[AgentRole.TABLE] == 1
+    assert acted and state.new_entries_this_round == 1 and state.action_counts[AgentRole.TABLE] == 1
     assert log.entries[-1].entry_type is EntryType.LOOKUP
 
 
@@ -207,9 +258,9 @@ def test_dedup_rejected_append_counts_toward_cap_without_update():
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
     offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0, lambda fn: fn())
     agents[AgentRole.TABLE].notify_flag()  # re-open coverage; same reply comes back
-    state.updated = False
+    state.new_entries_this_round = 0
     acted = offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 1, lambda fn: fn())
-    assert not acted and not state.updated
+    assert not acted and not state.new_entries_this_round
     assert state.action_counts[AgentRole.TABLE] == 2
 
 
