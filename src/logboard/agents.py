@@ -20,7 +20,7 @@ from itertools import chain, compress
 from operator import not_
 
 from . import retrieval
-from .backends import DEFAULT_MAX_TOKENS, TextBackend, TransportError
+from .backends import BACKEND_ATTEMPTS, DEFAULT_MAX_TOKENS, RequestRejected, TextBackend, TransportError
 from .log import (
     CONTEXT_AGENT,
     SUMMARIZING_AGENT,
@@ -523,7 +523,8 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     defer to the backend verdict.
 
     Deterministic findings always override a backend OK (they are checked
-    first and skip the backend entirely). If the backend is unreachable
+    first and skip the backend entirely). The backend call gets the same
+    attempts as any other; if they all fail, or the request is refused,
     while the deterministic checks are clean, the verdict fails open to OK
     with a note; arithmetic failures can never be masked this way.
     """
@@ -536,9 +537,16 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     if findings:
         return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag_content(findings[0]))
     prompt = build_prompt(AgentRole.VERIFICATION, log, _NO_SOURCES, config, answer_text)
-    try:
-        reply = backend.generate(prompt, config.temperature, config.max_tokens)
-    except TransportError:
+    reply = None
+    for _ in range(BACKEND_ATTEMPTS):
+        try:
+            reply = backend.generate(prompt, config.temperature, config.max_tokens)
+            break
+        except RequestRejected:
+            break  # sent again, it would be refused again
+        except TransportError:
+            continue
+    if reply is None:
         return LogEntry(
             VERIFICATION_AGENT,
             EntryType.OK,

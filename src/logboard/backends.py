@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from .log import token_estimate
@@ -21,6 +20,7 @@ API_KEY_ENV = "LOGBOARD_API_KEY"
 BASE_URL_ENV = "LOGBOARD_BASE_URL"
 
 DEFAULT_MAX_TOKENS = 512
+BACKEND_ATTEMPTS = 3  # tries per backend call: the first plus two retries
 
 
 class TransportError(RuntimeError):
@@ -139,11 +139,6 @@ class ScriptedBackend(UsageMixin):
             needles = [part for part in pattern.split("&&") if part]
             self._patterns.append((pattern, needles, replies))
         self._cursor: dict[str, int] = {}
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def generate(self, prompt: str, temperature: float, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
         reply = ""

@@ -242,9 +242,8 @@ def split_rounds(entries: Sequence[LogEntry]) -> list[_Round]:
     return rounds
 
 
-def _cited_in_answer(entry: LogEntry, answer_text: str) -> bool:
-    answer_values = set(numeral_values(answer_text))
-    if answer_values & set(numeral_values(entry.content)):
+def _cited_in_answer(entry: LogEntry, answer_text: str, answer_values: set[float]) -> bool:
+    if not answer_values.isdisjoint(numeral_values(entry.content)):
         return True
     lowered = answer_text.lower()
     for anchor in entry.provenance:
@@ -274,16 +273,20 @@ def mine_samples(traces: Iterable[Sequence[LogEntry]]) -> list[GateSample]:
             )
             continue
         answer_text = parse_answer(answers[-1].content) or answers[-1].content
+        answer_values = set(numeral_values(answer_text))
+        # Whether each round appended evidence the answer cites; each entry is read once.
+        cites = [
+            any(
+                _cited_in_answer(e, answer_text, answer_values)
+                for e in round_.entries
+                if e.entry_type in EVIDENCE_TYPES
+            )
+            for round_ in rounds
+        ]
         prefix: list[LogEntry] = [e for e in entries if e.entry_type is EntryType.QUERY][:1]
         for idx, round_ in enumerate(rounds[:-1]):
             prefix = prefix + round_.entries
-            later_evidence = [
-                e
-                for later in rounds[idx + 1 :]
-                for e in later.entries
-                if e.entry_type in EVIDENCE_TYPES
-            ]
-            label = int(any(_cited_in_answer(e, answer_text) for e in later_evidence))
+            label = int(any(cites[idx + 1 :]))
             new_entries = sum(e.entry_type in EVIDENCE_TYPES for e in round_.entries)
             samples.append(GateSample(extract_features(prefix, new_entries), label))
     return samples

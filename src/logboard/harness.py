@@ -48,7 +48,6 @@ from .textutil import (
     canonical_numeral_token,
     capitalized_spans,
     is_year_like,
-    numeral_values,
     parse_numerals,
     qa_normalize,
 )
@@ -391,6 +390,10 @@ def catch_and_repair(
             first_flag_step = flag.step
     caught_targets: list[int | str] = []
     repaired_targets: list[int | str] = []
+
+    def values(text: str) -> set[float]:
+        return {m.value for m in final_log.numerals(text)}
+
     for label in labels:
         if isinstance(label.target, int):
             caught = label.target in implicated
@@ -401,12 +404,11 @@ def catch_and_repair(
         caught_targets.append(label.target)
         if not final_answer_ok or first_flag_step is None:
             continue
-        restored = set(numeral_values(label.original)) - set(numeral_values(label.corrupted))
+        restored = values(label.original) - values(label.corrupted)
         for entry in final_log.entries:
             if entry.step <= first_flag_step or entry.entry_type not in EVIDENCE_TYPES:
                 continue
-            entry_values = set(numeral_values(entry.content))
-            if restored and restored <= entry_values:
+            if restored and restored <= values(entry.content):
                 repaired_targets.append(label.target)
                 break
             if not restored and label.original.lower() in entry.content.lower():

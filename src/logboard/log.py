@@ -220,6 +220,7 @@ class SharedLog:
         self.clock = clock or SimClock()
         self._lock = threading.Lock()
         self._norm_cache: list[_DedupKey] = []  # one per committed entry
+        self._numerals: dict[str, tuple[textutil.NumericMention, ...]] = {}
 
     def append(self, entry: LogEntry) -> AppendResult:
         """Validate, dedup, and commit an entry with the next step index."""
@@ -235,6 +236,14 @@ class SharedLog:
             self._norm_cache.append(key)
             self.clock.advance(1)
         return AppendResult.ACCEPTED
+
+    def numerals(self, text: str) -> tuple[textutil.NumericMention, ...]:
+        """The numerals of a text, parsed once per log: a run's readers
+        (verification, groundedness, catch/repair) re-read the same texts."""
+        mentions = self._numerals.get(text)
+        if mentions is None:
+            mentions = self._numerals[text] = tuple(textutil.parse_numerals(text))
+        return mentions
 
     def question(self) -> str:
         for entry in self.entries:

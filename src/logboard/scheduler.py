@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .agents import RETRIEVAL_ROLES, AgentRole, build_agents, summarize, verification_act
-from .backends import HttpBackend, RequestRejected, TextBackend, TransportError
+from .backends import BACKEND_ATTEMPTS, HttpBackend, RequestRejected, TextBackend, TransportError
 from .gating import LogisticGate, extract_features, predict_continue
 from .log import (
     USER,
@@ -176,7 +176,7 @@ def run(
 
     def retry(fn):
         last: TransportError | None = None
-        for _ in range(3):  # initial attempt plus 2 retries
+        for _ in range(BACKEND_ATTEMPTS):
             try:
                 result = fn()
             except RequestRejected as exc:
@@ -226,8 +226,9 @@ def run(
                 verdict = verification_act(log, backend)
                 if backend.calls > calls_pre:
                     clock.advance(BACKEND_CALL_TICK_MS)
-                log.append(verdict)
-                if verdict.entry_type is EntryType.OK:
+                # Only a committed OK verifies; a dedup-rejected verdict is a Flag.
+                committed = log.append(verdict) is AppendResult.ACCEPTED
+                if committed and verdict.entry_type is EntryType.OK:
                     termination = Termination.ANSWER_VERIFIED
                 elif state.re_engage_count < config.reengage_limit:
                     state.re_engage_count += 1

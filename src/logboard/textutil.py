@@ -8,7 +8,7 @@ metric normalizers are all built from these pieces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Phrases the Summarizer uses to signal an information gap. Shared by the
 # Context trigger and the gating features.
@@ -28,9 +28,11 @@ _ARTICLES = {"a", "an", "the"}
 # Word units ("5 million") are matched as a trailing word; "," grouping and
 # decimals are kept inside one token so numerals never split. Digits glued
 # to a word ("Firm0", "v1.2") are not numerals, and match spans carry no
-# surrounding whitespace so splicing mutations back is exact.
+# surrounding whitespace so splicing mutations back is exact. Every match
+# begins with a sign, "$" or a digit; the leading lookahead only rejects
+# other start positions early.
 NUMERAL_RE = re.compile(
-    r"""(?<![\w.])
+    r"""(?=[-+−$\d])(?<![\w.])
         (?P<sign>[-+−])?\$?
         (?P<body>\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?)
         (?P<suffix>%|\s*(?:[KkMmBb])\b|\s+(?:thousand|million|billion|percent)\b)?
@@ -114,8 +116,7 @@ def first_sentence(text: str) -> str:
     return text[start:end].strip()
 
 
-@dataclass(frozen=True)
-class NumericMention:
+class NumericMention(NamedTuple):
     """One numeral found in text, canonicalized.
 
     raw is the mantissa as written ("5", "5.2", "5,000,000"), unit one of
@@ -139,23 +140,14 @@ def parse_numerals(text: str) -> list[NumericMention]:
     """All numeric mentions in reading order."""
     mentions = []
     for match in NUMERAL_RE.finditer(text):
-        body = match.group("body").replace(",", "")
-        raw = float(body)
-        suffix = (match.group("suffix") or "").strip().lower()
-        unit = _UNIT_ALIASES.get(suffix, "")
+        sign, body, suffix = match.group("sign", "body", "suffix")
+        raw = float(body.replace(",", ""))
+        unit = _UNIT_ALIASES.get(suffix.strip().lower(), "") if suffix else ""
         value = raw * _UNIT_SCALE[unit]
-        if match.group("sign") in ("-", "−"):
+        if sign in ("-", "−"):
             raw, value = -raw, -value
-        mentions.append(
-            NumericMention(
-                text=match.group(0).strip(),
-                raw=raw,
-                unit=unit,
-                value=value,
-                start=match.start(),
-                end=match.end(),
-            )
-        )
+        start, end = match.span()
+        mentions.append(NumericMention(match.group(), raw, unit, value, start, end))
     return mentions
 
 

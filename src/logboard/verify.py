@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .log import EntryType, LogEntry, SharedLog
-from .textutil import NumericMention, is_year_like, parse_numerals
+from .log import EntryType, SharedLog
+from .textutil import NumericMention, is_year_like
 
 
 class FindingKind(Enum):
@@ -84,24 +84,10 @@ class _Candidate:
     steps: tuple[int, ...]
 
 
+# Lookup and Visual entries supply arithmetic operands (both carry
+# extracted data values); Quote numerals stay out so prose numbers cannot
+# launder a bad calculation.
 _OPERAND_TYPES = (EntryType.LOOKUP, EntryType.VISUAL)
-
-
-def _lookup_operands(entries: list[LogEntry]) -> list[tuple[NumericMention, int]]:
-    """Numerals usable as arithmetic operands, in log order; years excluded.
-
-    Lookup and Visual entries supply operands (both carry extracted data
-    values); Quote numerals stay out so prose numbers cannot launder a bad
-    calculation.
-    """
-    operands = []
-    for entry in entries:
-        if entry.entry_type not in _OPERAND_TYPES:
-            continue
-        for mention in parse_numerals(entry.content):
-            if not is_year_like(mention):
-                operands.append((mention, entry.step))
-    return operands
 
 
 def _pair_candidates(operands, op: str) -> list[_Candidate]:
@@ -136,12 +122,14 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
     coincidental evidence match. Plain numerals must appear in evidence,
     or be derivable when the answer uses such phrasing anywhere.
     """
-    evidence = log.evidence_entries()
     ev_mentions: list[tuple[NumericMention, int]] = []
-    for entry in evidence:
-        for mention in parse_numerals(entry.content):
+    operands: list[tuple[NumericMention, int]] = []  # in log order, years excluded
+    for entry in log.evidence_entries():
+        is_operand = entry.entry_type in _OPERAND_TYPES
+        for mention in log.numerals(entry.content):
             ev_mentions.append((mention, entry.step))
-    operands = _lookup_operands(evidence)
+            if is_operand and not is_year_like(mention):
+                operands.append((mention, entry.step))
     candidates = {
         op: _pair_candidates(operands, op) for op in ("delta", "sum", "ratio")
     }
@@ -166,7 +154,7 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
         return False, ()
 
     assessments = []
-    for mention in parse_numerals(answer_text):
+    for mention in log.numerals(answer_text):
         kind = classify_claim(answer_text, mention)
         assessment = NumeralAssessment(mention, kind, supported=True)
         if kind in ("delta", "sum", "ratio") and candidates[kind]:

@@ -14,7 +14,7 @@ from logboard.agents import (
     summarize,
     verification_act,
 )
-from logboard.backends import ScriptedBackend, TransportError, UsageMixin
+from logboard.backends import RequestRejected, ScriptedBackend, TransportError, UsageMixin
 from logboard.gating import extract_features
 from logboard.log import (
     SUMMARIZING_AGENT,
@@ -269,6 +269,61 @@ def test_verification_fails_closed_on_arithmetic_despite_backend_down():
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.ANSWER, "Answer: $7M increase"))
     entry = verification_act(log, FailingBackend())
     assert entry.entry_type is EntryType.FLAG
+
+
+class ErrorsThenScript(UsageMixin):
+    """Raises the given errors one per call, then replies from a script."""
+
+    def __init__(self, errors, script):
+        super().__init__()
+        self.errors = list(errors)
+        self.attempts = 0
+        self.inner = ScriptedBackend(script)
+
+    def generate(self, prompt, temperature, max_tokens=512):
+        self.attempts += 1
+        if self.errors:
+            raise self.errors.pop(0)
+        reply = self.inner.generate(prompt, temperature, max_tokens)
+        self._record(prompt, reply)
+        return reply
+
+
+def clean_answer_log():
+    log = log_with(GOLDEN_QUESTION, lookup("Revenue held steady at $50M (Table 1)."))
+    log.append(LogEntry(SUMMARIZING_AGENT, EntryType.ANSWER, "Answer: $50M"))
+    return log
+
+
+@pytest.mark.parametrize(
+    "reply, verdict",
+    [
+        ("Checked against Table 1. (No issues flagged.)", EntryType.OK),
+        ("The figure is not the one in Table 1; recheck it.", EntryType.FLAG),
+    ],
+)
+def test_verifier_retries_a_transient_error_and_the_backend_decides(reply, verdict):
+    backend = ErrorsThenScript([TransportError("HTTP Error 503")], {"verification agent": reply})
+    entry = verification_act(clean_answer_log(), backend)
+    assert backend.attempts == 2
+    assert (entry.entry_type, entry.content) == (verdict, reply)
+
+
+def test_verifier_fails_open_when_every_attempt_fails():
+    errors = [TransportError("HTTP Error 503")] * 3
+    backend = ErrorsThenScript(errors, {"verification agent": "Flagged: recheck it."})
+    entry = verification_act(clean_answer_log(), backend)
+    assert backend.attempts == 3
+    assert entry.entry_type is EntryType.OK
+    assert "backend-unavailable" in entry.content
+
+
+def test_verifier_fails_open_at_once_on_a_rejected_request():
+    backend = ErrorsThenScript([RequestRejected("HTTP Error 404")], {"verification agent": "Flagged."})
+    entry = verification_act(clean_answer_log(), backend)
+    assert backend.attempts == 1
+    assert entry.entry_type is EntryType.OK
+    assert "backend-unavailable" in entry.content
 
 
 def test_verification_requires_answer():

@@ -64,12 +64,6 @@ def test_scripted_deterministic_at_temperature_zero():
     assert a.generate("k", 0.0) == b.generate("k", 0.0)
 
 
-def test_scripted_from_file(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps({"hello": "world"}), encoding="utf-8")
-    assert ScriptedBackend.from_file(path).generate("hello", 0.0) == "world"
-
-
 class _StubHandler(BaseHTTPRequestHandler):
     requests: list = []
     status = 200

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import logboard.retrieval
+import logboard.textutil
 from logboard import harness, scheduler
 from logboard.backends import ScriptedBackend, TransportError
 from logboard.harness import (
@@ -33,14 +34,17 @@ from logboard.log import (
     load_trace,
 )
 from logboard.retrieval import retrieve
-from logboard.scheduler import SchedulerConfig
+from logboard.scheduler import SchedulerConfig, Termination
 from logboard.sources import Image, SourceBundle, Table
 from logboard.textutil import numeral_values, parse_numerals
 
 from helpers import (
     FIXTURES,
     GOLDEN_ANSWER,
+    GOLDEN_QUESTION,
     delta_record,
+    golden_script,
+    golden_sources,
     log_with,
     lookup,
     quote,
@@ -219,6 +223,27 @@ def test_groundedness_hand_computed_fractions():
 def test_groundedness_no_checkable_units_scores_one():
     log = log_with("Did it grow?", lookup("value 5 here (t)."))
     assert log_groundedness("yes, it grew somewhat", log) == 1.0
+
+
+def test_reengaged_run_and_groundedness_parse_each_text_once(monkeypatch):
+    """Verifying twice and scoring groundedness read one parse per text."""
+    parsed = []
+    original = logboard.textutil.parse_numerals
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(logboard.textutil, "parse_numerals", counting)
+    script = golden_script()
+    script["verification agent"] = "Flagged incorrect calculation in the claim."
+    result = scheduler.run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script))
+    assert result.termination is Termination.ANSWER_UNVERIFIED
+    assert result.metrics.rounds == 2
+    assert log_groundedness(result.final_answer, result.log) == 1.0
+    evidence = [e.content for e in result.log.evidence_entries()]
+    assert set(parsed) == {result.final_answer, *evidence}
+    assert len(parsed) == len(set(parsed))
 
 
 def test_groundedness_rejects_empty_answer():

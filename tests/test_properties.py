@@ -5,12 +5,15 @@ The mutations splice text: whatever they change must stay inside one
 numeral's span, and the parser must read a formatted numeral as exactly
 one mention or a mutation could cut it apart. The loaders read untrusted
 JSON, so any document, however malformed, may only raise ValueError. The
-percentile replaces numpy's and must give its result to the bit.
+percentile replaces numpy's and must give its result to the bit. The
+numeral parser must read what the earlier dataclass-building parser read,
+mention for mention.
 """
 
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -120,6 +123,51 @@ def test_swap_two_numerals_keeps_the_numeral_multiset(text, seed):
     moved = [i for i, (a, b) in enumerate(zip(mentions, after)) if a.text != b.text]
     assert len(moved) == 2
     assert all(after[i].value != mentions[i].value for i in moved)
+
+
+# The parser as it was before mentions became named tuples: the same pattern
+# without the leading lookahead, one group() call per field, one dataclass-
+# style keyword construction per mention.
+REFERENCE_NUMERAL_RE = re.compile(
+    r"""(?<![\w.])
+        (?P<sign>[-+−])?\$?
+        (?P<body>\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?)
+        (?P<suffix>%|\s*(?:[KkMmBb])\b|\s+(?:thousand|million|billion|percent)\b)?
+    """,
+    re.VERBOSE | re.IGNORECASE,
+)
+REFERENCE_SCALE = {"": 1.0, "K": 1e3, "M": 1e6, "B": 1e9, "%": 1.0}
+REFERENCE_ALIASES = {
+    "k": "K", "thousand": "K", "m": "M", "million": "M",
+    "b": "B", "billion": "B", "%": "%", "percent": "%",
+}
+
+
+def reference_parse_numerals(text: str) -> list[tuple]:
+    out = []
+    for match in REFERENCE_NUMERAL_RE.finditer(text):
+        raw = float(match.group("body").replace(",", ""))
+        unit = REFERENCE_ALIASES.get((match.group("suffix") or "").strip().lower(), "")
+        value = raw * REFERENCE_SCALE[unit]
+        if match.group("sign") in ("-", "−"):
+            raw, value = -raw, -value
+        out.append((match.group(0).strip(), raw, unit, value, match.start(), match.end()))
+    return out
+
+
+# Digits, numeral punctuation, letters (unit letters among them), "_", unit
+# words, a newline, an Arabic-Indic digit (a \d the parser reads) and a
+# superscript two (a digit to str.isdigit, not to \d).
+NUMERAL_PIECES = st.one_of(
+    st.sampled_from(list("0123456789-+−$.,% _\n٣²kKmMbBxaZ")),
+    st.sampled_from([" thousand", " million", " billion", " percent", "Million", " PERCENT"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(NUMERAL_PIECES, max_size=30).map("".join))
+def test_parse_numerals_matches_the_reference_parser(text):
+    assert [tuple(m) for m in parse_numerals(text)] == reference_parse_numerals(text)
 
 
 # --- loaders ---------------------------------------------------------------

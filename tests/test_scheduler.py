@@ -92,6 +92,28 @@ def test_flag_in_final_round_still_gets_reengagement():
     assert result.termination is Termination.ANSWER_UNVERIFIED
 
 
+def test_dedup_rejected_ok_verdict_does_not_verify():
+    """A verdict dedup keeps out of the log is not the run's verdict.
+
+    The second reply is the Flag plus " OK": parse_verdict reads it as OK,
+    but it is a near-duplicate of the committed Flag, so it takes the Flag
+    path, and with the re-engagement spent the run ends unverified.
+    """
+    flag = (
+        "Flagged: the claimed increase does not follow from the revenue figures "
+        "the table gives for 2018 and 2019, so the answer needs another look."
+    )
+    script = golden_script()
+    script["verification agent"] = [flag, flag + " OK"]
+    assert is_near_duplicate(flag, flag + " OK")
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script))
+    verdicts = [e for e in result.log.entries if e.entry_type in (EntryType.FLAG, EntryType.OK)]
+    assert [(e.entry_type, e.content) for e in verdicts] == [(EntryType.FLAG, flag)]
+    assert result.termination is Termination.ANSWER_UNVERIFIED
+    assert result.final_answer == GOLDEN_ANSWER
+    assert result.metrics.rounds == 2
+
+
 def test_no_progress_after_two_nonanswer_summaries():
     sources = SourceBundle(
         tables=[Table("t", ["k", "v"], [["alpha", "1"]])],
