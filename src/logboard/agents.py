@@ -4,9 +4,9 @@ Retrieval roles (Table, Context, Visual) are agents that decide for
 themselves whether to act on the current log; the Summarizing and
 Verification roles are the functions summarize and verification_act, which
 the scheduler calls. Each builds a role prompt over the rendered log and
-truncated sources, makes exactly one backend call, and parses the reply
-into a typed entry with provenance extracted from source references. An
-abstention is a parsed outcome, not an error.
+truncated sources, makes one backend call through _generate, and parses the
+reply into a typed entry with provenance extracted from source references.
+An abstention is a parsed outcome, not an error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from itertools import chain, compress
 from operator import not_
 
 from . import retrieval
-from .backends import BACKEND_ATTEMPTS, DEFAULT_MAX_TOKENS, RequestRejected, TextBackend, TransportError
+from .backends import (
+    BACKEND_ATTEMPTS,
+    BACKEND_CALL_TICK_MS,
+    DEFAULT_MAX_TOKENS,
+    RequestRejected,
+    TextBackend,
+    TransportError,
+)
 from .log import (
     CONTEXT_AGENT,
     SUMMARIZING_AGENT,
@@ -364,19 +371,73 @@ def extract_image_refs(reply: str, sources: SourceBundle) -> list[ImageRef]:
     return refs
 
 
+def _generate(log: SharedLog, backend: TextBackend, config: AgentConfig, prompt: str) -> str:
+    """The backend's reply to prompt: the one call path of every role.
+
+    Up to BACKEND_ATTEMPTS tries send the same prompt. RequestRejected is
+    raised at once, since sent again it would be refused again; the last
+    TransportError is raised once the tries are spent. Each reply advances
+    the log's clock by BACKEND_CALL_TICK_MS.
+    """
+    for attempt in range(1, BACKEND_ATTEMPTS + 1):
+        try:
+            reply = backend.generate(prompt, config.temperature, config.max_tokens)
+        except TransportError as exc:
+            if isinstance(exc, RequestRejected) or attempt == BACKEND_ATTEMPTS:
+                raise
+            continue
+        log.clock.advance(BACKEND_CALL_TICK_MS)
+        return reply
+
+
 def _is_abstention(reply: str) -> bool:
     return not reply.strip() or ABSTAIN_MARKER in reply.lower()
 
 
 # --- agent implementations ---------------------------------------------------
 
-class TableAgent:
+class _RetrievalAgent:
+    """One act of a retrieval role: a prompt, one backend call, and an entry
+    whose provenance points into the sources. A reply that abstains or
+    points at nothing in the sources is an abstention."""
+
+    role: AgentRole
+    author: str
+    entry_type: EntryType
+
+    def __init__(self, config: AgentConfig | None = None) -> None:
+        self.config = config or AgentConfig(self.role)
+
+    def notify_flag(self) -> None:
+        """Most roles keep no coverage for a verification Flag to re-open."""
+
+    def _prompt(self, log: SharedLog, sources: SourceBundle) -> str:
+        return build_prompt(self.role, log, sources, self.config)
+
+    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list:
+        """What in the sources the reply states; empty when it states nothing."""
+        raise NotImplementedError
+
+    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
+        reply = _generate(log, backend, self.config, self._prompt(log, sources))
+        if _is_abstention(reply):
+            return None
+        provenance = self._provenance(reply, sources, log.question())
+        if not provenance:
+            logger.debug("%s reply cites nothing in the sources; an abstention", self.author)
+            return None
+        return LogEntry(self.author, self.entry_type, reply.strip(), provenance=provenance)
+
+
+class TableAgent(_RetrievalAgent):
     """Posts cell-level facts; remembers which columns it has reported."""
 
     role = AgentRole.TABLE
+    author = TABLE_AGENT
+    entry_type = EntryType.LOOKUP
 
     def __init__(self, config: AgentConfig | None = None) -> None:
-        self.config = config or AgentConfig(AgentRole.TABLE)
+        super().__init__(config)
         self.reported: set[tuple[str, int]] = set()
         # (id(table), question) -> (table, slice). The agent set lives for
         # one run, so each table is sliced once per run and never across
@@ -410,29 +471,23 @@ class TableAgent:
         self.reported.clear()
 
     def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        question = log.question()
-        prompt = build_prompt(
-            self.role, log, sources, self.config,
-            table_slices=self._table_slices(sources, question),
-        )
-        reply = backend.generate(prompt, self.config.temperature, self.config.max_tokens)
-        self.reported.update(self._relevant_columns(sources, question))
-        if _is_abstention(reply):
-            return None
-        anchors = extract_table_anchors(reply, sources, question)
-        if not anchors:
-            logger.debug("TableAgent reply matched no table cell; treated as abstention")
-            return None
-        return LogEntry(TABLE_AGENT, EntryType.LOOKUP, reply.strip(), provenance=list(anchors))
+        self.reported.update(self._relevant_columns(sources, log.question()))
+        return super().act(log, sources, backend)
+
+    def _prompt(self, log: SharedLog, sources: SourceBundle) -> str:
+        slices = self._table_slices(sources, log.question())
+        return build_prompt(self.role, log, sources, self.config, table_slices=slices)
+
+    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[TableAnchor]:
+        return extract_table_anchors(reply, sources, question)
 
 
-class ContextAgent:
+class ContextAgent(_RetrievalAgent):
     """Quotes or paraphrases passage text; runs first round or on named gaps."""
 
     role = AgentRole.CONTEXT
-
-    def __init__(self, config: AgentConfig | None = None) -> None:
-        self.config = config or AgentConfig(AgentRole.CONTEXT)
+    author = CONTEXT_AGENT
+    entry_type = EntryType.QUOTE
 
     def should_act(self, log: SharedLog, sources: SourceBundle, round_idx: int) -> bool:
         if not sources.passages:
@@ -441,46 +496,23 @@ class ContextAgent:
             return True
         return _latest_gap_text(log) is not None
 
-    def notify_flag(self) -> None:
-        pass
-
-    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        prompt = build_prompt(self.role, log, sources, self.config)
-        reply = backend.generate(prompt, self.config.temperature, self.config.max_tokens)
-        if _is_abstention(reply):
-            return None
-        spans = extract_doc_spans(reply, sources)
-        if not spans:
-            logger.debug("ContextAgent reply matched no passage span; treated as abstention")
-            return None
-        return LogEntry(CONTEXT_AGENT, EntryType.QUOTE, reply.strip(), provenance=list(spans))
+    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[DocSpan]:
+        return extract_doc_spans(reply, sources)
 
 
-class VisualAgent:
+class VisualAgent(_RetrievalAgent):
     """Restates pre-extracted image text; fires only when images matter."""
 
     role = AgentRole.VISUAL
-
-    def __init__(self, config: AgentConfig | None = None) -> None:
-        self.config = config or AgentConfig(AgentRole.VISUAL)
+    author = VISUAL_AGENT
+    entry_type = EntryType.VISUAL
 
     def should_act(self, log: SharedLog, sources: SourceBundle, round_idx: int) -> bool:
         # The question is the log's Query entry, so it is among those searched.
         return bool(sources.images) and any(mentions_image(e.content) for e in log.entries)
 
-    def notify_flag(self) -> None:
-        pass
-
-    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        prompt = build_prompt(self.role, log, sources, self.config)
-        reply = backend.generate(prompt, self.config.temperature, self.config.max_tokens)
-        if _is_abstention(reply):
-            return None
-        refs = extract_image_refs(reply, sources)
-        if not refs:
-            logger.debug("VisualAgent reply referenced no image; treated as abstention")
-            return None
-        return LogEntry(VISUAL_AGENT, EntryType.VISUAL, reply.strip(), provenance=list(refs))
+    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[ImageRef]:
+        return extract_image_refs(reply, sources)
 
 
 def flag_content(finding: Finding) -> str:
@@ -510,7 +542,7 @@ def summarize(log: SharedLog, backend: TextBackend) -> LogEntry | None:
     """A progress Summary or the final Answer, synthesized from the log."""
     config = AgentConfig(AgentRole.SUMMARIZING)
     prompt = build_prompt(AgentRole.SUMMARIZING, log, _NO_SOURCES, config)
-    reply = backend.generate(prompt, config.temperature, config.max_tokens)
+    reply = _generate(log, backend, config, prompt)
     if not reply.strip():
         logger.debug("Summarizer returned an empty reply")
         return None
@@ -523,8 +555,8 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     defer to the backend verdict.
 
     Deterministic findings always override a backend OK (they are checked
-    first and skip the backend entirely). The backend call gets the same
-    attempts as any other; if they all fail, or the request is refused,
+    first and skip the backend entirely). The backend call is _generate,
+    as for every role; if its tries all fail, or the request is refused,
     while the deterministic checks are clean, the verdict fails open to OK
     with a note; arithmetic failures can never be masked this way.
     """
@@ -537,16 +569,9 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     if findings:
         return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag_content(findings[0]))
     prompt = build_prompt(AgentRole.VERIFICATION, log, _NO_SOURCES, config, answer_text)
-    reply = None
-    for _ in range(BACKEND_ATTEMPTS):
-        try:
-            reply = backend.generate(prompt, config.temperature, config.max_tokens)
-            break
-        except RequestRejected:
-            break  # sent again, it would be refused again
-        except TransportError:
-            continue
-    if reply is None:
+    try:
+        reply = _generate(log, backend, config, prompt)
+    except TransportError:
         return LogEntry(
             VERIFICATION_AGENT,
             EntryType.OK,

@@ -6,6 +6,8 @@ client speaking the common chat-completion JSON protocol, and a scripted
 backend replaying canned replies keyed by prompt substrings (the golden
 trace mechanism). At temperature 0 a conforming backend must return
 identical text for identical prompts; the scripted backend guarantees it.
+A generate call is one attempt; retries are the caller's policy, which
+agents._generate applies for every role with the two constants below.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ BASE_URL_ENV = "LOGBOARD_BASE_URL"
 
 DEFAULT_MAX_TOKENS = 512
 BACKEND_ATTEMPTS = 3  # tries per backend call: the first plus two retries
+BACKEND_CALL_TICK_MS = 5  # simulated latency per backend reply
 
 
 class TransportError(RuntimeError):
-    """The backend could not produce a reply; the scheduler may retry."""
+    """The backend could not produce a reply; the caller may retry."""
 
 
 class RequestRejected(TransportError):

@@ -1,9 +1,10 @@
 """Learned continue/stop policy over log-derived features.
 
-Features: image presence, confidence of the latest summary, evidence
-entries accepted this round, and the change in pending needs between the
-last two summaries. A small logistic classifier over those four values
-decides whether the next retrieval round is worth its cost. Training data
+Features: whether an entry mentions an image, confidence of the latest
+summary, evidence entries accepted this round, and the change in pending
+needs between the last two summaries. A small logistic classifier over
+those four values decides whether the next retrieval round is worth its
+cost. Training data
 is mined from recorded run traces: a round is a positive example when
 evidence appended after it ends up cited in the final answer.
 """
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .log import EVIDENCE_TYPES, EntryType, LogEntry, SharedLog, load_trace, parse_answer
-from .sources import JSON_NUMBER, SourceBundle, json_field, json_value
+from .log import EVIDENCE_TYPES, EntryType, LogEntry, load_trace, parse_answer
+from .sources import JSON_NUMBER, json_field, json_value
 from .textutil import count_gap_phrases, mentions_image, numeral_values
 
 logger = logging.getLogger(__name__)
@@ -98,30 +99,20 @@ class GateSample:
             raise ValueError("label must be 0 or 1")
 
 
-def _entries_of(log_or_entries) -> list[LogEntry]:
-    if isinstance(log_or_entries, SharedLog):
-        return log_or_entries.entries
-    return list(log_or_entries)
-
-
 def _latest_summaries(entries: Sequence[LogEntry]) -> list[LogEntry]:
     return [
         e for e in entries if e.entry_type in (EntryType.SUMMARY, EntryType.ANSWER)
     ]
 
 
-def extract_features(log, new_entries: int, sources: SourceBundle | None = None) -> GateFeatures:
-    """Features of the live run at the end of a round.
+def extract_features(entries: Sequence[LogEntry], new_entries: int) -> GateFeatures:
+    """Features of a run's entries at the end of a round.
 
     new_entries is the number of evidence entries accepted in the round
-    just finished.
+    just finished. The features read only the entries, so the scheduler's
+    live log and a mined trace prefix give the same values.
     """
-    entries = _entries_of(log)
-    image_present = 0
-    if sources is not None and sources.images:
-        image_present = 1
-    elif any(mentions_image(e.content) for e in entries):
-        image_present = 1
+    image_present = int(any(mentions_image(e.content) for e in entries))
     summaries = _latest_summaries(entries)
     if not summaries:
         confidence = 0.5

@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import scheduler as sched
+from . import scheduler as sched  # sched.run, not a bound name: timers may rebind it
 from .agents import flagged_steps
 from .backends import TextBackend
 from .gating import LogisticGate
@@ -577,23 +577,6 @@ def _entry_eligible(entry: LogEntry, fault_type: FaultType) -> bool:
     return _anchor_index(entry) is not None  # RowOffByOne
 
 
-def _run_record(
-    record: BenchmarkRecord,
-    config: sched.SchedulerConfig,
-    backend_factory: Callable[[], TextBackend],
-    gate: LogisticGate | None,
-    mutator,
-) -> sched.RunResult:
-    return sched.run(
-        record.question,
-        record.sources,
-        backend_factory(),
-        config=config,
-        gate=gate,
-        entry_mutator=mutator,
-    )
-
-
 def run_benchmark(
     records: Sequence[BenchmarkRecord],
     config: sched.SchedulerConfig | None = None,
@@ -636,7 +619,10 @@ def run_benchmark(
         for i, record in enumerate(records):
             counter = _InFlightInjector(fault_spec, i, set())
             try:
-                clean_runs[i] = _run_record(record, config, backend_factory, gate, counter)
+                clean_runs[i] = sched.run(
+                    record.question, record.sources, backend_factory(),
+                    config=config, gate=gate, entry_mutator=counter,
+                )
             except Exception as exc:  # the record is reported failed, not run again
                 logger.exception("dry pass failed for record %d", i)
                 errors[i] = f"{type(exc).__name__}: {exc}"
@@ -667,7 +653,10 @@ def run_benchmark(
             if fault_spec is not None:
                 injector = _InFlightInjector(fault_spec, i, chosen_by_record.get(i, set()))
             try:
-                result = _run_record(record, config, backend_factory, gate, injector)
+                result = sched.run(
+                    record.question, record.sources, backend_factory(),
+                    config=config, gate=gate, entry_mutator=injector,
+                )
             except Exception as exc:  # a failed run scores zero; the bench goes on
                 logger.exception("run failed for record %d", i)
                 errors[i] = f"{type(exc).__name__}: {exc}"

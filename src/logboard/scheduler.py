@@ -33,7 +33,6 @@ from .log import (
 )
 from .sources import SourceBundle
 
-BACKEND_CALL_TICK_MS = 5  # simulated latency per backend call
 PER_AGENT_CAP = 2  # retrieval acts per role per run, re-engagement included
 
 
@@ -106,7 +105,7 @@ class RunResult:
 
 
 class TransportAbort(RuntimeError):
-    """Backend transport kept failing; carries the partial log."""
+    """A retrieval or Summarizer call got no reply; carries the partial log."""
 
     def __init__(self, message: str, partial_log: SharedLog) -> None:
         super().__init__(message)
@@ -117,7 +116,7 @@ EntryMutator = Callable[[LogEntry], LogEntry]
 
 
 def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
-               backend: TextBackend, round_idx: int, retry: Callable,
+               backend: TextBackend, round_idx: int,
                mutator: EntryMutator | None = None) -> bool:
     """Offer one retrieval turn; True iff an entry was accepted.
 
@@ -130,7 +129,7 @@ def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
         return False
     if not agent.should_act(log, sources, round_idx):
         return False
-    entry = retry(lambda: agent.act(log, sources, backend))
+    entry = agent.act(log, sources, backend)
     if entry is None:
         return False
     if mutator is not None:
@@ -167,26 +166,11 @@ def run(
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
     agents = build_agents()
-    clock = _default_clock(backend)
-    log = SharedLog(clock=clock)
+    log = SharedLog(clock=_default_clock(backend))
     log.append(LogEntry(USER, EntryType.QUERY, question))
     state = RunState()
     calls_before = backend.calls
     tokens_before = backend.prompt_tokens + backend.completion_tokens
-
-    def retry(fn):
-        last: TransportError | None = None
-        for _ in range(BACKEND_ATTEMPTS):
-            try:
-                result = fn()
-            except RequestRejected as exc:
-                raise TransportAbort(f"backend refused the request, not retried: {exc}", log) from exc
-            except TransportError as exc:
-                last = exc
-                continue
-            clock.advance(BACKEND_CALL_TICK_MS)
-            return result
-        raise TransportAbort(f"backend transport failed after 2 retries: {last}", log)
 
     termination: Termination | None = None
     audits: list[RoundAudit] = []
@@ -201,79 +185,83 @@ def run(
             for role in RETRIEVAL_ROLES
         )
 
-    while round_idx < allowed_rounds and termination is None:
-        state.new_entries_this_round = 0
-        flag_granted = False
-        retrieval_ran = not retrieval_frozen
+    try:
+        while round_idx < allowed_rounds and termination is None:
+            state.new_entries_this_round = 0
+            flag_granted = False
+            retrieval_ran = not retrieval_frozen
 
-        if not retrieval_frozen:
-            for role in RETRIEVAL_ROLES:
-                offer_turn(agents[role], state, log, sources, backend, round_idx, retry, entry_mutator)
+            if not retrieval_frozen:
+                for role in RETRIEVAL_ROLES:
+                    offer_turn(agents[role], state, log, sources, backend, round_idx, entry_mutator)
 
-        summary_entry = retry(lambda: summarize(log, backend))
-        if summary_entry is not None:
-            log.append(summary_entry)
-        # A dedup-rejected Answer stands for the committed Answer it repeats,
-        # so the verifier checks log.latest(ANSWER) either way.
-        if (
-            summary_entry is not None
-            and summary_entry.entry_type is EntryType.ANSWER
-            and log.latest(EntryType.ANSWER) is not None
-        ):
-            state.consecutive_nonanswer_summaries = 0
-            if config.verifier_enabled:
-                calls_pre = backend.calls
-                verdict = verification_act(log, backend)
-                if backend.calls > calls_pre:
-                    clock.advance(BACKEND_CALL_TICK_MS)
-                # Only a committed OK verifies; a dedup-rejected verdict is a Flag.
-                committed = log.append(verdict) is AppendResult.ACCEPTED
-                if committed and verdict.entry_type is EntryType.OK:
-                    termination = Termination.ANSWER_VERIFIED
-                elif state.re_engage_count < config.reengage_limit:
-                    state.re_engage_count += 1
-                    allowed_rounds = max(allowed_rounds, round_idx + 2)
-                    retrieval_frozen = False
-                    flag_granted = True
-                    for role in RETRIEVAL_ROLES:
-                        agents[role].notify_flag()
+            summary_entry = summarize(log, backend)
+            if summary_entry is not None:
+                log.append(summary_entry)
+            # A dedup-rejected Answer stands for the committed Answer it repeats,
+            # so the verifier checks log.latest(ANSWER) either way.
+            if (
+                summary_entry is not None
+                and summary_entry.entry_type is EntryType.ANSWER
+                and log.latest(EntryType.ANSWER) is not None
+            ):
+                state.consecutive_nonanswer_summaries = 0
+                if config.verifier_enabled:
+                    verdict = verification_act(log, backend)
+                    # Only a committed OK verifies; a dedup-rejected verdict is a Flag.
+                    committed = log.append(verdict) is AppendResult.ACCEPTED
+                    if committed and verdict.entry_type is EntryType.OK:
+                        termination = Termination.ANSWER_VERIFIED
+                    elif state.re_engage_count < config.reengage_limit:
+                        state.re_engage_count += 1
+                        allowed_rounds = max(allowed_rounds, round_idx + 2)
+                        retrieval_frozen = False
+                        flag_granted = True
+                        for role in RETRIEVAL_ROLES:
+                            agents[role].notify_flag()
+                    else:
+                        termination = Termination.ANSWER_UNVERIFIED
                 else:
                     termination = Termination.ANSWER_UNVERIFIED
             else:
-                termination = Termination.ANSWER_UNVERIFIED
-        else:
-            state.consecutive_nonanswer_summaries += 1
+                state.consecutive_nonanswer_summaries += 1
 
-        updated = state.new_entries_this_round > 0
-        any_pending = pending_roles(round_idx + 1)
-        audits.append(
-            RoundAudit(
-                round_idx=round_idx,
-                updated=updated,
-                consecutive_nonanswer_summaries=state.consecutive_nonanswer_summaries,
-                any_pending=any_pending,
-                retrieval_ran=retrieval_ran,
+            updated = state.new_entries_this_round > 0
+            any_pending = pending_roles(round_idx + 1)
+            audits.append(
+                RoundAudit(
+                    round_idx=round_idx,
+                    updated=updated,
+                    consecutive_nonanswer_summaries=state.consecutive_nonanswer_summaries,
+                    any_pending=any_pending,
+                    retrieval_ran=retrieval_ran,
+                )
             )
-        )
-        if (
-            termination is None
-            and not updated
-            and not any_pending
-            and state.consecutive_nonanswer_summaries >= 2
-        ):
-            termination = Termination.NO_PROGRESS
+            if (
+                termination is None
+                and not updated
+                and not any_pending
+                and state.consecutive_nonanswer_summaries >= 2
+            ):
+                termination = Termination.NO_PROGRESS
 
-        if (
-            termination is None
-            and gate is not None
-            and not flag_granted
-            and not retrieval_frozen
-        ):
-            features = extract_features(log, state.new_entries_this_round, sources)
-            if predict_continue(gate, features) < gate.threshold:
-                retrieval_frozen = True
+            if (
+                termination is None
+                and gate is not None
+                and not flag_granted
+                and not retrieval_frozen
+            ):
+                features = extract_features(log.entries, state.new_entries_this_round)
+                if predict_continue(gate, features) < gate.threshold:
+                    retrieval_frozen = True
 
-        round_idx += 1
+            round_idx += 1
+    except TransportError as exc:  # _generate's tries are spent, or it was refused
+        if isinstance(exc, RequestRejected):
+            reason = "backend refused the request, not retried"
+        else:
+            reason = f"backend transport failed after {BACKEND_ATTEMPTS - 1} retries"
+        raise TransportAbort(f"{reason}: {exc}", log) from exc
 
     # The run's answer is the committed Answer, the one the verifier checked.
     answer = log.latest(EntryType.ANSWER)
@@ -287,7 +275,7 @@ def run(
         rounds=round_idx,
         backend_calls=backend.calls - calls_before,
         token_usage=backend.prompt_tokens + backend.completion_tokens - tokens_before,
-        wall_ms=clock.now_ms(),
+        wall_ms=log.clock.now_ms(),
     )
     return RunResult(
         final_answer=final_answer,

@@ -14,7 +14,13 @@ from logboard.agents import (
     summarize,
     verification_act,
 )
-from logboard.backends import RequestRejected, ScriptedBackend, TransportError, UsageMixin
+from logboard.backends import (
+    BACKEND_CALL_TICK_MS,
+    RequestRejected,
+    ScriptedBackend,
+    TransportError,
+    UsageMixin,
+)
 from logboard.gating import extract_features
 from logboard.log import (
     SUMMARIZING_AGENT,
@@ -66,7 +72,7 @@ def test_visual_trigger_and_gate_feature_agree_on_image_mentions(question, menti
     log = fresh_log(question)
     sources = SourceBundle(images=[Image("img1", caption="a chart")])
     assert VisualAgent().should_act(log, sources, 0) is mentions
-    assert extract_features(log, 0, SourceBundle()).image_present == mentions
+    assert extract_features(log.entries, 0).image_present == mentions
 
 
 def test_context_round_zero_and_gap_trigger():
@@ -324,6 +330,15 @@ def test_verifier_fails_open_at_once_on_a_rejected_request():
     assert backend.attempts == 1
     assert entry.entry_type is EntryType.OK
     assert "backend-unavailable" in entry.content
+
+
+@pytest.mark.parametrize("failures, replies", [(0, 1), (1, 1), (3, 0)])
+def test_the_verifier_call_ticks_the_clock_once_per_reply(failures, replies):
+    log = clean_answer_log()
+    before = log.clock.now_ms()
+    errors = [TransportError("HTTP Error 503")] * failures
+    verification_act(log, ErrorsThenScript(errors, {"verification agent": "OK"}))
+    assert log.clock.now_ms() - before == replies * BACKEND_CALL_TICK_MS
 
 
 def test_verification_requires_answer():

@@ -39,7 +39,7 @@ from helpers import (
 
 def test_features_defaults_without_summary():
     log = log_with("plain question")
-    feats = extract_features(log, 0)
+    feats = extract_features(log.entries, 0)
     assert feats.summary_confidence == 0.5
     assert feats.pending_needs_delta == 0
     assert feats.image_present == 0
@@ -48,14 +48,14 @@ def test_features_defaults_without_summary():
 def test_features_gap_summary_zero_confidence():
     log = log_with("q?")
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "I don't have X yet."))
-    feats = extract_features(log, 1)
+    feats = extract_features(log.entries, 1)
     assert feats.summary_confidence == 0.0
 
 
 def test_features_answer_full_confidence_and_counts():
     log = log_with("q?")
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.ANSWER, "Answer: 42"))
-    feats = extract_features(log, 3)
+    feats = extract_features(log.entries, 3)
     assert feats.summary_confidence == 1.0
     assert feats.new_entries == 3
 
@@ -64,20 +64,17 @@ def test_pending_needs_delta_between_summaries():
     log = log_with("q?")
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "Figures are missing; more data needed."))
     log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "One figure is still missing."))
-    feats = extract_features(log, 0)
+    feats = extract_features(log.entries, 0)
     assert feats.pending_needs_delta == 1 - 2
 
 
 def test_image_presence_from_sources_or_log():
-    from logboard.sources import Image, SourceBundle
-
+    # Only the log counts; the mined-features test covers an unmentioned image.
     log = log_with("what does the figure show?")
-    feats = extract_features(log, 0, SourceBundle(images=[Image("i")]))
-    assert feats.image_present == 1
-    feats = extract_features(log, 0, SourceBundle())
+    feats = extract_features(log.entries, 0)
     assert feats.image_present == 1  # the question mentions a figure
     plain = log_with("no visuals at all")
-    assert extract_features(plain, 0, SourceBundle()).image_present == 0
+    assert extract_features(plain.entries, 0).image_present == 0
 
 
 def test_predict_continue_matches_sigmoid():
@@ -181,14 +178,16 @@ def test_mine_samples_golden_trace_has_no_nonfinal_rounds():
 
 def test_mined_features_match_the_scheduler_features(monkeypatch):
     # The gate is trained on features mined from traces and applied to the
-    # features the scheduler computes; both must see the same values. The
-    # golden sources hold no image, so image_present agrees without them.
+    # features the scheduler computes; both must see the same values. A
+    # trace holds no sources, so an image that no entry mentions must not
+    # count at run time either.
     import logboard.scheduler
+    from logboard.sources import Image
 
     seen = []
 
-    def recording(log, new_entries, sources=None):
-        features = extract_features(log, new_entries, sources)
+    def recording(entries, new_entries):
+        features = extract_features(entries, new_entries)
         seen.append(features)
         return features
 
@@ -199,11 +198,16 @@ def test_mined_features_match_the_scheduler_features(monkeypatch):
         script["summarizing agent"],
     ]
     never_stop = LogisticGate(bias=5.0)
-    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(script), gate=never_stop)
-    assert result.metrics.rounds == 2
-    mined = [s.features for s in mine_samples([result.log.entries])]
-    assert mined == seen
-    assert seen[0].new_entries == 2  # the round's Lookup and Quote, not its Summary
+    with_image = golden_sources()
+    with_image.images.append(Image("img1", caption="a chart", ocr_text="Revenue 50"))
+    for sources in (golden_sources(), with_image):
+        seen.clear()
+        result = run(GOLDEN_QUESTION, sources, ScriptedBackend(script), gate=never_stop)
+        assert result.metrics.rounds == 2
+        mined = [s.features for s in mine_samples([result.log.entries])]
+        assert mined == seen
+        assert seen[0].new_entries == 2  # the round's Lookup and Quote, not its Summary
+        assert seen[0].image_present == 0
 
 
 def _multi_round_trace(cite_round_one: bool):

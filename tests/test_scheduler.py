@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from logboard.agents import AgentConfig, AgentRole, TableAgent, build_agents
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
+from logboard.gating import extract_features
 from logboard.harness import FaultType, inject_faults
 from logboard.log import EntryType, SharedLog, dump_trace, is_near_duplicate, parse_answer
 from logboard.scheduler import (
@@ -236,7 +237,7 @@ def test_offer_turn_cap_blocks_without_backend_call():
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
     acted = offer_turn(
-        agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0, lambda fn: fn(),
+        agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0,
     )
     assert not acted and backend.calls == 0
 
@@ -250,7 +251,7 @@ def test_offer_turn_visual_idle_without_images():
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, "see the figure?"))
     acted = offer_turn(
-        agents[AgentRole.VISUAL], state, log, SourceBundle(), backend, 0, lambda fn: fn(),
+        agents[AgentRole.VISUAL], state, log, SourceBundle(), backend, 0,
     )
     assert not acted and backend.calls == 0
 
@@ -264,7 +265,7 @@ def test_offer_turn_appends_lookup():
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
     acted = offer_turn(
-        agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0, lambda fn: fn(),
+        agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0,
     )
     assert acted and state.new_entries_this_round == 1 and state.action_counts[AgentRole.TABLE] == 1
     assert log.entries[-1].entry_type is EntryType.LOOKUP
@@ -278,10 +279,10 @@ def test_dedup_rejected_append_counts_toward_cap_without_update():
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0, lambda fn: fn())
+    offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0)
     agents[AgentRole.TABLE].notify_flag()  # re-open coverage; same reply comes back
     state.new_entries_this_round = 0
-    acted = offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 1, lambda fn: fn())
+    acted = offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 1)
     assert not acted and not state.new_entries_this_round
     assert state.action_counts[AgentRole.TABLE] == 2
 
@@ -318,6 +319,43 @@ def test_persistent_failure_aborts_with_partial_log():
     assert partial.entries[0].entry_type is EntryType.QUERY
 
 
+class FailsOnceAt(UsageMixin):
+    """Raises one TransportError at attempt k (none if k < 0), then replies
+    from a script. Like HttpBackend it counts replies, not attempts, and it
+    keeps every prompt it is sent."""
+
+    def __init__(self, k: int, script: dict) -> None:
+        super().__init__()
+        self.k = k
+        self.inner = ScriptedBackend(script)
+        self.prompts: list[str] = []
+
+    def generate(self, prompt, temperature, max_tokens=512):
+        self.prompts.append(prompt)
+        if len(self.prompts) - 1 == self.k:
+            raise TransportError("HTTP Error 503")
+        reply = self.inner.generate(prompt, temperature, max_tokens)
+        self._record(prompt, reply)
+        return reply
+
+
+def test_a_transient_error_leaves_no_trace_in_the_outputs():
+    # Every role's call, the verifier's included, is retried the same way:
+    # the same prompt again, and the clock ticks once per reply.
+    clean_backend = FailsOnceAt(-1, golden_script())
+    clean = run(GOLDEN_QUESTION, golden_sources(), clean_backend)
+    calls = clean.metrics.backend_calls
+    assert calls == len(clean_backend.prompts) == 4
+    for k in range(calls):
+        backend = FailsOnceAt(k, golden_script())
+        result = run(GOLDEN_QUESTION, golden_sources(), backend)
+        assert dump_trace(result.log.entries) == dump_trace(clean.log.entries)
+        assert result.metrics == clean.metrics
+        assert result.termination is clean.termination
+        assert backend.prompts[k] == backend.prompts[k + 1] == clean_backend.prompts[k]
+        assert backend.prompts[:k] + backend.prompts[k + 1:] == clean_backend.prompts
+
+
 def test_empty_question_rejected():
     with pytest.raises(ValueError):
         run("  ", golden_sources(), ScriptedBackend({}))
@@ -349,6 +387,10 @@ def test_configuration_surface():
     assert list(inspect.signature(run).parameters) == [
         "question", "sources", "backend", "config", "gate", "entry_mutator",
     ]
+    assert list(inspect.signature(offer_turn).parameters) == [
+        "agent", "state", "log", "sources", "backend", "round_idx", "mutator",
+    ]
+    assert list(inspect.signature(extract_features).parameters) == ["entries", "new_entries"]
     assert list(inspect.signature(inject_faults).parameters) == ["bundle", "spec"]
     assert [t.value for t in FaultType] == [
         "MissingRow", "RowOffByOne", "ArithmeticCorruption", "OcrMisread",
