@@ -16,7 +16,7 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import not_
 
 from . import retrieval
@@ -330,22 +330,56 @@ _QUOTED_RE = re.compile(
 )
 
 
+def _find_quote(text: str, quoted: str) -> tuple[int, int] | None:
+    """Offsets into text of the first place where its lowered form holds quoted.
+
+    quoted is already lowered. Lowering keeps every offset except at U+0130
+    (İ), the one code point that lowers to two characters. In a text that
+    holds one, offsets are mapped back to the text's own, and a match that
+    starts or ends inside a lowered İ is passed over.
+    """
+    lowered = text.lower()
+    idx = lowered.find(quoted)
+    if idx < 0:
+        return None
+    if len(lowered) == len(text):
+        return idx, idx + len(quoted)
+    position = {
+        offset: i
+        for i, offset in enumerate(accumulate(map(len, map(str.lower, text)), initial=0))
+    }
+    while idx >= 0:
+        start, end = position.get(idx), position.get(idx + len(quoted))
+        if start is not None and end is not None:
+            return start, end
+        idx = lowered.find(quoted, idx + 1)
+    return None
+
+
 def extract_doc_spans(reply: str, sources: SourceBundle) -> list[DocSpan]:
-    """Spans for the passage text the reply quotes or paraphrases."""
+    """Spans for the passage text the reply quotes or paraphrases.
+
+    A quote is anchored in the first passage whose lowered text holds it,
+    lowered, at offsets into the passage's own text; the candidates come
+    from the bundle's postings before any passage is lowered. Without an
+    anchored quote, the span is the sentence sharing most distinct tokens
+    (at least 3) with the reply.
+    """
+    passages = sources.passages
     spans: list[DocSpan] = []
     for match in _QUOTED_RE.finditer(reply):
-        quoted = next(g for g in match.groups() if g)
-        for passage in sources.passages:
-            idx = passage.text.lower().find(quoted.lower())
-            if idx >= 0:
-                spans.append(DocSpan(passage.id, idx, idx + len(quoted)))
+        quoted = match.group(match.lastindex).lower()  # the one alternative that matched
+        for doc in retrieval.quote_candidates(sources.passage_index, quoted):
+            found = _find_quote(passages[doc].text, quoted)
+            if found is not None:
+                spans.append(DocSpan(passages[doc].id, *found))
                 break
     if spans:
         return spans
     # Paraphrase: best-overlapping sentence, if the overlap is substantive.
     reply_tokens = set(tokenize(reply))
     best: tuple[int, DocSpan] | None = None
-    for passage in sources.passages:
+    for passage in passages:
         for start, end in retrieval.split_sentences(passage.text):
             overlap = len(set(tokenize(passage.text[start:end])) & reply_tokens)
             if overlap >= 3 and (best is None or overlap > best[0]):

@@ -20,7 +20,7 @@ import statistics
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import scheduler as sched  # sched.run, not a bound name: timers may rebind it
 from .agents import flagged_steps
@@ -44,6 +44,7 @@ from .sources import (
     load_sources,
 )
 from .textutil import (
+    ARTICLES,
     NumericMention,
     canonical_numeral_token,
     capitalized_spans,
@@ -271,10 +272,19 @@ def _mutate_entry(
 
 # --- metrics ------------------------------------------------------------------
 
+def _answer_words(text: str) -> list[str]:
+    """The words ROUGE reads; exact match reads them without the articles."""
+    return qa_normalize(text, strip_articles=False).split()
+
+
+def _exact_match_words(pred: list[str], golds: Iterable[list[str]]) -> bool:
+    content = [w for w in pred if w not in ARTICLES]
+    return any(content == [w for w in gold if w not in ARTICLES] for gold in golds)
+
+
 def exact_match(pred: str, golds: Sequence[str]) -> bool:
     """Normalized equality against any gold answer."""
-    norm_pred = qa_normalize(pred)
-    return any(norm_pred == qa_normalize(g) for g in golds)
+    return _exact_match_words(_answer_words(pred), map(_answer_words, golds))
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -301,8 +311,10 @@ def _f1(overlap: int, pred_n: int, gold_n: int) -> float:
 
 def rouge(pred: str, gold: str) -> dict[str, float]:
     """Unigram/bigram overlap F1 and LCS F1 over normalized tokens."""
-    pred_tokens = qa_normalize(pred, strip_articles=False).split()
-    gold_tokens = qa_normalize(gold, strip_articles=False).split()
+    return _rouge_words(_answer_words(pred), _answer_words(gold))
+
+
+def _rouge_words(pred_tokens: list[str], gold_tokens: list[str]) -> dict[str, float]:
     scores = {}
     for n, name in ((1, "rouge1"), (2, "rouge2")):
         pred_ngrams = [tuple(pred_tokens[i : i + n]) for i in range(len(pred_tokens) - n + 1)]
@@ -663,14 +675,18 @@ def run_benchmark(
         error = errors.get(i)
 
         answer = result.final_answer if result else None
-        em = bool(answer) and exact_match(answer, record.gold_answers)
-        em_values.append(1.0 if em else 0.0)
+        em = False
         best_rouge = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
         if answer:
-            for gold in record.gold_answers:
-                scores = rouge(answer, gold)
+            # Each text is normalized once for both scores.
+            answer_words = _answer_words(answer)
+            gold_words = list(map(_answer_words, record.gold_answers))
+            em = _exact_match_words(answer_words, gold_words)
+            for gold in gold_words:
+                scores = _rouge_words(answer_words, gold)
                 if scores["rougeL"] >= best_rouge["rougeL"]:
                     best_rouge = scores
+        em_values.append(1.0 if em else 0.0)
         for key in rouge_sums:
             rouge_sums[key] += best_rouge[key]
 

@@ -6,9 +6,13 @@ and keeps numerals intact.
 A bundle's passage statistics belong to its documents, not to a question:
 `SourceBundle` builds its passage index once, when it is built, so loading
 (`setup_s` in the benchmark) pays for tokenizing the passages, and every
-question asked of the bundle shares them. A ranking then tokenizes only
-the question and reads each passage's counts for the question's distinct
-terms, with each term's idf worked out once.
+question asked of the bundle shares them. The index is inverted: for each
+term, the passages that hold it, in passage order, one entry per
+occurrence. A ranking tokenizes only the question and counts the postings
+of its distinct terms, with each term's idf worked out once, so it visits
+only passages that share a term with the question. Quote anchoring
+(`agents.extract_doc_spans`) picks its candidate passages from the same
+postings.
 
 Table work stays per run. A table's slice depends only on the table and
 the question, so the Table agent, which lives for one run, slices each
@@ -26,11 +30,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .textutil import parse_numerals, split_sentences, tokenize
 
@@ -48,7 +52,9 @@ SENTENCE_WINDOW_K = 2  # sentences kept on each side of a passage's best match
 class CorpusIndex:
     doc_ids: list[str]
     doc_lens: list[int]
-    term_counts: list[Counter[str]]
+    # term -> the position of the passage of each of its occurrences, in
+    # passage order: a passage that holds the term f times is listed f times.
+    postings: dict[str, tuple[int, ...]]
     avg_doc_len: float
 
     @property
@@ -57,53 +63,89 @@ class CorpusIndex:
 
 
 def index(passages: Sequence[Passage]) -> CorpusIndex:
-    """Each passage's id, token count and token counts, tokenized once."""
+    """Each passage's id and token count, and the postings of every term.
+
+    Each passage is tokenized once, and each token appends its passage's
+    position to its term's postings in C (`map` over the tokens), with no
+    Python loop per token and no count per passage.
+    """
     ids = [passage.id for passage in passages]
     repeated = [doc_id for doc_id, count in Counter(ids).items() if count > 1]
     if repeated:
         raise ValueError(f"duplicate passage id: {repeated[0]!r}")
     tokens = [tokenize(passage.text) for passage in passages]
     lens = list(map(len, tokens))
-    return CorpusIndex(ids, lens, list(map(Counter, tokens)), sum(lens) / len(ids) if ids else 0.0)
+    postings: defaultdict[str, list[int]] = defaultdict(list)
+    for doc, terms in enumerate(tokens):
+        deque(map(list.append, map(postings.__getitem__, terms), repeat(doc)), maxlen=0)
+    # A tuple holds its items in the object, where a list holds a second,
+    # over-allocated block, and equal tuples are stored once: the terms met
+    # once in a passage share one, so a one-passage bundle holds a few.
+    tuples = list(map(tuple, postings.values()))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frozen = dict(zip(postings, map(shared.setdefault, tuples, tuples)))
+    return CorpusIndex(ids, lens, frozen, sum(lens) / len(ids) if ids else 0.0)
 
 
 def retrieve(index_: CorpusIndex, query: str, n: int = TOP_N) -> list[tuple[str, float]]:
     """Top-n (doc_id, score) by BM25, descending; ties break on doc_id.
 
     Only strictly positive scores are returned. Only the query is
-    tokenized; each passage's counts are read for the query's distinct
-    terms, and each term's idf is computed once. A score adds its terms in
-    query order, repeats included.
+    tokenized, and the postings of each distinct query term are looked up
+    and counted once, so only passages holding a query term are scored;
+    each term's idf is computed once. A score starts at 0.0 and adds its
+    terms in query order, repeats included.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     terms = tokenize(query)
-    distinct = set(terms)
-    # The query terms each passage holds: a set smaller than the passage's
-    # counts is intersected by looking its terms up in them.
-    held = [counts.keys() & distinct for counts in index_.term_counts]
-    doc_freq = Counter(chain.from_iterable(held))
-    # Non-negative idf variant, so the score > 0 cutoff is meaningful.
-    idf = {
-        term: math.log(1.0 + (index_.doc_count - df + 0.5) / (df + 0.5))
-        for term, df in doc_freq.items()
-    }
-    scored = []
-    for doc_id, doc_len, counts, found in zip(
-        index_.doc_ids, index_.doc_lens, index_.term_counts, held
-    ):
-        if not found:
-            continue  # score 0; a passage with a term has tokens, so avg_doc_len > 0
-        norm = K1 * (1.0 - B + B * doc_len / index_.avg_doc_len)
-        score = 0.0
-        for term in terms:
-            if term in found:
-                f = counts[term]
-                score += idf[term] * f * (K1 + 1.0) / (f + norm)
-        if score > 0.0:
-            scored.append((doc_id, score))
+    held = {}  # query term -> (idf, {doc: count}), for the terms some passage holds
+    for term in dict.fromkeys(terms):
+        occurrences = index_.postings.get(term)
+        if occurrences is not None:
+            counts = Counter(occurrences)  # {doc: count}
+            df = len(counts)
+            # Non-negative idf variant, so the score > 0 cutoff is meaningful.
+            held[term] = (math.log(1.0 + (index_.doc_count - df + 0.5) / (df + 0.5)), counts)
+    lens, avg_doc_len = index_.doc_lens, index_.avg_doc_len
+    scores: dict[int, float] = {}
+    for term in terms:
+        if term not in held:
+            continue
+        idf, counts = held[term]
+        # A passage with a term has tokens, so avg_doc_len > 0.
+        for doc, f in counts.items():
+            norm = K1 * (1.0 - B + B * lens[doc] / avg_doc_len)
+            scores[doc] = scores.get(doc, 0.0) + idf * f * (K1 + 1.0) / (f + norm)
+    ids = index_.doc_ids
+    scored = [(ids[doc], score) for doc, score in scores.items() if score > 0.0]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:n]
+
+
+def quote_candidates(index_: CorpusIndex, quoted: str) -> Iterable[int]:
+    """Positions, in passage order, of the passages that may hold a lowered quote.
+
+    A word with whitespace on both sides inside the quote is a whole
+    [a-z0-9] run of any lowered passage text that holds the quote, so a
+    token of that passage when it is a token at all: only passages in its
+    postings can hold the quote. The quote's words narrow the candidates to
+    the shortest such postings, or to the first that names one passage.
+    """
+    count = index_.doc_count
+    if count > 1:
+        postings = index_.postings
+        shortest = None
+        for word in quoted.split()[1:-1]:
+            occurrences = postings.get(word)
+            if occurrences is not None:
+                if occurrences[0] == occurrences[-1]:
+                    return occurrences[:1]
+                if shortest is None or len(occurrences) < len(shortest):
+                    shortest = occurrences
+        if shortest is not None:
+            return dict.fromkeys(shortest)
+    return range(count)
 
 
 @dataclass(frozen=True)

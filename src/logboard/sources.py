@@ -1,8 +1,9 @@
 """Evidence sources for one question: tables, passages, and image text.
 
 Image content arrives pre-extracted (caption + OCR text); no vision model
-runs here. A bundle indexes its passages for BM25 when it is built, so
-every question asked of it ranks from the same statistics. Loaders accept
+runs here. A bundle indexes its passages when it is built: the postings of
+each term, which BM25 ranking and quote anchoring read, so every question
+asked of it works from the same index. Loaders accept
 a single bundle JSON file or a directory of per-kind files (tables as JSON
 or CSV with a header row).
 """

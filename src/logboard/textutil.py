@@ -22,7 +22,7 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 _WORD_CHARS_RE = re.compile(r"\w+")
 _SENTENCE_END_RE = re.compile(r"[.?!]+(?=\s)")
 
-_ARTICLES = {"a", "an", "the"}
+ARTICLES = {"a", "an", "the"}  # what exact match drops
 
 # Signed magnitude with an optional currency prefix and unit suffix.
 # Word units ("5 million") are matched as a trailing word; "," grouping and
@@ -204,7 +204,7 @@ def qa_normalize(text: str, strip_articles: bool = True) -> str:
     stripped = re.sub(r"[^\w\s]", " ", canon)
     words = stripped.split()
     if strip_articles:
-        words = [w for w in words if w not in _ARTICLES]
+        words = [w for w in words if w not in ARTICLES]
     return " ".join(words)
 
 

@@ -1,6 +1,8 @@
 """Agent triggers, act parsing, prompt building, verification layering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logboard.agents import (
     AgentConfig,
@@ -24,6 +26,7 @@ from logboard.backends import (
 from logboard.gating import extract_features
 from logboard.log import (
     SUMMARIZING_AGENT,
+    DocSpan,
     EntryType,
     LogEntry,
     TableAnchor,
@@ -31,6 +34,7 @@ from logboard.log import (
     token_estimate,
 )
 from logboard.sources import Image, Passage, SourceBundle, Table
+from logboard.textutil import split_sentences, tokenize
 
 from helpers import (
     GOLDEN_ANSWER,
@@ -216,6 +220,123 @@ def test_doc_span_paraphrase_fallback():
         sources,
     )
     assert len(spans) == 1 and spans[0].doc_id == "report"
+
+
+def test_quote_span_indexes_the_original_text():
+    # "İ" lowers to two characters, which shifted every later lowered offset.
+    text = "İzmir office: Revenue grew to $55M in 2019."
+    sources = SourceBundle(passages=[Passage("p0", "Costs fell."), Passage("p1", text)])
+    for quoted in ("Revenue grew to $55M", "İzmir office", "zmir", "in 2019."):
+        (span,) = extract_doc_spans(f"The report says '{quoted}'.", sources)
+        assert span.doc_id == "p1"
+        assert text[span.start_char : span.end_char] == quoted
+    assert extract_doc_spans("It says 'Revenue grew to $55M'.", sources) == [DocSpan("p1", 14, 34)]
+    # A quote of a lowered "İ" finds the lowered text but no whole character.
+    assert extract_doc_spans("It says 'i\u0307zmir'.", sources) == [DocSpan("p1", 0, 5)]
+    assert extract_doc_spans("It says '\u0307zmir'.", sources) == []
+
+
+def reference_quote_span(passages, quoted):
+    """The first passage and first character offsets whose lowered text is the lowered quote.
+
+    Every pair of character offsets is tried, each lowered in its place.
+    """
+    target = quoted.lower()
+    for passage in passages:
+        text = passage.text
+        lowered = text.lower()
+        starts = [0]  # where each character's lowering starts in the lowered text
+        for char in text:
+            starts.append(starts[-1] + len(char.lower()))
+        for start in range(len(text) + 1):
+            for end in range(start, len(text) + 1):
+                if lowered[starts[start] : starts[end]] == target:
+                    return DocSpan(passage.id, start, end)
+    return None
+
+
+def reference_paraphrase_span(passages, reply):
+    """The sentence of any passage sharing most distinct tokens (at least 3) with the reply."""
+    reply_tokens = set(tokenize(reply))
+    best = None
+    for passage in passages:
+        for start, end in split_sentences(passage.text):
+            overlap = len(set(tokenize(passage.text[start:end])) & reply_tokens)
+            if overlap >= 3 and (best is None or overlap > best[0]):
+                best = (overlap, DocSpan(passage.id, start, end))
+    return [best[1]] if best else []
+
+
+# Mixed case, a dotted capital I (lowers to "i" plus a combining dot), the
+# Kelvin sign (lowers to "k"), punctuation glued to words and sentence ends.
+SPAN_WORDS = ["Revenue", "revenue", "grew", "Sales", "sales", "Firm0", "v1", "2019", "$55M",
+              "\u0130zmir", "izmir", "\u212aelvin", "kelvin", "\u00e9t\u00e9", "--", "office:",
+              "growth.", "fell!"]
+span_texts = st.lists(st.sampled_from(SPAN_WORDS), min_size=1, max_size=10).map(" ".join)
+
+
+@st.composite
+def span_passages(draw):
+    texts = draw(st.lists(span_texts, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        texts.insert(draw(st.integers(0, len(texts))), draw(st.sampled_from(texts)))
+    return [Passage(f"p{i}", text) for i, text in enumerate(texts)]
+
+
+@st.composite
+def quotes(draw, passages):
+    """Part of a passage, cut anywhere (mid-word too), or words found in none."""
+    if draw(st.integers(0, 3)):
+        text = draw(st.sampled_from(passages)).text
+        start = draw(st.integers(0, len(text) - 1))
+        return text[start : draw(st.integers(start + 1, len(text)))]
+    return draw(span_texts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_quote_spans_equal_a_first_match_scan(data):
+    passages = data.draw(span_passages())
+    quoted = data.draw(st.lists(quotes(passages), min_size=1, max_size=3))
+    reply = "The report says " + " and ".join(f'"{q}"' for q in quoted)
+    spans = [span for q in quoted if (span := reference_quote_span(passages, q))]
+    got = extract_doc_spans(reply, SourceBundle(passages=passages))
+    assert got == (spans or reference_paraphrase_span(passages, reply))
+    texts = {p.id: p.text for p in passages}
+    if spans:
+        for q, span in zip((q for q in quoted if reference_quote_span(passages, q)), got):
+            assert texts[span.doc_id][span.start_char : span.end_char].lower() == q.lower()
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_passages(), span_texts)
+def test_paraphrase_span_equals_the_full_sentence_scan(passages, reply):
+    reply = reply.replace('"', "")  # no quote: the paraphrase fallback decides
+    got = extract_doc_spans(reply, SourceBundle(passages=passages))
+    assert got == reference_paraphrase_span(passages, reply)
+
+
+class RecordingText(str):
+    """Passage text that records each time it is lowered."""
+
+    lowered: list[str] = []
+
+    def lower(self):
+        RecordingText.lowered.append(self)
+        return super().lower()
+
+
+def test_quote_anchoring_lowers_only_the_chosen_postings(monkeypatch):
+    texts = [f"Passage {i} reports steady sales." for i in range(50)]
+    texts[10] = "The zebra crossed the gate."
+    texts[40] = "Then the zebra crossed the road."
+    passages = [Passage(f"p{i}", RecordingText(text)) for i, text in enumerate(texts)]
+    sources = SourceBundle(passages=passages)
+    monkeypatch.setattr(RecordingText, "lowered", [])
+    spans = extract_doc_spans("It says 'the zebra crossed the road'.", sources)
+    assert spans == [DocSpan("p40", 5, 31)]
+    # Every inner word of the quote ("zebra", "crossed", "the") is in p10 and p40 only.
+    assert RecordingText.lowered == [texts[10], texts[40]]
 
 
 def test_verification_act_clean_path_uses_backend():

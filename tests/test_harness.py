@@ -36,7 +36,7 @@ from logboard.log import (
 from logboard.retrieval import retrieve
 from logboard.scheduler import SchedulerConfig, Termination
 from logboard.sources import Image, SourceBundle, Table
-from logboard.textutil import numeral_values, parse_numerals
+from logboard.textutil import numeral_values, parse_numerals, qa_normalize
 
 from helpers import (
     FIXTURES,
@@ -244,6 +244,37 @@ def test_reengaged_run_and_groundedness_parse_each_text_once(monkeypatch):
     evidence = [e.content for e in result.log.evidence_entries()]
     assert set(parsed) == {result.final_answer, *evidence}
     assert len(parsed) == len(set(parsed))
+
+
+def test_scoring_normalizes_each_text_once(monkeypatch):
+    """EM and ROUGE read one normalization of the answer and of each gold."""
+    parsed = []
+    original = logboard.textutil.parse_numerals
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    golds = ["an increase of $5 million", "The $5 million increase, due to higher sales volume"]
+    record = BenchmarkRecord(GOLDEN_QUESTION, golden_sources(), golds)
+    monkeypatch.setattr(logboard.textutil, "parse_numerals", counting)
+    metrics, (report,) = run_benchmark(
+        [record], backend_factory=lambda: ScriptedBackend(golden_script())
+    )
+    # The run's log parses the answer once (verifier and groundedness share
+    # it), and scoring once more; each gold is parsed once.
+    assert [parsed.count(text) for text in (GOLDEN_ANSWER, *golds)] == [2, 1, 1]
+    assert report["answer"] == GOLDEN_ANSWER and report["em"] is True
+    best = max((rouge(GOLDEN_ANSWER, gold) for gold in golds), key=lambda s: s["rougeL"])
+    assert (metrics.rouge1, metrics.rouge2, metrics.rougeL) == (
+        best["rouge1"], best["rouge2"], best["rougeL"]
+    )
+
+
+def test_exact_match_is_equality_of_qa_normalize():
+    for pred, gold in [("The $5M increase.", "5 million increase"), ("an apple", "Apple"),
+                       ("A $5M increase.", "$5m increase"), ("the", ""), ("a b", "b a")]:
+        assert exact_match(pred, [gold]) == (qa_normalize(pred) == qa_normalize(gold))
 
 
 def test_groundedness_rejects_empty_answer():

@@ -143,6 +143,50 @@ def test_retrieve_equals_brute_force_exactly(passages, query, n):
     assert retrieve(loaded.passage_index, query, n) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(corpora())
+def test_postings_list_each_passage_once_per_occurrence(passages):
+    expected = {}
+    for doc, passage in enumerate(passages):
+        for term, count in Counter(tokenize(passage.text)).items():
+            expected.setdefault(term, []).extend([doc] * count)
+    postings = index(passages).postings
+    assert {term: list(docs) for term, docs in postings.items()} == expected
+    assert type(postings) is dict  # a lookup of a missing term adds nothing
+    # Equal postings are one tuple, so terms met once in a passage share it.
+    assert len(set(map(id, postings.values()))) == len(set(postings.values()))
+
+
+class RecordingPostings(dict):
+    """Postings that record every term a ranking looks up."""
+
+    def __init__(self, postings):
+        super().__init__(postings)
+        self.looked_up = []
+
+    def get(self, term, default=None):
+        self.looked_up.append(term)
+        return super().get(term, default)
+
+    def __getitem__(self, term):
+        self.looked_up.append(term)
+        return super().__getitem__(term)
+
+    def __contains__(self, term):
+        self.looked_up.append(term)
+        return super().__contains__(term)
+
+
+def test_ranking_looks_up_only_the_question_distinct_terms():
+    passages = [Passage(f"p{i}", f"revenue grew {i} times with sales volume") for i in range(40)]
+    idx = index(passages)
+    query = "Revenue, sales and revenue again"
+    expected = retrieve(idx, query, 5)
+    idx.postings = RecordingPostings(idx.postings)
+    assert retrieve(idx, query, 5) == expected
+    assert idx.postings.looked_up == ["revenue", "sales", "and", "again"]
+
+
 def test_unique_match_ranks_first():
     idx = index(TOY)
     assert retrieve(idx, "weather", 3)[0][0] == "d3"
