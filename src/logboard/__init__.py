@@ -58,6 +58,7 @@ from .log import (
 )
 from .retrieval import (
     CorpusIndex,
+    cell_phrases,
     index,
     render_visual_text,
     retrieve,

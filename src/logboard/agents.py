@@ -16,7 +16,7 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress, repeat
 from operator import not_
 
 from . import retrieval
@@ -176,7 +176,10 @@ def _source_blocks(
     """
     if role is AgentRole.TABLE:
         if table_slices is None:
-            table_slices = [select_table_slice(table, question) for table in sources.tables]
+            table_slices = [
+                select_table_slice(table, question, retrieval.cell_phrases(table))
+                for table in sources.tables
+            ]
         for row_cap in (None, 10, 3, 1):
             yield "\n\n".join(
                 render_table_slice(table, TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols))
@@ -277,13 +280,13 @@ def build_prompt(
 # --- provenance extraction ---------------------------------------------------
 
 def extract_table_anchors(
-    reply: str, sources: SourceBundle, question: str
+    reply: str, sources: SourceBundle, question: str, phrases: Sequence[dict[str, str]]
 ) -> list[TableAnchor]:
     """Anchors for table cells the reply states, in (table, row, col) order.
 
-    A cell is stated when its normalized text is a run of consecutive
-    normalized reply tokens. Each table's distinct cell strings are
-    normalized once and looked up in the set of the reply's runs, built
+    phrases holds each table's `retrieval.cell_phrases`. A cell is stated
+    when its phrase is a run of consecutive normalized reply tokens. Each
+    table's phrases are looked up in the set of the reply's runs, built
     only up to the longest phrase met. Cells whose text merely echoes the
     question are left out (they are the lookup key, not the retrieved
     fact) unless no table states another cell. Stated cells are sorted into
@@ -299,9 +302,9 @@ def extract_table_anchors(
     # Per table, the stated cells that the question does not echo, and those it does.
     informative: list[set[str]] = []
     echoed: list[set[str]] = []
-    for table in sources.tables:
-        phrases = {cell: normalize(cell) for cell in set(chain.from_iterable(table.rows))}
-        longest = max((phrase.count(" ") + 1 for phrase in phrases.values() if phrase), default=0)
+    for table_phrases in phrases:
+        # Words in the longest phrase; a blank phrase counts one but is no run.
+        longest = max(map(str.count, table_phrases.values(), repeat(" ")), default=-1) + 1
         while built < longest and built < len(reply_tokens):
             built += 1
             runs.update(
@@ -310,9 +313,9 @@ def extract_table_anchors(
             )
         informative.append(set())
         echoed.append(set())
-        for cell, phrase in phrases.items():
-            if phrase in runs:
-                (echoed if f" {phrase} " in padded_question else informative)[-1].add(cell)
+        stated = compress(table_phrases, map(runs.__contains__, table_phrases.values()))
+        for cell in stated:
+            (echoed if f" {table_phrases[cell]} " in padded_question else informative)[-1].add(cell)
     # A stated cell is taken from its table's rows, so some table states an
     # informative cell exactly when some informative anchor exists.
     anchors: list[TableAnchor] = []
@@ -473,18 +476,28 @@ class TableAgent(_RetrievalAgent):
     def __init__(self, config: AgentConfig | None = None) -> None:
         super().__init__(config)
         self.reported: set[tuple[str, int]] = set()
-        # (id(table), question) -> (table, slice). The agent set lives for
-        # one run, so each table is sliced once per run and never across
-        # runs; holding the table keeps its id from being reused.
-        self._slices: dict[tuple[int, str], tuple[Table, TableSlice]] = {}
+        # id(table) -> (table, its cell phrases); (id(table), question) ->
+        # slice. The agent set lives for one run, so each table's cells are
+        # normalized and the table sliced once per run, never across runs;
+        # holding the table keeps its id from being reused.
+        self._phrases: dict[int, tuple[Table, dict[str, str]]] = {}
+        self._slices: dict[tuple[int, str], TableSlice] = {}
+
+    def _cell_phrases(self, sources: SourceBundle) -> list[dict[str, str]]:
+        held = []
+        for table in sources.tables:
+            if id(table) not in self._phrases:
+                self._phrases[id(table)] = (table, retrieval.cell_phrases(table))
+            held.append(self._phrases[id(table)][1])
+        return held
 
     def _table_slices(self, sources: SourceBundle, question: str) -> list[TableSlice]:
         slices = []
-        for table in sources.tables:
+        for table, phrases in zip(sources.tables, self._cell_phrases(sources)):
             key = (id(table), question)
             if key not in self._slices:
-                self._slices[key] = (table, select_table_slice(table, question))
-            slices.append(self._slices[key][1])
+                self._slices[key] = select_table_slice(table, question, phrases)
+            slices.append(self._slices[key])
         return slices
 
     def _relevant_columns(self, sources: SourceBundle, question: str):
@@ -513,7 +526,7 @@ class TableAgent(_RetrievalAgent):
         return build_prompt(self.role, log, sources, self.config, table_slices=slices)
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[TableAnchor]:
-        return extract_table_anchors(reply, sources, question)
+        return extract_table_anchors(reply, sources, question, self._cell_phrases(sources))
 
 
 class ContextAgent(_RetrievalAgent):

@@ -37,6 +37,10 @@ class RequestRejected(TransportError):
 
 @runtime_checkable
 class TextBackend(Protocol):
+    """calls counts replies, not attempts: a generate call that raises adds
+    nothing to it or to the token counters, so a run's `backend_calls` is
+    the same whether or not some attempt failed."""
+
     calls: int
     prompt_tokens: int
     completion_tokens: int

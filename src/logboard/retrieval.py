@@ -14,29 +14,30 @@ only passages that share a term with the question. Quote anchoring
 (`agents.extract_doc_spans`) picks its candidate passages from the same
 postings.
 
-Table work stays per run. A table's slice depends only on the table and
-the question, so the Table agent, which lives for one run, slices each
-table once per run; a prompt ranks passages once, whatever its shrink
-level. Slicing works once per row (one compiled search of the row's text)
-and once per distinct value of a column. Nothing of it outlives the run:
-a bundle with large tables is often asked one question (as in the
-benchmark's `table_heavy`), so doing this at load time would only move
-its cost into set-up. The one exception is the question's compiled
-pattern, which `re` keeps in its module cache, so a repeated question
-skips the compile that a new one pays.
+Table work stays per run. The Table agent, which lives for one run,
+makes one pass over each table's distinct cell strings, `cell_phrases`,
+mapping each to its normalized phrase; slicing and anchoring both read
+it. A table's slice depends only on the table and the question, so the
+agent slices each table once per run. Slicing finds the cells that share
+a token with the question in one C-level pass over the phrases, tests
+each distinct cell for a digit once, then tests the rows and sums the
+columns in C; it compiles no pattern, so a question not asked before
+costs what a repeated one does. Nothing of it outlives the run: a bundle
+with large tables is often asked one question (as in the benchmark's
+`table_heavy`), so doing this at load time would only move its cost into
+set-up.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .textutil import parse_numerals, split_sentences, tokenize
+from .textutil import normalize_each, parse_numerals, split_sentences, tokenize
 
 if TYPE_CHECKING:  # sources builds its passage index from this module
     from .sources import Image, Passage, Table
@@ -154,44 +155,46 @@ class TableSlice:
     kept_cols: list[int]
 
 
-def _is_numeric_column(table: Table, col: int) -> bool:
-    """More than half the non-blank cells hold a digit; each distinct value is tested once."""
-    numeric = total = 0
-    for cell, count in Counter(map(itemgetter(col), table.rows)).items():
-        if not cell.strip():
-            continue
-        total += count
-        if any(map(str.isdigit, cell)):
-            numeric += count
-    return numeric * 2 > total
+def cell_phrases(table: Table) -> dict[str, str]:
+    """Each distinct cell string of the rows, in the order met, mapped to its `normalize`."""
+    cells = dict.fromkeys(chain.from_iterable(table.rows))
+    return dict(zip(cells, normalize_each(cells)))
 
 
 _FALLBACK_ROWS = 50
 
 
-def select_table_slice(table: Table, question: str) -> TableSlice:
+def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> TableSlice:
     """Columns matching the question plus numeric columns; rows that overlap.
 
-    If no row shares a token with the question, the first 50 rows are
-    kept. Original order is preserved; the header always survives.
+    phrases is the table's `cell_phrases`. A column is numeric when more
+    than half its non-blank cells hold a digit. If no row shares a token
+    with the question, the first 50 rows are kept. Original order is
+    preserved; the header always survives.
     """
     q_tokens = set(tokenize(question))
-    kept_cols = []
-    for col, name in enumerate(table.header):
-        if not q_tokens.isdisjoint(tokenize(name)) or _is_numeric_column(table, col):
-            kept_cols.append(col)
+    # A cell's tokens are its phrase's: each [a-z0-9] run of the lowered text
+    # lies whole inside a word of the phrase. A phrase holds no newline, and
+    # only [a-z0-9_ ] and non-ASCII characters, which ASCII-encode as "?";
+    # so, with "?" and "_" made spaces, each phrase is a line of its tokens.
+    text = "\n".join(phrases.values()).encode("ascii", "replace")
+    lines = text.replace(b"?", b" ").replace(b"_", b" ").split(b"\n")
+    wanted = {token.encode() for token in q_tokens}
+    hits = set(compress(phrases, map(not_, map(wanted.isdisjoint, map(bytes.split, lines)))))
+    # 2 * digit cells > cells - blank cells: with a digit cell weighing 2, a
+    # blank one 1 and any other 0, a numeric column's weights sum past its
+    # length. A table without rows has empty columns.
+    weight = {cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases}
+    columns = zip(*table.rows) if table.rows else repeat((), len(table.header))
+    kept_cols = [
+        col
+        for col, (name, column) in enumerate(zip(table.header, columns))
+        if not q_tokens.isdisjoint(tokenize(name))
+        or sum(map(weight.__getitem__, column)) > len(column)
+    ]
     if not kept_cols:
         kept_cols = list(range(len(table.header)))
-    kept_rows = []
-    if q_tokens:
-        # A row shares a token with the question when one of the question's
-        # tokens stands in its lowered text as a whole [a-z0-9] run, which is
-        # what tokenize would cut out of it. Tokens are [a-z0-9]+, so the
-        # alternation needs no escaping; one search per row runs in C.
-        shares_token = re.compile(
-            r"(?<![a-z0-9])(?:%s)(?![a-z0-9])" % "|".join(sorted(q_tokens))
-        ).search
-        kept_rows = [i for i, row in enumerate(table.rows) if shares_token(" ".join(row).lower())]
+    kept_rows = list(compress(range(len(table.rows)), map(not_, map(hits.isdisjoint, table.rows))))
     if not kept_rows:
         kept_rows = list(range(min(len(table.rows), _FALLBACK_ROWS)))
     return TableSlice(kept_rows=kept_rows, kept_cols=kept_cols)

@@ -33,6 +33,7 @@ from logboard.log import (
     parse_answer,
     token_estimate,
 )
+from logboard.retrieval import cell_phrases
 from logboard.sources import Image, Passage, SourceBundle, Table
 from logboard.textutil import split_sentences, tokenize
 
@@ -202,14 +203,18 @@ def test_flag_reason_surfaces_in_retrieval_prompts():
 
 def test_anchor_extraction_excludes_question_echoes():
     sources = golden_sources()
+    phrases = [cell_phrases(table) for table in sources.tables]
     anchors = extract_table_anchors(
         "Revenue in 2018 was $50M, revenue in 2019 was $55M (from Table 1).",
         sources,
         GOLDEN_QUESTION,
+        phrases,
     )
     assert anchors == [TableAnchor("Table 1", 0, 1), TableAnchor("Table 1", 1, 1)]
     # If only question echoes match, fall back to them rather than none.
-    anchors = extract_table_anchors("The years 2018 and 2019 are covered.", sources, GOLDEN_QUESTION)
+    anchors = extract_table_anchors(
+        "The years 2018 and 2019 are covered.", sources, GOLDEN_QUESTION, phrases
+    )
     assert {(a.row, a.col) for a in anchors} == {(0, 0), (1, 0)}
 
 

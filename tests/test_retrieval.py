@@ -12,6 +12,7 @@ import logboard.retrieval
 from logboard.retrieval import (
     B,
     K1,
+    cell_phrases,
     index,
     render_visual_text,
     retrieve,
@@ -229,25 +230,26 @@ TRACE_TABLE = Table(
 
 
 def test_slice_keeps_question_rows_and_revenue_column():
-    slice_ = select_table_slice(TRACE_TABLE, "revenue increase from 2018 to 2019")
+    question = "revenue increase from 2018 to 2019"
+    slice_ = select_table_slice(TRACE_TABLE, question, cell_phrases(TRACE_TABLE))
     assert 1 in slice_.kept_cols  # Revenue header overlaps the question
     assert slice_.kept_rows == [0, 1]
 
 
 def test_slice_fallback_keeps_capped_rows():
     table = Table("t", ["colx"], [[f"cell{i}"] for i in range(80)])
-    slice_ = select_table_slice(table, "nothing shared here")
+    slice_ = select_table_slice(table, "nothing shared here", cell_phrases(table))
     assert slice_.kept_rows == list(range(50))
 
 
 def test_slice_single_row_kept():
     table = Table("t", ["a", "b"], [["only", "7"]])
-    slice_ = select_table_slice(table, "unrelated question")
+    slice_ = select_table_slice(table, "unrelated question", cell_phrases(table))
     assert slice_.kept_rows == [0]
 
 
 def test_slice_cells_dereference():
-    slice_ = select_table_slice(TRACE_TABLE, "revenue in 2019")
+    slice_ = select_table_slice(TRACE_TABLE, "revenue in 2019", cell_phrases(TRACE_TABLE))
     for r in slice_.kept_rows:
         for c in slice_.kept_cols:
             assert TRACE_TABLE.rows[r][c] is not None

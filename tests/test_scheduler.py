@@ -288,7 +288,8 @@ def test_dedup_rejected_append_counts_toward_cap_without_update():
 
 
 class FlakyBackend(UsageMixin):
-    """Fails a fixed number of times, then delegates to a scripted backend."""
+    """Fails a fixed number of times, then delegates to a scripted backend.
+    Like HttpBackend it counts replies, not attempts."""
 
     def __init__(self, failures: int, script: dict) -> None:
         super().__init__()
@@ -298,7 +299,6 @@ class FlakyBackend(UsageMixin):
     def generate(self, prompt, temperature, max_tokens=512):
         if self.failures > 0:
             self.failures -= 1
-            self.calls += 1
             raise TransportError("flaky")
         reply = self.inner.generate(prompt, temperature, max_tokens)
         self._record(prompt, reply)
@@ -309,6 +309,10 @@ def test_transient_failures_are_retried():
     backend = FlakyBackend(2, golden_script())
     result = run(GOLDEN_QUESTION, golden_sources(), backend)
     assert result.termination is Termination.ANSWER_VERIFIED
+    # Both failures fall on the first call's tries, which the third answers.
+    clean = run(GOLDEN_QUESTION, golden_sources(), FlakyBackend(0, golden_script()))
+    assert result.metrics == clean.metrics
+    assert result.metrics.backend_calls == backend.calls == 4
 
 
 def test_persistent_failure_aborts_with_partial_log():

@@ -8,8 +8,9 @@ prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
 Of the code they check, they call only tokenize. The faster code must give
 the same results on any input, the Table agent must slice each table once
-per run, and anchoring must normalize each distinct cell string of a table
-once and build only the anchors it returns.
+per run, a run must normalize each distinct cell string of a table once,
+for slicing and anchoring together, and anchoring must build only the
+anchors it returns.
 """
 
 import re
@@ -33,10 +34,16 @@ from logboard.agents import (
 )
 from logboard.backends import ScriptedBackend
 from logboard.log import TableAnchor
-from logboard.retrieval import TableSlice, render_table_slice, select_table_slice, truncate_span
+from logboard.retrieval import (
+    TableSlice,
+    cell_phrases,
+    render_table_slice,
+    select_table_slice,
+    truncate_span,
+)
 from logboard.scheduler import run
 from logboard.sources import Image, Passage, SourceBundle, Table, bundle_from_dict
-from logboard.textutil import normalize, tokenize
+from logboard.textutil import normalize, normalize_each, tokenize
 
 from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
 
@@ -138,6 +145,15 @@ def reference_sources_block(role, sources, question, shrink):
     return "\n\n".join(parts)
 
 
+def slice_of(table, question):
+    return select_table_slice(table, question, cell_phrases(table))
+
+
+def anchors_of(reply, sources, question):
+    phrases = [cell_phrases(table) for table in sources.tables]
+    return extract_table_anchors(reply, sources, question, phrases)
+
+
 # --- strategies -------------------------------------------------------------
 
 # Besides plain words and numerals: "İ" lowers to "i" plus a combining dot,
@@ -223,14 +239,14 @@ def bundle_question_reply(draw):
 def test_select_table_slice_matches_per_cell_reference(case):
     sources, question, _ = case
     for table in sources.tables:
-        assert select_table_slice(table, question) == reference_select_table_slice(table, question)
+        assert slice_of(table, question) == reference_select_table_slice(table, question)
 
 
 @settings(max_examples=300, deadline=None)
 @given(bundle_question_reply())
 def test_extract_table_anchors_matches_quadratic_reference(case):
     sources, question, reply = case
-    assert extract_table_anchors(reply, sources, question) == reference_extract_table_anchors(
+    assert anchors_of(reply, sources, question) == reference_extract_table_anchors(
         reply, sources, question
     )
 
@@ -239,7 +255,7 @@ def test_anchor_references_agree_on_long_cells_and_repeats():
     table = Table("t", ["text"], [["a b a b c"], ["b a"], ["a a a"], ["c"], ["a b c d e f"]])
     sources = SourceBundle(tables=[table])
     for reply in ["a b a b a b c", "a a", "c a b", "a b c d e f g", ""]:
-        assert extract_table_anchors(reply, sources, "b") == reference_extract_table_anchors(
+        assert anchors_of(reply, sources, "b") == reference_extract_table_anchors(
             reply, sources, "b"
         )
 
@@ -251,7 +267,13 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
         calls.append(text)
         return normalize(text)
 
+    def counting_normalize_each(texts):
+        texts = list(texts)
+        calls.extend(texts)
+        return normalize_each(texts)
+
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
+    monkeypatch.setattr(logboard.retrieval, "normalize_each", counting_normalize_each)
     rows = [["widget", "$7M"], ["gadget", "$7M"], ["widget", "$7M"], ["", "$9M"]]
     sources = SourceBundle(
         tables=[
@@ -259,12 +281,81 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
             Table("t2", ["Item", "Value"], [["widget", "$9M"], ["widget", "$9M"]]),
         ]
     )
+    phrases = [cell_phrases(table) for table in sources.tables]
+    distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
+    assert Counter(calls) == Counter(distinct)
+    calls.clear()
     reply, question = "The widget line was $7M.", "What was the widget line?"
-    anchors = extract_table_anchors(reply, sources, question)
+    anchors = extract_table_anchors(reply, sources, question, phrases)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
     assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 1, 1), TableAnchor("t1", 2, 1)]
-    distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
-    assert Counter(calls) == Counter([reply, question, *distinct])
+    assert Counter(calls) == Counter([reply, question])  # no cell again
+
+
+def _tag(i):
+    """A distinct lowercase tag for each i, holding no digit."""
+    return "".join("abcdefghij"[int(d)] for d in str(i))
+
+
+@st.composite
+def distinct_cell_tables(draw):
+    """A table whose non-blank cells are all distinct, its columns heavy with blanks.
+
+    Each column draws how many of its cells hold a numeral, a word or a
+    blank, so the digit majority over the non-blank cells lands on either
+    side of one half and on it.
+    """
+    n_cols, n_rows = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    header = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+    plain = [w for w in WORDS if not any(map(str.isdigit, w))]
+    columns = []
+    for col in range(n_cols):
+        kinds = draw(
+            st.lists(st.sampled_from("dtbb"), min_size=n_rows, max_size=n_rows)
+        )
+        column = []
+        for row, kind in enumerate(kinds):
+            i = row * n_cols + col
+            if kind == "d":
+                column.append(f"{draw(st.sampled_from(NUMERALS))} {i}")
+            elif kind == "t":
+                column.append(f"{draw(st.sampled_from(plain))} {_tag(i)}")
+            else:
+                column.append(draw(st.sampled_from(BLANKS)))
+        columns.append(column)
+    rows = [list(row) for row in zip(*columns)]
+    return Table("t", header, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_cell_tables(), st.data())
+def test_distinct_cell_tables_match_the_references(table, data):
+    filled = [c for row in table.rows for c in row if c.strip()]
+    assert len(set(filled)) == len(filled)
+    question = phrase(data.draw, WORDS + NUMERALS + filled)
+    reply = phrase(data.draw, WORDS + NUMERALS + filled + [question])
+    sources = SourceBundle(tables=[table])
+    assert slice_of(table, question) == reference_select_table_slice(table, question)
+    assert anchors_of(reply, sources, question) == reference_extract_table_anchors(
+        reply, sources, question
+    )
+
+
+def test_slicing_a_new_question_compiles_no_pattern(monkeypatch):
+    rows = [[f"Firm{i}", "Revenue" if i % 3 else "Cost", f"${i}M"] for i in range(40)]
+    table = Table("t", ["Company", "Metric", "Value"], rows)
+    phrases = cell_phrases(table)
+    question = f"What was the revenue of Firm7 in {id(object())}?"  # not asked before
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError(f"compiled {args[0]!r}")
+
+    monkeypatch.setattr(re, "compile", no_compile)
+    monkeypatch.setattr(re, "_compile", no_compile)
+    slice_ = select_table_slice(table, question, phrases)
+    monkeypatch.undo()
+    assert slice_ == reference_select_table_slice(table, question)
+    assert slice_.kept_rows == [i for i in range(40) if i % 3 or i == 7]
 
 
 @st.composite
@@ -298,7 +389,7 @@ def echo_and_informative_bundles(draw):
 @given(echo_and_informative_bundles())
 def test_informative_cell_in_one_table_drops_echoes_in_all(case):
     sources, question, reply, fact_table = case
-    anchors = extract_table_anchors(reply, sources, question)
+    anchors = anchors_of(reply, sources, question)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
     assert {anchor.table_id for anchor in anchors} == {fact_table}
 
@@ -315,7 +406,7 @@ def test_anchoring_builds_only_the_anchors_it_returns(monkeypatch):
     rows = [["Revenue", f"Firm{i}", f"${i}M"] for i in range(300)]
     sources = SourceBundle(tables=[Table("t", ["Metric", "Company", "Value"], rows)])
     reply, question = "Firm7 revenue was $7M.", "What was the revenue of Firm7?"
-    anchors = extract_table_anchors(reply, sources, question)
+    anchors = anchors_of(reply, sources, question)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
     assert anchors == [TableAnchor("t", 7, 2)]
     assert len(built) == len(anchors)
@@ -331,6 +422,32 @@ NORMALIZE_CHARS = list("aZ9 _.,-'$\t\n\x1c\x85\u00a0\u2028\u0301\u0307İΣΑσς
 @given(st.text(alphabet=st.one_of(st.sampled_from(NORMALIZE_CHARS), st.characters()), max_size=16))
 def test_normalize_matches_blank_and_split_formula(text):
     assert normalize(text) == " ".join(reference_normalize_tokens(text))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(NORMALIZE_CHARS), st.characters()), max_size=16))
+def test_a_normalized_text_keeps_its_tokens(text):
+    # What lets a slice test a cell's tokens on its cell phrase.
+    assert tokenize(normalize(text)) == tokenize(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=st.one_of(st.sampled_from(NORMALIZE_CHARS), st.characters()))))
+def test_normalize_each_is_normalize_of_each(texts):
+    assert list(normalize_each(texts)) == list(map(normalize, texts))
+
+
+ANY_CHAR = st.one_of(st.sampled_from(NORMALIZE_CHARS + list("?\n")), st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=ANY_CHAR, max_size=12), max_size=8), st.data())
+def test_rows_sharing_a_token_over_any_characters(texts, data):
+    # Cells and questions of any characters, "?" and newlines among them.
+    table = Table("t", ["c"], [[text] for text in texts])
+    pieces = data.draw(st.lists(st.sampled_from(texts) if texts else st.just(""), max_size=3))
+    question = data.draw(st.text(alphabet=ANY_CHAR, max_size=12)) + " ".join(pieces)
+    assert slice_of(table, question) == reference_select_table_slice(table, question)
 
 
 @st.composite
@@ -358,7 +475,7 @@ def test_render_table_slice_matches_per_row_reference(case):
 def test_zero_column_json_table_renders_blank_lines():
     sources = bundle_from_dict({"tables": [{"id": "T", "header": [], "rows": [[], []]}]})
     table = sources.tables[0]
-    slice_ = select_table_slice(table, "What was the revenue?")
+    slice_ = slice_of(table, "What was the revenue?")
     assert slice_ == TableSlice(kept_rows=[0, 1], kept_cols=[])
     assert render_table_slice(table, slice_) == "Table T:\n\n\n"
 
@@ -408,9 +525,10 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     ranked = []
     context_prompts = []
 
-    def counting_slice(table, question):
+    def counting_slice(table, question, phrases):
         sliced.append(table.id)
-        return select_table_slice(table, question)
+        assert phrases == cell_phrases(table)
+        return select_table_slice(table, question, phrases)
 
     def counting_act(agent, *args, **kwargs):
         acts.append(agent.role)
@@ -451,6 +569,33 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     assert indexed == []
     assert context_prompts and len(ranked) == len(context_prompts)
     assert all(index_ is sources.passage_index for index_ in ranked)
+
+
+def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
+    cells = []
+    texts = []
+
+    def counting_normalize_each(texts):
+        texts = list(texts)
+        cells.extend(texts)
+        return normalize_each(texts)
+
+    def counting_normalize(text):
+        texts.append(text)
+        return normalize(text)
+
+    monkeypatch.setattr(logboard.retrieval, "normalize_each", counting_normalize_each)
+    monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
+    sources = two_table_sources()
+    script = golden_script()
+    script["verification agent"] = "Flagged incorrect calculation in the claim."
+    result = run(GOLDEN_QUESTION, sources, ScriptedBackend(script))
+
+    assert result.metrics.rounds == 2
+    # Two Table acts each anchor a reply, normalizing it and the question.
+    assert texts.count(GOLDEN_QUESTION) == 2 and len(texts) == 4
+    distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
+    assert Counter(cells) == Counter(distinct)
 
 
 @pytest.mark.parametrize("question", ["What was the revenue count?", "Nothing shared here?"])
