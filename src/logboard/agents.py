@@ -284,7 +284,8 @@ def extract_table_anchors(
 ) -> list[TableAnchor]:
     """Anchors for table cells the reply states, in (table, row, col) order.
 
-    phrases holds each table's `retrieval.cell_phrases`. A cell is stated
+    phrases holds `retrieval.cell_phrases` of each table of sources, in
+    order, built from the tables as they are now. A cell is stated
     when its phrase is a run of consecutive normalized reply tokens. Each
     table's phrases are looked up in the set of the reply's runs, built
     only up to the longest phrase met. Cells whose text merely echoes the

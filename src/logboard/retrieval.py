@@ -37,7 +37,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .textutil import normalize_each, parse_numerals, split_sentences, tokenize
+from .textutil import normalize, parse_numerals, split_sentences, tokenize
 
 if TYPE_CHECKING:  # sources builds its passage index from this module
     from .sources import Image, Passage, Table
@@ -158,7 +158,7 @@ class TableSlice:
 def cell_phrases(table: Table) -> dict[str, str]:
     """Each distinct cell string of the rows, in the order met, mapped to its `normalize`."""
     cells = dict.fromkeys(chain.from_iterable(table.rows))
-    return dict(zip(cells, normalize_each(cells)))
+    return dict(zip(cells, map(normalize, cells)))
 
 
 _FALLBACK_ROWS = 50
@@ -167,7 +167,8 @@ _FALLBACK_ROWS = 50
 def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> TableSlice:
     """Columns matching the question plus numeric columns; rows that overlap.
 
-    phrases is the table's `cell_phrases`. A column is numeric when more
+    phrases must be `cell_phrases(table)` of this table as it is now; a
+    map of other cells gives a wrong slice. A column is numeric when more
     than half its non-blank cells hold a digit. If no row shares a token
     with the question, the first 50 rows are kept. Original order is
     preserved; the header always survives.

@@ -8,7 +8,7 @@ metric normalizers are all built from these pieces.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 # Phrases the Summarizer uses to signal an information gap. Shared by the
 # Context trigger and the gating features.
@@ -69,11 +69,6 @@ def normalize(text: str) -> str:
     `str.split()` agree on what is whitespace.
     """
     return " ".join(_WORD_CHARS_RE.findall(text.lower()))
-
-
-def normalize_each(texts: Iterable[str]) -> Iterator[str]:
-    """`normalize` of each text, lazily, in C: no Python call per text."""
-    return map(" ".join, map(_WORD_CHARS_RE.findall, map(str.lower, texts)))
 
 
 def tokenize(text: str) -> list[str]:

@@ -43,7 +43,7 @@ from logboard.retrieval import (
 )
 from logboard.scheduler import run
 from logboard.sources import Image, Passage, SourceBundle, Table, bundle_from_dict
-from logboard.textutil import normalize, normalize_each, tokenize
+from logboard.textutil import normalize, tokenize
 
 from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
 
@@ -267,13 +267,8 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
         calls.append(text)
         return normalize(text)
 
-    def counting_normalize_each(texts):
-        texts = list(texts)
-        calls.extend(texts)
-        return normalize_each(texts)
-
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
-    monkeypatch.setattr(logboard.retrieval, "normalize_each", counting_normalize_each)
+    monkeypatch.setattr(logboard.retrieval, "normalize", counting_normalize)
     rows = [["widget", "$7M"], ["gadget", "$7M"], ["widget", "$7M"], ["", "$9M"]]
     sources = SourceBundle(
         tables=[
@@ -431,12 +426,6 @@ def test_a_normalized_text_keeps_its_tokens(text):
     assert tokenize(normalize(text)) == tokenize(text)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(alphabet=st.one_of(st.sampled_from(NORMALIZE_CHARS), st.characters()))))
-def test_normalize_each_is_normalize_of_each(texts):
-    assert list(normalize_each(texts)) == list(map(normalize, texts))
-
-
 ANY_CHAR = st.one_of(st.sampled_from(NORMALIZE_CHARS + list("?\n")), st.characters())
 
 
@@ -575,16 +564,15 @@ def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
     cells = []
     texts = []
 
-    def counting_normalize_each(texts):
-        texts = list(texts)
-        cells.extend(texts)
-        return normalize_each(texts)
+    def counting_cell_normalize(text):
+        cells.append(text)
+        return normalize(text)
 
     def counting_normalize(text):
         texts.append(text)
         return normalize(text)
 
-    monkeypatch.setattr(logboard.retrieval, "normalize_each", counting_normalize_each)
+    monkeypatch.setattr(logboard.retrieval, "normalize", counting_cell_normalize)
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
     sources = two_table_sources()
     script = golden_script()
