@@ -150,9 +150,8 @@ VERIFICATION_INSTRUCTIONS = (
 )
 
 
-def _best_match_range(passage_text: str, question: str) -> tuple[int, int]:
-    """Char range of the passage sentence overlapping the question most."""
-    q_tokens = set(tokenize(question))
+def _best_match_range(passage_text: str, q_tokens: set[str]) -> tuple[int, int]:
+    """Char range of the passage sentence sharing most of q_tokens, the question's tokens."""
     spans = retrieval.split_sentences(passage_text)
     if not spans:
         return (0, len(passage_text))
@@ -171,8 +170,9 @@ def _source_blocks(
 ) -> Iterator[str]:
     """Role-specific source text at shrink levels 0 (full) to 3, lazily.
 
-    What does not depend on the level (the table slices, the BM25 ranking
-    and each passage's best-matching sentence) is worked out once.
+    What does not depend on the level (the table slices, the BM25 ranking,
+    the question's tokens and each passage's best-matching sentence) is
+    worked out once.
     """
     if role is AgentRole.TABLE:
         if table_slices is None:
@@ -189,8 +189,9 @@ def _source_blocks(
         chosen = [doc_id for doc_id, _ in retrieval.retrieve(sources.passage_index, question)]
         if not chosen:
             chosen = [p.id for p in sources.passages[:TOP_N]]
+        q_tokens = set(tokenize(question))
         matches = [
-            (passage, _best_match_range(passage.text, question))
+            (passage, _best_match_range(passage.text, q_tokens))
             for passage in sources.passages
             if passage.id in chosen
         ]
@@ -392,13 +393,20 @@ def extract_doc_spans(reply: str, sources: SourceBundle) -> list[DocSpan]:
 
 
 def extract_image_refs(reply: str, sources: SourceBundle) -> list[ImageRef]:
-    """Refs for images whose extracted text the reply draws on."""
+    """Refs for images whose extracted text the reply draws on.
+
+    The reply names an image when the id's normalized words are a run of
+    the reply's, as a stated table cell is: "Figure 12" does not name
+    "Figure 1", nor does any "a" name an image "A".
+    """
     reply_tokens = set(tokenize(reply))
     reply_values = {m.value for m in parse_numerals(reply)}
+    padded_reply = f" {normalize(reply)} "
     refs = []
     for image in sources.images:
         text = f"{image.caption} {image.ocr_text}"
-        if image.id.lower() in reply.lower():
+        name = normalize(image.id)
+        if name and f" {name} " in padded_reply:
             refs.append(ImageRef(image.id))
             continue
         values = {m.value for m in parse_numerals(text)}

@@ -18,14 +18,18 @@ Table work stays per run. The Table agent, which lives for one run,
 makes one pass over each table's distinct cell strings, `cell_phrases`,
 mapping each to its normalized phrase; slicing and anchoring both read
 it. A table's slice depends only on the table and the question, so the
-agent slices each table once per run. Slicing finds the cells that share
-a token with the question in one C-level pass over the phrases, tests
-each distinct cell for a digit once, then tests the rows and sums the
-columns in C; it compiles no pattern, so a question not asked before
-costs what a repeated one does. Nothing of it outlives the run: a bundle
-with large tables is often asked one question (as in the benchmark's
-`table_heavy`), so doing this at load time would only move its cost into
-set-up.
+agent slices each table once per run. A slice holds the question's most
+specific rows: of the rows that share a token with the question, those
+whose set of question tokens no other row's set strictly contains, with
+the columns whose cells matched beside the header-matched and numeric
+ones. Slicing finds the matching cells in one C-level pass over the
+phrases, works out a row's token set once per distinct set of matching
+cells, tests each distinct cell for a digit once, and tests the rows and
+sums the columns in C; it compiles no pattern, so a question not asked
+before costs what a repeated one does. Nothing of it outlives the run: a
+bundle with large tables is often asked one question (as in the
+benchmark's `table_heavy`), so doing this at load time would only move its
+cost into set-up.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, tee
 from operator import itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -165,13 +169,25 @@ _FALLBACK_ROWS = 50
 
 
 def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> TableSlice:
-    """Columns matching the question plus numeric columns; rows that overlap.
+    """The question's most specific rows, with the columns that name them.
 
     phrases must be `cell_phrases(table)` of this table as it is now; a
-    map of other cells gives a wrong slice. A column is numeric when more
-    than half its non-blank cells hold a digit. If no row shares a token
-    with the question, the first 50 rows are kept. Original order is
-    preserved; the header always survives.
+    map of other cells gives a wrong slice. A row's question tokens are
+    the question's tokens that its cells hold. Of the rows that hold any,
+    a row is kept unless another row's set strictly contains its own, so
+    rows with equal sets stay together. If no row shares a token with the
+    question, the first 50 rows are kept. A column is kept when a kept
+    row's cell there holds a question token, when its header shares a
+    token with the question, or when it is numeric: more than half its
+    non-blank cells hold a digit. If that keeps no column, all are kept.
+    Original order is preserved; the header always survives.
+
+    Two limits follow. A row that only an aggregate over entities needs is
+    dropped when its set is a strict subset of another row's: asked how
+    Giva's revenue compares with the average, the slice keeps Giva's rows
+    and drops the other revenue rows. And every question token counts,
+    stop words too, so a row whose only match is a cell "the" stays
+    beside the rows that hold "giva" and "revenue".
     """
     q_tokens = set(tokenize(question))
     # A cell's tokens are its phrase's: each [a-z0-9] run of the lowered text
@@ -181,23 +197,46 @@ def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> 
     text = "\n".join(phrases.values()).encode("ascii", "replace")
     lines = text.replace(b"?", b" ").replace(b"_", b" ").split(b"\n")
     wanted = {token.encode() for token in q_tokens}
-    hits = set(compress(phrases, map(not_, map(wanted.isdisjoint, map(bytes.split, lines)))))
+    marked = list(map(not_, map(wanted.isdisjoint, map(bytes.split, lines))))
+    # Each cell that meets the question, mapped to the question tokens it holds.
+    matched = dict(
+        zip(
+            compress(phrases, marked),
+            map(wanted.intersection, map(bytes.split, compress(lines, marked))),
+        )
+    )
+    hits = frozenset(matched)
+    rows = table.rows
+    candidates = list(compress(range(len(rows)), map(not_, map(hits.isdisjoint, rows))))
+    # A row's question tokens are those of its hit cells, worked out once per
+    # distinct set of hit cells; those sets are few, so comparing them is cheap.
+    # Equal sets are stored once, so the list holds a few sets, not one per row.
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    made, same = tee(map(hits.intersection, map(rows.__getitem__, candidates)))
+    cell_sets = list(map(shared.setdefault, made, same))
+    token_sets = {cells: frozenset().union(*map(matched.__getitem__, cells)) for cells in shared}
+    sets = token_sets.values()
+    maximal = {cells for cells, tokens in token_sets.items() if not any(map(tokens.__lt__, sets))}
+    kept_rows = list(compress(candidates, map(maximal.__contains__, cell_sets)))
     # 2 * digit cells > cells - blank cells: with a digit cell weighing 2, a
     # blank one 1 and any other 0, a numeric column's weights sum past its
-    # length. A table without rows has empty columns.
+    # length. A table without rows has empty columns, and a slice without
+    # kept rows has no hit column.
     weight = {cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases}
-    columns = zip(*table.rows) if table.rows else repeat((), len(table.header))
+    columns = zip(*rows) if rows else repeat((), len(table.header))
+    kept = list(map(rows.__getitem__, kept_rows))
+    kept_columns = zip(*kept) if kept else repeat((), len(table.header))
     kept_cols = [
         col
-        for col, (name, column) in enumerate(zip(table.header, columns))
-        if not q_tokens.isdisjoint(tokenize(name))
+        for col, (name, column, kept_column) in enumerate(zip(table.header, columns, kept_columns))
+        if not hits.isdisjoint(kept_column)
+        or not q_tokens.isdisjoint(tokenize(name))
         or sum(map(weight.__getitem__, column)) > len(column)
     ]
     if not kept_cols:
         kept_cols = list(range(len(table.header)))
-    kept_rows = list(compress(range(len(table.rows)), map(not_, map(hits.isdisjoint, table.rows))))
     if not kept_rows:
-        kept_rows = list(range(min(len(table.rows), _FALLBACK_ROWS)))
+        kept_rows = list(range(min(len(rows), _FALLBACK_ROWS)))
     return TableSlice(kept_rows=kept_rows, kept_cols=kept_cols)
 
 

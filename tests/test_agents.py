@@ -12,6 +12,7 @@ from logboard.agents import (
     VisualAgent,
     build_prompt,
     extract_doc_spans,
+    extract_image_refs,
     extract_table_anchors,
     summarize,
     verification_act,
@@ -28,6 +29,7 @@ from logboard.log import (
     SUMMARIZING_AGENT,
     DocSpan,
     EntryType,
+    ImageRef,
     LogEntry,
     TableAnchor,
     parse_answer,
@@ -342,6 +344,22 @@ def test_quote_anchoring_lowers_only_the_chosen_postings(monkeypatch):
     assert spans == [DocSpan("p40", 5, 31)]
     # Every inner word of the quote ("zebra", "crossed", "the") is in p10 and p40 only.
     assert RecordingText.lowered == [texts[10], texts[40]]
+
+
+def test_image_id_is_named_as_a_whole_run_of_words():
+    images = [
+        Image("Figure 1", "Staff count by region", "North 120 South 80"),
+        Image("Figure 12", "Cost by person", "Bo 2018 $7M"),
+    ]
+    reply = "Figure 12 shows Bo cost of $7M in 2018."
+    assert extract_image_refs(reply, SourceBundle(images=images)) == [ImageRef("Figure 12")]
+
+
+def test_one_letter_image_id_is_not_named_by_its_letter():
+    images = [Image("A", "Staff count", "Staff 120"), Image("B", "Cost by year", "Bo 2018 $7M")]
+    reply = "Image B shows the cost was $7M."
+    assert extract_image_refs(reply, SourceBundle(images=images)) == [ImageRef("B")]
+    assert extract_image_refs("See image a.", SourceBundle(images=images)) == [ImageRef("A")]
 
 
 def test_verification_act_clean_path_uses_backend():

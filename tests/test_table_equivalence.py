@@ -1,9 +1,10 @@
-"""Table slicing, provenance anchors and source blocks against the old code.
+"""Table slicing, provenance anchors and source blocks against plain references.
 
-The references below are the straightforward versions the runtime used to
-run on every call: per-cell tokenizing and a per-cell digit test in
-select_table_slice, a normalize and a scan of the reply's tokens for every
-cell in extract_table_anchors, and a fresh slice and BM25 ranking at every
+The references below are the straightforward versions of each rule:
+per-cell tokenizing, a set of question tokens per row of which only the
+maximal sets are kept, and a per-cell digit test in select_table_slice, a
+normalize and a scan of the reply's tokens for every cell in
+extract_table_anchors, and a fresh slice and BM25 ranking at every
 prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
 Of the code they check, they call only tokenize. The faster code must give
@@ -60,16 +61,25 @@ def reference_is_numeric_column(table, col):
 
 def reference_select_table_slice(table, question, row_cap=50):
     q_tokens = set(tokenize(question))
+    row_tokens = {}
+    for i, row in enumerate(table.rows):
+        tokens = set()
+        for cell in row:
+            tokens |= set(tokenize(cell)) & q_tokens
+        if tokens:
+            row_tokens[i] = tokens
+    kept_rows = [
+        i
+        for i, tokens in row_tokens.items()
+        if not any(tokens < other for other in row_tokens.values())
+    ]
     kept_cols = []
     for col, name in enumerate(table.header):
-        if set(tokenize(name)) & q_tokens or reference_is_numeric_column(table, col):
+        hit = any(set(tokenize(table.rows[r][col])) & q_tokens for r in kept_rows)
+        if hit or set(tokenize(name)) & q_tokens or reference_is_numeric_column(table, col):
             kept_cols.append(col)
     if not kept_cols:
         kept_cols = list(range(len(table.header)))
-    kept_rows = []
-    for i, row in enumerate(table.rows):
-        if any(set(tokenize(cell)) & q_tokens for cell in row):
-            kept_rows.append(i)
     if not kept_rows:
         kept_rows = list(range(min(len(table.rows), row_cap)))
     return TableSlice(kept_rows=kept_rows, kept_cols=kept_cols)
@@ -134,7 +144,8 @@ def reference_sources_block(role, sources, question, shrink):
         for passage in sources.passages:
             if passage.id not in chosen:
                 continue
-            clipped = truncate_span(passage.text, _best_match_range(passage.text, question), window)
+            match = _best_match_range(passage.text, set(tokenize(question)))
+            clipped = truncate_span(passage.text, match, window)
             parts.append(f"Passage {passage.id}: {clipped}")
     elif role is AgentRole.VISUAL:
         budget = {0: None, 1: 400, 2: 160}.get(shrink, 80)
@@ -350,7 +361,51 @@ def test_slicing_a_new_question_compiles_no_pattern(monkeypatch):
     slice_ = select_table_slice(table, question, phrases)
     monkeypatch.undo()
     assert slice_ == reference_select_table_slice(table, question)
-    assert slice_.kept_rows == [i for i in range(40) if i % 3 or i == 7]
+    # Row 7 holds {firm7, revenue}; the other Revenue rows only {revenue}.
+    assert slice_ == TableSlice(kept_rows=[7], kept_cols=[0, 1, 2])
+
+
+def table_heavy_table(target="Giva", n_rows=1200):
+    """A `table_heavy`-shaped table: a third of its rows Revenue, two of them the target's."""
+    fillers = [f"Firm{_tag(i)}" for i in range(48)]
+    metrics = ["Revenue", "Cost", "Margin"]
+    rows = [
+        [fillers[i % 48], metrics[i % 3], str(2010 + i % 8), f"${i % 999 + 1}M"]
+        for i in range(n_rows - 2)
+    ]
+    rows.insert(400, [target, "Revenue", "2018", "$310M"])
+    rows.insert(900, [target, "Revenue", "2019", "$342M"])
+    return Table("T", ["Company", "Metric", "Year", "Amount"], rows)
+
+
+def test_table_heavy_prompt_holds_the_entitys_two_rows_and_all_columns():
+    table = table_heavy_table()
+    assert sum(row[1] == "Revenue" for row in table.rows) > len(table.rows) // 3
+    question = "By how much did the revenue of Giva increase from 2018 to 2019?"
+    sources = SourceBundle(tables=[table])
+    prompt = logboard.agents.build_prompt(
+        AgentRole.TABLE, log_with(question), sources, AgentConfig(AgentRole.TABLE)
+    )
+    block = (
+        "Table T:\nCompany | Metric | Year | Amount\n"
+        "Giva | Revenue | 2018 | $310M\nGiva | Revenue | 2019 | $342M"
+    )
+    assert block in prompt.split("\n\n")
+    assert prompt.count(" | Revenue | ") == 2
+
+
+def test_rows_with_equal_token_sets_all_stay():
+    table = table_heavy_table()
+    question = "Which company had the highest 2019 revenue?"
+    slice_ = slice_of(table, question)
+    assert slice_ == reference_select_table_slice(table, question)
+    # Filler years stop at 2017, so only the target's 2019 row holds {2019, revenue}.
+    assert [table.rows[r][:3] for r in slice_.kept_rows] == [["Giva", "Revenue", "2019"]]
+    table.rows[5][1:3] = ["Revenue", "2019"]
+    slice_ = slice_of(table, question)
+    assert slice_ == reference_select_table_slice(table, question)
+    # "company" names the first column, so its header keeps it.
+    assert slice_ == TableSlice(kept_rows=[5, 900], kept_cols=[0, 1, 2, 3])
 
 
 @st.composite
