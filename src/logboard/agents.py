@@ -48,12 +48,14 @@ from .log import (
 from .retrieval import (
     SENTENCE_WINDOW_K,
     TOP_N,
+    Sentences,
+    SourceViews,
     TableSlice,
     render_table_slice,
     select_table_slice,
     truncate_span,
 )
-from .sources import SourceBundle, Table
+from .sources import SourceBundle
 from .textutil import GAP_PHRASES, mentions_image, normalize, parse_numerals, tokenize
 from .verify import Finding, verify_deterministic
 
@@ -150,16 +152,14 @@ VERIFICATION_INSTRUCTIONS = (
 )
 
 
-def _best_match_range(passage_text: str, q_tokens: set[str]) -> tuple[int, int]:
-    """Char range of the passage sentence sharing most of q_tokens, the question's tokens."""
-    spans = retrieval.split_sentences(passage_text)
-    if not spans:
-        return (0, len(passage_text))
-    best = max(
-        spans,
-        key=lambda span: len(set(tokenize(passage_text[span[0] : span[1]])) & q_tokens),
-    )
-    return best
+def _best_match_range(text: str, sentences: Sentences, q_tokens: set[str]) -> tuple[int, int]:
+    """Char range of the sentence of text sharing most of q_tokens, the question's tokens.
+
+    sentences is `retrieval.passage_sentences` of the passage holding text.
+    """
+    if not sentences.spans:
+        return (0, len(text))
+    return max(zip(sentences.spans, sentences.tokens), key=lambda pair: len(pair[1] & q_tokens))[0]
 
 
 def _source_blocks(
@@ -167,17 +167,21 @@ def _source_blocks(
     sources: SourceBundle,
     question: str,
     table_slices: Sequence[TableSlice] | None,
+    views: SourceViews | None = None,
 ) -> Iterator[str]:
     """Role-specific source text at shrink levels 0 (full) to 3, lazily.
 
     What does not depend on the level (the table slices, the BM25 ranking,
     the question's tokens and each passage's best-matching sentence) is
-    worked out once.
+    worked out once. A table's cell phrases and a passage's sentences are
+    read from views, built here when none are given.
     """
+    if views is None:
+        views = SourceViews()
     if role is AgentRole.TABLE:
         if table_slices is None:
             table_slices = [
-                select_table_slice(table, question, retrieval.cell_phrases(table))
+                select_table_slice(table, question, views.phrases(table))
                 for table in sources.tables
             ]
         for row_cap in (None, 10, 3, 1):
@@ -190,16 +194,17 @@ def _source_blocks(
         if not chosen:
             chosen = [p.id for p in sources.passages[:TOP_N]]
         q_tokens = set(tokenize(question))
-        matches = [
-            (passage, _best_match_range(passage.text, q_tokens))
-            for passage in sources.passages
-            if passage.id in chosen
-        ]
+        matches = []
+        for passage in sources.passages:
+            if passage.id in chosen:
+                sentences = views.sentences(passage)
+                match = _best_match_range(passage.text, sentences, q_tokens)
+                matches.append((passage, match, sentences.spans))
         for shrink in range(4):
             window = max(0, SENTENCE_WINDOW_K - shrink)
             yield "\n\n".join(
-                f"Passage {passage.id}: {truncate_span(passage.text, match, window)}"
-                for passage, match in matches
+                f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
+                for passage, match, spans in matches
             )
     elif role is AgentRole.VISUAL:
         for budget in (None, 400, 160, 80):
@@ -218,12 +223,14 @@ def build_prompt(
     config: AgentConfig,
     answer_text: str | None = None,
     table_slices: Sequence[TableSlice] | None = None,
+    views: SourceViews | None = None,
 ) -> str:
     """Instantiate the role template within the configured context window.
 
     Sources are truncated before the log view; as a last resort the oldest
     part of the view is dropped. table_slices, one per table of sources,
-    saves slicing again what the caller has sliced for this run.
+    saves slicing again what the caller has sliced for this run; views
+    holds what is already known of the sources (see `_source_blocks`).
     """
     question = log.question()
     instructions = {
@@ -254,7 +261,7 @@ def build_prompt(
             pieces.append(flag_line)
         return "\n\n".join(pieces)
 
-    for block in _source_blocks(role, sources, question, table_slices):
+    for block in _source_blocks(role, sources, question, table_slices, views):
         prompt = compose(block, view)
         if token_estimate(prompt) <= config.context_window:
             return prompt
@@ -361,14 +368,17 @@ def _find_quote(text: str, quoted: str) -> tuple[int, int] | None:
     return None
 
 
-def extract_doc_spans(reply: str, sources: SourceBundle) -> list[DocSpan]:
+def extract_doc_spans(
+    reply: str, sources: SourceBundle, views: SourceViews | None = None
+) -> list[DocSpan]:
     """Spans for the passage text the reply quotes or paraphrases.
 
     A quote is anchored in the first passage whose lowered text holds it,
     lowered, at offsets into the passage's own text; the candidates come
     from the bundle's postings before any passage is lowered. Without an
     anchored quote, the span is the sentence sharing most distinct tokens
-    (at least 3) with the reply.
+    (at least 3) with the reply, read from each passage's sentences in
+    views (built here when none are given).
     """
     passages = sources.passages
     spans: list[DocSpan] = []
@@ -382,35 +392,42 @@ def extract_doc_spans(reply: str, sources: SourceBundle) -> list[DocSpan]:
     if spans:
         return spans
     # Paraphrase: best-overlapping sentence, if the overlap is substantive.
+    if views is None:
+        views = SourceViews()
     reply_tokens = set(tokenize(reply))
     best: tuple[int, DocSpan] | None = None
     for passage in passages:
-        for start, end in retrieval.split_sentences(passage.text):
-            overlap = len(set(tokenize(passage.text[start:end])) & reply_tokens)
+        sentences = views.sentences(passage)
+        for (start, end), tokens in zip(sentences.spans, sentences.tokens):
+            overlap = len(tokens & reply_tokens)
             if overlap >= 3 and (best is None or overlap > best[0]):
                 best = (overlap, DocSpan(passage.id, start, end))
     return [best[1]] if best else []
 
 
-def extract_image_refs(reply: str, sources: SourceBundle) -> list[ImageRef]:
+def extract_image_refs(
+    reply: str, sources: SourceBundle, views: SourceViews | None = None
+) -> list[ImageRef]:
     """Refs for images whose extracted text the reply draws on.
 
     The reply names an image when the id's normalized words are a run of
     the reply's, as a stated table cell is: "Figure 12" does not name
-    "Figure 1", nor does any "a" name an image "A".
+    "Figure 1", nor does any "a" name an image "A". Each image's id
+    phrase, numerals and tokens are read from views (built here when none
+    are given).
     """
+    if views is None:
+        views = SourceViews()
     reply_tokens = set(tokenize(reply))
     reply_values = {m.value for m in parse_numerals(reply)}
     padded_reply = f" {normalize(reply)} "
     refs = []
     for image in sources.images:
-        text = f"{image.caption} {image.ocr_text}"
-        name = normalize(image.id)
-        if name and f" {name} " in padded_reply:
+        facts = views.image(image)
+        if facts.name and f" {facts.name} " in padded_reply:
             refs.append(ImageRef(image.id))
             continue
-        values = {m.value for m in parse_numerals(text)}
-        if values & reply_values or len(set(tokenize(text)) & reply_tokens) >= 2:
+        if facts.values & reply_values or len(facts.tokens & reply_tokens) >= 2:
             refs.append(ImageRef(image.id))
     if not refs and sources.images:
         refs = [ImageRef(sources.images[0].id)]
@@ -451,14 +468,18 @@ class _RetrievalAgent:
     author: str
     entry_type: EntryType
 
-    def __init__(self, config: AgentConfig | None = None) -> None:
+    def __init__(self, config: AgentConfig | None = None, views: SourceViews | None = None) -> None:
         self.config = config or AgentConfig(self.role)
+        # What is known of the sources; shared with the other agents of the
+        # run, and with later runs over the same bundle when the caller
+        # hands the run a bundle's views.
+        self.views = SourceViews() if views is None else views
 
     def notify_flag(self) -> None:
         """Most roles keep no coverage for a verification Flag to re-open."""
 
     def _prompt(self, log: SharedLog, sources: SourceBundle) -> str:
-        return build_prompt(self.role, log, sources, self.config)
+        return build_prompt(self.role, log, sources, self.config, views=self.views)
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list:
         """What in the sources the reply states; empty when it states nothing."""
@@ -482,23 +503,19 @@ class TableAgent(_RetrievalAgent):
     author = TABLE_AGENT
     entry_type = EntryType.LOOKUP
 
-    def __init__(self, config: AgentConfig | None = None) -> None:
-        super().__init__(config)
+    def __init__(self, config: AgentConfig | None = None, views: SourceViews | None = None) -> None:
+        super().__init__(config, views)
         self.reported: set[tuple[str, int]] = set()
-        # id(table) -> (table, its cell phrases); (id(table), question) ->
-        # slice. The agent set lives for one run, so each table's cells are
-        # normalized and the table sliced once per run, never across runs;
-        # holding the table keeps its id from being reused.
-        self._phrases: dict[int, tuple[Table, dict[str, str]]] = {}
+        # (id(table), question) -> slice. The agent lives for one run, so
+        # each table is sliced once per run. A table's cell phrases are
+        # read from the views, so they are built once per views: once per
+        # run for a lone run, once per bundle for the records of one
+        # `run_benchmark` call. The views hold the table, which keeps its
+        # id from being reused.
         self._slices: dict[tuple[int, str], TableSlice] = {}
 
     def _cell_phrases(self, sources: SourceBundle) -> list[dict[str, str]]:
-        held = []
-        for table in sources.tables:
-            if id(table) not in self._phrases:
-                self._phrases[id(table)] = (table, retrieval.cell_phrases(table))
-            held.append(self._phrases[id(table)][1])
-        return held
+        return list(map(self.views.phrases, sources.tables))
 
     def _table_slices(self, sources: SourceBundle, question: str) -> list[TableSlice]:
         slices = []
@@ -532,7 +549,9 @@ class TableAgent(_RetrievalAgent):
 
     def _prompt(self, log: SharedLog, sources: SourceBundle) -> str:
         slices = self._table_slices(sources, log.question())
-        return build_prompt(self.role, log, sources, self.config, table_slices=slices)
+        return build_prompt(
+            self.role, log, sources, self.config, table_slices=slices, views=self.views
+        )
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[TableAnchor]:
         return extract_table_anchors(reply, sources, question, self._cell_phrases(sources))
@@ -553,7 +572,7 @@ class ContextAgent(_RetrievalAgent):
         return _latest_gap_text(log) is not None
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[DocSpan]:
-        return extract_doc_spans(reply, sources)
+        return extract_doc_spans(reply, sources, self.views)
 
 
 class VisualAgent(_RetrievalAgent):
@@ -568,7 +587,7 @@ class VisualAgent(_RetrievalAgent):
         return bool(sources.images) and any(mentions_image(e.content) for e in log.entries)
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[ImageRef]:
-        return extract_image_refs(reply, sources)
+        return extract_image_refs(reply, sources, self.views)
 
 
 def flag_content(finding: Finding) -> str:
@@ -641,10 +660,15 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
 RETRIEVAL_ROLES = (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL)
 
 
-def build_agents() -> dict[AgentRole, object]:
-    """Fresh per-run retrieval agents with standard per-role temperatures."""
+def build_agents(views: SourceViews | None = None) -> dict[AgentRole, object]:
+    """Fresh per-run retrieval agents with standard per-role temperatures.
+
+    The agents share views, new ones unless the caller gives its bundle's.
+    """
+    if views is None:
+        views = SourceViews()
     return {
-        AgentRole.TABLE: TableAgent(),
-        AgentRole.CONTEXT: ContextAgent(),
-        AgentRole.VISUAL: VisualAgent(),
+        AgentRole.TABLE: TableAgent(views=views),
+        AgentRole.CONTEXT: ContextAgent(views=views),
+        AgentRole.VISUAL: VisualAgent(views=views),
     }

@@ -20,7 +20,7 @@ import statistics
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import scheduler as sched  # sched.run, not a bound name: timers may rebind it
 from .agents import flagged_steps
@@ -34,6 +34,7 @@ from .log import (
     TableAnchor,
     dump_trace,
 )
+from .retrieval import SourceViews
 from .sources import (
     SourceBundle,
     bundle_from_dict,
@@ -589,6 +590,19 @@ def _entry_eligible(entry: LogEntry, fault_type: FaultType) -> bool:
     return _anchor_index(entry) is not None  # RowOffByOne
 
 
+def _bundle_views(records: Sequence[BenchmarkRecord]) -> Iterator[SourceViews]:
+    """The views for each record in turn: one per distinct bundle, shared by
+    its records, and forgotten after its last record."""
+    last = {id(record.sources): i for i, record in enumerate(records)}
+    held: dict[int, SourceViews] = {}
+    for i, record in enumerate(records):
+        key = id(record.sources)
+        views = held.pop(key, None) or SourceViews()
+        if last[key] != i:
+            held[key] = views
+        yield views
+
+
 def run_benchmark(
     records: Sequence[BenchmarkRecord],
     config: sched.SchedulerConfig | None = None,
@@ -611,6 +625,11 @@ def run_benchmark(
     appends are not eligible, since no committed run could carry their
     labels. Individual run failures score EM 0 with an error note; the
     benchmark always completes.
+
+    In each pass, the records of one bundle share one `SourceViews`,
+    built as the pass goes and dropped after the bundle's last record, so
+    a bundle's question-independent source work is done once per pass. A
+    bundle's sources must not change during the call.
     """
     if not records:
         raise ValueError("run_benchmark needs at least one record")
@@ -628,12 +647,12 @@ def run_benchmark(
                 "apply source-level faults to records before the benchmark"
             )
         eligible: list[tuple[int, int]] = []
-        for i, record in enumerate(records):
+        for (i, record), views in zip(enumerate(records), _bundle_views(records)):
             counter = _InFlightInjector(fault_spec, i, set())
             try:
                 clean_runs[i] = sched.run(
                     record.question, record.sources, backend_factory(),
-                    config=config, gate=gate, entry_mutator=counter,
+                    config=config, gate=gate, entry_mutator=counter, views=views,
                 )
             except Exception as exc:  # the record is reported failed, not run again
                 logger.exception("dry pass failed for record %d", i)
@@ -658,7 +677,7 @@ def run_benchmark(
     caught = repaired = label_total = 0
     fault_rows: list[dict] = []
 
-    for i, record in enumerate(records):
+    for (i, record), views in zip(enumerate(records), _bundle_views(records)):
         injector = None
         result = clean_runs.pop(i, None)
         if result is None and i not in errors:
@@ -667,7 +686,7 @@ def run_benchmark(
             try:
                 result = sched.run(
                     record.question, record.sources, backend_factory(),
-                    config=config, gate=gate, entry_mutator=injector,
+                    config=config, gate=gate, entry_mutator=injector, views=views,
                 )
             except Exception as exc:  # a failed run scores zero; the bench goes on
                 logger.exception("run failed for record %d", i)

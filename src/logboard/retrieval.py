@@ -14,22 +14,28 @@ only passages that share a term with the question. Quote anchoring
 (`agents.extract_doc_spans`) picks its candidate passages from the same
 postings.
 
-Table work stays per run. The Table agent, which lives for one run,
-makes one pass over each table's distinct cell strings, `cell_phrases`,
-mapping each to its normalized phrase; slicing and anchoring both read
-it. A table's slice depends only on the table and the question, so the
-agent slices each table once per run. A slice holds the question's most
-specific rows: of the rows that share a token with the question, those
-whose set of question tokens no other row's set strictly contains, with
-the columns whose cells matched beside the header-matched and numeric
-ones. Slicing finds the matching cells in one C-level pass over the
-phrases, works out a row's token set once per distinct set of matching
-cells, tests each distinct cell for a digit once, and tests the rows and
-sums the columns in C; it compiles no pattern, so a question not asked
-before costs what a repeated one does. Nothing of it outlives the run: a
+What a source yields whatever the question lives in a `SourceViews`, built
+on first use: a table's distinct cell strings mapped to their normalized
+phrases (`cell_phrases`, which slicing and anchoring both read), a
+passage's sentence spans and their tokens, and an image's id phrase,
+numerals and tokens. A lone run builds its own views;
+`harness.run_benchmark` shares one per bundle among the records of one
+call and drops it after the bundle's last record, so a bundle asked four
+questions normalizes its cells once per pass. A table's slice depends only
+on the table and the question, so the Table agent slices each table once
+per run. A slice holds the question's most specific rows: of the rows that
+share a token with the question, those whose set of question tokens no
+other row's set strictly contains, with the columns whose cells matched
+beside the header-matched and numeric ones. Slicing finds the matching
+cells in one C-level pass over the phrases, works out a row's token set
+once per distinct set of matching cells, tests each distinct cell for a
+digit once, and tests the rows and sums the columns in C; it compiles no
+pattern, so a question not asked before costs what a repeated one does.
+Nothing of it outlives the call, and nothing is kept on the sources: a
 bundle with large tables is often asked one question (as in the
 benchmark's `table_heavy`), so doing this at load time would only move its
-cost into set-up.
+cost into set-up, and views kept on a bundle would spare the benchmark's
+repeated passes a build that every `logboard bench` run pays.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, tee
 from operator import itemgetter, not_
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .textutil import normalize, parse_numerals, split_sentences, tokenize
 
@@ -165,6 +171,65 @@ def cell_phrases(table: Table) -> dict[str, str]:
     return dict(zip(cells, map(normalize, cells)))
 
 
+class Sentences(NamedTuple):
+    """A passage's sentence spans, and the distinct tokens of each sentence."""
+
+    spans: list[tuple[int, int]]
+    tokens: list[frozenset[str]]
+
+
+def passage_sentences(passage: Passage) -> Sentences:
+    text = passage.text
+    spans = split_sentences(text)
+    return Sentences(spans, [frozenset(tokenize(text[start:end])) for start, end in spans])
+
+
+class ImageFacts(NamedTuple):
+    """What a reply is matched against: the image id's `normalize`, and the
+    numeral values and distinct tokens of its caption and OCR text."""
+
+    name: str
+    values: frozenset[float]
+    tokens: frozenset[str]
+
+
+def image_facts(image: Image) -> ImageFacts:
+    text = f"{image.caption} {image.ocr_text}"
+    values = frozenset(m.value for m in parse_numerals(text))
+    return ImageFacts(normalize(image.id), values, frozenset(tokenize(text)))
+
+
+class SourceViews:
+    """The question-independent facts of a bundle's sources, each built on first use.
+
+    A table's `cell_phrases`, a passage's `passage_sentences` and an
+    image's `image_facts` depend only on the source, so every question
+    given the same views reads one build of each. Views are keyed by the
+    source object, which they hold so that its id is not reused; they
+    assume the sources do not change while the views live. A lone
+    `scheduler.run` makes its own; `run_benchmark` shares one per bundle
+    across the records of one call.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict[int, tuple[object, object]] = {}  # id(source) -> (source, view)
+
+    def _view(self, source, build):
+        held = self._built.get(id(source))
+        if held is None:
+            held = self._built[id(source)] = (source, build(source))
+        return held[1]
+
+    def phrases(self, table: Table) -> dict[str, str]:
+        return self._view(table, cell_phrases)
+
+    def sentences(self, passage: Passage) -> Sentences:
+        return self._view(passage, passage_sentences)
+
+    def image(self, image: Image) -> ImageFacts:
+        return self._view(image, image_facts)
+
+
 _FALLBACK_ROWS = 50
 
 
@@ -259,12 +324,21 @@ def render_table_slice(table: Table, slice_: TableSlice) -> str:
     return "\n".join(chain((f"Table {table.id}:",), lines))
 
 
-def truncate_span(passage: str, match_char_range: tuple[int, int], k: int) -> str:
-    """The sentences containing the match plus k sentences on each side."""
+def truncate_span(
+    passage: str,
+    match_char_range: tuple[int, int],
+    k: int,
+    spans: list[tuple[int, int]] | None = None,
+) -> str:
+    """The sentences containing the match plus k sentences on each side.
+
+    spans, when given, must be `split_sentences(passage)`.
+    """
     start, end = match_char_range
     if start < 0 or end > len(passage) or start > end:
         raise ValueError("match range outside passage")
-    spans = split_sentences(passage)
+    if spans is None:
+        spans = split_sentences(passage)
     if not spans:
         return passage
     touched = [

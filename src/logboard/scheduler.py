@@ -31,6 +31,7 @@ from .log import (
     dump_trace,
     parse_answer,
 )
+from .retrieval import SourceViews
 from .sources import SourceBundle
 
 PER_AGENT_CAP = 2  # retrieval acts per role per run, re-engagement included
@@ -155,17 +156,21 @@ def run(
     config: SchedulerConfig | None = None,
     gate: LogisticGate | None = None,
     entry_mutator: EntryMutator | None = None,
+    views: SourceViews | None = None,
 ) -> RunResult:
     """Execute one question to termination and return the full accounting.
 
     gate, when given, may stop retrieval after a round that the gate deems
     not worth continuing. entry_mutator, when given, rewrites retrieval
     entries just before they are committed (the fault-injection hook).
+    views, when given, are the views of sources that earlier runs over the
+    same bundle built (`run_benchmark` shares them); without them the run
+    builds its own, which it alone uses.
     """
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
-    agents = build_agents()
+    agents = build_agents(views)
     log = SharedLog(clock=_default_clock(backend))
     log.append(LogEntry(USER, EntryType.QUERY, question))
     state = RunState()

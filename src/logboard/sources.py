@@ -52,6 +52,8 @@ class SourceBundle:
     passages: list[Passage] = field(default_factory=list)
     images: list[Image] = field(default_factory=list)
     # Built from `passages` below; the passages are not changed afterwards.
+    # Nor are the tables and images while a run or a `run_benchmark` call
+    # reads them: its `retrieval.SourceViews` are built from them once.
     passage_index: retrieval.CorpusIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -117,6 +117,79 @@ def delta_record(name: str, a: int, b: int) -> tuple[BenchmarkRecord, dict]:
     return record, script
 
 
+_FILLER_WORDS = "margin cost volume region segment product order backlog channel partner".split()
+
+
+def shared_bundle_records(
+    bundles: int = 2, per_bundle: int = 3
+) -> tuple[list[BenchmarkRecord], dict]:
+    """Records that ask several questions of each bundle, in bundle order.
+
+    A bundle holds a 24-row table (a third of its rows Revenue), six
+    three-sentence passages and one figure per question. Each question
+    names its company and its figure; the scripted replies state the gold
+    answer and cite cells, a passage sentence and the figure.
+    """
+    rng = random.Random(7)
+    records, script = [], {}
+    for b in range(bundles):
+        names = [f"Kor{chr(97 + b)}{chr(97 + k)}" for k in range(per_bundle)]
+        values = {name: (40 + 3 * k + b, 47 + 5 * k + b) for k, name in enumerate(names)}
+        metrics = ("Revenue", "Cost", "Margin")
+        rows = [
+            [f"Fil{chr(97 + i % 6)}", metrics[i % 3], str(2010 + i % 8), f"${i + 1}M"]
+            for i in range(24 - 2 * per_bundle)
+        ]
+        for name, pair in values.items():
+            for year, value in zip(("2018", "2019"), pair):
+                rows.insert(rng.randrange(len(rows) + 1), [name, "Revenue", year, f"${value}M"])
+        passages = [
+            [" ".join(rng.choices(_FILLER_WORDS, k=8)).capitalize() + "." for _ in range(3)]
+            for _ in range(6)
+        ]
+        for k, name in enumerate(names):
+            passages[2 * k % 6].insert(1, f"The {name} growth was driven by new contracts.")
+        images = [
+            Image(
+                f"Figure {k + 1}",
+                caption=f"Revenue by year for {name}",
+                ocr_text=f"{name} 2018 ${values[name][0]}M 2019 ${values[name][1]}M",
+            )
+            for k, name in enumerate(names)
+        ]
+        sources = SourceBundle(
+            tables=[Table("Table 1", ["Company", "Metric", "Year", "Amount"], rows)],
+            passages=[Passage(f"p{i}", " ".join(text)) for i, text in enumerate(passages)],
+            images=images,
+        )
+        for k, name in enumerate(names):
+            rev18, rev19 = values[name]
+            key = f"of {name} increase"  # in the question; the figures name every company
+            question = (
+                f"According to Figure {k + 1}, by how much did the revenue of {name} "
+                "increase from 2018 to 2019?"
+            )
+            script[f"table analyst&&{key}"] = (
+                f"{name} revenue was ${rev18}M in 2018 and ${rev19}M in 2019, "
+                "per the revenue table."
+            )
+            script[f"passage reader&&{key}"] = (
+                f"According to the report: 'The {name} growth was driven by new contracts.'"
+            )
+            script[f"image interpreter&&{key}"] = (
+                f"Figure {k + 1} shows {name} revenue of ${rev18}M in 2018 and ${rev19}M in 2019."
+            )
+            script[f"summarizing agent&&{key}"] = (
+                f"The figures show ${rev18}M rising to ${rev19}M. Therefore the revenue grew. "
+                f"Answer: ${rev19 - rev18}M increase."
+            )
+            records.append(
+                BenchmarkRecord(question, sources, gold_answers=[f"${rev19 - rev18}M increase"])
+            )
+    script["verification agent"] = "Checks out against the log. (No issues flagged.)"
+    return records, script
+
+
 def gate_fixture(quick: int = 25, slow: int = 25) -> tuple[list[BenchmarkRecord], dict]:
     """Questions that resolve in one round (quick) or need three (slow).
 

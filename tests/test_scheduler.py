@@ -386,10 +386,11 @@ def test_configuration_surface():
     assert [f.name for f in dataclasses.fields(AgentConfig)] == [
         "role", "temperature", "context_window", "max_tokens",
     ]
-    assert not inspect.signature(build_agents).parameters
+    # run_benchmark hands each run its bundle's views; a lone run builds its own.
+    assert list(inspect.signature(build_agents).parameters) == ["views"]
     assert list(inspect.signature(SharedLog.__init__).parameters) == ["self", "clock"]
     assert list(inspect.signature(run).parameters) == [
-        "question", "sources", "backend", "config", "gate", "entry_mutator",
+        "question", "sources", "backend", "config", "gate", "entry_mutator", "views",
     ]
     assert list(inspect.signature(offer_turn).parameters) == [
         "agent", "state", "log", "sources", "backend", "round_idx", "mutator",

@@ -7,11 +7,11 @@ normalize and a scan of the reply's tokens for every cell in
 extract_table_anchors, and a fresh slice and BM25 ranking at every
 prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
-Of the code they check, they call only tokenize. The faster code must give
-the same results on any input, the Table agent must slice each table once
-per run, a run must normalize each distinct cell string of a table once,
-for slicing and anchoring together, and anchoring must build only the
-anchors it returns.
+Of the code they check, they call only tokenize and split_sentences. The
+faster code must give the same results on any input, the Table agent must
+slice each table once per run, a run must normalize each distinct cell
+string of a table once, for slicing and anchoring together, and anchoring
+must build only the anchors it returns.
 """
 
 import re
@@ -29,7 +29,6 @@ from logboard.agents import (
     AgentConfig,
     AgentRole,
     TableAgent,
-    _best_match_range,
     _source_blocks,
     extract_table_anchors,
 )
@@ -44,7 +43,7 @@ from logboard.retrieval import (
 )
 from logboard.scheduler import run
 from logboard.sources import Image, Passage, SourceBundle, Table, bundle_from_dict
-from logboard.textutil import normalize, tokenize
+from logboard.textutil import normalize, split_sentences, tokenize
 
 from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
 
@@ -125,6 +124,14 @@ def reference_render_table_slice(table, slice_):
     return "\n".join(lines)
 
 
+def reference_best_match(text, question):
+    q_tokens = set(tokenize(question))
+    spans = split_sentences(text)
+    if not spans:
+        return (0, len(text))
+    return max(spans, key=lambda span: len(set(tokenize(text[span[0] : span[1]])) & q_tokens))
+
+
 def reference_sources_block(role, sources, question, shrink):
     parts = []
     if role is AgentRole.TABLE:
@@ -144,8 +151,7 @@ def reference_sources_block(role, sources, question, shrink):
         for passage in sources.passages:
             if passage.id not in chosen:
                 continue
-            match = _best_match_range(passage.text, set(tokenize(question)))
-            clipped = truncate_span(passage.text, match, window)
+            clipped = truncate_span(passage.text, reference_best_match(passage.text, question), window)
             parts.append(f"Passage {passage.id}: {clipped}")
     elif role is AgentRole.VISUAL:
         budget = {0: None, 1: 400, 2: 160}.get(shrink, 80)
