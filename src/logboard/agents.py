@@ -181,7 +181,7 @@ def _source_blocks(
     if role is AgentRole.TABLE:
         if table_slices is None:
             table_slices = [
-                select_table_slice(table, question, views.phrases(table))
+                select_table_slice(table, question, views.table(table))
                 for table in sources.tables
             ]
         for row_cap in (None, 10, 3, 1):
@@ -507,22 +507,19 @@ class TableAgent(_RetrievalAgent):
         super().__init__(config, views)
         self.reported: set[tuple[str, int]] = set()
         # (id(table), question) -> slice. The agent lives for one run, so
-        # each table is sliced once per run. A table's cell phrases are
-        # read from the views, so they are built once per views: once per
-        # run for a lone run, once per bundle for the records of one
-        # `run_benchmark` call. The views hold the table, which keeps its
-        # id from being reused.
+        # each table is sliced once per run. A table's cells (phrases,
+        # tokens, digit weights) are read from the views, so they are
+        # worked out once per views: once per run for a lone run, once per
+        # bundle for the records of one `run_benchmark` call. The views
+        # hold the table, which keeps its id from being reused.
         self._slices: dict[tuple[int, str], TableSlice] = {}
-
-    def _cell_phrases(self, sources: SourceBundle) -> list[dict[str, str]]:
-        return list(map(self.views.phrases, sources.tables))
 
     def _table_slices(self, sources: SourceBundle, question: str) -> list[TableSlice]:
         slices = []
-        for table, phrases in zip(sources.tables, self._cell_phrases(sources)):
+        for table in sources.tables:
             key = (id(table), question)
             if key not in self._slices:
-                self._slices[key] = select_table_slice(table, question, phrases)
+                self._slices[key] = select_table_slice(table, question, self.views.table(table))
             slices.append(self._slices[key])
         return slices
 
@@ -554,7 +551,8 @@ class TableAgent(_RetrievalAgent):
         )
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[TableAnchor]:
-        return extract_table_anchors(reply, sources, question, self._cell_phrases(sources))
+        phrases = [self.views.table(table).phrases for table in sources.tables]
+        return extract_table_anchors(reply, sources, question, phrases)
 
 
 class ContextAgent(_RetrievalAgent):

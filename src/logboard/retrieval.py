@@ -171,6 +171,26 @@ def cell_phrases(table: Table) -> dict[str, str]:
     return dict(zip(cells, map(normalize, cells)))
 
 
+class TableCells(NamedTuple):
+    """What slicing and anchoring read of a table's distinct cell strings."""
+
+    phrases: dict[str, str]  # `cell_phrases`
+    lines: list[bytes]  # each phrase's tokens, ASCII-encoded and space-joined, in order
+    weights: dict[str, int]  # each cell: 2 if it holds a digit, 1 if blank, else 0
+
+
+def table_cells(table: Table) -> TableCells:
+    phrases = cell_phrases(table)
+    # A cell's tokens are its phrase's: each [a-z0-9] run of the lowered text
+    # lies whole inside a word of the phrase. A phrase holds no newline, and
+    # only [a-z0-9_ ] and non-ASCII characters, which ASCII-encode as "?";
+    # so, with "?" and "_" made spaces, each phrase is a line of its tokens.
+    text = "\n".join(phrases.values()).encode("ascii", "replace")
+    lines = text.replace(b"?", b" ").replace(b"_", b" ").split(b"\n")
+    weights = {cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases}
+    return TableCells(phrases, lines, weights)
+
+
 class Sentences(NamedTuple):
     """A passage's sentence spans, and the distinct tokens of each sentence."""
 
@@ -202,7 +222,7 @@ def image_facts(image: Image) -> ImageFacts:
 class SourceViews:
     """The question-independent facts of a bundle's sources, each built on first use.
 
-    A table's `cell_phrases`, a passage's `passage_sentences` and an
+    A table's `table_cells`, a passage's `passage_sentences` and an
     image's `image_facts` depend only on the source, so every question
     given the same views reads one build of each. Views are keyed by the
     source object, which they hold so that its id is not reused; they
@@ -220,8 +240,8 @@ class SourceViews:
             held = self._built[id(source)] = (source, build(source))
         return held[1]
 
-    def phrases(self, table: Table) -> dict[str, str]:
-        return self._view(table, cell_phrases)
+    def table(self, table: Table) -> TableCells:
+        return self._view(table, table_cells)
 
     def sentences(self, passage: Passage) -> Sentences:
         return self._view(passage, passage_sentences)
@@ -233,11 +253,11 @@ class SourceViews:
 _FALLBACK_ROWS = 50
 
 
-def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> TableSlice:
+def select_table_slice(table: Table, question: str, cells: TableCells) -> TableSlice:
     """The question's most specific rows, with the columns that name them.
 
-    phrases must be `cell_phrases(table)` of this table as it is now; a
-    map of other cells gives a wrong slice. A row's question tokens are
+    cells must be `table_cells(table)` of this table as it is now; those
+    of other cells give a wrong slice. A row's question tokens are
     the question's tokens that its cells hold. Of the rows that hold any,
     a row is kept unless another row's set strictly contains its own, so
     rows with equal sets stay together. If no row shares a token with the
@@ -255,12 +275,7 @@ def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> 
     beside the rows that hold "giva" and "revenue".
     """
     q_tokens = set(tokenize(question))
-    # A cell's tokens are its phrase's: each [a-z0-9] run of the lowered text
-    # lies whole inside a word of the phrase. A phrase holds no newline, and
-    # only [a-z0-9_ ] and non-ASCII characters, which ASCII-encode as "?";
-    # so, with "?" and "_" made spaces, each phrase is a line of its tokens.
-    text = "\n".join(phrases.values()).encode("ascii", "replace")
-    lines = text.replace(b"?", b" ").replace(b"_", b" ").split(b"\n")
+    phrases, lines, weight = cells
     wanted = {token.encode() for token in q_tokens}
     marked = list(map(not_, map(wanted.isdisjoint, map(bytes.split, lines))))
     # Each cell that meets the question, mapped to the question tokens it holds.
@@ -287,7 +302,6 @@ def select_table_slice(table: Table, question: str, phrases: dict[str, str]) -> 
     # blank one 1 and any other 0, a numeric column's weights sum past its
     # length. A table without rows has empty columns, and a slice without
     # kept rows has no hit column.
-    weight = {cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases}
     columns = zip(*rows) if rows else repeat((), len(table.header))
     kept = list(map(rows.__getitem__, kept_rows))
     kept_columns = zip(*kept) if kept else repeat((), len(table.header))

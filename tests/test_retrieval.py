@@ -12,11 +12,11 @@ import logboard.retrieval
 from logboard.retrieval import (
     B,
     K1,
-    cell_phrases,
     index,
     render_visual_text,
     retrieve,
     select_table_slice,
+    table_cells,
     truncate_span,
 )
 from logboard.sources import (
@@ -231,25 +231,25 @@ TRACE_TABLE = Table(
 
 def test_slice_keeps_question_rows_and_revenue_column():
     question = "revenue increase from 2018 to 2019"
-    slice_ = select_table_slice(TRACE_TABLE, question, cell_phrases(TRACE_TABLE))
+    slice_ = select_table_slice(TRACE_TABLE, question, table_cells(TRACE_TABLE))
     assert 1 in slice_.kept_cols  # Revenue header overlaps the question
     assert slice_.kept_rows == [0, 1]
 
 
 def test_slice_fallback_keeps_capped_rows():
     table = Table("t", ["colx"], [[f"cell{i}"] for i in range(80)])
-    slice_ = select_table_slice(table, "nothing shared here", cell_phrases(table))
+    slice_ = select_table_slice(table, "nothing shared here", table_cells(table))
     assert slice_.kept_rows == list(range(50))
 
 
 def test_slice_single_row_kept():
     table = Table("t", ["a", "b"], [["only", "7"]])
-    slice_ = select_table_slice(table, "unrelated question", cell_phrases(table))
+    slice_ = select_table_slice(table, "unrelated question", table_cells(table))
     assert slice_.kept_rows == [0]
 
 
 def test_slice_cells_dereference():
-    slice_ = select_table_slice(TRACE_TABLE, "revenue in 2019", cell_phrases(TRACE_TABLE))
+    slice_ = select_table_slice(TRACE_TABLE, "revenue in 2019", table_cells(TRACE_TABLE))
     for r in slice_.kept_rows:
         for c in slice_.kept_cols:
             assert TRACE_TABLE.rows[r][c] is not None

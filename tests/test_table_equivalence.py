@@ -39,6 +39,7 @@ from logboard.retrieval import (
     cell_phrases,
     render_table_slice,
     select_table_slice,
+    table_cells,
     truncate_span,
 )
 from logboard.scheduler import run
@@ -163,7 +164,7 @@ def reference_sources_block(role, sources, question, shrink):
 
 
 def slice_of(table, question):
-    return select_table_slice(table, question, cell_phrases(table))
+    return select_table_slice(table, question, table_cells(table))
 
 
 def anchors_of(reply, sources, question):
@@ -356,7 +357,7 @@ def test_distinct_cell_tables_match_the_references(table, data):
 def test_slicing_a_new_question_compiles_no_pattern(monkeypatch):
     rows = [[f"Firm{i}", "Revenue" if i % 3 else "Cost", f"${i}M"] for i in range(40)]
     table = Table("t", ["Company", "Metric", "Value"], rows)
-    phrases = cell_phrases(table)
+    cells = table_cells(table)
     question = f"What was the revenue of Firm7 in {id(object())}?"  # not asked before
 
     def no_compile(*args, **kwargs):
@@ -364,7 +365,7 @@ def test_slicing_a_new_question_compiles_no_pattern(monkeypatch):
 
     monkeypatch.setattr(re, "compile", no_compile)
     monkeypatch.setattr(re, "_compile", no_compile)
-    slice_ = select_table_slice(table, question, phrases)
+    slice_ = select_table_slice(table, question, cells)
     monkeypatch.undo()
     assert slice_ == reference_select_table_slice(table, question)
     # Row 7 holds {firm7, revenue}; the other Revenue rows only {revenue}.
@@ -575,10 +576,10 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     ranked = []
     context_prompts = []
 
-    def counting_slice(table, question, phrases):
+    def counting_slice(table, question, cells):
         sliced.append(table.id)
-        assert phrases == cell_phrases(table)
-        return select_table_slice(table, question, phrases)
+        assert cells == table_cells(table)
+        return select_table_slice(table, question, cells)
 
     def counting_act(agent, *args, **kwargs):
         acts.append(agent.role)

@@ -1,7 +1,8 @@
 """Source views shared by the records of one bundle within a run_benchmark call.
 
-A bundle's question-independent facts (each table's cell phrases, each
-passage's sentences, each image's id phrase, numerals and tokens) are
+A bundle's question-independent facts (each table's cell phrases, tokens
+and digit weights, each passage's sentences, each image's id phrase,
+numerals and tokens) are
 built once per bundle in each pass and dropped with the call. Sharing
 them must change no report, trace or metric.
 """
@@ -34,7 +35,14 @@ from logboard.sources import Image, Passage, SourceBundle, bundle_from_dict, bun
 from logboard.textutil import normalize, parse_numerals, split_sentences
 
 from helpers import shared_bundle_records
-from test_table_equivalence import NUMERALS, WORDS, bundle_question_reply, free_text, passage_text, phrase
+from test_table_equivalence import (
+    NUMERALS,
+    WORDS,
+    bundle_question_reply,
+    free_text,
+    passage_text,
+    phrase,
+)
 
 
 def copied(sources):
@@ -179,12 +187,14 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
     for question, reply in asked:
         fresh = SourceViews()
         for table in sources.tables:
-            assert select_table_slice(table, question, shared.phrases(table)) == select_table_slice(
-                table, question, fresh.phrases(table)
+            assert select_table_slice(table, question, shared.table(table)) == select_table_slice(
+                table, question, fresh.table(table)
             )
-        assert extract_table_anchors(
-            reply, sources, question, list(map(shared.phrases, sources.tables))
-        ) == extract_table_anchors(reply, sources, question, list(map(fresh.phrases, sources.tables)))
+        shared_phrases = [shared.table(table).phrases for table in sources.tables]
+        fresh_phrases = [fresh.table(table).phrases for table in sources.tables]
+        assert extract_table_anchors(reply, sources, question, shared_phrases) == extract_table_anchors(
+            reply, sources, question, fresh_phrases
+        )
         for role in RETRIEVAL_ROLES:
             assert list(_source_blocks(role, sources, question, None, shared)) == list(
                 _source_blocks(role, sources, question, None, fresh)
