@@ -408,29 +408,33 @@ def extract_doc_spans(
 def extract_image_refs(
     reply: str, sources: SourceBundle, views: SourceViews | None = None
 ) -> list[ImageRef]:
-    """Refs for images whose extracted text the reply draws on.
+    """Refs for the images the reply names, or else for those whose text it draws on.
 
     The reply names an image when the id's normalized words are a run of
     the reply's, as a stated table cell is: "Figure 12" does not name
-    "Figure 1", nor does any "a" name an image "A". Each image's id
+    "Figure 1", nor does any "a" name an image "A". A reply that names
+    images cites those alone. One that names none cites each image sharing
+    a numeral or two tokens with it, so a year or a word that every image
+    holds cites them all; failing that, the first image. Each image's id
     phrase, numerals and tokens are read from views (built here when none
     are given).
     """
     if views is None:
         views = SourceViews()
+    images = [(image.id, views.image(image)) for image in sources.images]
+    padded_reply = f" {normalize(reply)} "
+    named = [ImageRef(id_) for id_, facts in images if facts.name and f" {facts.name} " in padded_reply]
+    if named:
+        return named
     reply_tokens = set(tokenize(reply))
     reply_values = {m.value for m in parse_numerals(reply)}
-    padded_reply = f" {normalize(reply)} "
-    refs = []
-    for image in sources.images:
-        facts = views.image(image)
-        if facts.name and f" {facts.name} " in padded_reply:
-            refs.append(ImageRef(image.id))
-            continue
-        if facts.values & reply_values or len(facts.tokens & reply_tokens) >= 2:
-            refs.append(ImageRef(image.id))
-    if not refs and sources.images:
-        refs = [ImageRef(sources.images[0].id)]
+    refs = [
+        ImageRef(id_)
+        for id_, facts in images
+        if facts.values & reply_values or len(facts.tokens & reply_tokens) >= 2
+    ]
+    if not refs and images:
+        refs = [ImageRef(images[0][0])]
     return refs
 
 

@@ -25,6 +25,7 @@ from logboard.backends import (
     UsageMixin,
 )
 from logboard.gating import extract_features
+from logboard.scheduler import run
 from logboard.log import (
     SUMMARIZING_AGENT,
     DocSpan,
@@ -46,6 +47,7 @@ from helpers import (
     golden_sources,
     log_with,
     lookup,
+    shared_bundle_records,
 )
 
 
@@ -360,6 +362,32 @@ def test_one_letter_image_id_is_not_named_by_its_letter():
     reply = "Image B shows the cost was $7M."
     assert extract_image_refs(reply, SourceBundle(images=images)) == [ImageRef("B")]
     assert extract_image_refs("See image a.", SourceBundle(images=images)) == [ImageRef("A")]
+
+
+def test_a_reply_naming_a_figure_cites_that_figure_alone():
+    # Both figures hold the years and the word "revenue", as every figure of
+    # a report does; the reply names one of them.
+    images = [
+        Image("Figure 1", "Revenue by year for Giva", "Giva 2018 $310M 2019 $342M"),
+        Image("Figure 2", "Revenue by year for Bora", "Bora 2018 $120M 2019 $150M"),
+    ]
+    sources = SourceBundle(images=images)
+    reply = "Figure 2 shows Bora revenue of $120M in 2018 and $150M in 2019."
+    assert extract_image_refs(reply, sources) == [ImageRef("Figure 2")]
+    # A reply that names no figure still cites each one it shares a numeral
+    # or two tokens with: here the years cite both.
+    reply = "Giva revenue was $310M in 2018."
+    assert extract_image_refs(reply, sources) == [ImageRef("Figure 1"), ImageRef("Figure 2")]
+
+
+def test_visual_entries_of_shared_bundles_cite_the_figure_their_question_names():
+    records, script = shared_bundle_records()
+    for record in records:
+        figure = record.question.split(",")[0].removeprefix("According to ")
+        result = run(record.question, record.sources, ScriptedBackend(script))
+        visual = [e for e in result.log.entries if e.entry_type is EntryType.VISUAL]
+        assert len(record.sources.images) == 3
+        assert [e.citations() for e in visual] == [[f"image:{figure}"]]
 
 
 def test_verification_act_clean_path_uses_backend():
