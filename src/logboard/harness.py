@@ -98,10 +98,10 @@ class FaultLabel:
         }
 
 
-def _corruptible_numerals(text: str) -> list[NumericMention]:
+def _corruptible(mentions: Iterable[NumericMention]) -> list[NumericMention]:
     # Years are labels, not amounts. From 2**53 up floats skip integers, so a
     # one-unit shift could parse to the value it had: such numerals are refused.
-    return [m for m in parse_numerals(text) if not is_year_like(m) and abs(m.value) < 2**53]
+    return [m for m in mentions if not is_year_like(m) and abs(m.value) < 2**53]
 
 
 def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | None:
@@ -111,7 +111,7 @@ def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | Non
     a shift steps away from zero instead: "-0.5" becomes "-1.5", not
     "--0.5", and "-1" becomes "-2", not "-0".
     """
-    eligible = _corruptible_numerals(text)
+    eligible = _corruptible(parse_numerals(text))
     if not eligible:
         return None
     mention = eligible[rng.randrange(len(eligible))]
@@ -199,7 +199,7 @@ def inject_faults(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, 
             for t_idx, table in enumerate(out.tables)
             for r, row in enumerate(table.rows)
             for c, cell in enumerate(row)
-            if _corruptible_numerals(cell)
+            if _corruptible(parse_numerals(cell))
         ]
         _require_targets(targets, "numeric table cells")
         for i in _select(len(targets), spec):
@@ -212,7 +212,7 @@ def inject_faults(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, 
             table.rows[r][c] = new_cell
     else:  # OcrMisread
         targets = [
-            i for i, img in enumerate(out.images) if _swappable(img.ocr_text)
+            i for i, img in enumerate(out.images) if _swappable(parse_numerals(img.ocr_text))
         ]
         _require_targets(targets, "images with two OCR numerals of different value")
         for i in _select(len(targets), spec):
@@ -224,9 +224,9 @@ def inject_faults(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, 
     return out, labels
 
 
-def _swappable(text: str) -> bool:
+def _swappable(mentions: Iterable[NumericMention]) -> bool:
     # Values, not texts: swapping "5" and "5.0" would change no value.
-    return len({m.value for m in parse_numerals(text)}) >= 2
+    return len({m.value for m in mentions}) >= 2
 
 
 def _require_targets(targets, description: str) -> None:
@@ -554,8 +554,8 @@ class _InFlightInjector:
         self.occurrence = 0
         self.mutated: list[tuple[LogEntry, str, str]] = []
 
-    def __call__(self, entry: LogEntry) -> LogEntry:
-        if not _entry_eligible(entry, self.spec.fault_type):
+    def __call__(self, entry: LogEntry, log: SharedLog) -> LogEntry:
+        if not _entry_eligible(entry, self.spec.fault_type, log):
             return entry
         occ = self.occurrence
         self.occurrence += 1
@@ -580,13 +580,15 @@ class _InFlightInjector:
         return out
 
 
-def _entry_eligible(entry: LogEntry, fault_type: FaultType) -> bool:
+def _entry_eligible(entry: LogEntry, fault_type: FaultType, log: SharedLog) -> bool:
+    """Whether the fault can corrupt the entry. Its numerals are read through
+    the run's log, where the verifier reads them again once it is committed."""
     if entry.entry_type not in EVIDENCE_TYPES:
         return False
     if fault_type is FaultType.ARITHMETIC_CORRUPTION:
-        return bool(_corruptible_numerals(entry.content))
+        return bool(_corruptible(log.numerals(entry.content)))
     if fault_type is FaultType.OCR_MISREAD:
-        return entry.entry_type is EntryType.VISUAL and _swappable(entry.content)
+        return entry.entry_type is EntryType.VISUAL and _swappable(log.numerals(entry.content))
     return _anchor_index(entry) is not None  # RowOffByOne
 
 

@@ -113,7 +113,7 @@ class TransportAbort(RuntimeError):
         self.partial_log = partial_log
 
 
-EntryMutator = Callable[[LogEntry], LogEntry]
+EntryMutator = Callable[[LogEntry, SharedLog], LogEntry]
 
 
 def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
@@ -134,7 +134,7 @@ def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
     if entry is None:
         return False
     if mutator is not None:
-        entry = mutator(entry)
+        entry = mutator(entry, log)
     result = log.append(entry)
     state.action_counts[role] += 1
     if result is AppendResult.ACCEPTED:
@@ -162,7 +162,8 @@ def run(
 
     gate, when given, may stop retrieval after a round that the gate deems
     not worth continuing. entry_mutator, when given, rewrites retrieval
-    entries just before they are committed (the fault-injection hook).
+    entries just before they are committed (the fault-injection hook); it
+    is given each entry and the run's log, whose `numerals` it may read.
     views, when given, are the views of sources that earlier runs over the
     same bundle built (`run_benchmark` shares them); without them the run
     builds its own, which it alone uses.

@@ -246,6 +246,28 @@ def test_reengaged_run_and_groundedness_parse_each_text_once(monkeypatch):
     assert len(parsed) == len(set(parsed))
 
 
+def test_fault_eligibility_reads_the_run_logs_numerals(monkeypatch):
+    """The dry pass's eligibility test and the verifier share one parse per text."""
+    parsed = []
+    original = logboard.textutil.parse_numerals
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(logboard.textutil, "parse_numerals", counting)
+    monkeypatch.setattr(harness, "parse_numerals", counting)
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, 1.0)
+    counter = harness._InFlightInjector(spec, 0, set())
+    result = scheduler.run(
+        GOLDEN_QUESTION, golden_sources(), ScriptedBackend(golden_script()), entry_mutator=counter
+    )
+    evidence = [e.content for e in result.log.evidence_entries()]
+    assert counter.occurrence >= 1
+    assert set(evidence) <= set(parsed)
+    assert len(parsed) == len(set(parsed))
+
+
 def test_scoring_normalizes_each_text_once(monkeypatch):
     """EM and ROUGE read one normalization of the answer and of each gold."""
     parsed = []

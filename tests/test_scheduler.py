@@ -488,7 +488,7 @@ def test_guardrails_hold_for_any_scripted_replies(case):
                 events.append(None)
             return super().generate(prompt, temperature, max_tokens)
 
-    def record(entry):
+    def record(entry, log):
         events.append(entry)
         return entry
 
