@@ -58,11 +58,13 @@ from .log import (
 )
 from .retrieval import (
     CorpusIndex,
+    SourceViews,
     cell_phrases,
     index,
     render_visual_text,
     retrieve,
     select_table_slice,
+    table_cells,
     truncate_span,
 )
 from .scheduler import (

@@ -48,7 +48,6 @@ from .log import (
 from .retrieval import (
     SENTENCE_WINDOW_K,
     TOP_N,
-    Sentences,
     SourceViews,
     TableSlice,
     render_table_slice,
@@ -152,16 +151,6 @@ VERIFICATION_INSTRUCTIONS = (
 )
 
 
-def _best_match_range(text: str, sentences: Sentences, q_tokens: set[str]) -> tuple[int, int]:
-    """Char range of the sentence of text sharing most of q_tokens, the question's tokens.
-
-    sentences is `retrieval.passage_sentences` of the passage holding text.
-    """
-    if not sentences.spans:
-        return (0, len(text))
-    return max(zip(sentences.spans, sentences.tokens), key=lambda pair: len(pair[1] & q_tokens))[0]
-
-
 def _source_blocks(
     role: AgentRole,
     sources: SourceBundle,
@@ -173,7 +162,7 @@ def _source_blocks(
 
     What does not depend on the level (the table slices, the BM25 ranking,
     the question's tokens and each passage's best-matching sentence) is
-    worked out once. A table's cell phrases and a passage's sentences are
+    worked out once. A table's cells and a passage's sentences are
     read from views, built here when none are given.
     """
     if views is None:
@@ -194,12 +183,14 @@ def _source_blocks(
         if not chosen:
             chosen = [p.id for p in sources.passages[:TOP_N]]
         q_tokens = set(tokenize(question))
-        matches = []
+        matches = []  # (passage, char range of its best sentence, its sentence spans)
         for passage in sources.passages:
             if passage.id in chosen:
-                sentences = views.sentences(passage)
-                match = _best_match_range(passage.text, sentences, q_tokens)
-                matches.append((passage, match, sentences.spans))
+                spans, tokens = views.sentences(passage)
+                best = (0, len(passage.text))
+                if spans:  # the first sentence sharing most of the question's tokens
+                    best = max(zip(spans, tokens), key=lambda pair: len(pair[1] & q_tokens))[0]
+                matches.append((passage, best, spans))
         for shrink in range(4):
             window = max(0, SENTENCE_WINDOW_K - shrink)
             yield "\n\n".join(
