@@ -164,9 +164,9 @@ def run(
     not worth continuing. entry_mutator, when given, rewrites retrieval
     entries just before they are committed (the fault-injection hook); it
     is given each entry and the run's log, whose `numerals` it may read.
-    views, when given, are the views of sources that earlier runs over the
-    same bundle built (`run_benchmark` shares them); without them the run
-    builds its own, which it alone uses.
+    views, when given, hold what other runs over the same bundle already
+    worked out of its sources (`run_benchmark` shares one per bundle);
+    without them the run builds its own.
     """
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
