@@ -414,7 +414,9 @@ def extract_image_refs(
         views = SourceViews()
     images = [(image.id, views.image(image)) for image in sources.images]
     padded_reply = f" {normalize(reply)} "
-    named = [ImageRef(id_) for id_, facts in images if facts.name and f" {facts.name} " in padded_reply]
+    named = [
+        ImageRef(id_) for id_, facts in images if facts.name and f" {facts.name} " in padded_reply
+    ]
     if named:
         return named
     reply_tokens = set(tokenize(reply))

@@ -187,7 +187,9 @@ def table_cells(table: Table) -> TableCells:
     # so, with "?" and "_" made spaces, each phrase is a line of its tokens.
     text = "\n".join(phrases.values()).encode("ascii", "replace")
     lines = text.replace(b"?", b" ").replace(b"_", b" ").split(b"\n")
-    weights = {cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases}
+    weights = {
+        cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases
+    }
     return TableCells(phrases, lines, weights)
 
 

@@ -187,17 +187,16 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
     for question, reply in asked:
         fresh = SourceViews()
         for table in sources.tables:
-            assert select_table_slice(table, question, shared.table(table)) == select_table_slice(
-                table, question, fresh.table(table)
-            )
-        shared_phrases = [shared.table(table).phrases for table in sources.tables]
-        fresh_phrases = [fresh.table(table).phrases for table in sources.tables]
-        assert extract_table_anchors(reply, sources, question, shared_phrases) == extract_table_anchors(
-            reply, sources, question, fresh_phrases
-        )
+            expected = select_table_slice(table, question, fresh.table(table))
+            assert select_table_slice(table, question, shared.table(table)) == expected
+        anchors = [
+            extract_table_anchors(reply, sources, question, [v.table(t).phrases for t in sources.tables])
+            for v in (shared, fresh)
+        ]
+        assert anchors[0] == anchors[1]
         for role in RETRIEVAL_ROLES:
             assert list(_source_blocks(role, sources, question, None, shared)) == list(
                 _source_blocks(role, sources, question, None, fresh)
             )
-        assert extract_doc_spans(reply, sources, shared) == extract_doc_spans(reply, sources, fresh)
-        assert extract_image_refs(reply, sources, shared) == extract_image_refs(reply, sources, fresh)
+        for extract in (extract_doc_spans, extract_image_refs):
+            assert extract(reply, sources, shared) == extract(reply, sources, fresh)
