@@ -59,7 +59,6 @@ from .log import (
 from .retrieval import (
     CorpusIndex,
     SourceViews,
-    cell_phrases,
     index,
     render_visual_text,
     retrieve,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, repeat
@@ -51,7 +51,7 @@ from .retrieval import (
     SourceViews,
     TableSlice,
     render_table_slice,
-    select_table_slice,
+    select_table_slice,  # noqa: F401  (bound here for the benchmark tracer's wrapper test)
     truncate_span,
 )
 from .sources import SourceBundle
@@ -152,31 +152,21 @@ VERIFICATION_INSTRUCTIONS = (
 
 
 def _source_blocks(
-    role: AgentRole,
-    sources: SourceBundle,
-    question: str,
-    table_slices: Sequence[TableSlice] | None,
-    views: SourceViews | None = None,
+    role: AgentRole, sources: SourceBundle, question: str, views: SourceViews
 ) -> Iterator[str]:
-    """Role-specific source text at shrink levels 0 (full) to 3, lazily.
+    """A retrieval role's source text at shrink levels 0 (full) to 3, lazily.
 
     What does not depend on the level (the table slices, the BM25 ranking,
     the question's tokens and each passage's best-matching sentence) is
-    worked out once. A table's cells and a passage's sentences are
-    read from views, built here when none are given.
+    worked out once. A table's slice and a passage's sentences are read
+    from views.
     """
-    if views is None:
-        views = SourceViews()
     if role is AgentRole.TABLE:
-        if table_slices is None:
-            table_slices = [
-                select_table_slice(table, question, views.table(table))
-                for table in sources.tables
-            ]
+        slices = [views.slice(table, question) for table in sources.tables]
         for row_cap in (None, 10, 3, 1):
             yield "\n\n".join(
                 render_table_slice(table, TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols))
-                for table, slice_ in zip(sources.tables, table_slices)
+                for table, slice_ in zip(sources.tables, slices)
             )
     elif role is AgentRole.CONTEXT:
         chosen = [doc_id for doc_id, _ in retrieval.retrieve(sources.passage_index, question)]
@@ -197,31 +187,27 @@ def _source_blocks(
                 f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
                 for passage, match, spans in matches
             )
-    elif role is AgentRole.VISUAL:
+    else:  # Visual
         for budget in (None, 400, 160, 80):
             yield "\n\n".join(
                 f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
                 for image in sources.images
             )
-    else:
-        yield ""
 
 
 def build_prompt(
     role: AgentRole,
     log: SharedLog,
-    sources: SourceBundle,
     config: AgentConfig,
+    blocks: Iterable[str] = ("",),
     answer_text: str | None = None,
-    table_slices: Sequence[TableSlice] | None = None,
-    views: SourceViews | None = None,
 ) -> str:
     """Instantiate the role template within the configured context window.
 
-    Sources are truncated before the log view; as a last resort the oldest
-    part of the view is dropped. table_slices, one per table of sources,
-    saves slicing again what the caller has sliced for this run; views
-    holds what is already known of the sources (see `_source_blocks`).
+    blocks is the source text at each shrink level, fullest first, as
+    `_source_blocks` yields it; the Summarizer's and verifier's prompts
+    show the log alone. Sources are truncated before the log view; as a
+    last resort the oldest part of the view is dropped.
     """
     question = log.question()
     instructions = {
@@ -252,7 +238,7 @@ def build_prompt(
             pieces.append(flag_line)
         return "\n\n".join(pieces)
 
-    for block in _source_blocks(role, sources, question, table_slices, views):
+    for block in blocks:
         prompt = compose(block, view)
         if token_estimate(prompt) <= config.context_window:
             return prompt
@@ -279,12 +265,11 @@ def build_prompt(
 # --- provenance extraction ---------------------------------------------------
 
 def extract_table_anchors(
-    reply: str, sources: SourceBundle, question: str, phrases: Sequence[dict[str, str]]
+    reply: str, sources: SourceBundle, question: str, views: SourceViews
 ) -> list[TableAnchor]:
     """Anchors for table cells the reply states, in (table, row, col) order.
 
-    phrases holds `retrieval.cell_phrases` of each table of sources, in
-    order, built from the tables as they are now. A cell is stated
+    Each table's cell phrases are read from views. A cell is stated
     when its phrase is a run of consecutive normalized reply tokens. Each
     table's phrases are looked up in the set of the reply's runs, built
     only up to the longest phrase met. Cells whose text merely echoes the
@@ -302,7 +287,8 @@ def extract_table_anchors(
     # Per table, the stated cells that the question does not echo, and those it does.
     informative: list[set[str]] = []
     echoed: list[set[str]] = []
-    for table_phrases in phrases:
+    for table in sources.tables:
+        table_phrases = views.table(table).phrases
         # Words in the longest phrase; a blank phrase counts one but is no run.
         longest = max(map(str.count, table_phrases.values(), repeat(" ")), default=-1) + 1
         while built < longest and built < len(reply_tokens):
@@ -359,9 +345,7 @@ def _find_quote(text: str, quoted: str) -> tuple[int, int] | None:
     return None
 
 
-def extract_doc_spans(
-    reply: str, sources: SourceBundle, views: SourceViews | None = None
-) -> list[DocSpan]:
+def extract_doc_spans(reply: str, sources: SourceBundle, views: SourceViews) -> list[DocSpan]:
     """Spans for the passage text the reply quotes or paraphrases.
 
     A quote is anchored in the first passage whose lowered text holds it,
@@ -369,7 +353,7 @@ def extract_doc_spans(
     from the bundle's postings before any passage is lowered. Without an
     anchored quote, the span is the sentence sharing most distinct tokens
     (at least 3) with the reply, read from each passage's sentences in
-    views (built here when none are given).
+    views.
     """
     passages = sources.passages
     spans: list[DocSpan] = []
@@ -383,8 +367,6 @@ def extract_doc_spans(
     if spans:
         return spans
     # Paraphrase: best-overlapping sentence, if the overlap is substantive.
-    if views is None:
-        views = SourceViews()
     reply_tokens = set(tokenize(reply))
     best: tuple[int, DocSpan] | None = None
     for passage in passages:
@@ -396,9 +378,7 @@ def extract_doc_spans(
     return [best[1]] if best else []
 
 
-def extract_image_refs(
-    reply: str, sources: SourceBundle, views: SourceViews | None = None
-) -> list[ImageRef]:
+def extract_image_refs(reply: str, sources: SourceBundle, views: SourceViews) -> list[ImageRef]:
     """Refs for the images the reply names, or else for those whose text it draws on.
 
     The reply names an image when the id's normalized words are a run of
@@ -407,11 +387,8 @@ def extract_image_refs(
     images cites those alone. One that names none cites each image sharing
     a numeral or two tokens with it, so a year or a word that every image
     holds cites them all; failing that, the first image. Each image's id
-    phrase, numerals and tokens are read from views (built here when none
-    are given).
+    phrase, numerals and tokens are read from views.
     """
-    if views is None:
-        views = SourceViews()
     images = [(image.id, views.image(image)) for image in sources.images]
     padded_reply = f" {normalize(reply)} "
     named = [
@@ -465,28 +442,26 @@ class _RetrievalAgent:
     author: str
     entry_type: EntryType
 
-    def __init__(self, config: AgentConfig | None = None, views: SourceViews | None = None) -> None:
-        self.config = config or AgentConfig(self.role)
-        # What is known of the sources; shared with the other agents of the
-        # run, and with later runs over the same bundle when the caller
-        # hands the run a bundle's views.
-        self.views = SourceViews() if views is None else views
+    def __init__(self, views: SourceViews) -> None:
+        self.config = AgentConfig(self.role)
+        # The run's views, shared with its other agents (see `retrieval`).
+        self.views = views
 
     def notify_flag(self) -> None:
         """Most roles keep no coverage for a verification Flag to re-open."""
-
-    def _prompt(self, log: SharedLog, sources: SourceBundle) -> str:
-        return build_prompt(self.role, log, sources, self.config, views=self.views)
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list:
         """What in the sources the reply states; empty when it states nothing."""
         raise NotImplementedError
 
     def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        reply = _generate(log, backend, self.config, self._prompt(log, sources))
+        question = log.question()
+        blocks = _source_blocks(self.role, sources, question, self.views)
+        prompt = build_prompt(self.role, log, self.config, blocks)
+        reply = _generate(log, backend, self.config, prompt)
         if _is_abstention(reply):
             return None
-        provenance = self._provenance(reply, sources, log.question())
+        provenance = self._provenance(reply, sources, question)
         if not provenance:
             logger.debug("%s reply cites nothing in the sources; an abstention", self.author)
             return None
@@ -500,29 +475,13 @@ class TableAgent(_RetrievalAgent):
     author = TABLE_AGENT
     entry_type = EntryType.LOOKUP
 
-    def __init__(self, config: AgentConfig | None = None, views: SourceViews | None = None) -> None:
-        super().__init__(config, views)
+    def __init__(self, views: SourceViews) -> None:
+        super().__init__(views)
         self.reported: set[tuple[str, int]] = set()
-        # (id(table), question) -> slice. The agent lives for one run, so
-        # each table is sliced once per run. A table's cells (phrases,
-        # tokens, digit weights) are read from the views, so they are
-        # worked out once per views: once per run for a lone run, once per
-        # bundle for the records of one `run_benchmark` call. The views
-        # hold the table, which keeps its id from being reused.
-        self._slices: dict[tuple[int, str], TableSlice] = {}
-
-    def _table_slices(self, sources: SourceBundle, question: str) -> list[TableSlice]:
-        slices = []
-        for table in sources.tables:
-            key = (id(table), question)
-            if key not in self._slices:
-                self._slices[key] = select_table_slice(table, question, self.views.table(table))
-            slices.append(self._slices[key])
-        return slices
 
     def _relevant_columns(self, sources: SourceBundle, question: str):
-        for table, slice_ in zip(sources.tables, self._table_slices(sources, question)):
-            for col in slice_.kept_cols:
+        for table in sources.tables:
+            for col in self.views.slice(table, question).kept_cols:
                 yield (table.id, col)
 
     def should_act(self, log: SharedLog, sources: SourceBundle, round_idx: int) -> bool:
@@ -541,15 +500,8 @@ class TableAgent(_RetrievalAgent):
         self.reported.update(self._relevant_columns(sources, log.question()))
         return super().act(log, sources, backend)
 
-    def _prompt(self, log: SharedLog, sources: SourceBundle) -> str:
-        slices = self._table_slices(sources, log.question())
-        return build_prompt(
-            self.role, log, sources, self.config, table_slices=slices, views=self.views
-        )
-
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[TableAnchor]:
-        phrases = [self.views.table(table).phrases for table in sources.tables]
-        return extract_table_anchors(reply, sources, question, phrases)
+        return extract_table_anchors(reply, sources, question, self.views)
 
 
 class ContextAgent(_RetrievalAgent):
@@ -603,15 +555,10 @@ def flagged_steps(content: str) -> list[int]:
     return [int(part) for part in match.group(1).split(",") if part.strip()]
 
 
-# The Summarizer's and verifier's prompts show the log, not the sources;
-# built once, never changed.
-_NO_SOURCES = SourceBundle()
-
-
 def summarize(log: SharedLog, backend: TextBackend) -> LogEntry | None:
     """A progress Summary or the final Answer, synthesized from the log."""
     config = AgentConfig(AgentRole.SUMMARIZING)
-    prompt = build_prompt(AgentRole.SUMMARIZING, log, _NO_SOURCES, config)
+    prompt = build_prompt(AgentRole.SUMMARIZING, log, config)
     reply = _generate(log, backend, config, prompt)
     if not reply.strip():
         logger.debug("Summarizer returned an empty reply")
@@ -638,7 +585,7 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     findings = verify_deterministic(log, answer_text)
     if findings:
         return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag_content(findings[0]))
-    prompt = build_prompt(AgentRole.VERIFICATION, log, _NO_SOURCES, config, answer_text)
+    prompt = build_prompt(AgentRole.VERIFICATION, log, config, answer_text=answer_text)
     try:
         reply = _generate(log, backend, config, prompt)
     except TransportError:
@@ -655,15 +602,10 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
 RETRIEVAL_ROLES = (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL)
 
 
-def build_agents(views: SourceViews | None = None) -> dict[AgentRole, object]:
-    """Fresh per-run retrieval agents with standard per-role temperatures.
-
-    The agents share views, new ones unless the caller gives its bundle's.
-    """
-    if views is None:
-        views = SourceViews()
+def build_agents(views: SourceViews) -> dict[AgentRole, object]:
+    """Fresh per-run retrieval agents with standard per-role temperatures, sharing views."""
     return {
-        AgentRole.TABLE: TableAgent(views=views),
-        AgentRole.CONTEXT: ContextAgent(views=views),
-        AgentRole.VISUAL: VisualAgent(views=views),
+        AgentRole.TABLE: TableAgent(views),
+        AgentRole.CONTEXT: ContextAgent(views),
+        AgentRole.VISUAL: VisualAgent(views),
     }

@@ -14,28 +14,29 @@ only passages that share a term with the question. Quote anchoring
 (`agents.extract_doc_spans`) picks its candidate passages from the same
 postings.
 
-What a source yields whatever the question lives in a `SourceViews`, built
-on first use: a table's distinct cell strings mapped to their normalized
-phrases (`cell_phrases`, which slicing and anchoring both read), a
-passage's sentence spans and their tokens, and an image's id phrase,
-numerals and tokens. A lone run builds its own views;
-`harness.run_benchmark` shares one per bundle among the records of one
-call and drops it after the bundle's last record, so a bundle asked four
-questions normalizes its cells once per pass. A table's slice depends only
-on the table and the question, so the Table agent slices each table once
-per run. A slice holds the question's most specific rows: of the rows that
-share a token with the question, those whose set of question tokens no
-other row's set strictly contains, with the columns whose cells matched
-beside the header-matched and numeric ones. Slicing finds the matching
-cells in one C-level pass over the phrases, works out a row's token set
-once per distinct set of matching cells, tests each distinct cell for a
-digit once, and tests the rows and sums the columns in C; it compiles no
+What a source yields lives in a `SourceViews`, built on first use: a
+table's distinct cell strings mapped to their normalized phrases (which
+slicing and anchoring both read) and its slice for each question asked
+of it, a passage's sentence spans and their tokens, and an image's id
+phrase, numerals and tokens. The views are the only place these live.
+Their lifetime is set in two places: a lone `scheduler.run` builds its
+own, and `harness.run_benchmark` shares one per bundle among the records
+of one call and drops it after the bundle's last record, so a bundle
+asked four questions normalizes its cells once per pass. Nothing of it
+outlives the call, and nothing is kept on the sources: a bundle with
+large tables is often asked one question (as in the benchmark's
+`table_heavy`), so doing this at load time would only move its cost into
+set-up, and views kept on a bundle would spare the benchmark's repeated
+passes a build that every `logboard bench` run pays.
+
+A slice holds the question's most specific rows: of the rows that share
+a token with the question, those whose set of question tokens no other
+row's set strictly contains, with the columns whose cells matched beside
+the header-matched and numeric ones. Slicing finds the matching cells in
+one C-level pass over the phrases, works out a row's token set once per
+distinct set of matching cells, tests each distinct cell for a digit
+once, and tests the rows and sums the columns in C; it compiles no
 pattern, so a question not asked before costs what a repeated one does.
-Nothing of it outlives the call, and nothing is kept on the sources: a
-bundle with large tables is often asked one question (as in the
-benchmark's `table_heavy`), so doing this at load time would only move its
-cost into set-up, and views kept on a bundle would spare the benchmark's
-repeated passes a build that every `logboard bench` run pays.
 """
 
 from __future__ import annotations
@@ -165,22 +166,17 @@ class TableSlice:
     kept_cols: list[int]
 
 
-def cell_phrases(table: Table) -> dict[str, str]:
-    """Each distinct cell string of the rows, in the order met, mapped to its `normalize`."""
-    cells = dict.fromkeys(chain.from_iterable(table.rows))
-    return dict(zip(cells, map(normalize, cells)))
-
-
 class TableCells(NamedTuple):
     """What slicing and anchoring read of a table's distinct cell strings."""
 
-    phrases: dict[str, str]  # `cell_phrases`
+    phrases: dict[str, str]  # each distinct cell string, in the order met -> its `normalize`
     lines: list[bytes]  # each phrase's tokens, ASCII-encoded and space-joined, in order
     weights: dict[str, int]  # each cell: 2 if it holds a digit, 1 if blank, else 0
 
 
 def table_cells(table: Table) -> TableCells:
-    phrases = cell_phrases(table)
+    cells = dict.fromkeys(chain.from_iterable(table.rows))
+    phrases = dict(zip(cells, map(normalize, cells)))
     # A cell's tokens are its phrase's: each [a-z0-9] run of the lowered text
     # lies whole inside a word of the phrase. A phrase holds no newline, and
     # only [a-z0-9_ ] and non-ASCII characters, which ASCII-encode as "?";
@@ -222,19 +218,19 @@ def image_facts(image: Image) -> ImageFacts:
 
 
 class SourceViews:
-    """The question-independent facts of a bundle's sources, each built on first use.
+    """What a bundle's sources yield, each built on first use (lifetime: see the module).
 
     A table's `table_cells`, a passage's `passage_sentences` and an
-    image's `image_facts` depend only on the source, so every question
-    given the same views reads one build of each. Views are keyed by the
-    source object, which they hold so that its id is not reused; they
-    assume the sources do not change while the views live. A lone
-    `scheduler.run` makes its own; `run_benchmark` shares one per bundle
-    across the records of one call.
+    image's `image_facts` depend only on the source, and a table's slice
+    only on the table and the question, so every question given the same
+    views reads one build of each. Views are keyed by the source object,
+    which they hold so that its id is not reused; they assume the sources
+    do not change while the views live.
     """
 
     def __init__(self) -> None:
         self._built: dict[int, tuple[object, object]] = {}  # id(source) -> (source, view)
+        self._slices: dict[tuple[int, str], TableSlice] = {}  # (id(table), question) -> slice
 
     def _view(self, source, build):
         held = self._built.get(id(source))
@@ -250,6 +246,14 @@ class SourceViews:
 
     def image(self, image: Image) -> ImageFacts:
         return self._view(image, image_facts)
+
+    def slice(self, table: Table, question: str) -> TableSlice:
+        """`select_table_slice` of the table; its cell view holds the table."""
+        key = (id(table), question)
+        slice_ = self._slices.get(key)
+        if slice_ is None:
+            slice_ = self._slices[key] = select_table_slice(table, question, self.table(table))
+        return slice_
 
 
 _FALLBACK_ROWS = 50
@@ -344,17 +348,15 @@ def truncate_span(
     passage: str,
     match_char_range: tuple[int, int],
     k: int,
-    spans: list[tuple[int, int]] | None = None,
+    spans: list[tuple[int, int]],
 ) -> str:
     """The sentences containing the match plus k sentences on each side.
 
-    spans, when given, must be `split_sentences(passage)`.
+    spans must be `split_sentences(passage)`.
     """
     start, end = match_char_range
     if start < 0 or end > len(passage) or start > end:
         raise ValueError("match range outside passage")
-    if spans is None:
-        spans = split_sentences(passage)
     if not spans:
         return passage
     touched = [

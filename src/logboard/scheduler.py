@@ -171,7 +171,7 @@ def run(
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
-    agents = build_agents(views)
+    agents = build_agents(SourceViews() if views is None else views)
     log = SharedLog(clock=_default_clock(backend))
     log.append(LogEntry(USER, EntryType.QUERY, question))
     state = RunState()

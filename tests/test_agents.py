@@ -10,6 +10,7 @@ from logboard.agents import (
     ContextAgent,
     TableAgent,
     VisualAgent,
+    _source_blocks,
     build_prompt,
     extract_doc_spans,
     extract_image_refs,
@@ -36,7 +37,7 @@ from logboard.log import (
     parse_answer,
     token_estimate,
 )
-from logboard.retrieval import cell_phrases
+from logboard.retrieval import SourceViews
 from logboard.sources import Image, Passage, SourceBundle, Table
 from logboard.textutil import split_sentences, tokenize
 
@@ -55,14 +56,19 @@ def fresh_log(question=GOLDEN_QUESTION):
     return log_with(question)
 
 
+def retrieval_prompt(role, log, sources, config):
+    blocks = _source_blocks(role, sources, log.question(), SourceViews())
+    return build_prompt(role, log, config, blocks)
+
+
 def test_visual_abstains_without_images():
-    agent = VisualAgent()
+    agent = VisualAgent(SourceViews())
     log = fresh_log("What does the figure show?")
     assert not agent.should_act(log, SourceBundle(), 0)
 
 
 def test_visual_fires_on_image_mention():
-    agent = VisualAgent()
+    agent = VisualAgent(SourceViews())
     sources = SourceBundle(images=[Image("img1", caption="a chart")])
     assert agent.should_act(fresh_log("What does the figure show?"), sources, 0)
     assert not agent.should_act(fresh_log("What was the revenue?"), sources, 0)
@@ -80,12 +86,12 @@ def test_visual_fires_on_image_mention():
 def test_visual_trigger_and_gate_feature_agree_on_image_mentions(question, mentions):
     log = fresh_log(question)
     sources = SourceBundle(images=[Image("img1", caption="a chart")])
-    assert VisualAgent().should_act(log, sources, 0) is mentions
+    assert VisualAgent(SourceViews()).should_act(log, sources, 0) is mentions
     assert extract_features(log.entries, 0).image_present == mentions
 
 
 def test_context_round_zero_and_gap_trigger():
-    agent = ContextAgent()
+    agent = ContextAgent(SourceViews())
     sources = golden_sources()
     assert agent.should_act(fresh_log(), sources, 0)
     log = fresh_log()
@@ -97,7 +103,7 @@ def test_context_round_zero_and_gap_trigger():
 
 
 def test_table_tracks_reported_columns():
-    agent = TableAgent()
+    agent = TableAgent(SourceViews())
     sources = golden_sources()
     log = fresh_log()
     assert agent.should_act(log, sources, 0)
@@ -111,14 +117,14 @@ def test_table_tracks_reported_columns():
 
 
 def test_table_act_extracts_two_anchors():
-    agent = TableAgent()
+    agent = TableAgent(SourceViews())
     backend = ScriptedBackend(golden_script())
     entry = agent.act(fresh_log(), golden_sources(), backend)
     assert entry.provenance == [TableAnchor("Table 1", 0, 1), TableAnchor("Table 1", 1, 1)]
 
 
 def test_context_act_quotes_span():
-    agent = ContextAgent()
+    agent = ContextAgent(SourceViews())
     backend = ScriptedBackend(golden_script())
     entry = agent.act(fresh_log(), golden_sources(), backend)
     assert entry is not None and entry.entry_type is EntryType.QUOTE
@@ -129,16 +135,16 @@ def test_context_act_quotes_span():
 
 
 def test_context_abstains_on_no_relevant_info():
-    agent = ContextAgent()
+    agent = ContextAgent(SourceViews())
     backend = ScriptedBackend({"passage reader": "no relevant info found"})
     assert agent.act(fresh_log(), golden_sources(), backend) is None
 
 
 def test_unparseable_reply_becomes_abstention_not_malformed_entry():
-    agent = ContextAgent()
+    agent = ContextAgent(SourceViews())
     backend = ScriptedBackend({"passage reader": "complete gibberish zebra quantum"})
     assert agent.act(fresh_log(), golden_sources(), backend) is None
-    table_agent = TableAgent()
+    table_agent = TableAgent(SourceViews())
     backend = ScriptedBackend({"table analyst": "nothing matches any cell here"})
     assert table_agent.act(fresh_log(), golden_sources(), backend) is None
 
@@ -154,12 +160,11 @@ def test_summarizer_act_types():
 
 def test_build_prompt_directives():
     log = fresh_log()
-    sources = golden_sources()
-    summary_prompt = build_prompt(AgentRole.SUMMARIZING, log, sources, AgentConfig(AgentRole.SUMMARIZING))
+    summary_prompt = build_prompt(AgentRole.SUMMARIZING, log, AgentConfig(AgentRole.SUMMARIZING))
     assert "Only use information from the log" in summary_prompt
     assert "Answer:" in summary_prompt
     verify_prompt = build_prompt(
-        AgentRole.VERIFICATION, log, sources, AgentConfig(AgentRole.VERIFICATION), "42"
+        AgentRole.VERIFICATION, log, AgentConfig(AgentRole.VERIFICATION), answer_text="42"
     )
     assert "reply with OK" in verify_prompt
     assert "Proposed answer: 42" in verify_prompt
@@ -171,7 +176,7 @@ def test_table_prompt_contains_only_selected_rows():
     rows[17] = ["widget", "17"]
     sources = SourceBundle(tables=[Table("big", ["name", "count"], rows)])
     log = fresh_log("How many widget units are there?")
-    prompt = build_prompt(AgentRole.TABLE, log, sources, AgentConfig(AgentRole.TABLE))
+    prompt = retrieval_prompt(AgentRole.TABLE, log, sources, AgentConfig(AgentRole.TABLE))
     assert "widget" in prompt
     assert "item999" not in prompt
 
@@ -184,13 +189,13 @@ def test_prompt_fits_context_window():
     sources = SourceBundle(passages=huge_passages)
     log = fresh_log("What happened to sales growth?")
     config = AgentConfig(AgentRole.CONTEXT, context_window=1200)
-    prompt = build_prompt(AgentRole.CONTEXT, log, sources, config)
+    prompt = retrieval_prompt(AgentRole.CONTEXT, log, sources, config)
     assert token_estimate(prompt) <= 1200
 
 
 def test_empty_log_prompt_contains_question_verbatim():
     log = fresh_log()
-    prompt = build_prompt(AgentRole.TABLE, log, golden_sources(), AgentConfig(AgentRole.TABLE))
+    prompt = retrieval_prompt(AgentRole.TABLE, log, golden_sources(), AgentConfig(AgentRole.TABLE))
     assert GOLDEN_QUESTION in prompt
 
 
@@ -200,24 +205,24 @@ def test_flag_reason_surfaces_in_retrieval_prompts():
     log.append(
         LogEntry("VerificationAgent", EntryType.FLAG, "Flagged missing item: CEO in 2020 missing.")
     )
-    prompt = build_prompt(AgentRole.TABLE, log, golden_sources(), AgentConfig(AgentRole.TABLE))
+    prompt = retrieval_prompt(AgentRole.TABLE, log, golden_sources(), AgentConfig(AgentRole.TABLE))
     assert "CEO in 2020 missing" in prompt
     assert "Target the missing or inconsistent item" in prompt
 
 
 def test_anchor_extraction_excludes_question_echoes():
     sources = golden_sources()
-    phrases = [cell_phrases(table) for table in sources.tables]
+    views = SourceViews()
     anchors = extract_table_anchors(
         "Revenue in 2018 was $50M, revenue in 2019 was $55M (from Table 1).",
         sources,
         GOLDEN_QUESTION,
-        phrases,
+        views,
     )
     assert anchors == [TableAnchor("Table 1", 0, 1), TableAnchor("Table 1", 1, 1)]
     # If only question echoes match, fall back to them rather than none.
     anchors = extract_table_anchors(
-        "The years 2018 and 2019 are covered.", sources, GOLDEN_QUESTION, phrases
+        "The years 2018 and 2019 are covered.", sources, GOLDEN_QUESTION, views
     )
     assert {(a.row, a.col) for a in anchors} == {(0, 0), (1, 0)}
 
@@ -227,6 +232,7 @@ def test_doc_span_paraphrase_fallback():
     spans = extract_doc_spans(
         "The report attributes the revenue increase to higher sales volume in 2019.",
         sources,
+        SourceViews(),
     )
     assert len(spans) == 1 and spans[0].doc_id == "report"
 
@@ -235,14 +241,17 @@ def test_quote_span_indexes_the_original_text():
     # "İ" lowers to two characters, which shifted every later lowered offset.
     text = "İzmir office: Revenue grew to $55M in 2019."
     sources = SourceBundle(passages=[Passage("p0", "Costs fell."), Passage("p1", text)])
+    views = SourceViews()
     for quoted in ("Revenue grew to $55M", "İzmir office", "zmir", "in 2019."):
-        (span,) = extract_doc_spans(f"The report says '{quoted}'.", sources)
+        (span,) = extract_doc_spans(f"The report says '{quoted}'.", sources, views)
         assert span.doc_id == "p1"
         assert text[span.start_char : span.end_char] == quoted
-    assert extract_doc_spans("It says 'Revenue grew to $55M'.", sources) == [DocSpan("p1", 14, 34)]
+    assert extract_doc_spans("It says 'Revenue grew to $55M'.", sources, views) == [
+        DocSpan("p1", 14, 34)
+    ]
     # A quote of a lowered "İ" finds the lowered text but no whole character.
-    assert extract_doc_spans("It says 'i\u0307zmir'.", sources) == [DocSpan("p1", 0, 5)]
-    assert extract_doc_spans("It says '\u0307zmir'.", sources) == []
+    assert extract_doc_spans("It says 'i\u0307zmir'.", sources, views) == [DocSpan("p1", 0, 5)]
+    assert extract_doc_spans("It says '\u0307zmir'.", sources, views) == []
 
 
 def reference_quote_span(passages, quoted):
@@ -309,7 +318,7 @@ def test_quote_spans_equal_a_first_match_scan(data):
     quoted = data.draw(st.lists(quotes(passages), min_size=1, max_size=3))
     reply = "The report says " + " and ".join(f'"{q}"' for q in quoted)
     spans = [span for q in quoted if (span := reference_quote_span(passages, q))]
-    got = extract_doc_spans(reply, SourceBundle(passages=passages))
+    got = extract_doc_spans(reply, SourceBundle(passages=passages), SourceViews())
     assert got == (spans or reference_paraphrase_span(passages, reply))
     texts = {p.id: p.text for p in passages}
     if spans:
@@ -321,7 +330,7 @@ def test_quote_spans_equal_a_first_match_scan(data):
 @given(span_passages(), span_texts)
 def test_paraphrase_span_equals_the_full_sentence_scan(passages, reply):
     reply = reply.replace('"', "")  # no quote: the paraphrase fallback decides
-    got = extract_doc_spans(reply, SourceBundle(passages=passages))
+    got = extract_doc_spans(reply, SourceBundle(passages=passages), SourceViews())
     assert got == reference_paraphrase_span(passages, reply)
 
 
@@ -342,7 +351,7 @@ def test_quote_anchoring_lowers_only_the_chosen_postings(monkeypatch):
     passages = [Passage(f"p{i}", RecordingText(text)) for i, text in enumerate(texts)]
     sources = SourceBundle(passages=passages)
     monkeypatch.setattr(RecordingText, "lowered", [])
-    spans = extract_doc_spans("It says 'the zebra crossed the road'.", sources)
+    spans = extract_doc_spans("It says 'the zebra crossed the road'.", sources, SourceViews())
     assert spans == [DocSpan("p40", 5, 31)]
     # Every inner word of the quote ("zebra", "crossed", "the") is in p10 and p40 only.
     assert RecordingText.lowered == [texts[10], texts[40]]
@@ -354,14 +363,16 @@ def test_image_id_is_named_as_a_whole_run_of_words():
         Image("Figure 12", "Cost by person", "Bo 2018 $7M"),
     ]
     reply = "Figure 12 shows Bo cost of $7M in 2018."
-    assert extract_image_refs(reply, SourceBundle(images=images)) == [ImageRef("Figure 12")]
+    refs = extract_image_refs(reply, SourceBundle(images=images), SourceViews())
+    assert refs == [ImageRef("Figure 12")]
 
 
 def test_one_letter_image_id_is_not_named_by_its_letter():
     images = [Image("A", "Staff count", "Staff 120"), Image("B", "Cost by year", "Bo 2018 $7M")]
+    sources, views = SourceBundle(images=images), SourceViews()
     reply = "Image B shows the cost was $7M."
-    assert extract_image_refs(reply, SourceBundle(images=images)) == [ImageRef("B")]
-    assert extract_image_refs("See image a.", SourceBundle(images=images)) == [ImageRef("A")]
+    assert extract_image_refs(reply, sources, views) == [ImageRef("B")]
+    assert extract_image_refs("See image a.", sources, views) == [ImageRef("A")]
 
 
 def test_a_reply_naming_a_figure_cites_that_figure_alone():
@@ -371,13 +382,13 @@ def test_a_reply_naming_a_figure_cites_that_figure_alone():
         Image("Figure 1", "Revenue by year for Giva", "Giva 2018 $310M 2019 $342M"),
         Image("Figure 2", "Revenue by year for Bora", "Bora 2018 $120M 2019 $150M"),
     ]
-    sources = SourceBundle(images=images)
+    sources, views = SourceBundle(images=images), SourceViews()
     reply = "Figure 2 shows Bora revenue of $120M in 2018 and $150M in 2019."
-    assert extract_image_refs(reply, sources) == [ImageRef("Figure 2")]
+    assert extract_image_refs(reply, sources, views) == [ImageRef("Figure 2")]
     # A reply that names no figure still cites each one it shares a numeral
     # or two tokens with: here the years cite both.
     reply = "Giva revenue was $310M in 2018."
-    assert extract_image_refs(reply, sources) == [ImageRef("Figure 1"), ImageRef("Figure 2")]
+    assert extract_image_refs(reply, sources, views) == [ImageRef("Figure 1"), ImageRef("Figure 2")]
 
 
 def test_visual_entries_of_shared_bundles_cite_the_figure_their_question_names():
@@ -530,8 +541,8 @@ def test_role_type_discipline_through_act():
     sources = golden_sources()
     log = fresh_log()
     for agent, expected in (
-        (TableAgent(), EntryType.LOOKUP),
-        (ContextAgent(), EntryType.QUOTE),
+        (TableAgent(SourceViews()), EntryType.LOOKUP),
+        (ContextAgent(SourceViews()), EntryType.QUOTE),
     ):
         entry = agent.act(log, sources, backend)
         assert entry.entry_type is expected
@@ -542,7 +553,7 @@ def test_scripted_determinism_of_act():
     sources = golden_sources()
     outs = []
     for _ in range(2):
-        agent = TableAgent()
+        agent = TableAgent(SourceViews())
         backend = ScriptedBackend(golden_script())
         entry = agent.act(fresh_log(), sources, backend)
         outs.append((entry.content, tuple(p.cite() for p in entry.provenance)))

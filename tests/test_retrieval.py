@@ -27,7 +27,7 @@ from logboard.sources import (
     bundle_from_dict,
     bundle_to_dict,
 )
-from logboard.textutil import parse_numerals, tokenize
+from logboard.textutil import parse_numerals, split_sentences, tokenize
 
 TOY = [
     Passage("d1", "revenue grew with higher sales volume"),
@@ -263,31 +263,31 @@ FIVE_SENTENCES = (
 
 def test_truncate_span_window():
     start = FIVE_SENTENCES.index("Three")
-    got = truncate_span(FIVE_SENTENCES, (start, start + 5), 1)
+    got = truncate_span(FIVE_SENTENCES, (start, start + 5), 1, split_sentences(FIVE_SENTENCES))
     assert got == "Two things followed. Three came later. Four wrapped up."
 
 
 def test_truncate_span_clamps_at_boundary():
-    got = truncate_span(FIVE_SENTENCES, (0, 3), 2)
+    got = truncate_span(FIVE_SENTENCES, (0, 3), 2, split_sentences(FIVE_SENTENCES))
     assert got == "One thing happened. Two things followed. Three came later."
 
 
 def test_truncate_span_single_sentence_passage():
     text = "The revenue increase in 2019 was primarily due to higher sales volume."
     for k in (0, 1, 5):
-        assert truncate_span(text, (4, 11), k) == text
+        assert truncate_span(text, (4, 11), k, split_sentences(text)) == text
 
 
 def test_truncate_span_idempotent():
     start = FIVE_SENTENCES.index("Three")
-    once = truncate_span(FIVE_SENTENCES, (start, start + 5), 1)
+    once = truncate_span(FIVE_SENTENCES, (start, start + 5), 1, split_sentences(FIVE_SENTENCES))
     inner = once.index("Three")
-    assert truncate_span(once, (inner, inner + 5), 1) == once
+    assert truncate_span(once, (inner, inner + 5), 1, split_sentences(once)) == once
 
 
 def test_truncate_span_rejects_bad_range():
     with pytest.raises(ValueError):
-        truncate_span("short.", (0, 99), 1)
+        truncate_span("short.", (0, 99), 1, split_sentences("short."))
 
 
 def test_visual_text_caption_only():

@@ -9,11 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logboard.agents import AgentConfig, AgentRole, TableAgent, build_agents
+from logboard.agents import (
+    AgentConfig,
+    AgentRole,
+    TableAgent,
+    build_agents,
+    build_prompt,
+    extract_doc_spans,
+    extract_image_refs,
+    extract_table_anchors,
+)
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
 from logboard.gating import extract_features
 from logboard.harness import FaultType, inject_faults
 from logboard.log import EntryType, SharedLog, dump_trace, is_near_duplicate, parse_answer
+from logboard.retrieval import SourceViews, truncate_span
 from logboard.scheduler import (
     PER_AGENT_CAP,
     RunState,
@@ -228,7 +238,7 @@ def test_verifier_disabled_never_verifies():
 
 
 def test_offer_turn_cap_blocks_without_backend_call():
-    agents = build_agents()
+    agents = build_agents(SourceViews())
     backend = ScriptedBackend(golden_script())
     state = RunState()
     state.action_counts[AgentRole.TABLE] = 2
@@ -243,7 +253,7 @@ def test_offer_turn_cap_blocks_without_backend_call():
 
 
 def test_offer_turn_visual_idle_without_images():
-    agents = build_agents()
+    agents = build_agents(SourceViews())
     backend = ScriptedBackend({})
     state = RunState()
     from logboard.log import USER, LogEntry, SharedLog
@@ -257,7 +267,7 @@ def test_offer_turn_visual_idle_without_images():
 
 
 def test_offer_turn_appends_lookup():
-    agents = build_agents()
+    agents = build_agents(SourceViews())
     backend = ScriptedBackend(golden_script())
     state = RunState()
     from logboard.log import USER, LogEntry, SharedLog
@@ -272,7 +282,7 @@ def test_offer_turn_appends_lookup():
 
 
 def test_dedup_rejected_append_counts_toward_cap_without_update():
-    agents = build_agents()
+    agents = build_agents(SourceViews())
     backend = ScriptedBackend(golden_script())
     state = RunState()
     from logboard.log import USER, LogEntry, SharedLog
@@ -386,8 +396,17 @@ def test_configuration_surface():
     assert [f.name for f in dataclasses.fields(AgentConfig)] == [
         "role", "temperature", "context_window", "max_tokens",
     ]
-    # run_benchmark hands each run its bundle's views; a lone run builds its own.
+    # run_benchmark hands each run its bundle's views; a lone run builds its
+    # own. Below run, views (and a passage's sentence spans) are required,
+    # so nothing else builds them; prompts take their source text as blocks.
     assert list(inspect.signature(build_agents).parameters) == ["views"]
+    required = inspect.Parameter.empty
+    for fn in (build_agents, extract_doc_spans, extract_image_refs, extract_table_anchors):
+        assert inspect.signature(fn).parameters["views"].default is required
+    assert inspect.signature(TableAgent).parameters["views"].default is required
+    assert inspect.signature(truncate_span).parameters["spans"].default is required
+    prompt_parameters = set(inspect.signature(build_prompt).parameters)
+    assert not {"sources", "views", "table_slices"} & prompt_parameters
     assert list(inspect.signature(SharedLog.__init__).parameters) == ["self", "clock"]
     assert list(inspect.signature(run).parameters) == [
         "question", "sources", "backend", "config", "gate", "entry_mutator", "views",

@@ -35,8 +35,8 @@ from logboard.agents import (
 from logboard.backends import ScriptedBackend
 from logboard.log import TableAnchor
 from logboard.retrieval import (
+    SourceViews,
     TableSlice,
-    cell_phrases,
     render_table_slice,
     select_table_slice,
     table_cells,
@@ -152,7 +152,8 @@ def reference_sources_block(role, sources, question, shrink):
         for passage in sources.passages:
             if passage.id not in chosen:
                 continue
-            clipped = truncate_span(passage.text, reference_best_match(passage.text, question), window)
+            match = reference_best_match(passage.text, question)
+            clipped = truncate_span(passage.text, match, window, split_sentences(passage.text))
             parts.append(f"Passage {passage.id}: {clipped}")
     elif role is AgentRole.VISUAL:
         budget = {0: None, 1: 400, 2: 160}.get(shrink, 80)
@@ -168,8 +169,7 @@ def slice_of(table, question):
 
 
 def anchors_of(reply, sources, question):
-    phrases = [cell_phrases(table) for table in sources.tables]
-    return extract_table_anchors(reply, sources, question, phrases)
+    return extract_table_anchors(reply, sources, question, SourceViews())
 
 
 # --- strategies -------------------------------------------------------------
@@ -294,12 +294,14 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
             Table("t2", ["Item", "Value"], [["widget", "$9M"], ["widget", "$9M"]]),
         ]
     )
-    phrases = [cell_phrases(table) for table in sources.tables]
+    views = SourceViews()
+    for table in sources.tables:
+        views.table(table)
     distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
     assert Counter(calls) == Counter(distinct)
     calls.clear()
     reply, question = "The widget line was $7M.", "What was the widget line?"
-    anchors = extract_table_anchors(reply, sources, question, phrases)
+    anchors = extract_table_anchors(reply, sources, question, views)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
     assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 1, 1), TableAnchor("t1", 2, 1)]
     assert Counter(calls) == Counter([reply, question])  # no cell again
@@ -390,8 +392,9 @@ def test_table_heavy_prompt_holds_the_entitys_two_rows_and_all_columns():
     assert sum(row[1] == "Revenue" for row in table.rows) > len(table.rows) // 3
     question = "By how much did the revenue of Giva increase from 2018 to 2019?"
     sources = SourceBundle(tables=[table])
+    blocks = _source_blocks(AgentRole.TABLE, sources, question, SourceViews())
     prompt = logboard.agents.build_prompt(
-        AgentRole.TABLE, log_with(question), sources, AgentConfig(AgentRole.TABLE)
+        AgentRole.TABLE, log_with(question), AgentConfig(AgentRole.TABLE), blocks
     )
     block = (
         "Table T:\nCompany | Metric | Year | Amount\n"
@@ -554,7 +557,7 @@ def test_source_blocks_match_per_level_reference(case, texts, images):
         images=[Image(f"i{i}", caption, ocr) for i, (caption, ocr) in enumerate(images)],
     )
     for role in (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL):
-        blocks = list(_source_blocks(role, sources, question, None))
+        blocks = list(_source_blocks(role, sources, question, SourceViews()))
         assert blocks == [
             reference_sources_block(role, sources, question, shrink) for shrink in range(4)
         ]
@@ -603,7 +606,7 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     original_index = logboard.retrieval.index
     original_retrieve = logboard.retrieval.retrieve
     original_build_prompt = logboard.agents.build_prompt
-    monkeypatch.setattr(logboard.agents, "select_table_slice", counting_slice)
+    monkeypatch.setattr(logboard.retrieval, "select_table_slice", counting_slice)
     monkeypatch.setattr(TableAgent, "act", counting_act)
     monkeypatch.setattr(logboard.retrieval, "index", counting_index)
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
@@ -653,7 +656,7 @@ def test_large_table_blocks_match_reference(question):
     # 200 rows: more matching rows than any cap, and a fallback longer than 50.
     rows = [[f"item{i}", str(i), "revenue" if i % 3 else "cost"] for i in range(200)]
     sources = SourceBundle(tables=[Table("big", ["name", "count", "kind"], rows)])
-    blocks = list(_source_blocks(AgentRole.TABLE, sources, question, None))
+    blocks = list(_source_blocks(AgentRole.TABLE, sources, question, SourceViews()))
     assert blocks == [
         reference_sources_block(AgentRole.TABLE, sources, question, shrink)
         for shrink in range(4)
@@ -683,8 +686,9 @@ def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     question = "What happened to sales growth?"
     config = AgentConfig(AgentRole.CONTEXT, context_window=140)
-    blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, None))
-    prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), sources, config)
+    blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, SourceViews()))
+    fresh = _source_blocks(AgentRole.CONTEXT, sources, question, SourceViews())
+    prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), config, fresh)
     assert blocks[0] not in prompt and blocks[1] in prompt  # shrunk one level
     # Once for the blocks above, once for the prompt, both from the bundle's index.
     assert indexed == []

@@ -1,10 +1,10 @@
 """Source views shared by the records of one bundle within a run_benchmark call.
 
-A bundle's question-independent facts (each table's cell phrases, tokens
-and digit weights, each passage's sentences, each image's id phrase,
-numerals and tokens) are
-built once per bundle in each pass and dropped with the call. Sharing
-them must change no report, trace or metric.
+A bundle's prepared facts (each table's cell phrases, tokens, digit
+weights and slice per question, each passage's sentences, each image's
+id phrase, numerals and tokens) are built once per bundle in each pass
+and dropped with the call. Sharing them must change no report, trace or
+metric, and a lone run builds exactly one views object.
 """
 
 import gc
@@ -25,6 +25,8 @@ from logboard.agents import (
     extract_doc_spans,
     extract_image_refs,
     extract_table_anchors,
+    summarize,
+    verification_act,
 )
 from logboard.backends import ScriptedBackend
 from logboard.harness import BenchmarkRecord, FaultSpec, FaultType, run_benchmark
@@ -34,7 +36,13 @@ from logboard.scheduler import run
 from logboard.sources import Image, Passage, SourceBundle, bundle_from_dict, bundle_to_dict
 from logboard.textutil import normalize, parse_numerals, split_sentences
 
-from helpers import shared_bundle_records
+from helpers import (
+    GOLDEN_ANSWER,
+    GOLDEN_QUESTION,
+    golden_script,
+    golden_sources,
+    shared_bundle_records,
+)
 from test_table_equivalence import (
     NUMERALS,
     WORDS,
@@ -189,14 +197,32 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
         for table in sources.tables:
             expected = select_table_slice(table, question, fresh.table(table))
             assert select_table_slice(table, question, shared.table(table)) == expected
-        anchors = [
-            extract_table_anchors(reply, sources, question, [v.table(t).phrases for t in sources.tables])
-            for v in (shared, fresh)
-        ]
+            assert shared.slice(table, question) == expected
+        anchors = [extract_table_anchors(reply, sources, question, v) for v in (shared, fresh)]
         assert anchors[0] == anchors[1]
         for role in RETRIEVAL_ROLES:
-            assert list(_source_blocks(role, sources, question, None, shared)) == list(
-                _source_blocks(role, sources, question, None, fresh)
+            assert list(_source_blocks(role, sources, question, shared)) == list(
+                _source_blocks(role, sources, question, fresh)
             )
         for extract in (extract_doc_spans, extract_image_refs):
             assert extract(reply, sources, shared) == extract(reply, sources, fresh)
+
+
+def test_a_lone_run_builds_one_views(monkeypatch):
+    built = []
+    original = SourceViews.__init__
+
+    def counting_init(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SourceViews, "__init__", counting_init)
+    result = run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(golden_script()))
+    assert result.final_answer == GOLDEN_ANSWER
+    assert len(built) == 1
+    # The Summarizer's and verifier's prompts show the log alone.
+    built.clear()
+    backend = ScriptedBackend(golden_script())
+    assert summarize(result.log, backend) is not None
+    verification_act(result.log, backend)
+    assert backend.calls == 2 and built == []
