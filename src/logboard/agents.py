@@ -54,8 +54,15 @@ from .retrieval import (
     select_table_slice,  # noqa: F401  (bound here for the benchmark tracer's wrapper test)
     truncate_span,
 )
-from .sources import SourceBundle
-from .textutil import GAP_PHRASES, mentions_image, normalize, parse_numerals, tokenize
+from .sources import Image, SourceBundle
+from .textutil import (
+    GAP_PHRASES,
+    is_year_like,
+    mentions_image,
+    normalize,
+    parse_numerals,
+    tokenize,
+)
 from .verify import Finding, verify_deterministic
 
 logger = logging.getLogger(__name__)
@@ -157,9 +164,9 @@ def _source_blocks(
     """A retrieval role's source text at shrink levels 0 (full) to 3, lazily.
 
     What does not depend on the level (the table slices, the BM25 ranking,
-    the question's tokens and each passage's best-matching sentence) is
-    worked out once. A table's slice and a passage's sentences are read
-    from views.
+    the question's tokens, each passage's best-matching sentence and the
+    images shown) is worked out once. A table's slice and a passage's
+    sentences are read from views.
     """
     if role is AgentRole.TABLE:
         slices = [views.slice(table, question) for table in sources.tables]
@@ -187,11 +194,12 @@ def _source_blocks(
                 f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
                 for passage, match, spans in matches
             )
-    else:  # Visual
+    else:  # Visual: the images the question names, or all when it names none
+        shown = _images_named(question, sources, views) or sources.images
         for budget in (None, 400, 160, 80):
             yield "\n\n".join(
                 f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
-                for image in sources.images
+                for image in shown
             )
 
 
@@ -277,6 +285,13 @@ def extract_table_anchors(
     fact) unless no table states another cell. Stated cells are sorted into
     these two sets before any anchor is built, so anchors are built only
     for the chosen cells, on the rows that hold one (found in C).
+
+    Of those rows, as of a slice's, only the most specific are cited: a
+    row's set is the table's stated cells, echoed or not, that it holds,
+    and a row is kept unless another row's set strictly contains its own.
+    So a row that only happens to hold a stated amount is passed over
+    beside the rows that also hold the question's entity and year, while a
+    reply that states a lone value cites every row that holds it.
     """
     reply_tokens = normalize(reply).split()
     runs: set[str] = set()  # space-joined runs of up to `built` reply tokens
@@ -299,15 +314,22 @@ def extract_table_anchors(
             )
         informative.append(set())
         echoed.append(set())
-        stated = compress(table_phrases, map(runs.__contains__, table_phrases.values()))
-        for cell in stated:
+        for cell in compress(table_phrases, map(runs.__contains__, table_phrases.values())):
             (echoed if f" {table_phrases[cell]} " in padded_question else informative)[-1].add(cell)
     # A stated cell is taken from its table's rows, so some table states an
     # informative cell exactly when some informative anchor exists.
+    chosen = informative if any(informative) else echoed
     anchors: list[TableAnchor] = []
-    for table, cells in zip(sources.tables, informative if any(informative) else echoed):
+    for table, cells, told, echoes in zip(sources.tables, chosen, informative, echoed):
         rows = table.rows
-        for r in compress(range(len(rows)), map(not_, map(cells.isdisjoint, rows))):
+        candidates = list(compress(range(len(rows)), map(not_, map(cells.isdisjoint, rows))))
+        # Each candidate row's stated cells. The maximal sets are found among
+        # the distinct ones, which are few however many rows hold a cell.
+        stated = frozenset(told).union(echoes)
+        row_sets = list(map(stated.intersection, map(rows.__getitem__, candidates)))
+        distinct = set(row_sets)
+        maximal = {held for held in distinct if not any(map(held.__lt__, distinct))}
+        for r in compress(candidates, map(maximal.__contains__, row_sets)):
             anchors.extend(
                 TableAnchor(table.id, r, c) for c, cell in enumerate(rows[r]) if cell in cells
             )
@@ -378,33 +400,43 @@ def extract_doc_spans(reply: str, sources: SourceBundle, views: SourceViews) -> 
     return [best[1]] if best else []
 
 
+def _images_named(text: str, sources: SourceBundle, views: SourceViews) -> list[Image]:
+    """The images that the text names, in source order.
+
+    The text names an image when the id's normalized words (read from
+    views) are a run of the text's, as a stated table cell is: "Figure 12"
+    does not name "Figure 1", nor does any "a" name an image "A".
+    """
+    padded = f" {normalize(text)} "
+    return [
+        image
+        for image in sources.images
+        if (name := views.image(image).name) and f" {name} " in padded
+    ]
+
+
 def extract_image_refs(reply: str, sources: SourceBundle, views: SourceViews) -> list[ImageRef]:
     """Refs for the images the reply names, or else for those whose text it draws on.
 
-    The reply names an image when the id's normalized words are a run of
-    the reply's, as a stated table cell is: "Figure 12" does not name
-    "Figure 1", nor does any "a" name an image "A". A reply that names
-    images cites those alone. One that names none cites each image sharing
-    a numeral or two tokens with it, so a year or a word that every image
-    holds cites them all; failing that, the first image. Each image's id
-    phrase, numerals and tokens are read from views.
+    A reply that names images (`_images_named`) cites those alone. One that
+    names none cites each image sharing a numeral or two tokens with it,
+    years left out, so a word that every image holds still cites them all;
+    failing that, the first image. Each image's numerals and tokens are
+    read from views.
     """
-    images = [(image.id, views.image(image)) for image in sources.images]
-    padded_reply = f" {normalize(reply)} "
-    named = [
-        ImageRef(id_) for id_, facts in images if facts.name and f" {facts.name} " in padded_reply
-    ]
+    named = _images_named(reply, sources, views)
     if named:
-        return named
+        return [ImageRef(image.id) for image in named]
     reply_tokens = set(tokenize(reply))
-    reply_values = {m.value for m in parse_numerals(reply)}
+    reply_values = {m.value for m in parse_numerals(reply) if not is_year_like(m)}
     refs = [
-        ImageRef(id_)
-        for id_, facts in images
-        if facts.values & reply_values or len(facts.tokens & reply_tokens) >= 2
+        ImageRef(image.id)
+        for image in sources.images
+        if (facts := views.image(image)).values & reply_values
+        or len(facts.tokens & reply_tokens) >= 2
     ]
-    if not refs and images:
-        refs = [ImageRef(images[0][0])]
+    if not refs and sources.images:
+        refs = [ImageRef(sources.images[0].id)]
     return refs
 
 

@@ -104,14 +104,17 @@ def _corruptible(mentions: Iterable[NumericMention]) -> list[NumericMention]:
     return [m for m in mentions if not is_year_like(m) and abs(m.value) < 2**53]
 
 
-def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | None:
+def perturb_numeral(
+    text: str, mentions: Sequence[NumericMention], rng: random.Random
+) -> tuple[str, str, str] | None:
     """Shift one numeral by one leading unit; returns (new_text, old, new).
 
-    The written sign is kept, so a shift never reaches or crosses zero; such
-    a shift steps away from zero instead: "-0.5" becomes "-1.5", not
+    mentions must be `parse_numerals(text)`, which callers hold already.
+    The written sign is kept, so a shift never reaches or crosses zero;
+    such a shift steps away from zero instead: "-0.5" becomes "-1.5", not
     "--0.5", and "-1" becomes "-2", not "-0".
     """
-    eligible = _corruptible(parse_numerals(text))
+    eligible = _corruptible(mentions)
     if not eligible:
         return None
     mention = eligible[rng.randrange(len(eligible))]
@@ -137,9 +140,13 @@ def perturb_numeral(text: str, rng: random.Random) -> tuple[str, str, str] | Non
     return new_text, mention.text, new_mention
 
 
-def _swap_two_numerals(text: str, rng: random.Random) -> str | None:
-    """Swap two numerals of different value; None when the text has none."""
-    mentions = parse_numerals(text)
+def _swap_two_numerals(
+    text: str, mentions: Sequence[NumericMention], rng: random.Random
+) -> str | None:
+    """Swap two numerals of different value; None when the text has none.
+
+    mentions must be `parse_numerals(text)`.
+    """
     distinct = [
         (a, b)
         for i, a in enumerate(mentions)
@@ -205,10 +212,11 @@ def inject_faults(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, 
         for i in _select(len(targets), spec):
             t_idx, r, c = targets[i]
             table = out.tables[t_idx]
-            mutated = perturb_numeral(table.rows[r][c], rng)
+            cell = table.rows[r][c]
+            mutated = perturb_numeral(cell, parse_numerals(cell), rng)
             assert mutated is not None
             new_cell, _, _ = mutated
-            labels.append(FaultLabel(table.id, ft, table.rows[r][c], new_cell))
+            labels.append(FaultLabel(table.id, ft, cell, new_cell))
             table.rows[r][c] = new_cell
     else:  # OcrMisread
         targets = [
@@ -217,7 +225,7 @@ def inject_faults(bundle: SourceBundle, spec: FaultSpec) -> tuple[SourceBundle, 
         _require_targets(targets, "images with two OCR numerals of different value")
         for i in _select(len(targets), spec):
             image = out.images[targets[i]]
-            swapped = _swap_two_numerals(image.ocr_text, rng)
+            swapped = _swap_two_numerals(image.ocr_text, parse_numerals(image.ocr_text), rng)
             assert swapped is not None
             labels.append(FaultLabel(image.id, ft, image.ocr_text, swapped))
             image.ocr_text = swapped
@@ -247,12 +255,13 @@ def _anchor_index(entry: LogEntry) -> int | None:
 
 
 def _mutate_entry(
-    entry: LogEntry, fault_type: FaultType, rng: random.Random
+    entry: LogEntry, fault_type: FaultType, rng: random.Random, log: SharedLog
 ) -> tuple[str, str]:
     """Apply one entry fault in place to an eligible entry; returns (original, corrupted).
 
-    ArithmeticCorruption and OcrMisread rewrite the content; RowOffByOne
-    moves the first table anchor down one row.
+    ArithmeticCorruption and OcrMisread rewrite the content, whose numerals
+    are read through the run's log, as `_entry_eligible` read them;
+    RowOffByOne moves the first table anchor down one row.
     """
     if fault_type is FaultType.ROW_OFF_BY_ONE:
         pos = _anchor_index(entry)
@@ -262,10 +271,10 @@ def _mutate_entry(
         entry.provenance[pos] = shifted
         return anchor.cite(), shifted.cite()
     if fault_type is FaultType.ARITHMETIC_CORRUPTION:
-        mutated = perturb_numeral(entry.content, rng)
+        mutated = perturb_numeral(entry.content, log.numerals(entry.content), rng)
         new_content = mutated[0] if mutated else None
     else:  # OcrMisread
-        new_content = _swap_two_numerals(entry.content, rng)
+        new_content = _swap_two_numerals(entry.content, log.numerals(entry.content), rng)
     assert new_content is not None
     original, entry.content = entry.content, new_content
     return original, new_content
@@ -562,7 +571,7 @@ class _InFlightInjector:
         if occ not in self.chosen:
             return entry
         rng = random.Random(f"{self.spec.seed}:{self.record_index}:{occ}")
-        self.mutated.append((entry, *_mutate_entry(entry, self.spec.fault_type, rng)))
+        self.mutated.append((entry, *_mutate_entry(entry, self.spec.fault_type, rng, log)))
         return entry
 
     def labels(self) -> list[FaultLabel]:

@@ -283,12 +283,13 @@ def _stub_line(replaced: list[LogEntry]) -> str:
 def render_view(log: SharedLog) -> str:
     """Render the log newest-last, compressing history to fit the budget.
 
-    If the verbatim estimate exceeds the compress trigger, the oldest
+    The Query entry is left out: a prompt states the question on its own
+    line. If the verbatim estimate exceeds the compress trigger, the oldest
     entries are folded (one more per iteration) into a single Summary stub
     that keeps every replaced entry's provenance citation, until the
     estimate is at or below the post-compression target.
     """
-    entries = log.entries
+    entries = [e for e in log.entries if e.entry_type is not EntryType.QUERY]
     lines = [format_entry(e) for e in entries]
     view = "\n".join(lines)
     if token_estimate(view) <= COMPRESS_TRIGGER:

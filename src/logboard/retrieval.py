@@ -48,7 +48,7 @@ from itertools import chain, compress, repeat, tee
 from operator import itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .textutil import normalize, parse_numerals, split_sentences, tokenize
+from .textutil import is_year_like, normalize, parse_numerals, split_sentences, tokenize
 
 if TYPE_CHECKING:  # sources builds its passage index from this module
     from .sources import Image, Passage, Table
@@ -204,7 +204,8 @@ def passage_sentences(passage: Passage) -> Sentences:
 
 class ImageFacts(NamedTuple):
     """What a reply is matched against: the image id's `normalize`, and the
-    numeral values and distinct tokens of its caption and OCR text."""
+    numeral values and distinct tokens of its caption and OCR text, years
+    left out of both (a report's figures share its years)."""
 
     name: str
     values: frozenset[float]
@@ -213,8 +214,10 @@ class ImageFacts(NamedTuple):
 
 def image_facts(image: Image) -> ImageFacts:
     text = f"{image.caption} {image.ocr_text}"
-    values = frozenset(m.value for m in parse_numerals(text))
-    return ImageFacts(normalize(image.id), values, frozenset(tokenize(text)))
+    mentions = parse_numerals(text)
+    years = {m.text for m in mentions if is_year_like(m)}
+    values = frozenset(m.value for m in mentions if not is_year_like(m))
+    return ImageFacts(normalize(image.id), values, frozenset(tokenize(text)).difference(years))
 
 
 class SourceViews:

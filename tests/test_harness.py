@@ -54,9 +54,13 @@ from helpers import (
 
 # --- fault injection ----------------------------------------------------------
 
+def perturb(text, rng):
+    return perturb_numeral(text, parse_numerals(text), rng)
+
+
 def test_perturb_numeral_one_unit():
     rng = random.Random(3)
-    out = perturb_numeral("Revenue was $55M this year.", rng)
+    out = perturb("Revenue was $55M this year.", rng)
     assert out is not None
     new_text, old, new = out
     old_val = 55.0
@@ -67,9 +71,9 @@ def test_perturb_numeral_one_unit():
 
 def test_perturb_keeps_decimals_and_commas():
     rng = random.Random(1)
-    new_text, old, new = perturb_numeral("The chart shows 5.2 units.", rng)
+    new_text, old, new = perturb("The chart shows 5.2 units.", rng)
     assert new in ("6.2", "4.2")
-    new_text, old, new = perturb_numeral("Total of 5,000,000 units.", rng)
+    new_text, old, new = perturb("Total of 5,000,000 units.", rng)
     assert new in ("5,000,001", "4,999,999")
 
 
@@ -77,7 +81,7 @@ def test_perturb_keeps_one_sign_below_one():
     # A negative numeral below 1 used to gain a second minus ("--0.5%").
     for text, expected in (("-0.5%", "-1.5%"), ("-$0.25M", "-$1.25M"), ("−0.3 million", "−1.3 million")):
         for seed in range(8):
-            new_text, old, new = perturb_numeral(f"Margin was {text}.", random.Random(seed))
+            new_text, old, new = perturb(f"Margin was {text}.", random.Random(seed))
             assert (old, new) == (text, expected)
             assert new_text == f"Margin was {expected}."
 
@@ -86,7 +90,7 @@ def test_perturb_steps_away_from_zero():
     # A shift that would land on zero used to write "-1" as "-0".
     for text, expected in (("-1", "-2"), ("−$1M", "−$2M"), ("+1", "+2"), ("1%", "2%"), ("-1.0", "-2.0")):
         for seed in range(21):
-            new_text, old, new = perturb_numeral(f"Margin was {text}.", random.Random(seed))
+            new_text, old, new = perturb(f"Margin was {text}.", random.Random(seed))
             assert (old, new) == (text, expected)
             assert new_text == f"Margin was {expected}."
 

@@ -86,7 +86,7 @@ def test_perturb_numeral_changes_exactly_one_numeral(text, seed):
     shift a float may not hold.
     """
     before = parse_numerals(text)
-    result = perturb_numeral(text, random.Random(seed))
+    result = perturb_numeral(text, before, random.Random(seed))
     if not any(not is_year_like(m) and abs(m.value) < 2**53 for m in before):
         assert result is None
         return
@@ -113,7 +113,7 @@ def test_swap_two_numerals_keeps_the_numeral_multiset(text, seed):
     """
     mentions = parse_numerals(text)
     before = Counter(m.text for m in mentions)
-    swapped = _swap_two_numerals(text, random.Random(seed))
+    swapped = _swap_two_numerals(text, mentions, random.Random(seed))
     if len({m.value for m in mentions}) < 2:
         assert swapped is None
         return

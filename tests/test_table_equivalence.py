@@ -3,7 +3,8 @@
 The references below are the straightforward versions of each rule:
 per-cell tokenizing, a set of question tokens per row of which only the
 maximal sets are kept, and a per-cell digit test in select_table_slice, a
-normalize and a scan of the reply's tokens for every cell in
+normalize and a scan of the reply's tokens for every cell, then a set of
+stated cells per row of which only the maximal sets are cited, in
 extract_table_anchors, and a fresh slice and BM25 ranking at every
 prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
@@ -112,7 +113,21 @@ def reference_extract_table_anchors(reply, sources, question):
                     echoes = reference_contains_tokens(question_tokens, cell_tokens)
                     matched.append((echoes, TableAnchor(table.id, r, c)))
     informative = [anchor for echoes, anchor in matched if not echoes]
-    return informative or [anchor for _, anchor in matched]
+    chosen = informative or [anchor for _, anchor in matched]
+    # Of the rows holding a chosen anchor, keep those whose set of stated
+    # cell strings no other row of the table strictly contains.
+    tables = {table.id: table for table in sources.tables}
+    stated = {}  # (table id, row) -> the stated cell strings of the row
+    for _, anchor in matched:
+        cell = tables[anchor.table_id].rows[anchor.row][anchor.col]
+        stated.setdefault((anchor.table_id, anchor.row), set()).add(cell)
+    rows = {(anchor.table_id, anchor.row) for anchor in chosen}
+    kept = {
+        key
+        for key in rows
+        if not any(other[0] == key[0] and stated[key] < stated[other] for other in rows)
+    }
+    return [anchor for anchor in chosen if (anchor.table_id, anchor.row) in kept]
 
 
 def reference_render_table_slice(table, slice_):
@@ -303,7 +318,8 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
     reply, question = "The widget line was $7M.", "What was the widget line?"
     anchors = extract_table_anchors(reply, sources, question, views)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
-    assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 1, 1), TableAnchor("t1", 2, 1)]
+    # The gadget row holds $7M alone; the widget rows also hold "widget".
+    assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 2, 1)]
     assert Counter(calls) == Counter([reply, question])  # no cell again
 
 
@@ -402,6 +418,23 @@ def test_table_heavy_prompt_holds_the_entitys_two_rows_and_all_columns():
     )
     assert block in prompt.split("\n\n")
     assert prompt.count(" | Revenue | ") == 2
+
+
+def test_a_lookup_cites_the_targets_rows_not_fillers_holding_its_amounts():
+    table = table_heavy_table()
+    # Filler rows that happen to hold the target's amounts.
+    assert table.rows[309][1:] == ["Revenue", "2015", "$310M"] and table.rows[341][3] == "$342M"
+    sources = SourceBundle(tables=[table])
+    question = "By how much did the revenue of Giva increase from 2018 to 2019?"
+    reply = "Giva revenue was $310M in 2018 and $342M in 2019, per the revenue table."
+    anchors = anchors_of(reply, sources, question)
+    assert anchors == reference_extract_table_anchors(reply, sources, question)
+    assert anchors == [TableAnchor("T", 400, 3), TableAnchor("T", 900, 3)]
+    # A reply that states a lone value cites every row that holds it.
+    reply = "The amount was $310M."
+    anchors = anchors_of(reply, sources, question)
+    assert anchors == reference_extract_table_anchors(reply, sources, question)
+    assert anchors == [TableAnchor("T", 309, 3), TableAnchor("T", 400, 3)]
 
 
 def test_rows_with_equal_token_sets_all_stay():
@@ -685,7 +718,7 @@ def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
     monkeypatch.setattr(logboard.retrieval, "index", counting_index)
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     question = "What happened to sales growth?"
-    config = AgentConfig(AgentRole.CONTEXT, context_window=140)
+    config = AgentConfig(AgentRole.CONTEXT, context_window=128)
     blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, SourceViews()))
     fresh = _source_blocks(AgentRole.CONTEXT, sources, question, SourceViews())
     prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), config, fresh)
