@@ -194,8 +194,8 @@ def _source_blocks(
                 f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
                 for passage, match, spans in matches
             )
-    else:  # Visual: the images the question names, or all when it names none
-        shown = _images_named(question, sources, views) or sources.images
+    else:  # Visual
+        shown = _images_shown(question, sources, views)
         for budget in (None, 400, 160, 80):
             yield "\n\n".join(
                 f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
@@ -415,28 +415,37 @@ def _images_named(text: str, sources: SourceBundle, views: SourceViews) -> list[
     ]
 
 
-def extract_image_refs(reply: str, sources: SourceBundle, views: SourceViews) -> list[ImageRef]:
-    """Refs for the images the reply names, or else for those whose text it draws on.
+def _images_shown(question: str, sources: SourceBundle, views: SourceViews) -> list[Image]:
+    """The images a Visual prompt shows: those the question names, or all
+    when it names none."""
+    return _images_named(question, sources, views) or sources.images
+
+
+def extract_image_refs(
+    reply: str, sources: SourceBundle, question: str, views: SourceViews
+) -> list[ImageRef]:
+    """Refs for the images the reply names, or else for the shown ones whose text it draws on.
 
     A reply that names images (`_images_named`) cites those alone. One that
-    names none cites each image sharing a numeral or two tokens with it,
-    years left out, so a word that every image holds still cites them all;
-    failing that, the first image. Each image's numerals and tokens are
-    read from views.
+    names none cites each image its prompt showed (`_images_shown`) that
+    shares a numeral or two tokens with it, years left out, so a word that
+    every shown image holds still cites them all; failing that, the first
+    image shown. Each image's numerals and tokens are read from views.
     """
     named = _images_named(reply, sources, views)
     if named:
         return [ImageRef(image.id) for image in named]
+    shown = _images_shown(question, sources, views)
     reply_tokens = set(tokenize(reply))
     reply_values = {m.value for m in parse_numerals(reply) if not is_year_like(m)}
     refs = [
         ImageRef(image.id)
-        for image in sources.images
+        for image in shown
         if (facts := views.image(image)).values & reply_values
         or len(facts.tokens & reply_tokens) >= 2
     ]
-    if not refs and sources.images:
-        refs = [ImageRef(sources.images[0].id)]
+    if not refs and shown:
+        refs = [ImageRef(shown[0].id)]
     return refs
 
 
@@ -566,7 +575,7 @@ class VisualAgent(_RetrievalAgent):
         return bool(sources.images) and any(mentions_image(e.content) for e in log.entries)
 
     def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[ImageRef]:
-        return extract_image_refs(reply, sources, self.views)
+        return extract_image_refs(reply, sources, question, self.views)
 
 
 def flag_content(finding: Finding) -> str:

@@ -77,16 +77,17 @@ def tokenize(text: str) -> list[str]:
 
 
 def word_ngrams(words: list[str], n: int) -> set[tuple[str, ...]]:
-    if len(words) < n:
-        return set()
-    return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
+    """The runs of n consecutive words; none when there are fewer than n."""
+    return set(zip(*(words[i:] for i in range(n))))
 
 
 def jaccard(a: set, b: set) -> float:
+    """|a ∩ b| / |a ∪ b|, with |a ∪ b| taken as |a| + |b| − |a ∩ b|; 1.0 when
+    both are empty."""
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -152,9 +153,11 @@ def parse_numerals(text: str) -> list[NumericMention]:
 
 
 def is_year_like(mention: NumericMention) -> bool:
-    """Four-digit plain integers in 1900..2100 read as labels, not amounts."""
+    """Four-digit plain integers in 1900..2100 read as labels, not amounts;
+    a "$" amount ("$1950") is never a year."""
     return (
         mention.unit == ""
+        and "$" not in mention.text
         and float(mention.raw).is_integer()
         and 1900 <= mention.raw <= 2100
         and "." not in mention.text

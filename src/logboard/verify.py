@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
-from .log import EntryType, SharedLog
+from .log import EntryType, ImageRef, LogEntry, SharedLog, TableAnchor
 from .textutil import NumericMention, is_year_like
 
 
@@ -40,9 +41,12 @@ _RATIO_STEM = r"(?:ratio|times)"
 
 _CONNECTOR = r"(?:of|by|was|is|:)?"
 
-_DIFF_ANY_RE = re.compile(_DIFF_STEM, re.IGNORECASE)
-_SUM_ANY_RE = re.compile(_SUM_STEM, re.IGNORECASE)
-_RATIO_ANY_RE = re.compile(_RATIO_STEM, re.IGNORECASE)
+# Any phrasing of each claim kind, anywhere in the answer.
+_PHRASE_RES = {
+    "delta": re.compile(_DIFF_STEM, re.IGNORECASE),
+    "sum": re.compile(_SUM_STEM, re.IGNORECASE),
+    "ratio": re.compile(_RATIO_STEM, re.IGNORECASE),
+}
 
 
 def _attach_res(stem: str) -> tuple[re.Pattern, re.Pattern]:
@@ -76,8 +80,14 @@ def _tolerance(reference: float) -> float:
     return 1e-6 * max(1.0, abs(reference))
 
 
-@dataclass(frozen=True)
-class _Candidate:
+def _value_match(value: float, refs) -> bool:
+    """Whether value is within the tolerance of a ref, or a ref within the
+    value's, so that 0-vs-0 style comparisons are symmetric."""
+    slack = _tolerance(value)
+    return any(abs(value - ref) <= max(_tolerance(ref), slack) for ref in refs)
+
+
+class _Candidate(NamedTuple):
     value: float
     raw: float
     unit: str  # common explicit unit of the pair, or ""
@@ -88,6 +98,33 @@ class _Candidate:
 # extracted data values); Quote numerals stay out so prose numbers cannot
 # launder a bad calculation.
 _OPERAND_TYPES = (EntryType.LOOKUP, EntryType.VISUAL)
+
+
+def _cited_ids(entry: LogEntry) -> set[str]:
+    """The ids, lowercased, of the tables and images the entry cites."""
+    return {
+        p.table_id.lower() if isinstance(p, TableAnchor) else p.image_id.lower()
+        for p in entry.provenance
+        if isinstance(p, (TableAnchor, ImageRef))
+    }
+
+
+def _in_label(mention: NumericMention, text: str, ids: set[str]) -> bool:
+    """Whether the numeral lies inside an occurrence in text of one of ids,
+    matched as a whole word in any case: the 2 of "Figure 2" is a label, not
+    a value."""
+    numeral = mention.text.lower()
+    for label in ids:
+        at = label.find(numeral)
+        while at >= 0:
+            start = mention.start - at
+            end = start + len(label)
+            if start >= 0 and text[start:end].lower() == label:
+                edges = text[max(start - 1, 0) : start] + text[end : end + 1]
+                if not any(c.isalnum() or c == "_" for c in edges):
+                    return True
+            at = label.find(numeral, at + 1)
+    return False
 
 
 def _pair_candidates(operands, op: str) -> list[_Candidate]:
@@ -120,49 +157,38 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
     Numerals attached to difference/sum/ratio phrasing are recomputed
     strictly from in-order Lookup operand pairs and are never rescued by a
     coincidental evidence match. Plain numerals must appear in evidence,
-    or be derivable when the answer uses such phrasing anywhere.
+    or be derivable when the answer uses such phrasing anywhere. A kind's
+    operand pairs are built the first time the answer needs that kind.
     """
     ev_mentions: list[tuple[NumericMention, int]] = []
-    operands: list[tuple[NumericMention, int]] = []  # in log order, years excluded
+    operands: list[tuple[NumericMention, int]] = []  # in log order, years and labels excluded
     for entry in log.evidence_entries():
-        is_operand = entry.entry_type in _OPERAND_TYPES
+        ids = _cited_ids(entry) if entry.entry_type in _OPERAND_TYPES else None
         for mention in log.numerals(entry.content):
             ev_mentions.append((mention, entry.step))
-            if is_operand and not is_year_like(mention):
+            if (
+                ids is not None
+                and not is_year_like(mention)
+                and not _in_label(mention, entry.content, ids)
+            ):
                 operands.append((mention, entry.step))
-    candidates = {
-        op: _pair_candidates(operands, op) for op in ("delta", "sum", "ratio")
-    }
-    operand_steps = sorted({step for _, step in operands})
+    built: dict[str, list[_Candidate]] = {}
 
-    has_phrase = {
-        "delta": bool(_DIFF_ANY_RE.search(answer_text)),
-        "sum": bool(_SUM_ANY_RE.search(answer_text)),
-        "ratio": bool(_RATIO_ANY_RE.search(answer_text)),
-    }
-
-    def value_match(value: float, pool) -> tuple[bool, tuple[int, ...]]:
-        for item in pool:
-            ref = item.value if isinstance(item, _Candidate) else item[0].value
-            if abs(value - ref) <= _tolerance(ref):
-                steps = item.steps if isinstance(item, _Candidate) else (item[1],)
-                return True, steps
-            # Also accept the claim-side tolerance so 0-vs-0 style
-            # comparisons are symmetric.
-            if abs(value - ref) <= _tolerance(value):
-                return True, item.steps if isinstance(item, _Candidate) else (item[1],)
-        return False, ()
+    def candidates(kind: str) -> list[_Candidate]:
+        pairs = built.get(kind)
+        if pairs is None:
+            pairs = built[kind] = _pair_candidates(operands, kind)
+        return pairs
 
     assessments = []
     for mention in log.numerals(answer_text):
         kind = classify_claim(answer_text, mention)
         assessment = NumeralAssessment(mention, kind, supported=True)
-        if kind in ("delta", "sum", "ratio") and candidates[kind]:
-            ok, _ = value_match(mention.value, candidates[kind])
-            if not ok:
+        if kind in _PHRASE_RES and (pool := candidates(kind)):
+            if not _value_match(mention.value, (c.value for c in pool)):
                 unit_clash = None
                 if mention.explicit_unit and kind != "ratio":
-                    for cand in candidates[kind]:
+                    for cand in pool:
                         if (
                             cand.unit
                             and cand.unit != mention.unit
@@ -179,30 +205,22 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
                         list(unit_clash.steps),
                     )
                 else:
-                    closest = min(
-                        candidates[kind], key=lambda c: abs(mention.value - c.value)
-                    )
+                    closest = min(pool, key=lambda c: abs(mention.value - c.value))
                     assessment.supported = False
                     assessment.finding = Finding(
                         FindingKind.ARITHMETIC_MISMATCH,
                         f"claimed {kind} {mention.text} but Lookup values support "
                         f"{closest.value:g}",
-                        operand_steps,
+                        sorted({step for _, step in operands}),
                     )
             assessments.append(assessment)
             continue
 
-        ok, _ = value_match(mention.value, ev_mentions)
-        if ok:
-            assessments.append(assessment)
-            continue
-        derived = False
-        for op in ("delta", "sum", "ratio"):
-            if has_phrase[op] and candidates[op]:
-                if value_match(mention.value, candidates[op])[0]:
-                    derived = True
-                    break
-        if derived:
+        if _value_match(mention.value, (ev.value for ev, _ in ev_mentions)) or any(
+            phrase.search(answer_text)
+            and _value_match(mention.value, (c.value for c in candidates(op)))
+            for op, phrase in _PHRASE_RES.items()
+        ):
             assessments.append(assessment)
             continue
         clash_steps: list[int] = []

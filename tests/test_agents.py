@@ -363,7 +363,7 @@ def test_image_id_is_named_as_a_whole_run_of_words():
         Image("Figure 12", "Cost by person", "Bo 2018 $7M"),
     ]
     reply = "Figure 12 shows Bo cost of $7M in 2018."
-    refs = extract_image_refs(reply, SourceBundle(images=images), SourceViews())
+    refs = extract_image_refs(reply, SourceBundle(images=images), "", SourceViews())
     assert refs == [ImageRef("Figure 12")]
 
 
@@ -371,8 +371,8 @@ def test_one_letter_image_id_is_not_named_by_its_letter():
     images = [Image("A", "Staff count", "Staff 120"), Image("B", "Cost by year", "Bo 2018 $7M")]
     sources, views = SourceBundle(images=images), SourceViews()
     reply = "Image B shows the cost was $7M."
-    assert extract_image_refs(reply, sources, views) == [ImageRef("B")]
-    assert extract_image_refs("See image a.", sources, views) == [ImageRef("A")]
+    assert extract_image_refs(reply, sources, "", views) == [ImageRef("B")]
+    assert extract_image_refs("See image a.", sources, "", views) == [ImageRef("A")]
 
 
 def test_a_reply_naming_a_figure_cites_that_figure_alone():
@@ -384,11 +384,19 @@ def test_a_reply_naming_a_figure_cites_that_figure_alone():
     ]
     sources, views = SourceBundle(images=images), SourceViews()
     reply = "Figure 2 shows Bora revenue of $120M in 2018 and $150M in 2019."
-    assert extract_image_refs(reply, sources, views) == [ImageRef("Figure 2")]
+    assert extract_image_refs(reply, sources, "", views) == [ImageRef("Figure 2")]
     # A reply that names no figure cites each one it shares a numeral or two
     # tokens with, years left out: the year both figures hold cites neither.
     reply = "Giva revenue was $310M in 2018."
-    assert extract_image_refs(reply, sources, views) == [ImageRef("Figure 1")]
+    assert extract_image_refs(reply, sources, "", views) == [ImageRef("Figure 1")]
+    # Such a reply is matched only against the figures its prompt showed: a
+    # question naming Figure 2 shows Figure 2 alone.
+    reply = "The chart plots revenue by year: $120M then $150M."
+    both = [ImageRef("Figure 1"), ImageRef("Figure 2")]
+    assert extract_image_refs(reply, sources, "How did revenue change?", views) == both
+    question = "According to Figure 2, how did Bora revenue change?"
+    assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
+    assert extract_image_refs("No match.", sources, question, views) == [ImageRef("Figure 2")]
 
 
 def test_visual_entries_of_shared_bundles_cite_the_figure_their_question_names():

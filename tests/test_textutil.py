@@ -54,7 +54,7 @@ def test_word_units_scale():
 def test_year_like_detection():
     years = parse_numerals("from 2018 to 2019")
     assert all(is_year_like(m) for m in years)
-    not_years = parse_numerals("cost 2018.5 and $2018M and 150")
+    not_years = parse_numerals("cost 2018.5 and $2018M and $1950 and 150")
     assert not any(is_year_like(m) for m in not_years)
 
 

@@ -45,3 +45,23 @@ def test_agents_still_binds_select_table_slice():
     import logboard.retrieval
 
     assert logboard.agents.select_table_slice is logboard.retrieval.select_table_slice
+
+
+def test_groundedness_calls_assess_answer_numerals_through_the_harness_once(monkeypatch):
+    # The tracer's `verify.assess_answer_numerals` span is confined to
+    # `logboard.harness`, so groundedness must keep calling that binding.
+    import logboard.harness as harness
+
+    from helpers import GOLDEN_ANSWER, run_golden
+
+    calls = []
+    original = harness.assess_answer_numerals
+
+    def counting(answer, log):
+        calls.append(answer)
+        return original(answer, log)
+
+    log = run_golden().log
+    monkeypatch.setattr(harness, "assess_answer_numerals", counting)
+    assert harness.log_groundedness(GOLDEN_ANSWER, log) == 1.0
+    assert calls == [GOLDEN_ANSWER]

@@ -122,6 +122,51 @@ def test_years_excluded_from_arithmetic_operands():
     assert verify_deterministic(log, "It grew by 4 between the years.") == []
 
 
+def test_dollar_amounts_in_the_year_range_are_operands():
+    log = log_with(
+        "How much did revenue change?",
+        lookup("Revenue was $1950 in 2018 and $2000 in 2019."),
+    )
+    assert verify_deterministic(log, "Revenue saw an increase of $50.") == []
+    findings = verify_deterministic(log, "Revenue saw an increase of $60.")
+    assert kinds(findings) == [FindingKind.ARITHMETIC_MISMATCH]
+    assert findings[0].implicated_steps == [1]
+
+
+def test_a_cited_table_or_figure_label_is_not_an_operand():
+    # With the figure's label 2 as an operand, $129M - 2 falls within the
+    # tolerance of $129M, so a wrong delta would pass.
+    table = lookup(
+        "Rudedan revenue was $129M in 2018 and $135M in 2019, per the revenue table.",
+        table_id="Table 4",
+    )
+    figure = visual(
+        "Figure 2 shows Rudedan revenue of $129M in 2018 and $135M in 2019.",
+        image_id="Figure 2",
+    )
+    for entries in ((table,), (table, figure)):
+        log = log_with("How did Rudedan revenue change?", *entries)
+        for wrong in ("$129M increase.", "$135M increase."):
+            assert kinds(verify_deterministic(log, wrong)) == [FindingKind.ARITHMETIC_MISMATCH]
+        assert verify_deterministic(log, "$6M increase.") == []
+    # The label is matched as a whole word in any case, and stays evidence.
+    log = log_with(
+        "What does table 4 show?",
+        lookup("TABLE 4 lists revenue of $129M in 2018 and $135M in 2019.", table_id="Table 4"),
+    )
+    assert kinds(verify_deterministic(log, "$129M increase.")) == [FindingKind.ARITHMETIC_MISMATCH]
+    assert verify_deterministic(log, "It is table 4.") == []
+    # Only a whole-word occurrence of the label holds one: not "Table 41",
+    # nor "Subtable 4".
+    for source, total in (("Table 41", "44"), ("Subtable 4", "7"), ("Table 4", "7")):
+        log = log_with(
+            "What was the total?",
+            lookup(f"It was 3 in 2018 and 5 in 2019 ({source}).", table_id="Table 4"),
+        )
+        findings = verify_deterministic(log, f"A total of {total}.")
+        assert kinds(findings) == ([FindingKind.ARITHMETIC_MISMATCH] if source == "Table 4" else [])
+
+
 def test_derivation_rescues_unattached_numeral():
     log = log_with(
         GOLDEN_QUESTION,

@@ -204,8 +204,10 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
             assert list(_source_blocks(role, sources, question, shared)) == list(
                 _source_blocks(role, sources, question, fresh)
             )
-        for extract in (extract_doc_spans, extract_image_refs):
-            assert extract(reply, sources, shared) == extract(reply, sources, fresh)
+        assert extract_doc_spans(reply, sources, shared) == extract_doc_spans(reply, sources, fresh)
+        assert extract_image_refs(reply, sources, question, shared) == extract_image_refs(
+            reply, sources, question, fresh
+        )
 
 
 def test_a_lone_run_builds_one_views(monkeypatch):
