@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import not_
 
 from . import retrieval
@@ -54,11 +54,12 @@ from .retrieval import (
     select_table_slice,  # noqa: F401  (bound here for the benchmark tracer's wrapper test)
     truncate_span,
 )
-from .sources import Image, SourceBundle
+from .sources import Image, Passage, SourceBundle
 from .textutil import (
     GAP_PHRASES,
     is_year_like,
     mentions_image,
+    names,
     normalize,
     parse_numerals,
     tokenize,
@@ -176,24 +177,7 @@ def _source_blocks(
                 for table, slice_ in zip(sources.tables, slices)
             )
     elif role is AgentRole.CONTEXT:
-        chosen = [doc_id for doc_id, _ in retrieval.retrieve(sources.passage_index, question)]
-        if not chosen:
-            chosen = [p.id for p in sources.passages[:TOP_N]]
-        q_tokens = set(tokenize(question))
-        matches = []  # (passage, char range of its best sentence, its sentence spans)
-        for passage in sources.passages:
-            if passage.id in chosen:
-                spans, tokens = views.sentences(passage)
-                best = (0, len(passage.text))
-                if spans:  # the first sentence sharing most of the question's tokens
-                    best = max(zip(spans, tokens), key=lambda pair: len(pair[1] & q_tokens))[0]
-                matches.append((passage, best, spans))
-        for shrink in range(4):
-            window = max(0, SENTENCE_WINDOW_K - shrink)
-            yield "\n\n".join(
-                f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
-                for passage, match, spans in matches
-            )
+        yield from _passage_blocks(_passages_chosen(sources, question), question, views)
     else:  # Visual
         shown = _images_shown(question, sources, views)
         for budget in (None, 400, 160, 80):
@@ -201,6 +185,35 @@ def _source_blocks(
                 f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
                 for image in shown
             )
+
+
+def _passages_chosen(sources: SourceBundle, question: str) -> list[Passage]:
+    """The passages a Context prompt shows, in passage order: the question's
+    BM25 top `TOP_N`, or the first `TOP_N` when no passage scores."""
+    chosen = [doc_id for doc_id, _ in retrieval.retrieve(sources.passage_index, question)]
+    if not chosen:
+        return sources.passages[:TOP_N]
+    return [passage for passage in sources.passages if passage.id in chosen]
+
+
+def _passage_blocks(passages: list[Passage], question: str, views: SourceViews) -> Iterator[str]:
+    """The Context blocks of the shown passages at shrink levels 0 to 3: each
+    passage's window around its sentence sharing most of the question's
+    tokens, narrowed by one sentence a side per level."""
+    q_tokens = set(tokenize(question))
+    matches = []  # (passage, char range of its best sentence, its sentence spans)
+    for passage in passages:
+        spans, tokens = views.sentences(passage)
+        best = (0, len(passage.text))
+        if spans:  # the first sentence sharing most of the question's tokens
+            best = max(zip(spans, tokens), key=lambda pair: len(pair[1] & q_tokens))[0]
+        matches.append((passage, best, spans))
+    for shrink in range(4):
+        window = max(0, SENTENCE_WINDOW_K - shrink)
+        yield "\n\n".join(
+            f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
+            for passage, match, spans in matches
+        )
 
 
 def build_prompt(
@@ -275,23 +288,27 @@ def build_prompt(
 def extract_table_anchors(
     reply: str, sources: SourceBundle, question: str, views: SourceViews
 ) -> list[TableAnchor]:
-    """Anchors for table cells the reply states, in (table, row, col) order.
+    """Anchors for the shown table cells the reply states, in (table, row, col) order.
 
-    Each table's cell phrases are read from views. A cell is stated
-    when its phrase is a run of consecutive normalized reply tokens. Each
-    table's phrases are looked up in the set of the reply's runs, built
-    only up to the longest phrase met. Cells whose text merely echoes the
-    question are left out (they are the lookup key, not the retrieved
-    fact) unless no table states another cell. Stated cells are sorted into
-    these two sets before any anchor is built, so anchors are built only
-    for the chosen cells, on the rows that hold one (found in C).
+    A Lookup cites only what its prompt showed: each table's slice for the
+    question (`views.slice`), its kept rows × kept columns. The rule takes
+    the whole slice, though the prompt's shrink levels show only its first
+    10, 3 or 1 kept rows; no workload shrinks a Table prompt. Only the
+    slices' distinct cells are normalized. A cell is stated when its
+    phrase is a run of consecutive normalized reply tokens. Each table's
+    phrases are looked up in the set of the reply's runs, built only up to
+    the longest phrase met. Cells whose text merely echoes the question are
+    left out (they are the lookup key, not the retrieved fact) unless no
+    table states another cell. Stated cells are sorted into these two sets
+    before any anchor is built, so anchors are built only for the chosen
+    cells, on the rows that hold one (found in C).
 
     Of those rows, as of a slice's, only the most specific are cited: a
-    row's set is the table's stated cells, echoed or not, that it holds,
+    row's set is the slice's stated cells, echoed or not, that it shows,
     and a row is kept unless another row's set strictly contains its own.
     So a row that only happens to hold a stated amount is passed over
     beside the rows that also hold the question's entity and year, while a
-    reply that states a lone value cites every row that holds it.
+    reply that states a lone value cites every shown row that holds it.
     """
     reply_tokens = normalize(reply).split()
     runs: set[str] = set()  # space-joined runs of up to `built` reply tokens
@@ -299,13 +316,18 @@ def extract_table_anchors(
     # Tokens hold no spaces, so a padded phrase occurs in the padded
     # question exactly when it is a run of the question's tokens.
     padded_question = f" {normalize(question)} "
-    # Per table, the stated cells that the question does not echo, and those it does.
+    # Per table: its slice, the shown cells of each kept row, and the stated
+    # cells that the question does not echo, and those it does.
+    shown: list[tuple[str, TableSlice, list[list[str]]]] = []
     informative: list[set[str]] = []
     echoed: list[set[str]] = []
     for table in sources.tables:
-        table_phrases = views.table(table).phrases
+        slice_ = views.slice(table, question)
+        cut = [[table.rows[r][c] for c in slice_.kept_cols] for r in slice_.kept_rows]
+        shown.append((table.id, slice_, cut))
+        phrases = {cell: normalize(cell) for cell in dict.fromkeys(chain.from_iterable(cut))}
         # Words in the longest phrase; a blank phrase counts one but is no run.
-        longest = max(map(str.count, table_phrases.values(), repeat(" ")), default=-1) + 1
+        longest = max(map(str.count, phrases.values(), repeat(" ")), default=-1) + 1
         while built < longest and built < len(reply_tokens):
             built += 1
             runs.update(
@@ -314,24 +336,26 @@ def extract_table_anchors(
             )
         informative.append(set())
         echoed.append(set())
-        for cell in compress(table_phrases, map(runs.__contains__, table_phrases.values())):
-            (echoed if f" {table_phrases[cell]} " in padded_question else informative)[-1].add(cell)
-    # A stated cell is taken from its table's rows, so some table states an
+        for cell in compress(phrases, map(runs.__contains__, phrases.values())):
+            (echoed if f" {phrases[cell]} " in padded_question else informative)[-1].add(cell)
+    # A stated cell is taken from its slice, so some table states an
     # informative cell exactly when some informative anchor exists.
     chosen = informative if any(informative) else echoed
     anchors: list[TableAnchor] = []
-    for table, cells, told, echoes in zip(sources.tables, chosen, informative, echoed):
-        rows = table.rows
-        candidates = list(compress(range(len(rows)), map(not_, map(cells.isdisjoint, rows))))
+    for (table_id, slice_, cut), cells, told, echoes in zip(shown, chosen, informative, echoed):
+        candidates = list(compress(range(len(cut)), map(not_, map(cells.isdisjoint, cut))))
         # Each candidate row's stated cells. The maximal sets are found among
         # the distinct ones, which are few however many rows hold a cell.
         stated = frozenset(told).union(echoes)
-        row_sets = list(map(stated.intersection, map(rows.__getitem__, candidates)))
+        row_sets = list(map(stated.intersection, map(cut.__getitem__, candidates)))
         distinct = set(row_sets)
         maximal = {held for held in distinct if not any(map(held.__lt__, distinct))}
-        for r in compress(candidates, map(maximal.__contains__, row_sets)):
+        for i in compress(candidates, map(maximal.__contains__, row_sets)):
+            row = slice_.kept_rows[i]
             anchors.extend(
-                TableAnchor(table.id, r, c) for c, cell in enumerate(rows[r]) if cell in cells
+                TableAnchor(table_id, row, col)
+                for col, cell in zip(slice_.kept_cols, cut[i])
+                if cell in cells
             )
     return anchors
 
@@ -367,24 +391,23 @@ def _find_quote(text: str, quoted: str) -> tuple[int, int] | None:
     return None
 
 
-def extract_doc_spans(reply: str, sources: SourceBundle, views: SourceViews) -> list[DocSpan]:
-    """Spans for the passage text the reply quotes or paraphrases.
+def extract_doc_spans(reply: str, passages: list[Passage], views: SourceViews) -> list[DocSpan]:
+    """Spans for the shown passage text the reply quotes or paraphrases.
 
-    A quote is anchored in the first passage whose lowered text holds it,
-    lowered, at offsets into the passage's own text; the candidates come
-    from the bundle's postings before any passage is lowered. Without an
-    anchored quote, the span is the sentence sharing most distinct tokens
-    (at least 3) with the reply, read from each passage's sentences in
-    views.
+    passages are those the Context prompt showed (`_passages_chosen`), in
+    passage order; no other passage is read. A quote is anchored in the
+    first of them whose lowered text holds it, lowered, at offsets into the
+    passage's own text. Without an anchored quote, the span is the sentence
+    sharing most distinct tokens (at least 3) with the reply, read from
+    each passage's sentences in views.
     """
-    passages = sources.passages
     spans: list[DocSpan] = []
     for match in _QUOTED_RE.finditer(reply):
         quoted = match.group(match.lastindex).lower()  # the one alternative that matched
-        for doc in retrieval.quote_candidates(sources.passage_index, quoted):
-            found = _find_quote(passages[doc].text, quoted)
+        for passage in passages:
+            found = _find_quote(passage.text, quoted)
             if found is not None:
-                spans.append(DocSpan(passages[doc].id, *found))
+                spans.append(DocSpan(passage.id, *found))
                 break
     if spans:
         return spans
@@ -400,42 +423,35 @@ def extract_doc_spans(reply: str, sources: SourceBundle, views: SourceViews) -> 
     return [best[1]] if best else []
 
 
-def _images_named(text: str, sources: SourceBundle, views: SourceViews) -> list[Image]:
-    """The images that the text names, in source order.
-
-    The text names an image when the id's normalized words (read from
-    views) are a run of the text's, as a stated table cell is: "Figure 12"
-    does not name "Figure 1", nor does any "a" name an image "A".
-    """
-    padded = f" {normalize(text)} "
-    return [
-        image
-        for image in sources.images
-        if (name := views.image(image).name) and f" {name} " in padded
-    ]
+def _images_named(text: str, images: list[Image], views: SourceViews) -> list[Image]:
+    """The given images that the text names (`textutil.names`), in their
+    order; each id's normalized words are read from views."""
+    words = normalize(text)
+    return [image for image in images if names(words, views.image(image).name)]
 
 
 def _images_shown(question: str, sources: SourceBundle, views: SourceViews) -> list[Image]:
     """The images a Visual prompt shows: those the question names, or all
     when it names none."""
-    return _images_named(question, sources, views) or sources.images
+    return _images_named(question, sources.images, views) or sources.images
 
 
 def extract_image_refs(
     reply: str, sources: SourceBundle, question: str, views: SourceViews
 ) -> list[ImageRef]:
-    """Refs for the images the reply names, or else for the shown ones whose text it draws on.
+    """Refs for the shown images the reply names, or else for those whose text it draws on.
 
-    A reply that names images (`_images_named`) cites those alone. One that
-    names none cites each image its prompt showed (`_images_shown`) that
-    shares a numeral or two tokens with it, years left out, so a word that
-    every shown image holds still cites them all; failing that, the first
-    image shown. Each image's numerals and tokens are read from views.
+    Only the images the Visual prompt showed (`_images_shown`) are cited. A
+    reply that names some of them (`_images_named`) cites those alone. One
+    that names none of them cites each that shares a numeral or two tokens
+    with it, years left out, so a word that every shown image holds still
+    cites them all; failing that, the first image shown. Each image's
+    numerals and tokens are read from views.
     """
-    named = _images_named(reply, sources, views)
+    shown = _images_shown(question, sources, views)
+    named = _images_named(reply, shown, views)
     if named:
         return [ImageRef(image.id) for image in named]
-    shown = _images_shown(question, sources, views)
     reply_tokens = set(tokenize(reply))
     reply_values = {m.value for m in parse_numerals(reply) if not is_year_like(m)}
     refs = [
@@ -476,8 +492,8 @@ def _is_abstention(reply: str) -> bool:
 
 class _RetrievalAgent:
     """One act of a retrieval role: a prompt, one backend call, and an entry
-    whose provenance points into the sources. A reply that abstains or
-    points at nothing in the sources is an abstention."""
+    whose provenance points into what the prompt showed of the sources. A
+    reply that abstains or points at nothing shown is an abstention."""
 
     role: AgentRole
     author: str
@@ -491,18 +507,20 @@ class _RetrievalAgent:
     def notify_flag(self) -> None:
         """Most roles keep no coverage for a verification Flag to re-open."""
 
-    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list:
-        """What in the sources the reply states; empty when it states nothing."""
+    def _show(
+        self, sources: SourceBundle, question: str
+    ) -> tuple[Iterator[str], Callable[[str], list]]:
+        """The prompt's source blocks, and what cites a reply in what they
+        show: what the reply states of it, empty when it states nothing."""
         raise NotImplementedError
 
     def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        question = log.question()
-        blocks = _source_blocks(self.role, sources, question, self.views)
+        blocks, cite = self._show(sources, log.question())
         prompt = build_prompt(self.role, log, self.config, blocks)
         reply = _generate(log, backend, self.config, prompt)
         if _is_abstention(reply):
             return None
-        provenance = self._provenance(reply, sources, question)
+        provenance = cite(reply)
         if not provenance:
             logger.debug("%s reply cites nothing in the sources; an abstention", self.author)
             return None
@@ -541,8 +559,9 @@ class TableAgent(_RetrievalAgent):
         self.reported.update(self._relevant_columns(sources, log.question()))
         return super().act(log, sources, backend)
 
-    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[TableAnchor]:
-        return extract_table_anchors(reply, sources, question, self.views)
+    def _show(self, sources: SourceBundle, question: str):
+        blocks = _source_blocks(self.role, sources, question, self.views)
+        return blocks, lambda reply: extract_table_anchors(reply, sources, question, self.views)
 
 
 class ContextAgent(_RetrievalAgent):
@@ -559,8 +578,11 @@ class ContextAgent(_RetrievalAgent):
             return True
         return _latest_gap_text(log) is not None
 
-    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[DocSpan]:
-        return extract_doc_spans(reply, sources, self.views)
+    def _show(self, sources: SourceBundle, question: str):
+        # One ranking serves the blocks and the spans.
+        chosen = _passages_chosen(sources, question)
+        blocks = _passage_blocks(chosen, question, self.views)
+        return blocks, lambda reply: extract_doc_spans(reply, chosen, self.views)
 
 
 class VisualAgent(_RetrievalAgent):
@@ -574,8 +596,9 @@ class VisualAgent(_RetrievalAgent):
         # The question is the log's Query entry, so it is among those searched.
         return bool(sources.images) and any(mentions_image(e.content) for e in log.entries)
 
-    def _provenance(self, reply: str, sources: SourceBundle, question: str) -> list[ImageRef]:
-        return extract_image_refs(reply, sources, question, self.views)
+    def _show(self, sources: SourceBundle, question: str):
+        blocks = _source_blocks(self.role, sources, question, self.views)
+        return blocks, lambda reply: extract_image_refs(reply, sources, question, self.views)
 
 
 def flag_content(finding: Finding) -> str:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .log import EVIDENCE_TYPES, EntryType, LogEntry, load_trace, parse_answer
 from .sources import JSON_NUMBER, json_field, json_value
-from .textutil import count_gap_phrases, mentions_image, numeral_values
+from .textutil import count_gap_phrases, mentions_image, names, normalize, numeral_values
 
 logger = logging.getLogger(__name__)
 
@@ -233,14 +233,16 @@ def split_rounds(entries: Sequence[LogEntry]) -> list[_Round]:
     return rounds
 
 
-def _cited_in_answer(entry: LogEntry, answer_text: str, answer_values: set[float]) -> bool:
+def _cited_in_answer(entry: LogEntry, answer_words: str, answer_values: set[float]) -> bool:
+    """Whether the answer shares a numeral with the entry or names
+    (`textutil.names`) a source id its provenance cites; answer_words is
+    the answer's `normalize`."""
     if not answer_values.isdisjoint(numeral_values(entry.content)):
         return True
-    lowered = answer_text.lower()
     for anchor in entry.provenance:
         for attr in ("table_id", "doc_id", "image_id"):
             ident = getattr(anchor, attr, None)
-            if ident and ident.lower() in lowered:
+            if ident and names(answer_words, normalize(ident)):
                 return True
     return False
 
@@ -264,11 +266,12 @@ def mine_samples(traces: Iterable[Sequence[LogEntry]]) -> list[GateSample]:
             )
             continue
         answer_text = parse_answer(answers[-1].content) or answers[-1].content
+        answer_words = normalize(answer_text)
         answer_values = set(numeral_values(answer_text))
         # Whether each round appended evidence the answer cites; each entry is read once.
         cites = [
             any(
-                _cited_in_answer(e, answer_text, answer_values)
+                _cited_in_answer(e, answer_words, answer_values)
                 for e in round_.entries
                 if e.entry_type in EVIDENCE_TYPES
             )

@@ -50,6 +50,8 @@ from .textutil import (
     canonical_numeral_token,
     capitalized_spans,
     is_year_like,
+    names,
+    normalize,
     parse_numerals,
     qa_normalize,
 )
@@ -396,18 +398,17 @@ class CatchRepair:
 def catch_and_repair(
     labels: Sequence[FaultLabel], final_log: SharedLog, final_answer_ok: bool
 ) -> CatchRepair:
-    """Catch: a Flag implicates the fault's step or names its source id.
+    """Catch: a Flag implicates the fault's step or names (`textutil.names`)
+    its source id, so a Flag naming "Table 12" does not catch "Table 1".
     Repair: a caught fault whose original value reappears in a later entry
     of a run that ends verified."""
     if not labels:
         raise ValueError("catch_and_repair needs labels from inject_faults")
     flags = [e for e in final_log.entries if e.entry_type is EntryType.FLAG]
     implicated: set[int] = set()
-    flag_texts = []
     first_flag_step = None
     for flag in flags:
         implicated.update(flagged_steps(flag.content))
-        flag_texts.append(flag.content.lower())
         if first_flag_step is None:
             first_flag_step = flag.step
     caught_targets: list[int | str] = []
@@ -420,7 +421,8 @@ def catch_and_repair(
         if isinstance(label.target, int):
             caught = label.target in implicated
         else:
-            caught = any(str(label.target).lower() in text for text in flag_texts)
+            target = normalize(str(label.target))
+            caught = any(names(normalize(flag.content), target) for flag in flags)
         if not caught:
             continue
         caught_targets.append(label.target)

@@ -362,9 +362,11 @@ def provenance_from_dict(d: dict) -> Provenance:
             json_field(d, "id", what), json_field(d, "row", what, int), json_field(d, "col", what, int)
         )
     if kind == "doc":
-        return DocSpan(
-            json_field(d, "id", what), json_field(d, "start", what, int), json_field(d, "end", what, int)
-        )
+        doc_id = json_field(d, "id", what)
+        start, end = json_field(d, "start", what, int), json_field(d, "end", what, int)
+        if not 0 <= start <= end:
+            raise ValidationError(f"doc provenance needs 0 <= start <= end, not {start}..{end}")
+        return DocSpan(doc_id, start, end)
     if kind == "image":
         return ImageRef(json_field(d, "id", what))
     raise ValidationError(f"unknown provenance kind: {kind!r}")

@@ -10,19 +10,19 @@ question asked of the bundle shares them. The index is inverted: for each
 term, the passages that hold it, in passage order, one entry per
 occurrence. A ranking tokenizes only the question and counts the postings
 of its distinct terms, with each term's idf worked out once, so it visits
-only passages that share a term with the question. Quote anchoring
-(`agents.extract_doc_spans`) picks its candidate passages from the same
-postings.
+only passages that share a term with the question.
 
 What a source yields lives in a `SourceViews`, built on first use: a
-table's distinct cell strings mapped to their normalized phrases (which
-slicing and anchoring both read) and its slice for each question asked
-of it, a passage's sentence spans and their tokens, and an image's id
-phrase, numerals and tokens. The views are the only place these live.
-Their lifetime is set in two places: a lone `scheduler.run` builds its
+table's distinct cell strings mapped to their tokens, which slicing
+reads, and its slice for each question asked of it, a passage's
+sentence spans and their tokens, and an image's id phrase, numerals and
+tokens. The views are the only place these live. (Anchoring reads no
+whole-table view: a Lookup cites only cells of its slice, so
+`agents.extract_table_anchors` normalizes only the slice's cells.) The
+views' lifetime is set in two places: a lone `scheduler.run` builds its
 own, and `harness.run_benchmark` shares one per bundle among the records
 of one call and drops it after the bundle's last record, so a bundle
-asked four questions normalizes its cells once per pass. Nothing of it
+asked four questions tokenizes its cells once per pass. Nothing of it
 outlives the call, and nothing is kept on the sources: a bundle with
 large tables is often asked one question (as in the benchmark's
 `table_heavy`), so doing this at load time would only move its cost into
@@ -33,10 +33,11 @@ A slice holds the question's most specific rows: of the rows that share
 a token with the question, those whose set of question tokens no other
 row's set strictly contains, with the columns whose cells matched beside
 the header-matched and numeric ones. Slicing finds the matching cells in
-one C-level pass over the phrases, works out a row's token set once per
-distinct set of matching cells, tests each distinct cell for a digit
-once, and tests the rows and sums the columns in C; it compiles no
-pattern, so a question not asked before costs what a repeated one does.
+one C-level pass over the cells' tokens, works out a row's token set
+once per distinct set of matching cells, tests each distinct cell for a
+digit once, and tests the rows and sums the columns in C; it compiles
+no pattern, so a question not asked before costs what a repeated one
+does.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, tee
 from operator import itemgetter, not_
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .textutil import is_year_like, normalize, parse_numerals, split_sentences, tokenize
+from .textutil import TOKEN_RE, is_year_like, normalize, parse_numerals, split_sentences, tokenize
 
 if TYPE_CHECKING:  # sources builds its passage index from this module
     from .sources import Image, Passage, Table
@@ -135,31 +136,6 @@ def retrieve(index_: CorpusIndex, query: str, n: int = TOP_N) -> list[tuple[str,
     return scored[:n]
 
 
-def quote_candidates(index_: CorpusIndex, quoted: str) -> Iterable[int]:
-    """Positions, in passage order, of the passages that may hold a lowered quote.
-
-    A word with whitespace on both sides inside the quote is a whole
-    [a-z0-9] run of any lowered passage text that holds the quote, so a
-    token of that passage when it is a token at all: only passages in its
-    postings can hold the quote. The quote's words narrow the candidates to
-    the shortest such postings, or to the first that names one passage.
-    """
-    count = index_.doc_count
-    if count > 1:
-        postings = index_.postings
-        shortest = None
-        for word in quoted.split()[1:-1]:
-            occurrences = postings.get(word)
-            if occurrences is not None:
-                if occurrences[0] == occurrences[-1]:
-                    return occurrences[:1]
-                if shortest is None or len(occurrences) < len(shortest):
-                    shortest = occurrences
-        if shortest is not None:
-            return dict.fromkeys(shortest)
-    return range(count)
-
-
 @dataclass(frozen=True)
 class TableSlice:
     kept_rows: list[int]
@@ -167,26 +143,20 @@ class TableSlice:
 
 
 class TableCells(NamedTuple):
-    """What slicing and anchoring read of a table's distinct cell strings."""
+    """What slicing reads of a table's distinct cell strings."""
 
-    phrases: dict[str, str]  # each distinct cell string, in the order met -> its `normalize`
-    lines: list[bytes]  # each phrase's tokens, ASCII-encoded and space-joined, in order
+    tokens: dict[str, list[str]]  # each distinct cell string, in the order met -> its `tokenize`
     weights: dict[str, int]  # each cell: 2 if it holds a digit, 1 if blank, else 0
 
 
 def table_cells(table: Table) -> TableCells:
     cells = dict.fromkeys(chain.from_iterable(table.rows))
-    phrases = dict(zip(cells, map(normalize, cells)))
-    # A cell's tokens are its phrase's: each [a-z0-9] run of the lowered text
-    # lies whole inside a word of the phrase. A phrase holds no newline, and
-    # only [a-z0-9_ ] and non-ASCII characters, which ASCII-encode as "?";
-    # so, with "?" and "_" made spaces, each phrase is a line of its tokens.
-    text = "\n".join(phrases.values()).encode("ascii", "replace")
-    lines = text.replace(b"?", b" ").replace(b"_", b" ").split(b"\n")
+    # `tokenize` of each cell, with no Python frame per cell.
+    tokens = dict(zip(cells, map(TOKEN_RE.findall, map(str.lower, cells))))
     weights = {
-        cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in phrases
+        cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in cells
     }
-    return TableCells(phrases, lines, weights)
+    return TableCells(tokens, weights)
 
 
 class Sentences(NamedTuple):
@@ -265,8 +235,9 @@ _FALLBACK_ROWS = 50
 def select_table_slice(table: Table, question: str, cells: TableCells) -> TableSlice:
     """The question's most specific rows, with the columns that name them.
 
-    cells must be `table_cells(table)` of this table as it is now; those
-    of other cells give a wrong slice. A row's question tokens are
+    cells must be `table_cells(table)` of this table as it is now, whose
+    token lists are tested against the question's tokens; those of other
+    cells give a wrong slice. A row's question tokens are
     the question's tokens that its cells hold. Of the rows that hold any,
     a row is kept unless another row's set strictly contains its own, so
     rows with equal sets stay together. If no row shares a token with the
@@ -284,15 +255,11 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
     beside the rows that hold "giva" and "revenue".
     """
     q_tokens = set(tokenize(question))
-    phrases, lines, weight = cells
-    wanted = {token.encode() for token in q_tokens}
-    marked = list(map(not_, map(wanted.isdisjoint, map(bytes.split, lines))))
+    tokens, weight = cells
+    marked = list(map(not_, map(q_tokens.isdisjoint, tokens.values())))
     # Each cell that meets the question, mapped to the question tokens it holds.
     matched = dict(
-        zip(
-            compress(phrases, marked),
-            map(wanted.intersection, map(bytes.split, compress(lines, marked))),
-        )
+        zip(compress(tokens, marked), map(q_tokens.intersection, compress(tokens.values(), marked)))
     )
     hits = frozenset(matched)
     rows = table.rows

@@ -18,7 +18,7 @@ GAP_PHRASES = ("needed", "missing", "not sure", "don't have")
 # gating features.
 _IMAGE_MENTION_RE = re.compile(r"image|figure", re.IGNORECASE)
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
+TOKEN_RE = re.compile(r"[a-z0-9]+")  # what `tokenize` finds in lowered text
 _WORD_CHARS_RE = re.compile(r"\w+")
 _SENTENCE_END_RE = re.compile(r"[.?!]+(?=\s)")
 
@@ -73,7 +73,7 @@ def normalize(text: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on non-alphanumerics; numerals stay intact."""
-    return _WORD_RE.findall(text.lower())
+    return TOKEN_RE.findall(text.lower())
 
 
 def word_ngrams(words: list[str], n: int) -> set[tuple[str, ...]]:
@@ -209,6 +209,14 @@ def qa_normalize(text: str, strip_articles: bool = True) -> str:
     if strip_articles:
         words = [w for w in words if w not in ARTICLES]
     return " ".join(words)
+
+
+def names(words: str, name: str) -> bool:
+    """Whether a text names an id, given the `normalize` of each: the id's
+    words are a run of the text's. So "Figure 12" does not name "Figure 1",
+    the "a" inside "Bora" does not name an id "A", and an id with no word
+    is never named."""
+    return bool(name) and f" {name} " in f" {words} "
 
 
 def mentions_image(text: str) -> bool:

@@ -10,6 +10,7 @@ from logboard.agents import (
     ContextAgent,
     TableAgent,
     VisualAgent,
+    _passages_chosen,
     _source_blocks,
     build_prompt,
     extract_doc_spans,
@@ -40,6 +41,17 @@ from logboard.log import (
 from logboard.retrieval import SourceViews
 from logboard.sources import Image, Passage, SourceBundle, Table
 from logboard.textutil import split_sentences, tokenize
+
+from test_prompts import PerRoleBackend
+from test_table_equivalence import (
+    NUMERALS,
+    WORDS,
+    bundle_question_reply,
+    free_text,
+    passage_text,
+    phrase,
+    reference_select_table_slice,
+)
 
 from helpers import (
     GOLDEN_ANSWER,
@@ -231,7 +243,7 @@ def test_doc_span_paraphrase_fallback():
     sources = golden_sources()
     spans = extract_doc_spans(
         "The report attributes the revenue increase to higher sales volume in 2019.",
-        sources,
+        _passages_chosen(sources, GOLDEN_QUESTION),
         SourceViews(),
     )
     assert len(spans) == 1 and spans[0].doc_id == "report"
@@ -240,7 +252,7 @@ def test_doc_span_paraphrase_fallback():
 def test_quote_span_indexes_the_original_text():
     # "İ" lowers to two characters, which shifted every later lowered offset.
     text = "İzmir office: Revenue grew to $55M in 2019."
-    sources = SourceBundle(passages=[Passage("p0", "Costs fell."), Passage("p1", text)])
+    sources = [Passage("p0", "Costs fell."), Passage("p1", text)]
     views = SourceViews()
     for quoted in ("Revenue grew to $55M", "İzmir office", "zmir", "in 2019."):
         (span,) = extract_doc_spans(f"The report says '{quoted}'.", sources, views)
@@ -318,7 +330,7 @@ def test_quote_spans_equal_a_first_match_scan(data):
     quoted = data.draw(st.lists(quotes(passages), min_size=1, max_size=3))
     reply = "The report says " + " and ".join(f'"{q}"' for q in quoted)
     spans = [span for q in quoted if (span := reference_quote_span(passages, q))]
-    got = extract_doc_spans(reply, SourceBundle(passages=passages), SourceViews())
+    got = extract_doc_spans(reply, passages, SourceViews())
     assert got == (spans or reference_paraphrase_span(passages, reply))
     texts = {p.id: p.text for p in passages}
     if spans:
@@ -330,7 +342,7 @@ def test_quote_spans_equal_a_first_match_scan(data):
 @given(span_passages(), span_texts)
 def test_paraphrase_span_equals_the_full_sentence_scan(passages, reply):
     reply = reply.replace('"', "")  # no quote: the paraphrase fallback decides
-    got = extract_doc_spans(reply, SourceBundle(passages=passages), SourceViews())
+    got = extract_doc_spans(reply, passages, SourceViews())
     assert got == reference_paraphrase_span(passages, reply)
 
 
@@ -348,13 +360,20 @@ def test_quote_anchoring_lowers_only_the_chosen_postings(monkeypatch):
     texts = [f"Passage {i} reports steady sales." for i in range(50)]
     texts[10] = "The zebra crossed the gate."
     texts[40] = "Then the zebra crossed the road."
+    texts[45] = "Passage 45 says the zebra crossed the road."
     passages = [Passage(f"p{i}", RecordingText(text)) for i, text in enumerate(texts)]
     sources = SourceBundle(passages=passages)
+    # "zebra" and "crossed" are in p10, p40 and p45 only, so a Context prompt
+    # for the question shows those three, and only they are read.
+    chosen = _passages_chosen(sources, "Where was the zebra crossed?")
+    assert [passage.id for passage in chosen] == ["p10", "p40", "p45"]
     monkeypatch.setattr(RecordingText, "lowered", [])
-    spans = extract_doc_spans("It says 'the zebra crossed the road'.", sources, SourceViews())
+    spans = extract_doc_spans("It says 'the zebra crossed the road'.", chosen, SourceViews())
     assert spans == [DocSpan("p40", 5, 31)]
-    # Every inner word of the quote ("zebra", "crossed", "the") is in p10 and p40 only.
     assert RecordingText.lowered == [texts[10], texts[40]]
+    # A quote found only in a passage the prompt did not show is not cited.
+    spans = extract_doc_spans("It says 'reports steady sales'.", chosen, SourceViews())
+    assert spans == []
 
 
 def test_image_id_is_named_as_a_whole_run_of_words():
@@ -397,6 +416,69 @@ def test_a_reply_naming_a_figure_cites_that_figure_alone():
     question = "According to Figure 2, how did Bora revenue change?"
     assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
     assert extract_image_refs("No match.", sources, question, views) == [ImageRef("Figure 2")]
+
+
+def test_a_reply_naming_only_an_unshown_figure_falls_back_to_the_shown_ones():
+    images = [
+        Image("Figure 1", "Revenue by year for Giva", "Giva 2018 $310M 2019 $342M"),
+        Image("Figure 2", "Revenue by year for Bora", "Bora 2018 $120M 2019 $150M"),
+    ]
+    sources, views = SourceBundle(images=images), SourceViews()
+    question = "According to Figure 2, how did Bora revenue change?"  # shows Figure 2 alone
+    reply = "Figure 1 shows Giva revenue of $310M."
+    # Figure 1 was not shown, so the reply is matched as one naming no
+    # figure; it shares nothing with Figure 2, which is cited as the first shown.
+    assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
+    # Naming a shown and an unshown figure cites the shown one alone.
+    reply = "Figure 1 and Figure 2 show revenue."
+    assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
+    # A question naming no figure shows both, so the reply cites both.
+    assert extract_image_refs(reply, sources, "How did revenue change?", views) == [
+        ImageRef("Figure 1"),
+        ImageRef("Figure 2"),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bundle_question_reply(),
+    st.lists(passage_text, max_size=5),
+    st.lists(st.tuples(free_text, free_text), max_size=3),
+    st.data(),
+)
+def test_every_provenance_item_lies_inside_what_the_level_zero_blocks_rendered(
+    case, texts, images, data
+):
+    tables, question, reply = case
+    sources = SourceBundle(
+        tables=tables.tables,
+        passages=[Passage(f"p{i}", text) for i, text in enumerate(texts)],
+        images=[Image(f"i{i}", caption, ocr) for i, (caption, ocr) in enumerate(images)],
+    )
+    # The question may name an image, and the reply may name images and
+    # quote or paraphrase any passage, shown or not.
+    names = [f"Image i{i}" for i in range(len(images))]
+    question = (question + " " + data.draw(st.sampled_from(["", *names]))).strip() or "What?"
+    reply += phrase(data.draw, WORDS + NUMERALS + names + texts)
+    if texts:
+        text = data.draw(st.sampled_from(texts))
+        start = data.draw(st.integers(0, len(text) - 1))
+        reply += f' "{text[start : data.draw(st.integers(start + 1, len(text)))]}"'
+    for agent in (TableAgent(SourceViews()), ContextAgent(SourceViews()), VisualAgent(SourceViews())):
+        backend = PerRoleBackend({"Question:": reply})
+        entry = agent.act(log_with(question), sources, backend)
+        (prompt,) = backend.prompts
+        level_zero = next(_source_blocks(agent.role, sources, question, SourceViews()))
+        assert level_zero in prompt
+        for item in entry.provenance if entry else []:
+            if isinstance(item, TableAnchor):
+                table = next(t for t in sources.tables if t.id == item.table_id)
+                slice_ = reference_select_table_slice(table, question)
+                assert item.row in slice_.kept_rows and item.col in slice_.kept_cols
+            elif isinstance(item, DocSpan):
+                assert f"Passage {item.doc_id}: " in level_zero
+            else:
+                assert f"Image {item.image_id}: " in level_zero
 
 
 def test_visual_entries_of_shared_bundles_cite_the_figure_their_question_names():

@@ -360,6 +360,20 @@ def test_trace_null_step_is_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(("start", "end"), [(9, 2), (-1, 4)])
+def test_trace_bad_doc_span_is_clean_error(tmp_path, capsys, start, end):
+    entry = {"agent": "ContextAgent", "type": "Quote", "content": "Revenue grew.", "step": 1,
+             "provenance": [{"kind": "doc", "id": "report", "start": start, "end": end}]}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+    code = main(["trace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"0 <= start <= end, not {start}..{end}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

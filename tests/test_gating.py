@@ -34,6 +34,7 @@ from helpers import (
     lookup,
     quote,
     run_golden,
+    visual,
 )
 
 
@@ -233,6 +234,20 @@ def test_mine_samples_labels_by_citation():
     assert [s.label for s in cited] == [1]
     uncited = mine_samples([_multi_round_trace(cite_round_one=False)])
     assert [s.label for s in uncited] == [0]
+
+
+def test_an_answer_cites_an_entry_by_naming_its_source_id_as_whole_words():
+    def trace(answer):
+        log = log_with("What does the figure show?", lookup("Widget revenue was $40M."))
+        log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "The chart is missing."))
+        log.append(visual("The chart shows steady growth.", "Figure 1"))
+        log.append(LogEntry(SUMMARIZING_AGENT, EntryType.ANSWER, f"Answer: {answer}"))
+        log.append(LogEntry(VERIFICATION_AGENT, EntryType.OK, "OK"))
+        return log.entries
+
+    # The round-1 Visual cites Figure 1 and shares no numeral with the answer.
+    assert [s.label for s in mine_samples([trace("Steady growth, per figure 1.")])] == [1]
+    assert [s.label for s in mine_samples([trace("Steady growth, per Figure 12.")])] == [0]
 
 
 def test_mine_samples_skips_traces_without_markers(caplog):

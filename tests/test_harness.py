@@ -369,6 +369,17 @@ def test_source_id_targets_catch_via_flag_text():
     assert catch_and_repair([label], log, final_answer_ok=False).catch_rate == 1.0
 
 
+def test_a_source_id_flag_catches_by_whole_words():
+    label = FaultLabel("Table 1", FaultType.MISSING_ROW, "2019 | 55", "<row 1 deleted>")
+    for flag, caught in [
+        ("Table 12 disagrees with the answer.", 0.0),
+        ("Flagged MissingItem: table 1's 2019 row is absent.", 1.0),
+    ]:
+        log = log_with("q?")
+        log.append(LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag))
+        assert catch_and_repair([label], log, final_answer_ok=False).catch_rate == caught
+
+
 def test_catch_and_repair_requires_labels():
     with pytest.raises(ValueError):
         catch_and_repair([], log_with("q?"), False)

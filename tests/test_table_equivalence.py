@@ -3,16 +3,17 @@
 The references below are the straightforward versions of each rule:
 per-cell tokenizing, a set of question tokens per row of which only the
 maximal sets are kept, and a per-cell digit test in select_table_slice, a
-normalize and a scan of the reply's tokens for every cell, then a set of
-stated cells per row of which only the maximal sets are cited, in
+normalize and a scan of the reply's tokens for every cell of the
+question's slice (its kept rows × kept columns), then a set of stated
+cells per row of which only the maximal sets are cited, in
 extract_table_anchors, and a fresh slice and BM25 ranking at every
 prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
 Of the code they check, they call only tokenize and split_sentences. The
 faster code must give the same results on any input, the Table agent must
-slice each table once per run, a run must normalize each distinct cell
-string of a table once, for slicing and anchoring together, and anchoring
-must build only the anchors it returns.
+slice each table once per run, a run must tokenize each distinct cell
+string of a table once and normalize only the cells its slices show, and
+anchoring must build only the anchors it returns.
 """
 
 import re
@@ -45,7 +46,7 @@ from logboard.retrieval import (
 )
 from logboard.scheduler import run
 from logboard.sources import Image, Passage, SourceBundle, Table, bundle_from_dict
-from logboard.textutil import normalize, split_sentences, tokenize
+from logboard.textutil import TOKEN_RE, normalize, split_sentences, tokenize
 
 from helpers import GOLDEN_QUESTION, golden_script, golden_sources, log_with
 
@@ -104,8 +105,10 @@ def reference_extract_table_anchors(reply, sources, question):
     question_tokens = reference_normalize_tokens(question)
     matched = []
     for table in sources.tables:
-        for r, row in enumerate(table.rows):
-            for c, cell in enumerate(row):
+        slice_ = reference_select_table_slice(table, question)
+        for r in slice_.kept_rows:
+            for c in slice_.kept_cols:
+                cell = table.rows[r][c]
                 cell_tokens = reference_normalize_tokens(cell)
                 if not cell_tokens:
                     continue
@@ -115,7 +118,8 @@ def reference_extract_table_anchors(reply, sources, question):
     informative = [anchor for echoes, anchor in matched if not echoes]
     chosen = informative or [anchor for _, anchor in matched]
     # Of the rows holding a chosen anchor, keep those whose set of stated
-    # cell strings no other row of the table strictly contains.
+    # cell strings no other row of the table strictly contains. Only cells
+    # of the slice were matched, so a row's set holds only its shown cells.
     tables = {table.id: table for table in sources.tables}
     stated = {}  # (table id, row) -> the stated cell strings of the row
     for _, anchor in matched:
@@ -185,6 +189,26 @@ def slice_of(table, question):
 
 def anchors_of(reply, sources, question):
     return extract_table_anchors(reply, sources, question, SourceViews())
+
+
+def shown_cells(sources, question):
+    """The distinct cells of each table's slice for the question, table by table."""
+    shown = Counter()
+    for table in sources.tables:
+        slice_ = reference_select_table_slice(table, question)
+        shown.update({table.rows[r][c] for r in slice_.kept_rows for c in slice_.kept_cols})
+    return shown
+
+
+class CountingPattern:
+    """Stands in for `retrieval.TOKEN_RE`, recording each (lowered) text it tokenizes."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def findall(self, text):
+        self.calls.append(text)
+        return TOKEN_RE.findall(text)
 
 
 # --- strategies -------------------------------------------------------------
@@ -294,7 +318,7 @@ def test_anchor_references_agree_on_long_cells_and_repeats():
 
 
 def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
-    calls = []
+    calls, tokenized = [], []
 
     def counting_normalize(text):
         calls.append(text)
@@ -302,6 +326,7 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
 
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
     monkeypatch.setattr(logboard.retrieval, "normalize", counting_normalize)
+    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(tokenized))
     rows = [["widget", "$7M"], ["gadget", "$7M"], ["widget", "$7M"], ["", "$9M"]]
     sources = SourceBundle(
         tables=[
@@ -312,15 +337,19 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
     views = SourceViews()
     for table in sources.tables:
         views.table(table)
-    distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
-    assert Counter(calls) == Counter(distinct)
-    calls.clear()
+    # A table's view tokenizes each distinct cell once, lowered, and normalizes none.
+    distinct = [cell.lower() for t in sources.tables for cell in set(chain.from_iterable(t.rows))]
+    assert Counter(tokenized) == Counter(distinct) and calls == []
     reply, question = "The widget line was $7M.", "What was the widget line?"
     anchors = extract_table_anchors(reply, sources, question, views)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
-    # The gadget row holds $7M alone; the widget rows also hold "widget".
+    # The slice of t1 holds the widget rows; the gadget row, $7M alone, is not shown.
     assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 2, 1)]
-    assert Counter(calls) == Counter([reply, question])  # no cell again
+    # Anchoring normalizes the reply, the question and each table's shown
+    # distinct cells once: "widget" and "$7M" of t1, "widget" and "$9M" of t2.
+    assert shown_cells(sources, question) == Counter({"widget": 2, "$7M": 1, "$9M": 1})
+    assert Counter(calls) == Counter([reply, question]) + shown_cells(sources, question)
+    assert Counter(tokenized) == Counter(distinct)  # no cell tokenized again
 
 
 def _tag(i):
@@ -430,11 +459,19 @@ def test_a_lookup_cites_the_targets_rows_not_fillers_holding_its_amounts():
     anchors = anchors_of(reply, sources, question)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
     assert anchors == [TableAnchor("T", 400, 3), TableAnchor("T", 900, 3)]
-    # A reply that states a lone value cites every row that holds it.
     reply = "The amount was $310M."
     anchors = anchors_of(reply, sources, question)
     assert anchors == reference_extract_table_anchors(reply, sources, question)
-    assert anchors == [TableAnchor("T", 309, 3), TableAnchor("T", 400, 3)]
+    # A reply that states a lone value cites every shown row that holds it:
+    # the slice shows Giva's rows, so filler row 309 is not cited.
+    assert anchors == [TableAnchor("T", 400, 3)]
+    # Asked of the Revenue rows of 2015, the slice shows row 309 beside
+    # the other 2015 Revenue rows, and the same reply cites it alone.
+    question = "What was the revenue in 2015?"
+    assert 309 in slice_of(table, question).kept_rows
+    anchors = anchors_of(reply, sources, question)
+    assert anchors == reference_extract_table_anchors(reply, sources, question)
+    assert anchors == [TableAnchor("T", 309, 3)]
 
 
 def test_rows_with_equal_token_sets_all_stay():
@@ -453,25 +490,35 @@ def test_rows_with_equal_token_sets_all_stay():
 
 @st.composite
 def echo_and_informative_bundles(draw):
-    """Tables that state only cells the question echoes, beside one stating a fact.
+    """Tables that state only cells the question echoes, beside one showing a fact.
 
     Echoed cells are drawn from WORDS and facts from NUMERALS, whose tokens
-    no word shares, so the fact table always holds an informative cell.
+    no word shares. The fact table's fact column holds only facts and
+    blanks, so it is numeric, and its last row holds a fact beside a cell
+    of every echo, so no row holds more of the question's tokens: the
+    slice shows that fact, and the fact table always shows an informative
+    cell.
     """
     echoes = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
     facts = draw(st.lists(st.sampled_from(NUMERALS), min_size=1, max_size=2))
     question = "What about " + " ".join(echoes) + "?"
     reply = phrase(draw, echoes + facts) + " " + " ".join(facts) + ". " + question
     echo_cell = st.one_of(st.sampled_from(echoes), st.sampled_from(BLANKS))
-    fact_cell = st.one_of(st.sampled_from(echoes + facts), st.sampled_from(BLANKS))
+    fact_cell = st.one_of(st.sampled_from(facts), st.sampled_from(BLANKS))
 
     def rows_of(cell_):
         n_cols = draw(st.integers(1, 3))
         return n_cols, draw(st.lists(st.lists(cell_, min_size=n_cols, max_size=n_cols), max_size=6))
 
     specs = [rows_of(echo_cell) for _ in range(draw(st.integers(1, 2)))]
-    n_cols, rows = rows_of(fact_cell)
-    rows.append(draw(st.permutations([draw(st.sampled_from(facts))] + [""] * (n_cols - 1))))
+    n_cols, rows = rows_of(echo_cell)
+    fact_col = draw(st.integers(0, n_cols))
+    for row in rows:
+        row.insert(fact_col, draw(fact_cell))
+    last = [draw(st.sampled_from(facts)), " ".join(echoes)] + [""] * (n_cols - 1)
+    rows.append(draw(st.permutations(last[1:])))
+    rows[-1].insert(fact_col, last[0])
+    n_cols += 1
     fact_at = draw(st.integers(0, len(specs)))
     specs.insert(fact_at, (n_cols, rows))
     tables_ = [Table(f"t{i}", [f"c{j}" for j in range(n)], r) for i, (n, r) in enumerate(specs)]
@@ -659,6 +706,7 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
 
 
 def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
+    tokenized = []
     cells = []
     texts = []
 
@@ -670,6 +718,7 @@ def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
         texts.append(text)
         return normalize(text)
 
+    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(tokenized))
     monkeypatch.setattr(logboard.retrieval, "normalize", counting_cell_normalize)
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
     sources = two_table_sources()
@@ -678,10 +727,17 @@ def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
     result = run(GOLDEN_QUESTION, sources, ScriptedBackend(script))
 
     assert result.metrics.rounds == 2
-    # Two Table acts each anchor a reply, normalizing it and the question.
-    assert texts.count(GOLDEN_QUESTION) == 2 and len(texts) == 4
+    # The run's views tokenize each distinct cell string of a table once,
+    # lowered, and normalize none.
     distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
-    assert Counter(cells) == Counter(distinct)
+    assert Counter(tokenized) == Counter(map(str.lower, distinct)) and cells == []
+    # Two Table acts each anchor a reply, normalizing it, the question and
+    # each table's shown distinct cells, once per act: no cell outside the
+    # slices is normalized.
+    shown = shown_cells(sources, GOLDEN_QUESTION)
+    assert texts.count(GOLDEN_QUESTION) == 2
+    assert Counter(text for text in texts if text in distinct) == shown + shown
+    assert len(texts) == 4 + 2 * sum(shown.values())
 
 
 @pytest.mark.parametrize("question", ["What was the revenue count?", "Nothing shared here?"])

@@ -7,6 +7,7 @@ from logboard.textutil import (
     count_gap_phrases,
     is_year_like,
     jaccard,
+    names,
     normalize,
     parse_numerals,
     qa_normalize,
@@ -86,3 +87,15 @@ def test_capitalized_spans_are_maximal():
         "Paris",
     ]
     assert capitalized_spans("$5m increase, due to higher sales volume.") == []
+
+
+def test_an_id_is_named_by_a_run_of_whole_words():
+    def named(text, ident):
+        return names(normalize(text), normalize(ident))
+
+    assert named("Table 1 disagrees.", "Table 1")
+    assert named("as TABLE 1's row shows", "Table 1")
+    assert not named("Table 12 disagrees with the answer.", "Table 1")
+    assert not named("Subtable 1 disagrees.", "Table 1")
+    assert named("See image a.", "A") and not named("Bora grew.", "A")
+    assert not named("Any text at all.", "--")  # an id with no word

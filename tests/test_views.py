@@ -1,9 +1,9 @@
 """Source views shared by the records of one bundle within a run_benchmark call.
 
-A bundle's prepared facts (each table's cell phrases, tokens, digit
-weights and slice per question, each passage's sentences, each image's
-id phrase, numerals and tokens) are built once per bundle in each pass
-and dropped with the call. Sharing them must change no report, trace or
+A bundle's prepared facts (each table's cell tokens, digit weights and
+slice per question, each passage's sentences, each image's id phrase,
+numerals and tokens) are built once per bundle in each pass and dropped
+with the call. Sharing them must change no report, trace or
 metric, and a lone run builds exactly one views object.
 """
 
@@ -21,6 +21,7 @@ import logboard.harness
 import logboard.retrieval
 from logboard.agents import (
     RETRIEVAL_ROLES,
+    _passages_chosen,
     _source_blocks,
     extract_doc_spans,
     extract_image_refs,
@@ -46,10 +47,12 @@ from helpers import (
 from test_table_equivalence import (
     NUMERALS,
     WORDS,
+    CountingPattern,
     bundle_question_reply,
     free_text,
     passage_text,
     phrase,
+    shown_cells,
 )
 
 
@@ -108,21 +111,24 @@ def counting(calls, fn):
 
 
 def source_work(records):
-    """Per pass: each distinct cell and image id normalized, each image text parsed."""
+    """Per pass: each distinct cell tokenized (lowered), each image id
+    normalized, each image text parsed."""
     cells, names, texts = Counter(), Counter(), Counter()
     for sources in bundles_of(records):
         for table in sources.tables:
-            cells.update(set(chain.from_iterable(table.rows)))
+            cells.update(cell.lower() for cell in set(chain.from_iterable(table.rows)))
         names.update(image.id for image in sources.images)
         texts.update(f"{image.caption} {image.ocr_text}" for image in sources.images)
-    return cells + names, texts
+    return cells, names, texts
 
 
 @pytest.mark.parametrize("fault_spec", [None, FaultSpec(FaultType.ARITHMETIC_CORRUPTION, 1.0, 3)])
 def test_each_bundle_is_prepared_once_per_pass(monkeypatch, fault_spec):
     records, script = shared_bundle_records()
-    normalized, parsed, split = [], [], []
+    tokenized, normalized, anchored, parsed, split = [], [], [], [], []
+    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(tokenized))
     monkeypatch.setattr(logboard.retrieval, "normalize", counting(normalized, normalize))
+    monkeypatch.setattr(logboard.agents, "normalize", counting(anchored, normalize))
     monkeypatch.setattr(logboard.retrieval, "split_sentences", counting(split, split_sentences))
     for module in (logboard.retrieval, logboard.agents):
         monkeypatch.setattr(module, "parse_numerals", counting(parsed, parse_numerals))
@@ -131,8 +137,14 @@ def test_each_bundle_is_prepared_once_per_pass(monkeypatch, fault_spec):
     # At rate 1.0 every record runs again live, so each bundle is prepared in both passes.
     passes = 1 if fault_spec is None else 2
     assert all(report["rounds"] >= 1 for report in reports)
-    phrases, texts = source_work(records)
-    assert Counter(normalized) == Counter({text: n * passes for text, n in phrases.items()})
+    cells, names, texts = source_work(records)
+    assert Counter(tokenized) == Counter({text: n * passes for text, n in cells.items()})
+    assert Counter(normalized) == Counter({text: n * passes for text, n in names.items()})
+    # Anchoring normalizes only cells that a record's slices show.
+    table_cells = {c for s in bundles_of(records) for t in s.tables for r in t.rows for c in r}
+    shown = set().union(*(shown_cells(r.sources, r.question) for r in records))
+    anchored_cells = {text for text in anchored if text in table_cells}
+    assert anchored_cells and anchored_cells <= shown < table_cells
     image_texts = [text for text in parsed if text in texts]
     assert Counter(image_texts) == Counter({text: n * passes for text, n in texts.items()})
     # Each chosen passage is split once per pass, for its best match and its window alike.
@@ -151,6 +163,7 @@ def test_no_view_outlives_the_call_and_a_second_call_rebuilds(monkeypatch):
 
     normalized = []
     monkeypatch.setattr(logboard.harness, "SourceViews", TrackedViews)
+    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(normalized))
     monkeypatch.setattr(logboard.retrieval, "normalize", counting(normalized, normalize))
     records, script = shared_bundle_records()
     sources = bundles_of(records)
@@ -204,7 +217,8 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
             assert list(_source_blocks(role, sources, question, shared)) == list(
                 _source_blocks(role, sources, question, fresh)
             )
-        assert extract_doc_spans(reply, sources, shared) == extract_doc_spans(reply, sources, fresh)
+        chosen = _passages_chosen(sources, question)
+        assert extract_doc_spans(reply, chosen, shared) == extract_doc_spans(reply, chosen, fresh)
         assert extract_image_refs(reply, sources, question, shared) == extract_image_refs(
             reply, sources, question, fresh
         )
