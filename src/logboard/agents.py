@@ -179,21 +179,18 @@ def _source_blocks(
     elif role is AgentRole.CONTEXT:
         yield from _passage_blocks(_passages_chosen(sources, question), question, views)
     else:  # Visual
-        shown = _images_shown(question, sources, views)
-        for budget in (None, 400, 160, 80):
-            yield "\n\n".join(
-                f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
-                for image in shown
-            )
+        yield from _image_blocks(_images_shown(question, sources, views))
 
 
 def _passages_chosen(sources: SourceBundle, question: str) -> list[Passage]:
     """The passages a Context prompt shows, in passage order: the question's
-    BM25 top `TOP_N`, or the first `TOP_N` when no passage scores."""
-    chosen = [doc_id for doc_id, _ in retrieval.retrieve(sources.passage_index, question)]
-    if not chosen:
+    BM25 top `TOP_N`, or the first `TOP_N` when no passage scores. Only
+    the ranked passages are visited, by their positions in the index."""
+    index_ = sources.passage_index
+    ranked = retrieval.retrieve(index_, question)
+    if not ranked:
         return sources.passages[:TOP_N]
-    return [passage for passage in sources.passages if passage.id in chosen]
+    return [sources.passages[i] for i in sorted(index_.positions[doc_id] for doc_id, _ in ranked)]
 
 
 def _passage_blocks(passages: list[Passage], question: str, views: SourceViews) -> Iterator[str]:
@@ -213,6 +210,16 @@ def _passage_blocks(passages: list[Passage], question: str, views: SourceViews) 
         yield "\n\n".join(
             f"Passage {passage.id}: {truncate_span(passage.text, match, window, spans)}"
             for passage, match, spans in matches
+        )
+
+
+def _image_blocks(shown: list[Image]) -> Iterator[str]:
+    """The Visual blocks of the shown images at shrink levels 0 to 3: each
+    image's caption and OCR text, cut to a smaller budget per level."""
+    for budget in (None, 400, 160, 80):
+        yield "\n\n".join(
+            f"Image {image.id}: {retrieval.render_visual_text(image, max_chars=budget)}"
+            for image in shown
         )
 
 
@@ -436,19 +443,17 @@ def _images_shown(question: str, sources: SourceBundle, views: SourceViews) -> l
     return _images_named(question, sources.images, views) or sources.images
 
 
-def extract_image_refs(
-    reply: str, sources: SourceBundle, question: str, views: SourceViews
-) -> list[ImageRef]:
+def extract_image_refs(reply: str, shown: list[Image], views: SourceViews) -> list[ImageRef]:
     """Refs for the shown images the reply names, or else for those whose text it draws on.
 
-    Only the images the Visual prompt showed (`_images_shown`) are cited. A
-    reply that names some of them (`_images_named`) cites those alone. One
-    that names none of them cites each that shares a numeral or two tokens
-    with it, years left out, so a word that every shown image holds still
-    cites them all; failing that, the first image shown. Each image's
-    numerals and tokens are read from views.
+    shown are the images the Visual prompt showed (`_images_shown`), in
+    bundle order; no other image is cited. A reply that names some of them
+    (`_images_named`) cites those alone. One that names none of them cites
+    each that shares a numeral or two tokens with it, years left out, so a
+    word that every shown image holds still cites them all; failing that,
+    the first image shown. Each image's numerals and tokens are read from
+    views.
     """
-    shown = _images_shown(question, sources, views)
     named = _images_named(reply, shown, views)
     if named:
         return [ImageRef(image.id) for image in named]
@@ -597,8 +602,9 @@ class VisualAgent(_RetrievalAgent):
         return bool(sources.images) and any(mentions_image(e.content) for e in log.entries)
 
     def _show(self, sources: SourceBundle, question: str):
-        blocks = _source_blocks(self.role, sources, question, self.views)
-        return blocks, lambda reply: extract_image_refs(reply, sources, question, self.views)
+        # One choice of images serves the blocks and the refs.
+        shown = _images_shown(question, sources, self.views)
+        return _image_blocks(shown), lambda reply: extract_image_refs(reply, shown, self.views)
 
 
 def flag_content(finding: Finding) -> str:

@@ -13,43 +13,49 @@ of its distinct terms, with each term's idf worked out once, so it visits
 only passages that share a term with the question.
 
 What a source yields lives in a `SourceViews`, built on first use: a
-table's distinct cell strings mapped to their tokens, which slicing
-reads, and its slice for each question asked of it, a passage's
-sentence spans and their tokens, and an image's id phrase, numerals and
-tokens. The views are the only place these live. (Anchoring reads no
-whole-table view: a Lookup cites only cells of its slice, so
-`agents.extract_table_anchors` normalizes only the slice's cells.) The
-views' lifetime is set in two places: a lone `scheduler.run` builds its
-own, and `harness.run_benchmark` shares one per bundle among the records
-of one call and drops it after the bundle's last record, so a bundle
-asked four questions tokenizes its cells once per pass. Nothing of it
-outlives the call, and nothing is kept on the sources: a bundle with
-large tables is often asked one question (as in the benchmark's
-`table_heavy`), so doing this at load time would only move its cost into
-set-up, and views kept on a bundle would spare the benchmark's repeated
-passes a build that every `logboard bench` run pays.
+table's distinct cell strings and their lowered text as one `bytes`,
+which slicing searches, and its slice for each question asked of it, a
+passage's sentence spans and their tokens, and an image's id phrase,
+numerals and tokens. The views are the only place these live.
+(Anchoring reads no whole-table view: a Lookup cites only cells of its
+slice, so `agents.extract_table_anchors` normalizes only the slice's
+cells.) The views' lifetime is set in two places: a lone `scheduler.run`
+builds its own, and `harness.run_benchmark` shares one per bundle among
+the records of one call and drops it after the bundle's last record, so
+a bundle asked four questions builds its cell view once per pass.
+Nothing of it outlives the call, and nothing is kept on the sources: a
+bundle with large tables is often asked one question (as in the
+benchmark's `table_heavy`), so doing this at load time would only move
+its cost into set-up, and views kept on a bundle would spare the
+benchmark's repeated passes a build that every `logboard bench` run
+pays.
 
 A slice holds the question's most specific rows: of the rows that share
 a token with the question, those whose set of question tokens no other
 row's set strictly contains, with the columns whose cells matched beside
-the header-matched and numeric ones. Slicing finds the matching cells in
-one C-level pass over the cells' tokens, works out a row's token set
-once per distinct set of matching cells, tests each distinct cell for a
-digit once, and tests the rows and sums the columns in C; it compiles
-no pattern, so a question not asked before costs what a repeated one
-does.
+the header-matched and numeric ones. Slicing finds the cells that hold
+each question token with `bytes.find` over the cells' text, so its
+Python work grows with the cells hit, not the cells held; it works out a
+row's token set once per distinct set of matching cells, tests each
+distinct cell for a digit once, and tests the rows and sums the columns
+in C, reading a column only when it must. It compiles no pattern, so a
+question not asked before costs what a repeated one does, and neither
+the view nor the slice holds anything per cell or per row that the
+garbage collector tracks, since such objects, made by the thousand,
+start its collections.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, tee
-from operator import itemgetter, not_
+from itertools import accumulate, chain, compress, repeat, tee
+from operator import add, itemgetter, not_
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .textutil import TOKEN_RE, is_year_like, normalize, parse_numerals, split_sentences, tokenize
+from .textutil import is_year_like, normalize, parse_numerals, split_sentences, tokenize
 
 if TYPE_CHECKING:  # sources builds its passage index from this module
     from .sources import Image, Passage, Table
@@ -64,6 +70,7 @@ SENTENCE_WINDOW_K = 2  # sentences kept on each side of a passage's best match
 @dataclass
 class CorpusIndex:
     doc_ids: list[str]
+    positions: dict[str, int]  # doc id -> its position in doc_ids
     doc_lens: list[int]
     # term -> the position of the passage of each of its occurrences, in
     # passage order: a passage that holds the term f times is listed f times.
@@ -83,9 +90,10 @@ def index(passages: Sequence[Passage]) -> CorpusIndex:
     Python loop per token and no count per passage.
     """
     ids = [passage.id for passage in passages]
-    repeated = [doc_id for doc_id, count in Counter(ids).items() if count > 1]
-    if repeated:
-        raise ValueError(f"duplicate passage id: {repeated[0]!r}")
+    positions = dict(zip(ids, range(len(ids))))
+    if len(positions) < len(ids):
+        repeated = next(doc_id for doc_id, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"duplicate passage id: {repeated!r}")
     tokens = [tokenize(passage.text) for passage in passages]
     lens = list(map(len, tokens))
     postings: defaultdict[str, list[int]] = defaultdict(list)
@@ -97,7 +105,7 @@ def index(passages: Sequence[Passage]) -> CorpusIndex:
     tuples = list(map(tuple, postings.values()))
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     frozen = dict(zip(postings, map(shared.setdefault, tuples, tuples)))
-    return CorpusIndex(ids, lens, frozen, sum(lens) / len(ids) if ids else 0.0)
+    return CorpusIndex(ids, positions, lens, frozen, sum(lens) / len(ids) if ids else 0.0)
 
 
 def retrieve(index_: CorpusIndex, query: str, n: int = TOP_N) -> list[tuple[str, float]]:
@@ -143,20 +151,40 @@ class TableSlice:
 
 
 class TableCells(NamedTuple):
-    """What slicing reads of a table's distinct cell strings."""
+    """What slicing reads of a table's distinct cell strings.
 
-    tokens: dict[str, list[str]]  # each distinct cell string, in the order met -> its `tokenize`
+    Every part is one flat object, so a view holds nothing per cell that
+    the garbage collector tracks, however large the table.
+    """
+
+    cells: list[str]  # each distinct cell string, in the order met
+    # Each cell's offset in `text`, then the offset one past the last cell's end.
+    starts: list[int]
+    # The lowered cells, one byte per code point: [a-z0-9] kept, every other
+    # byte a space, and a space before, between and after the cells. A
+    # token " t " found here is a whole `tokenize` token of one cell.
+    text: bytes
     weights: dict[str, int]  # each cell: 2 if it holds a digit, 1 if blank, else 0
 
 
+# Maps every byte but [a-z0-9] to a space.
+_TOKEN_BYTES = bytes(
+    byte if chr(byte) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32 for byte in range(256)
+)
+
+
 def table_cells(table: Table) -> TableCells:
-    cells = dict.fromkeys(chain.from_iterable(table.rows))
-    # `tokenize` of each cell, with no Python frame per cell.
-    tokens = dict(zip(cells, map(TOKEN_RE.findall, map(str.lower, cells))))
+    cells = list(dict.fromkeys(chain.from_iterable(table.rows)))
+    # Lowered one by one, so a cell's two-character lowering of "İ" stays
+    # within that cell's length. "replace" encodes each code point outside
+    # ASCII, lone surrogates too, as one "?", so offsets stay per code point.
+    lowered = list(map(str.lower, cells))
+    starts = list(accumulate(map(add, map(len, lowered), repeat(1)), initial=1))
+    text = f" {' '.join(lowered)} ".encode("ascii", "replace").translate(_TOKEN_BYTES)
     weights = {
         cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in cells
     }
-    return TableCells(tokens, weights)
+    return TableCells(cells, starts, text, weights)
 
 
 class Sentences(NamedTuple):
@@ -236,8 +264,8 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
     """The question's most specific rows, with the columns that name them.
 
     cells must be `table_cells(table)` of this table as it is now, whose
-    token lists are tested against the question's tokens; those of other
-    cells give a wrong slice. A row's question tokens are
+    byte text is searched for the question's tokens; that of other cells
+    gives a wrong slice. A row's question tokens are
     the question's tokens that its cells hold. Of the rows that hold any,
     a row is kept unless another row's set strictly contains its own, so
     rows with equal sets stay together. If no row shares a token with the
@@ -255,12 +283,19 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
     beside the rows that hold "giva" and "revenue".
     """
     q_tokens = set(tokenize(question))
-    tokens, weight = cells
-    marked = list(map(not_, map(q_tokens.isdisjoint, tokens.values())))
-    # Each cell that meets the question, mapped to the question tokens it holds.
-    matched = dict(
-        zip(compress(tokens, marked), map(q_tokens.intersection, compress(tokens.values(), marked)))
-    )
+    distinct, starts, text, weight = cells
+    find = text.find
+    # Each cell that holds a question token, mapped to the padded tokens it
+    # holds. An occurrence of " t " is a whole token of the cell it starts
+    # in; the search resumes at the next cell, so each hit cell costs one step.
+    # The tokens are ASCII, so one encode of them all gives their bytes.
+    matched: dict[str, list[bytes]] = {}
+    for needle in map(b" %b ".__mod__, " ".join(q_tokens).encode().split()):
+        at = find(needle)
+        while at >= 0:
+            k = bisect_right(starts, at + 1) - 1
+            matched.setdefault(distinct[k], []).append(needle)
+            at = find(needle, starts[k + 1] - 1)
     hits = frozenset(matched)
     rows = table.rows
     candidates = list(compress(range(len(rows)), map(not_, map(hits.isdisjoint, rows))))
@@ -274,19 +309,17 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
     sets = token_sets.values()
     maximal = {cells for cells, tokens in token_sets.items() if not any(map(tokens.__lt__, sets))}
     kept_rows = list(compress(candidates, map(maximal.__contains__, cell_sets)))
-    # 2 * digit cells > cells - blank cells: with a digit cell weighing 2, a
-    # blank one 1 and any other 0, a numeric column's weights sum past its
-    # length. A table without rows has empty columns, and a slice without
-    # kept rows has no hit column.
-    columns = zip(*rows) if rows else repeat((), len(table.header))
+    # A column is read, by `itemgetter` over the rows, only when the tests
+    # before it have not kept it; the table is never transposed. 2 * digit
+    # cells > cells - blank cells: with a digit cell weighing 2, a blank one
+    # 1 and any other 0, a numeric column's weights sum past its length.
     kept = list(map(rows.__getitem__, kept_rows))
-    kept_columns = zip(*kept) if kept else repeat((), len(table.header))
     kept_cols = [
         col
-        for col, (name, column, kept_column) in enumerate(zip(table.header, columns, kept_columns))
-        if not hits.isdisjoint(kept_column)
+        for col, name in enumerate(table.header)
+        if not hits.isdisjoint(map(itemgetter(col), kept))
         or not q_tokens.isdisjoint(tokenize(name))
-        or sum(map(weight.__getitem__, column)) > len(column)
+        or sum(map(weight.__getitem__, map(itemgetter(col), rows))) > len(rows)
     ]
     if not kept_cols:
         kept_cols = list(range(len(table.header)))

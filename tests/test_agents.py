@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logboard.agents
 from logboard.agents import (
     AgentConfig,
     AgentRole,
     ContextAgent,
     TableAgent,
     VisualAgent,
+    _images_shown,
     _passages_chosen,
     _source_blocks,
     build_prompt,
@@ -38,7 +40,7 @@ from logboard.log import (
     parse_answer,
     token_estimate,
 )
-from logboard.retrieval import SourceViews
+from logboard.retrieval import TOP_N, SourceViews, retrieve
 from logboard.sources import Image, Passage, SourceBundle, Table
 from logboard.textutil import split_sentences, tokenize
 
@@ -376,13 +378,56 @@ def test_quote_anchoring_lowers_only_the_chosen_postings(monkeypatch):
     assert spans == []
 
 
+PASSAGE_WORDS = ["sales", "zebra", "road", "gate", "the", "2019"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(PASSAGE_WORDS), max_size=6).map(" ".join), max_size=8),
+    st.lists(st.sampled_from(PASSAGE_WORDS + ["absent"]), max_size=4).map(" ".join),
+)
+def test_chosen_passages_are_the_ranked_ones_in_passage_order(texts, question):
+    # Ids out of passage order, so ranking by id and by position differ.
+    passages = [Passage(f"p{i * 5 % 8}", text) for i, text in enumerate(texts)]
+    sources = SourceBundle(passages=passages)
+    ranked = {doc_id for doc_id, _ in retrieve(sources.passage_index, question)}
+    expected = [p for p in passages if p.id in ranked] if ranked else passages[:TOP_N]
+    assert _passages_chosen(sources, question) == expected
+
+
+def test_a_visual_act_works_out_its_shown_images_once(monkeypatch):
+    asked = []
+
+    def counting(question, sources, views):
+        asked.append(question)
+        return original(question, sources, views)
+
+    original = logboard.agents._images_shown
+    monkeypatch.setattr(logboard.agents, "_images_shown", counting)
+    images = [
+        Image("Figure 1", "Revenue by year for Giva", "Giva 2018 $310M 2019 $342M"),
+        Image("Figure 2", "Revenue by year for Bora", "Bora 2018 $120M 2019 $150M"),
+    ]
+    question = "According to Figure 2, how did Bora revenue change?"
+    backend = ScriptedBackend({"Image Figure 2:": "Bora revenue rose from $120M to $150M."})
+    entry = VisualAgent(SourceViews()).act(fresh_log(question), SourceBundle(images=images), backend)
+    # One choice serves the prompt, which shows Figure 2 alone, and the refs.
+    assert entry.provenance == [ImageRef("Figure 2")]
+    assert asked == [question]
+
+
+def image_refs(reply, sources, question, views):
+    """What a Visual act over sources, asked question, cites for reply."""
+    return extract_image_refs(reply, _images_shown(question, sources, views), views)
+
+
 def test_image_id_is_named_as_a_whole_run_of_words():
     images = [
         Image("Figure 1", "Staff count by region", "North 120 South 80"),
         Image("Figure 12", "Cost by person", "Bo 2018 $7M"),
     ]
     reply = "Figure 12 shows Bo cost of $7M in 2018."
-    refs = extract_image_refs(reply, SourceBundle(images=images), "", SourceViews())
+    refs = image_refs(reply, SourceBundle(images=images), "", SourceViews())
     assert refs == [ImageRef("Figure 12")]
 
 
@@ -390,8 +435,8 @@ def test_one_letter_image_id_is_not_named_by_its_letter():
     images = [Image("A", "Staff count", "Staff 120"), Image("B", "Cost by year", "Bo 2018 $7M")]
     sources, views = SourceBundle(images=images), SourceViews()
     reply = "Image B shows the cost was $7M."
-    assert extract_image_refs(reply, sources, "", views) == [ImageRef("B")]
-    assert extract_image_refs("See image a.", sources, "", views) == [ImageRef("A")]
+    assert image_refs(reply, sources, "", views) == [ImageRef("B")]
+    assert image_refs("See image a.", sources, "", views) == [ImageRef("A")]
 
 
 def test_a_reply_naming_a_figure_cites_that_figure_alone():
@@ -403,19 +448,19 @@ def test_a_reply_naming_a_figure_cites_that_figure_alone():
     ]
     sources, views = SourceBundle(images=images), SourceViews()
     reply = "Figure 2 shows Bora revenue of $120M in 2018 and $150M in 2019."
-    assert extract_image_refs(reply, sources, "", views) == [ImageRef("Figure 2")]
+    assert image_refs(reply, sources, "", views) == [ImageRef("Figure 2")]
     # A reply that names no figure cites each one it shares a numeral or two
     # tokens with, years left out: the year both figures hold cites neither.
     reply = "Giva revenue was $310M in 2018."
-    assert extract_image_refs(reply, sources, "", views) == [ImageRef("Figure 1")]
+    assert image_refs(reply, sources, "", views) == [ImageRef("Figure 1")]
     # Such a reply is matched only against the figures its prompt showed: a
     # question naming Figure 2 shows Figure 2 alone.
     reply = "The chart plots revenue by year: $120M then $150M."
     both = [ImageRef("Figure 1"), ImageRef("Figure 2")]
-    assert extract_image_refs(reply, sources, "How did revenue change?", views) == both
+    assert image_refs(reply, sources, "How did revenue change?", views) == both
     question = "According to Figure 2, how did Bora revenue change?"
-    assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
-    assert extract_image_refs("No match.", sources, question, views) == [ImageRef("Figure 2")]
+    assert image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
+    assert image_refs("No match.", sources, question, views) == [ImageRef("Figure 2")]
 
 
 def test_a_reply_naming_only_an_unshown_figure_falls_back_to_the_shown_ones():
@@ -428,12 +473,12 @@ def test_a_reply_naming_only_an_unshown_figure_falls_back_to_the_shown_ones():
     reply = "Figure 1 shows Giva revenue of $310M."
     # Figure 1 was not shown, so the reply is matched as one naming no
     # figure; it shares nothing with Figure 2, which is cited as the first shown.
-    assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
+    assert image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
     # Naming a shown and an unshown figure cites the shown one alone.
     reply = "Figure 1 and Figure 2 show revenue."
-    assert extract_image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
+    assert image_refs(reply, sources, question, views) == [ImageRef("Figure 2")]
     # A question naming no figure shows both, so the reply cites both.
-    assert extract_image_refs(reply, sources, "How did revenue change?", views) == [
+    assert image_refs(reply, sources, "How did revenue change?", views) == [
         ImageRef("Figure 1"),
         ImageRef("Figure 2"),
     ]

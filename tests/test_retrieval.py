@@ -1,5 +1,6 @@
 """Retrieval: BM25 vs enumeration oracle, slicing, spans, visual text."""
 
+import gc
 import math
 import random
 from collections import Counter
@@ -253,6 +254,50 @@ def test_slice_cells_dereference():
     for r in slice_.kept_rows:
         for c in slice_.kept_cols:
             assert TRACE_TABLE.rows[r][c] is not None
+
+
+def table_heavy_shaped(n_rows):
+    """Four columns, a third of the rows Revenue, every amount distinct, one row Giva's."""
+    rows = [
+        [f"Firm{i % 48}", ("Revenue", "Cost", "Margin")[i % 3], str(2010 + i % 8), f"${i}M"]
+        for i in range(n_rows)
+    ]
+    rows[n_rows // 2] = ["Giva", "Revenue", "2019", "$342M"]
+    return Table("T", ["Company", "Metric", "Year", "Amount"], rows)
+
+
+def tracked_objects_added(build):
+    """How many more objects the garbage collector tracks once build() has run."""
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build()
+    added = len(gc.get_objects()) - before
+    del built
+    return added
+
+
+def test_a_table_view_and_its_slice_leave_the_collector_nothing_per_cell():
+    small, large = table_heavy_shaped(50), table_heavy_shaped(5000)
+    table_cells(small)  # a first build may fill lasting caches, such as the codec registry's
+    # The view holds a fixed number of tracked objects, however many cells.
+    added = [tracked_objects_added(lambda table=table: table_cells(table)) for table in (small, large)]
+    assert added[0] == added[1] <= 3
+    cells = table_cells(large)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        slice_ = select_table_slice(large, "What was the revenue of Giva in 2019?", cells)
+    finally:
+        gc.callbacks.remove(record)
+    # Slicing 5,000 rows allocates too few lasting tracked objects to start a collection.
+    assert collections == []
+    assert slice_.kept_rows == [2500] and slice_.kept_cols == [0, 1, 2, 3]
 
 
 FIVE_SENTENCES = (

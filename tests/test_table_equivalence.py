@@ -11,8 +11,8 @@ prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
 Of the code they check, they call only tokenize and split_sentences. The
 faster code must give the same results on any input, the Table agent must
-slice each table once per run, a run must tokenize each distinct cell
-string of a table once and normalize only the cells its slices show, and
+slice each table once per run, a run must build each table's cell view
+once, tokenize no cell and normalize only the cells its slices show, and
 anchoring must build only the anchors it returns.
 """
 
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import logboard.agents
 import logboard.retrieval
+import logboard.textutil
 from logboard import retrieval
 from logboard.agents import (
     AgentConfig,
@@ -201,7 +202,7 @@ def shown_cells(sources, question):
 
 
 class CountingPattern:
-    """Stands in for `retrieval.TOKEN_RE`, recording each (lowered) text it tokenizes."""
+    """Stands in for `textutil.TOKEN_RE`, recording each (lowered) text it tokenizes."""
 
     def __init__(self, calls):
         self.calls = calls
@@ -218,7 +219,11 @@ class CountingPattern:
 # alphanumeric, a final "Σ" lowers by context, "\u0301" is a combining
 # mark, and "_" is a word character that is not a token character. "20" and
 # "rev" are prefixes of other words, "19" a suffix, "x" and "9" one-character
-# tokens.
+# tokens. A table's cell view holds one byte per code point, each outside
+# ASCII encoded as "?", so free text and questions also hold a literal "?",
+# a NUL, "²" (a digit to `isdigit` but not a decimal), the astral digit
+# "𝟙" and a lone surrogate, which a JSON "\ud800" escape loads as.
+MAPPED = "?\x00²𝟙\ud800"
 WORDS = ["revenue", "2019", "Year", "total", "ünits", "straße", "σΣ", "ΟΔΟΣ", "İd", "Kelvin",
          "\u212am", "ſale", "cafe\u0301", "a_b", "snake_case", "line\nbreak",
          "20", "19", "rev", "x", "9"]
@@ -228,7 +233,8 @@ BLANKS = ["", " ", "\t", "\n"]
 
 word = st.sampled_from(WORDS + NUMERALS)
 free_text = st.text(
-    alphabet=st.sampled_from(list("abcXYZ019 .,$%-_'/éßΣİKſ\u212a\u0301 \t\n")), max_size=10
+    alphabet=st.sampled_from(list("abcXYZ019 .,$%-_'/éßΣİKſ\u212a\u0301 \t\n" + MAPPED)),
+    max_size=10,
 )
 cell = st.one_of(
     st.sampled_from(BLANKS),
@@ -279,7 +285,9 @@ def bundle_question_reply(draw):
     sources = draw(bundles())
     cells = [c for t in sources.tables for row in [t.header, *t.rows] for c in row]
     if draw(st.integers(0, 4)) == 0:  # a question with no [a-z0-9] token
-        question = draw(st.text(alphabet=st.sampled_from(list("ſΣσ .?_-\u0301\n")), max_size=8))
+        question = draw(
+            st.text(alphabet=st.sampled_from(list("ſΣσ .?_-\u0301\n" + MAPPED)), max_size=8)
+        )
     else:
         question = phrase(draw, WORDS + NUMERALS + cells)
     reply = phrase(draw, WORDS + NUMERALS + cells + [question])
@@ -317,8 +325,25 @@ def test_anchor_references_agree_on_long_cells_and_repeats():
         )
 
 
+def counting_table_cells(built):
+    """Stands in for `retrieval.table_cells`, recording the id of each table it views."""
+
+    def counted(table):
+        built.append(table.id)
+        return table_cells(table)
+
+    return counted
+
+
+def row_cells_tokenized(tokenized, tables):
+    """The lowered row cells of tables, headers left out, that reached `TOKEN_RE`."""
+    headers = {name.lower() for table in tables for name in table.header}
+    cells = {cell.lower() for table in tables for cell in chain.from_iterable(table.rows)}
+    return (cells - headers).intersection(tokenized)
+
+
 def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
-    calls, tokenized = [], []
+    calls, tokenized, built = [], [], []
 
     def counting_normalize(text):
         calls.append(text)
@@ -326,7 +351,8 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
 
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
     monkeypatch.setattr(logboard.retrieval, "normalize", counting_normalize)
-    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(tokenized))
+    monkeypatch.setattr(logboard.textutil, "TOKEN_RE", CountingPattern(tokenized))
+    monkeypatch.setattr(logboard.retrieval, "table_cells", counting_table_cells(built))
     rows = [["widget", "$7M"], ["gadget", "$7M"], ["widget", "$7M"], ["", "$9M"]]
     sources = SourceBundle(
         tables=[
@@ -337,11 +363,12 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
     views = SourceViews()
     for table in sources.tables:
         views.table(table)
-    # A table's view tokenizes each distinct cell once, lowered, and normalizes none.
-    distinct = [cell.lower() for t in sources.tables for cell in set(chain.from_iterable(t.rows))]
-    assert Counter(tokenized) == Counter(distinct) and calls == []
+    # A table's view is built once, and it tokenizes and normalizes no cell.
+    assert built == ["t1", "t2"] and tokenized == [] and calls == []
     reply, question = "The widget line was $7M.", "What was the widget line?"
     anchors = extract_table_anchors(reply, sources, question, views)
+    # Slicing tokenizes the question and headers alone; no view is built again.
+    assert not row_cells_tokenized(tokenized, sources.tables) and built == ["t1", "t2"]
     assert anchors == reference_extract_table_anchors(reply, sources, question)
     # The slice of t1 holds the widget rows; the gadget row, $7M alone, is not shown.
     assert anchors == [TableAnchor("t1", 0, 1), TableAnchor("t1", 2, 1)]
@@ -349,7 +376,6 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
     # distinct cells once: "widget" and "$7M" of t1, "widget" and "$9M" of t2.
     assert shown_cells(sources, question) == Counter({"widget": 2, "$7M": 1, "$9M": 1})
     assert Counter(calls) == Counter([reply, question]) + shown_cells(sources, question)
-    assert Counter(tokenized) == Counter(distinct)  # no cell tokenized again
 
 
 def _tag(i):
@@ -399,6 +425,14 @@ def test_distinct_cell_tables_match_the_references(table, data):
     assert anchors_of(reply, sources, question) == reference_extract_table_anchors(
         reply, sources, question
     )
+
+
+def test_cells_after_ones_that_lower_longer_match_the_reference():
+    # Each "İ" lowers to two characters, so cells after "İİİİ" sit further
+    # into the view's text than the cells' own lengths put them.
+    table = Table("t", ["name", "kind"], [["İİİİ", "a"], ["b", "x"], ["İd b", "c"], ["i", "b"]])
+    for question in ("b", "Which x?", "i d", "c or a", "d"):
+        assert slice_of(table, question) == reference_select_table_slice(table, question)
 
 
 def test_slicing_a_new_question_compiles_no_pattern(monkeypatch):
@@ -707,6 +741,7 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
 
 def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
     tokenized = []
+    built = []
     cells = []
     texts = []
 
@@ -718,7 +753,8 @@ def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
         texts.append(text)
         return normalize(text)
 
-    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(tokenized))
+    monkeypatch.setattr(logboard.textutil, "TOKEN_RE", CountingPattern(tokenized))
+    monkeypatch.setattr(logboard.retrieval, "table_cells", counting_table_cells(built))
     monkeypatch.setattr(logboard.retrieval, "normalize", counting_cell_normalize)
     monkeypatch.setattr(logboard.agents, "normalize", counting_normalize)
     sources = two_table_sources()
@@ -727,10 +763,11 @@ def test_a_table_run_normalizes_each_distinct_cell_once(monkeypatch):
     result = run(GOLDEN_QUESTION, sources, ScriptedBackend(script))
 
     assert result.metrics.rounds == 2
-    # The run's views tokenize each distinct cell string of a table once,
-    # lowered, and normalize none.
+    # The run's views build each table's cell view once, and no cell string
+    # is tokenized or normalized to slice it.
+    assert sorted(built) == ["Table 1", "Table 2"]
+    assert not row_cells_tokenized(tokenized, sources.tables) and cells == []
     distinct = [cell for table in sources.tables for cell in set(chain.from_iterable(table.rows))]
-    assert Counter(tokenized) == Counter(map(str.lower, distinct)) and cells == []
     # Two Table acts each anchor a reply, normalizing it, the question and
     # each table's shown distinct cells, once per act: no cell outside the
     # slices is normalized.

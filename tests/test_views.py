@@ -1,6 +1,6 @@
 """Source views shared by the records of one bundle within a run_benchmark call.
 
-A bundle's prepared facts (each table's cell tokens, digit weights and
+A bundle's prepared facts (each table's cell text, digit weights and
 slice per question, each passage's sentences, each image's id phrase,
 numerals and tokens) are built once per bundle in each pass and dropped
 with the call. Sharing them must change no report, trace or
@@ -10,7 +10,6 @@ metric, and a lone run builds exactly one views object.
 import gc
 import weakref
 from collections import Counter
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +18,10 @@ from hypothesis import strategies as st
 import logboard.agents
 import logboard.harness
 import logboard.retrieval
+import logboard.textutil
 from logboard.agents import (
     RETRIEVAL_ROLES,
+    _images_shown,
     _passages_chosen,
     _source_blocks,
     extract_doc_spans,
@@ -49,9 +50,11 @@ from test_table_equivalence import (
     WORDS,
     CountingPattern,
     bundle_question_reply,
+    counting_table_cells,
     free_text,
     passage_text,
     phrase,
+    row_cells_tokenized,
     shown_cells,
 )
 
@@ -111,22 +114,22 @@ def counting(calls, fn):
 
 
 def source_work(records):
-    """Per pass: each distinct cell tokenized (lowered), each image id
-    normalized, each image text parsed."""
-    cells, names, texts = Counter(), Counter(), Counter()
+    """Per pass: each table's cell view built, each image id normalized,
+    each image text parsed."""
+    tables, names, texts = Counter(), Counter(), Counter()
     for sources in bundles_of(records):
-        for table in sources.tables:
-            cells.update(cell.lower() for cell in set(chain.from_iterable(table.rows)))
+        tables.update(table.id for table in sources.tables)
         names.update(image.id for image in sources.images)
         texts.update(f"{image.caption} {image.ocr_text}" for image in sources.images)
-    return cells, names, texts
+    return tables, names, texts
 
 
 @pytest.mark.parametrize("fault_spec", [None, FaultSpec(FaultType.ARITHMETIC_CORRUPTION, 1.0, 3)])
 def test_each_bundle_is_prepared_once_per_pass(monkeypatch, fault_spec):
     records, script = shared_bundle_records()
-    tokenized, normalized, anchored, parsed, split = [], [], [], [], []
-    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(tokenized))
+    tokenized, viewed, normalized, anchored, parsed, split = [], [], [], [], [], []
+    monkeypatch.setattr(logboard.textutil, "TOKEN_RE", CountingPattern(tokenized))
+    monkeypatch.setattr(logboard.retrieval, "table_cells", counting_table_cells(viewed))
     monkeypatch.setattr(logboard.retrieval, "normalize", counting(normalized, normalize))
     monkeypatch.setattr(logboard.agents, "normalize", counting(anchored, normalize))
     monkeypatch.setattr(logboard.retrieval, "split_sentences", counting(split, split_sentences))
@@ -137,11 +140,13 @@ def test_each_bundle_is_prepared_once_per_pass(monkeypatch, fault_spec):
     # At rate 1.0 every record runs again live, so each bundle is prepared in both passes.
     passes = 1 if fault_spec is None else 2
     assert all(report["rounds"] >= 1 for report in reports)
-    cells, names, texts = source_work(records)
-    assert Counter(tokenized) == Counter({text: n * passes for text, n in cells.items()})
+    tables, names, texts = source_work(records)
+    assert Counter(viewed) == Counter({table: n * passes for table, n in tables.items()})
+    all_tables = [t for s in bundles_of(records) for t in s.tables]
+    assert not row_cells_tokenized(tokenized, all_tables)
     assert Counter(normalized) == Counter({text: n * passes for text, n in names.items()})
     # Anchoring normalizes only cells that a record's slices show.
-    table_cells = {c for s in bundles_of(records) for t in s.tables for r in t.rows for c in r}
+    table_cells = {c for t in all_tables for r in t.rows for c in r}
     shown = set().union(*(shown_cells(r.sources, r.question) for r in records))
     anchored_cells = {text for text in anchored if text in table_cells}
     assert anchored_cells and anchored_cells <= shown < table_cells
@@ -163,7 +168,7 @@ def test_no_view_outlives_the_call_and_a_second_call_rebuilds(monkeypatch):
 
     normalized = []
     monkeypatch.setattr(logboard.harness, "SourceViews", TrackedViews)
-    monkeypatch.setattr(logboard.retrieval, "TOKEN_RE", CountingPattern(normalized))
+    monkeypatch.setattr(logboard.retrieval, "table_cells", counting_table_cells(normalized))
     monkeypatch.setattr(logboard.retrieval, "normalize", counting(normalized, normalize))
     records, script = shared_bundle_records()
     sources = bundles_of(records)
@@ -219,8 +224,10 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
             )
         chosen = _passages_chosen(sources, question)
         assert extract_doc_spans(reply, chosen, shared) == extract_doc_spans(reply, chosen, fresh)
-        assert extract_image_refs(reply, sources, question, shared) == extract_image_refs(
-            reply, sources, question, fresh
+        shown = [_images_shown(question, sources, views) for views in (shared, fresh)]
+        assert shown[0] == shown[1]
+        assert extract_image_refs(reply, shown[0], shared) == extract_image_refs(
+            reply, shown[1], fresh
         )
 
 
