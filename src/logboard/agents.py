@@ -78,11 +78,13 @@ class AgentRole(Enum):
     SUMMARIZING = "Summarizing"
     VERIFICATION = "Verification"
 
+    __hash__ = object.__hash__  # identity, as for `log.EntryType`
+
 
 _DETERMINISTIC_ROLES = frozenset({AgentRole.SUMMARIZING, AgentRole.VERIFICATION})
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig:
     role: AgentRole
     temperature: float | None = None
@@ -91,17 +93,18 @@ class AgentConfig:
 
     def __post_init__(self) -> None:
         if self.temperature is None:
-            self.temperature = 0.0 if self.role in _DETERMINISTIC_ROLES else 0.3
+            temperature = 0.0 if self.role in _DETERMINISTIC_ROLES else 0.3
+            object.__setattr__(self, "temperature", temperature)
+
+
+# Each role's standard config, built once and shared; frozen, so no run changes it.
+_ROLE_CONFIGS = {role: AgentConfig(role) for role in AgentRole}
 
 
 def _latest_flag_reason(log: SharedLog) -> str | None:
     """Content of the most recent Flag with no later OK."""
-    for entry in reversed(log.entries):
-        if entry.entry_type is EntryType.OK:
-            return None
-        if entry.entry_type is EntryType.FLAG:
-            return entry.content
-    return None
+    latest = log.latest(EntryType.OK, EntryType.FLAG)
+    return latest.content if latest is not None and latest.entry_type is EntryType.FLAG else None
 
 
 def _latest_gap_text(log: SharedLog) -> str | None:
@@ -157,6 +160,14 @@ VERIFICATION_INSTRUCTIONS = (
     "by log entries. If any part seems incorrect or unsupported, explain "
     "and flag it. If everything is consistent, reply with OK."
 )
+
+_INSTRUCTIONS = {
+    AgentRole.TABLE: TABLE_INSTRUCTIONS,
+    AgentRole.CONTEXT: CONTEXT_INSTRUCTIONS,
+    AgentRole.VISUAL: VISUAL_INSTRUCTIONS,
+    AgentRole.SUMMARIZING: SUMMARIZING_INSTRUCTIONS,
+    AgentRole.VERIFICATION: VERIFICATION_INSTRUCTIONS,
+}
 
 
 def _source_blocks(
@@ -238,13 +249,7 @@ def build_prompt(
     last resort the oldest part of the view is dropped.
     """
     question = log.question()
-    instructions = {
-        AgentRole.TABLE: TABLE_INSTRUCTIONS,
-        AgentRole.CONTEXT: CONTEXT_INSTRUCTIONS,
-        AgentRole.VISUAL: VISUAL_INSTRUCTIONS,
-        AgentRole.SUMMARIZING: SUMMARIZING_INSTRUCTIONS,
-        AgentRole.VERIFICATION: VERIFICATION_INSTRUCTIONS,
-    }[role]
+    instructions = _INSTRUCTIONS[role]
     view = render_view(log)
     flag_line = ""
     if role in (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL):
@@ -505,7 +510,7 @@ class _RetrievalAgent:
     entry_type: EntryType
 
     def __init__(self, views: SourceViews) -> None:
-        self.config = AgentConfig(self.role)
+        self.config = _ROLE_CONFIGS[self.role]
         # The run's views, shared with its other agents (see `retrieval`).
         self.views = views
 
@@ -533,35 +538,24 @@ class _RetrievalAgent:
 
 
 class TableAgent(_RetrievalAgent):
-    """Posts cell-level facts; remembers which columns it has reported."""
+    """Posts cell-level facts; acts once, and once more after each Flag: an
+    act reports every relevant column of the run's fixed sources (a slice
+    keeps a column of each table that has any), so the trigger reads no slice."""
 
     role = AgentRole.TABLE
     author = TABLE_AGENT
     entry_type = EntryType.LOOKUP
-
-    def __init__(self, views: SourceViews) -> None:
-        super().__init__(views)
-        self.reported: set[tuple[str, int]] = set()
-
-    def _relevant_columns(self, sources: SourceBundle, question: str):
-        for table in sources.tables:
-            for col in self.views.slice(table, question).kept_cols:
-                yield (table.id, col)
+    covered = False  # an act reported every relevant column since the last Flag
 
     def should_act(self, log: SharedLog, sources: SourceBundle, round_idx: int) -> bool:
-        if not sources.tables:
-            return False
-        question = log.question()
-        return any(
-            key not in self.reported for key in self._relevant_columns(sources, question)
-        )
+        return not self.covered and any(table.header for table in sources.tables)
 
     def notify_flag(self) -> None:
         """A verification Flag re-opens coverage for the re-engagement round."""
-        self.reported.clear()
+        self.covered = False
 
     def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
-        self.reported.update(self._relevant_columns(sources, log.question()))
+        self.covered = True
         return super().act(log, sources, backend)
 
     def _show(self, sources: SourceBundle, question: str):
@@ -627,7 +621,7 @@ def flagged_steps(content: str) -> list[int]:
 
 def summarize(log: SharedLog, backend: TextBackend) -> LogEntry | None:
     """A progress Summary or the final Answer, synthesized from the log."""
-    config = AgentConfig(AgentRole.SUMMARIZING)
+    config = _ROLE_CONFIGS[AgentRole.SUMMARIZING]
     prompt = build_prompt(AgentRole.SUMMARIZING, log, config)
     reply = _generate(log, backend, config, prompt)
     if not reply.strip():
@@ -647,7 +641,7 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     while the deterministic checks are clean, the verdict fails open to OK
     with a note; arithmetic failures can never be masked this way.
     """
-    config = AgentConfig(AgentRole.VERIFICATION)
+    config = _ROLE_CONFIGS[AgentRole.VERIFICATION]
     answer_entry = log.latest(EntryType.ANSWER)
     if answer_entry is None:
         raise ValueError("verification requires a prior Answer entry")

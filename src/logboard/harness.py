@@ -401,7 +401,8 @@ def catch_and_repair(
     """Catch: a Flag implicates the fault's step or names (`textutil.names`)
     its source id, so a Flag naming "Table 12" does not catch "Table 1".
     Repair: a caught fault whose original value reappears in a later entry
-    of a run that ends verified."""
+    of a run that ends verified; when the fault changed no numeral value
+    (an OCR swap), its original text must reappear as whole words."""
     if not labels:
         raise ValueError("catch_and_repair needs labels from inject_faults")
     flags = [e for e in final_log.entries if e.entry_type is EntryType.FLAG]
@@ -435,7 +436,7 @@ def catch_and_repair(
             if restored and restored <= values(entry.content):
                 repaired_targets.append(label.target)
                 break
-            if not restored and label.original.lower() in entry.content.lower():
+            if not restored and names(normalize(entry.content), normalize(label.original)):
                 repaired_targets.append(label.target)
                 break
     total = len(labels)

@@ -3,7 +3,8 @@
 This is the single coordination medium between agents. It owns entry
 validation (type vocabulary, role discipline, provenance requirements),
 near-duplicate rejection, token-budgeted rendering with history compression,
-and the Answer/Flag marker parsers. Entries serialize to a JSONL trace,
+and the Answer/Flag marker parsers. Each entry is rendered once, as it
+commits; a view joins the kept lines. Entries serialize to a JSONL trace,
 which is the interchange format for the harness and the CLI.
 """
 
@@ -31,6 +32,10 @@ class EntryType(Enum):
     ANSWER = "Answer"
     FLAG = "Flag"
     OK = "OK"
+
+    # Members are singletons compared by identity; Enum's own hash is a
+    # Python-level hash of the name, paid on every set and dict lookup.
+    __hash__ = object.__hash__
 
 
 # Canonical agent names, matching the trace presentation.
@@ -124,16 +129,19 @@ _DedupKey = tuple[list[str], set[tuple[str, ...]]]
 
 
 def _dedup_key(text: str) -> _DedupKey:
-    """Normalized words and their word 3-grams."""
-    words = textutil.normalize(text).split()
-    return words, textutil.word_ngrams(words, 3)
+    """Normalized words (`textutil.words`) and their word 3-grams."""
+    words = textutil.words(text)
+    return words, set(zip(words, words[1:], words[2:]))
 
 
 def _keys_near_duplicate(a: _DedupKey, b: _DedupKey) -> bool:
     (wa, ga), (wb, gb) = a, b
     if len(wa) < 3 or len(wb) < 3:
         return wa == wb
-    return textutil.jaccard(ga, gb) >= 0.85
+    # Jaccard is at most min/max of the set sizes, so a pair whose sizes
+    # differ by more than 17:20 cannot reach 0.85; integers keep it exact.
+    na, nb = len(ga), len(gb)
+    return 20 * min(na, nb) >= 17 * max(na, nb) and textutil.jaccard(ga, gb) >= 0.85
 
 
 def is_near_duplicate(a: str, b: str) -> bool:
@@ -144,14 +152,9 @@ def is_near_duplicate(a: str, b: str) -> bool:
     return _keys_near_duplicate(_dedup_key(a), _dedup_key(b))
 
 
-def _required_provenance(entry_type: EntryType) -> Optional[type]:
-    if entry_type is EntryType.LOOKUP:
-        return TableAnchor
-    if entry_type is EntryType.QUOTE:
-        return DocSpan
-    if entry_type is EntryType.VISUAL:
-        return ImageRef
-    return None
+_REQUIRED_PROVENANCE = {
+    EntryType.LOOKUP: TableAnchor, EntryType.QUOTE: DocSpan, EntryType.VISUAL: ImageRef
+}
 
 
 def validate_entry(entry: LogEntry) -> None:
@@ -165,7 +168,7 @@ def validate_entry(entry: LogEntry) -> None:
         raise ValidationError(
             f"role/type mismatch: {entry.agent} may not emit {entry.entry_type.value}"
         )
-    required = _required_provenance(entry.entry_type)
+    required = _REQUIRED_PROVENANCE.get(entry.entry_type)
     if required is not None and not any(isinstance(p, required) for p in entry.provenance):
         raise ValidationError(
             f"{entry.entry_type.value} entries require >=1 {required.__name__}"
@@ -212,6 +215,12 @@ class SharedLog:
 
     Appends serialize through the step counter under a lock; the committed
     order is the step order. Reads are pure and freely shareable.
+
+    A committed entry is rendered once, as it commits: the log keeps
+    `format_entry` of each non-Query entry, which `render_view` joins, and
+    the text of the first Query, which `question` returns. An entry changes
+    only before it commits (the fault injector rewrites it in flight), so
+    a kept line never goes stale.
     """
 
     def __init__(self, clock: Clock | None = None) -> None:
@@ -220,6 +229,8 @@ class SharedLog:
         self.clock = clock or SimClock()
         self._lock = threading.Lock()
         self._norm_cache: list[_DedupKey] = []  # one per committed entry
+        self._lines: list[str] = []  # one per committed non-Query entry
+        self._question = ""
         self._numerals: dict[str, tuple[textutil.NumericMention, ...]] = {}
 
     def append(self, entry: LogEntry) -> AppendResult:
@@ -234,6 +245,10 @@ class SharedLog:
             self.next_step += 1
             self.entries.append(entry)
             self._norm_cache.append(key)
+            if entry.entry_type is not EntryType.QUERY:
+                self._lines.append(format_entry(entry))
+            elif not self._question:
+                self._question = entry.content
             self.clock.advance(1)
         return AppendResult.ACCEPTED
 
@@ -246,15 +261,13 @@ class SharedLog:
         return mentions
 
     def question(self) -> str:
-        for entry in self.entries:
-            if entry.entry_type is EntryType.QUERY:
-                return entry.content
-        return ""
+        """The text of the first committed Query, or "" before one commits."""
+        return self._question
 
     def latest(self, *types: EntryType) -> Optional[LogEntry]:
-        wanted = set(types) or set(EntryType)
+        """The newest committed entry of one of types, or of any if none are given."""
         for entry in reversed(self.entries):
-            if entry.entry_type in wanted:
+            if not types or entry.entry_type in types:
                 return entry
         return None
 
@@ -270,16 +283,6 @@ def format_entry(entry: LogEntry) -> str:
     return line
 
 
-def _stub_line(replaced: list[LogEntry]) -> str:
-    cites: list[str] = []
-    for entry in replaced:
-        cites.extend(entry.citations())
-    line = f"{SUMMARIZING_AGENT} (Summary): [history: {len(replaced)} earlier entries compressed]"
-    if cites:
-        line += " [cite: " + " | ".join(cites) + "]"
-    return line
-
-
 def render_view(log: SharedLog) -> str:
     """Render the log newest-last, compressing history to fit the budget.
 
@@ -289,13 +292,17 @@ def render_view(log: SharedLog) -> str:
     that keeps every replaced entry's provenance citation, until the
     estimate is at or below the post-compression target.
     """
-    entries = [e for e in log.entries if e.entry_type is not EntryType.QUERY]
-    lines = [format_entry(e) for e in entries]
+    lines = log._lines
     view = "\n".join(lines)
     if token_estimate(view) <= COMPRESS_TRIGGER:
         return view
-    for k in range(1, len(entries) + 1):
-        stub = _stub_line(entries[:k])
+    entries = [e for e in log.entries if e.entry_type is not EntryType.QUERY]
+    cites: list[str] = []  # those of the k folded entries
+    for k, entry in enumerate(entries, 1):
+        cites.extend(entry.citations())
+        stub = f"{SUMMARIZING_AGENT} (Summary): [history: {k} earlier entries compressed]"
+        if cites:
+            stub += " [cite: " + " | ".join(cites) + "]"
         view = "\n".join([stub] + lines[k:])
         if token_estimate(view) <= TARGET_AFTER:
             return view

@@ -60,25 +60,22 @@ _UNIT_ALIASES = {
 }
 
 
-def normalize(text: str) -> str:
-    """Lowercase and strip punctuation, collapsing whitespace.
+def words(text: str) -> list[str]:
+    """The lowered text's runs of word characters: the words left by blanking
+    every character that is neither a word character nor whitespace and
+    splitting, since `re` and `str.split()` agree on what is whitespace."""
+    return _WORD_CHARS_RE.findall(text.lower())
 
-    The result is the lowered text's runs of word characters, one space
-    between each: the words left by blanking every character that is
-    neither a word character nor whitespace and splitting, since `re` and
-    `str.split()` agree on what is whitespace.
-    """
-    return " ".join(_WORD_CHARS_RE.findall(text.lower()))
+
+def normalize(text: str) -> str:
+    """Lowercase and strip punctuation, collapsing whitespace: the text's
+    `words`, one space between each."""
+    return " ".join(words(text))
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on non-alphanumerics; numerals stay intact."""
     return TOKEN_RE.findall(text.lower())
-
-
-def word_ngrams(words: list[str], n: int) -> set[tuple[str, ...]]:
-    """The runs of n consecutive words; none when there are fewer than n."""
-    return set(zip(*(words[i:] for i in range(n))))
 
 
 def jaccard(a: set, b: set) -> float:

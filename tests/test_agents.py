@@ -29,7 +29,8 @@ from logboard.backends import (
     UsageMixin,
 )
 from logboard.gating import extract_features
-from logboard.scheduler import run
+import logboard.retrieval
+from logboard.scheduler import PER_AGENT_CAP, run
 from logboard.log import (
     SUMMARIZING_AGENT,
     DocSpan,
@@ -58,6 +59,7 @@ from test_table_equivalence import (
 from helpers import (
     GOLDEN_ANSWER,
     GOLDEN_QUESTION,
+    delta_record,
     golden_script,
     golden_sources,
     log_with,
@@ -128,6 +130,58 @@ def test_table_tracks_reported_columns():
     assert not agent.should_act(log, sources, 1)
     agent.notify_flag()
     assert agent.should_act(log, sources, 1)
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [[], [Table("t1", header=[], rows=[[], []]), Table("t2", header=[], rows=[])]],
+    ids=["no tables", "headerless tables"],
+)
+def test_table_agent_never_acts_without_a_column(tables):
+    agent = TableAgent(SourceViews())
+    sources = SourceBundle(tables=tables, passages=golden_sources().passages)
+    log = fresh_log()
+    for round_idx in range(3):
+        assert not agent.should_act(log, sources, round_idx)
+        agent.notify_flag()
+    result = run(GOLDEN_QUESTION, sources, ScriptedBackend(golden_script()))
+    assert EntryType.LOOKUP not in [e.entry_type for e in result.log.entries]
+
+
+def test_table_trigger_builds_no_slice(monkeypatch):
+    calls = []
+    real = logboard.retrieval.select_table_slice
+    monkeypatch.setattr(
+        logboard.retrieval, "select_table_slice", lambda *a: calls.append(a) or real(*a)
+    )
+    agent = TableAgent(SourceViews())
+    sources = golden_sources()
+    log = fresh_log()
+    assert agent.should_act(log, sources, 0) and agent.should_act(log, sources, 1)
+    assert calls == []
+    agent.act(log, sources, ScriptedBackend(golden_script()))
+    assert len(calls) == len(sources.tables)
+
+
+def test_a_flag_reopens_one_table_act_within_the_cap(monkeypatch):
+    acts = []
+    real_act = TableAgent.act
+    monkeypatch.setattr(TableAgent, "act", lambda self, *a: acts.append(1) or real_act(self, *a))
+    record, script = delta_record("FirmA", 50, 55)
+
+    def corrupt_first_lookup(entry, log):
+        if entry.entry_type is EntryType.LOOKUP and len(acts) == 1:
+            entry.content = entry.content.replace("$55M", "$58M")
+        return entry
+
+    clean = run(record.question, record.sources, ScriptedBackend(script))
+    assert len(acts) == 1 and clean.termination.value == "AnswerVerified"
+    acts.clear()
+    flagged = run(
+        record.question, record.sources, ScriptedBackend(script), entry_mutator=corrupt_first_lookup
+    )
+    assert EntryType.FLAG in [e.entry_type for e in flagged.log.entries]
+    assert len(acts) == PER_AGENT_CAP == 2
 
 
 def test_table_act_extracts_two_anchors():

@@ -2,11 +2,13 @@
 
 import json
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
 
+import logboard.log
 import logboard.retrieval
 import logboard.textutil
 from logboard import harness, scheduler
@@ -49,6 +51,7 @@ from helpers import (
     lookup,
     quote,
     run_golden,
+    visual,
 )
 
 
@@ -380,6 +383,19 @@ def test_a_source_id_flag_catches_by_whole_words():
         assert catch_and_repair([label], log, final_answer_ok=False).catch_rate == caught
 
 
+def test_a_text_only_repair_matches_whole_words():
+    # An OCR swap changes no numeral value, so its original text must
+    # reappear. ("B" would read as billions: "3 B" is 3e9, not 3.)
+    label = FaultLabel(1, FaultType.OCR_MISREAD, "A 3 C 5", "A 5 C 3")
+    log = log_with("q?", lookup("A 5 C 3 per the table."))
+    log.append(LogEntry(VERIFICATION_AGENT, EntryType.FLAG, "Flagged ArithmeticMismatch: bad [steps: 1]"))
+    log.append(visual("XA 3 C 5 units"))
+    outcome = catch_and_repair([label], log, final_answer_ok=True)
+    assert (outcome.caught, outcome.repaired) == (1, 0)
+    log.append(visual("The chart reads a 3, c 5 units."))
+    assert catch_and_repair([label], log, final_answer_ok=True).repaired == 1
+
+
 def test_catch_and_repair_requires_labels():
     with pytest.raises(ValueError):
         catch_and_repair([], log_with("q?"), False)
@@ -433,6 +449,40 @@ def _delta_suite(n=6):
         records.append(record)
         script.update(s)
     return records, script
+
+
+def test_a_run_renders_each_committed_entry_once(monkeypatch):
+    # At rate 1.0 every live run is flagged and re-engages, so its log
+    # grows after prompts have already rendered it.
+    records, script = _delta_suite(6)
+    formatted, logs = [], []
+    real_format, real_run = logboard.log.format_entry, scheduler.run
+
+    def counting_format(entry):
+        formatted.append(entry)
+        return real_format(entry)
+
+    def recording_run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        logs.append(result.log)
+        return result
+
+    monkeypatch.setattr(logboard.log, "format_entry", counting_format)
+    monkeypatch.setattr(scheduler, "run", recording_run)
+    run_benchmark(
+        records,
+        backend_factory=lambda: ScriptedBackend(script),
+        fault_spec=FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=1.0, seed=3),
+    )
+    flagged = [
+        log for log in logs
+        if [e.entry_type for e in log.entries].count(EntryType.LOOKUP) == 2
+        and any(e.entry_type is EntryType.FLAG for e in log.entries)
+    ]
+    assert len(flagged) == len(records)
+    committed = [e for log in logs for e in log.entries if e.entry_type is not EntryType.QUERY]
+    assert len(formatted) == len(committed)
+    assert all(map(operator.is_, formatted, committed))
 
 
 def test_benchmark_all_correct_fixture():

@@ -2,16 +2,22 @@
 
 import itertools
 import json
+import pickle
 import random
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from logboard.agents import AgentRole
 from logboard.log import (
+    CONTEXT_AGENT,
     SUMMARIZING_AGENT,
     TABLE_AGENT,
     USER,
     VERIFICATION_AGENT,
+    VISUAL_AGENT,
     COMPRESS_TRIGGER,
     TARGET_AFTER,
     AppendResult,
@@ -33,6 +39,8 @@ from logboard.log import (
     render_view,
     token_estimate,
     view_citations,
+    _dedup_key,
+    _keys_near_duplicate,
 )
 
 from helpers import GOLDEN_QUESTION, lookup, quote
@@ -119,6 +127,53 @@ def test_dedup_soundness_over_random_sequences():
         assert not is_near_duplicate(a.content, b.content)
 
 
+def _trigram_rule(a: list[str], b: list[str]) -> bool:
+    """The dedup rule as stated: equality under three words, else word
+    3-gram Jaccard >= 0.85, from sets built one run at a time."""
+    if len(a) < 3 or len(b) < 3:
+        return a == b
+    ga, gb = ({tuple(w[i : i + 3]) for i in range(len(w) - 2)} for w in (a, b))
+    return len(ga & gb) / len(ga | gb) >= 0.85
+
+
+@st.composite
+def word_list_pairs(draw):
+    """Two word lists: random ones over a small vocabulary, or a list of n
+    distinct 3-grams beside one of its prefixes with m of them, m near
+    17/20 of n, where the 3-gram counts decide the rule, a few words of the
+    prefix perhaps replaced."""
+    vocab = st.sampled_from("abcdefgh")
+    if draw(st.booleans()):
+        return draw(st.lists(vocab, max_size=14)), draw(st.lists(vocab, max_size=14))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers((4 * n) // 5, n))
+    longer = [f"w{i}" for i in range(n + 2)]
+    shorter = longer[: m + 2]
+    for _ in range(draw(st.integers(0, 2))):
+        shorter[draw(st.integers(0, len(shorter) - 1))] = draw(vocab)
+    return (shorter, longer) if draw(st.booleans()) else (longer, shorter)
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_list_pairs())
+@example(([f"w{i}" for i in range(19)], [f"w{i}" for i in range(22)]))  # 17 of 20 3-grams
+def test_the_dedup_size_bound_keeps_the_rule(pair):
+    a, b = pair
+    assert _keys_near_duplicate(_dedup_key(" ".join(a)), _dedup_key(" ".join(b))) is _trigram_rule(a, b)
+
+
+@pytest.mark.parametrize("kind", [EntryType, AgentRole])
+def test_enum_members_pickle_look_up_and_hash_as_themselves(kind):
+    by_member = {member: member.value for member in kind}
+    members = set(kind)
+    for member in kind:
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert kind(member.value) is member
+        assert by_member[member] == member.value and member in members
+        assert member in frozenset([member]) and hash(member) == hash(kind(member.value))
+    assert EntryType("Lookup") is EntryType.LOOKUP
+
+
 def test_concurrent_appends_serialize():
     log = SharedLog()
     def worker(k):
@@ -186,6 +241,69 @@ def test_render_view_stub_keeps_specific_anchor():
     # The first (oldest) entry is certainly compressed; its anchor survives.
     assert "table:t0@0,0" in view
     assert "entry 0 " not in view
+
+
+def _reference_render_view(log: SharedLog) -> str:
+    """`render_view` as it was when it formatted every entry on each call."""
+    entries = [e for e in log.entries if e.entry_type is not EntryType.QUERY]
+    lines = [format_entry(e) for e in entries]
+    view = "\n".join(lines)
+    if token_estimate(view) <= COMPRESS_TRIGGER:
+        return view
+    for k in range(1, len(entries) + 1):
+        cites = [c for e in entries[:k] for c in e.citations()]
+        stub = f"{SUMMARIZING_AGENT} (Summary): [history: {k} earlier entries compressed]"
+        if cites:
+            stub += " [cite: " + " | ".join(cites) + "]"
+        view = "\n".join([stub] + lines[k:])
+        if token_estimate(view) <= TARGET_AFTER:
+            return view
+    return view
+
+
+_WRITERS = [
+    (USER, EntryType.QUERY, lambda i: []),
+    (TABLE_AGENT, EntryType.LOOKUP, lambda i: [TableAnchor("t1", i, 0), TableAnchor("t1", i, 1)]),
+    (CONTEXT_AGENT, EntryType.QUOTE, lambda i: [DocSpan("p1", i, i + 5)]),
+    (VISUAL_AGENT, EntryType.VISUAL, lambda i: [ImageRef(f"img{i}")]),
+    (SUMMARIZING_AGENT, EntryType.SUMMARY, lambda i: []),
+    (SUMMARIZING_AGENT, EntryType.ANSWER, lambda i: []),
+    (VERIFICATION_AGENT, EntryType.FLAG, lambda i: []),
+    (VERIFICATION_AGENT, EntryType.OK, lambda i: []),
+]
+
+# (writer, tag, words): equal tags and sizes repeat a text, so dedup rejects
+# some appends; a few long entries pass COMPRESS_TRIGGER.
+appends = st.lists(
+    st.tuples(
+        st.integers(0, len(_WRITERS) - 1),
+        st.integers(0, 3),
+        st.one_of(st.integers(1, 12), st.integers(300, 900)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(appends)
+def test_kept_lines_render_as_the_entries_do(plan):
+    log = SharedLog()
+    for writer, tag, size in plan:
+        agent, entry_type, provenance = _WRITERS[writer]
+        content = " ".join(f"w{tag}x{j}" for j in range(size))
+        log.append(LogEntry(agent, entry_type, content, provenance=provenance(tag)))
+        assert render_view(log) == _reference_render_view(log)
+        queries = [e.content for e in log.entries if e.entry_type is EntryType.QUERY]
+        assert log.question() == (queries[0] if queries else "")
+        for types in [(), (EntryType.ANSWER,), (EntryType.SUMMARY, EntryType.FLAG, EntryType.OK)]:
+            newest = [e for e in log.entries if not types or e.entry_type in types][-1:]
+            assert log.latest(*types) is (newest[0] if newest else None)
+
+
+def test_kept_lines_reach_the_compress_path():
+    log = _busy_log(20, 300)
+    assert "[history:" in render_view(log)
+    assert render_view(log) == _reference_render_view(log)
 
 
 def test_parse_answer_marker():

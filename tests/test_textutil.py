@@ -12,8 +12,8 @@ from logboard.textutil import (
     parse_numerals,
     qa_normalize,
     split_sentences,
-    word_ngrams,
 )
+from logboard.log import _dedup_key
 
 
 def test_normalize_strips_case_and_punctuation():
@@ -21,8 +21,9 @@ def test_normalize_strips_case_and_punctuation():
 
 
 def test_ngrams_and_jaccard():
-    words = "a b c d".split()
-    assert word_ngrams(words, 3) == {("a", "b", "c"), ("b", "c", "d")}
+    words, grams = _dedup_key("A b, c d")
+    assert words == ["a", "b", "c", "d"]
+    assert grams == {("a", "b", "c"), ("b", "c", "d")}
     assert jaccard({1, 2}, {2, 3}) == 1 / 3
     assert jaccard(set(), set()) == 1.0
 
