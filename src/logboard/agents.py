@@ -54,9 +54,9 @@ from .retrieval import (
     select_table_slice,  # noqa: F401  (bound here for the benchmark tracer's wrapper test)
     truncate_span,
 )
-from .sources import Image, Passage, SourceBundle
+from .sources import Image, Passage, SourceBundle, Table
 from .textutil import (
-    GAP_PHRASES,
+    count_gap_phrases,
     is_year_like,
     mentions_image,
     names,
@@ -107,15 +107,15 @@ def _latest_flag_reason(log: SharedLog) -> str | None:
     return latest.content if latest is not None and latest.entry_type is EntryType.FLAG else None
 
 
-def _latest_gap_text(log: SharedLog) -> str | None:
-    """The latest Summary or Flag naming a missing item, if any."""
+def _gap_named(log: SharedLog) -> bool:
+    """Whether the latest Summary or Flag names a missing item, with no
+    Answer after it."""
     latest = log.latest(EntryType.SUMMARY, EntryType.ANSWER, EntryType.FLAG)
-    if latest is None or latest.entry_type is EntryType.ANSWER:
-        return None
-    lowered = latest.content.lower()
-    if any(phrase in lowered for phrase in GAP_PHRASES):
-        return latest.content
-    return None
+    return (
+        latest is not None
+        and latest.entry_type is not EntryType.ANSWER
+        and count_gap_phrases(latest.content) > 0
+    )
 
 
 # --- prompt templates --------------------------------------------------------
@@ -170,27 +170,16 @@ _INSTRUCTIONS = {
 }
 
 
-def _source_blocks(
-    role: AgentRole, sources: SourceBundle, question: str, views: SourceViews
-) -> Iterator[str]:
-    """A retrieval role's source text at shrink levels 0 (full) to 3, lazily.
-
-    What does not depend on the level (the table slices, the BM25 ranking,
-    the question's tokens, each passage's best-matching sentence and the
-    images shown) is worked out once. A table's slice and a passage's
-    sentences are read from views.
-    """
-    if role is AgentRole.TABLE:
-        slices = [views.slice(table, question) for table in sources.tables]
-        for row_cap in (None, 10, 3, 1):
-            yield "\n\n".join(
-                render_table_slice(table, TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols))
-                for table, slice_ in zip(sources.tables, slices)
-            )
-    elif role is AgentRole.CONTEXT:
-        yield from _passage_blocks(_passages_chosen(sources, question), question, views)
-    else:  # Visual
-        yield from _image_blocks(_images_shown(question, sources, views))
+def _table_blocks(tables: list[Table], question: str, views: SourceViews) -> Iterator[str]:
+    """The Table blocks at shrink levels 0 (full) to 3, lazily: each table's
+    slice for the question, read from views once and cut to fewer rows per
+    level."""
+    slices = [views.slice(table, question) for table in tables]
+    for row_cap in (None, 10, 3, 1):
+        yield "\n\n".join(
+            render_table_slice(table, TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols))
+            for table, slice_ in zip(tables, slices)
+        )
 
 
 def _passages_chosen(sources: SourceBundle, question: str) -> list[Passage]:
@@ -243,10 +232,10 @@ def build_prompt(
 ) -> str:
     """Instantiate the role template within the configured context window.
 
-    blocks is the source text at each shrink level, fullest first, as
-    `_source_blocks` yields it; the Summarizer's and verifier's prompts
-    show the log alone. Sources are truncated before the log view; as a
-    last resort the oldest part of the view is dropped.
+    blocks is the source text at each shrink level, fullest first, as a
+    retrieval agent's `_show` yields it; the Summarizer's and verifier's
+    prompts show the log alone. Sources are truncated before the log view;
+    as a last resort the oldest part of the view is dropped.
     """
     question = log.question()
     instructions = _INSTRUCTIONS[role]
@@ -559,7 +548,7 @@ class TableAgent(_RetrievalAgent):
         return super().act(log, sources, backend)
 
     def _show(self, sources: SourceBundle, question: str):
-        blocks = _source_blocks(self.role, sources, question, self.views)
+        blocks = _table_blocks(sources.tables, question, self.views)
         return blocks, lambda reply: extract_table_anchors(reply, sources, question, self.views)
 
 
@@ -575,7 +564,7 @@ class ContextAgent(_RetrievalAgent):
             return False
         if round_idx == 0:
             return True
-        return _latest_gap_text(log) is not None
+        return _gap_named(log)
 
     def _show(self, sources: SourceBundle, question: str):
         # One ranking serves the blocks and the spans.

@@ -578,18 +578,14 @@ class _InFlightInjector:
         return entry
 
     def labels(self) -> list[FaultLabel]:
-        out = []
-        for entry, original, corrupted in self.mutated:
-            out.append(
-                FaultLabel(
-                    target=entry.step,
-                    fault_type=self.spec.fault_type,
-                    original=original,
-                    corrupted=corrupted,
-                    record_index=self.record_index,
-                )
-            )
-        return out
+        """One label per mutated entry the log committed. A mutated entry
+        rejected as a duplicate never entered the log (its step stays -1),
+        so it is no fault of the run."""
+        return [
+            FaultLabel(entry.step, self.spec.fault_type, original, corrupted, self.record_index)
+            for entry, original, corrupted in self.mutated
+            if entry.step >= 0
+        ]
 
 
 def _entry_eligible(entry: LogEntry, fault_type: FaultType, log: SharedLog) -> bool:
@@ -644,6 +640,9 @@ def run_benchmark(
     built as the pass goes and dropped after the bundle's last record, so
     a bundle's question-independent source work is done once per pass. A
     bundle's sources must not change during the call.
+
+    The metrics are a fold of what is written: the reports, and with a
+    fault spec the fault rows.
     """
     if not records:
         raise ValueError("run_benchmark needs at least one record")
@@ -651,9 +650,20 @@ def run_benchmark(
         raise ValueError("run_benchmark needs a backend factory")
     config = config or sched.SchedulerConfig()
 
+    def run_one(i: int, views: SourceViews, mutator: _InFlightInjector | None):
+        """(result, None), or (None, error text) for a run that raised."""
+        try:
+            return sched.run(
+                records[i].question, records[i].sources, backend_factory(),
+                config=config, gate=gate, entry_mutator=mutator, views=views,
+            ), None
+        except Exception as exc:  # a failed run scores zero; the bench goes on
+            logger.exception("run failed for record %d", i)
+            return None, f"{type(exc).__name__}: {exc}"
+
+    # A record's final (result, error): a kept dry run, or one that raised.
+    runs: dict[int, tuple[sched.RunResult | None, str | None]] = {}
     chosen_by_record: dict[int, set[int]] = {}
-    clean_runs: dict[int, sched.RunResult] = {}
-    errors: dict[int, str] = {}  # error text of a record's failed run
     if fault_spec is not None:
         if fault_spec.fault_type not in _ENTRY_FAULTS:
             raise ValueError(
@@ -661,51 +671,29 @@ def run_benchmark(
                 "apply source-level faults to records before the benchmark"
             )
         eligible: list[tuple[int, int]] = []
-        for (i, record), views in zip(enumerate(records), _bundle_views(records)):
+        for i, views in enumerate(_bundle_views(records)):
             counter = _InFlightInjector(fault_spec, i, set())
-            try:
-                clean_runs[i] = sched.run(
-                    record.question, record.sources, backend_factory(),
-                    config=config, gate=gate, entry_mutator=counter, views=views,
-                )
-            except Exception as exc:  # the record is reported failed, not run again
-                logger.exception("dry pass failed for record %d", i)
-                errors[i] = f"{type(exc).__name__}: {exc}"
-                continue
-            eligible.extend((i, occ) for occ in range(counter.occurrence))
+            runs[i] = run_one(i, views, counter)
+            if runs[i][0] is not None:
+                eligible.extend((i, occ) for occ in range(counter.occurrence))
         _require_targets(eligible, "eligible retrieval entries in the benchmark")
         for pos in _select(len(eligible), fault_spec):
             rec, occ = eligible[pos]
             chosen_by_record.setdefault(rec, set()).add(occ)
-            clean_runs.pop(rec, None)
+            runs.pop(rec, None)
 
     reports: list[dict] = []
     traces: list[list[LogEntry]] = []
-    all_labels: list[FaultLabel] = []
-    em_values: list[float] = []
+    fault_rows: list[dict] = []
     rouge_sums = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
     groundedness_values: list[float] = []
-    calls: list[int] = []
-    tokens: list[int] = []
-    wall: list[int] = []
-    caught = repaired = label_total = 0
-    fault_rows: list[dict] = []
-
     for (i, record), views in zip(enumerate(records), _bundle_views(records)):
         injector = None
-        result = clean_runs.pop(i, None)
-        if result is None and i not in errors:
+        if i not in runs:
             if fault_spec is not None:
-                injector = _InFlightInjector(fault_spec, i, chosen_by_record.get(i, set()))
-            try:
-                result = sched.run(
-                    record.question, record.sources, backend_factory(),
-                    config=config, gate=gate, entry_mutator=injector, views=views,
-                )
-            except Exception as exc:  # a failed run scores zero; the bench goes on
-                logger.exception("run failed for record %d", i)
-                errors[i] = f"{type(exc).__name__}: {exc}"
-        error = errors.get(i)
+                injector = _InFlightInjector(fault_spec, i, chosen_by_record[i])
+            runs[i] = run_one(i, views, injector)
+        result, error = runs.pop(i)
 
         answer = result.final_answer if result else None
         em = False
@@ -719,7 +707,7 @@ def run_benchmark(
                 scores = _rouge_words(answer_words, gold)
                 if scores["rougeL"] >= best_rouge["rougeL"]:
                     best_rouge = scores
-        em_values.append(1.0 if em else 0.0)
+            groundedness_values.append(log_groundedness(answer, result.log))
         for key in rouge_sums:
             rouge_sums[key] += best_rouge[key]
 
@@ -728,45 +716,31 @@ def run_benchmark(
             "answer": answer,
             "em": em,
             "termination": result.termination.value if result else "Error",
-            "rounds": result.metrics.rounds if result else 0,
-            "backend_calls": result.metrics.backend_calls if result else 0,
-            "token_usage": result.metrics.token_usage if result else 0,
-            "wall_ms": result.metrics.wall_ms if result else 0,
+            **(result.metrics if result else sched.RunMetrics(0, 0, 0, 0)).to_dict(),
             "log_entries": len(result.log.entries) if result else 0,
         }
         if error:
             report["error"] = error
-        if result is not None:
-            traces.append(result.log.entries)
-            calls.append(result.metrics.backend_calls)
-            tokens.append(result.metrics.token_usage)
-            wall.append(result.metrics.wall_ms)
-            if answer:
-                groundedness_values.append(log_groundedness(answer, result.log))
-            if injector is not None:
-                labels = injector.labels()
-                all_labels.extend(labels)
-                if labels:
-                    outcome = catch_and_repair(
-                        labels,
-                        result.log,
-                        result.termination is sched.Termination.ANSWER_VERIFIED,
-                    )
-                    caught += outcome.caught
-                    repaired += outcome.repaired
-                    label_total += outcome.total
-                    for label in labels:
-                        fault_rows.append(
-                            {
-                                **label.to_dict(),
-                                "caught": label.target in outcome.caught_targets,
-                                "repaired": label.target in outcome.repaired_targets,
-                            }
-                        )
-        else:
-            traces.append([])
         reports.append(report)
+        traces.append(result.log.entries if result else [])
+        labels = injector.labels() if injector is not None and result else []
+        if labels:
+            outcome = catch_and_repair(
+                labels, result.log, result.termination is sched.Termination.ANSWER_VERIFIED
+            )
+            fault_rows.extend(
+                {
+                    **label.to_dict(),
+                    "caught": label.target in outcome.caught_targets,
+                    "repaired": label.target in outcome.repaired_targets,
+                }
+                for label in labels
+            )
 
+    em_values = [float(report["em"]) for report in reports]
+    ran = [report for report in reports if "error" not in report]
+    wall = [report["wall_ms"] for report in ran]
+    labeled = len(fault_rows) or 1  # without labels both rates are 0.0
     ci_low, ci_high = bootstrap_ci(em_values, seed=seed)
     buckets: dict[str, list[float]] = {}
     for report, em in zip(reports, em_values):
@@ -781,12 +755,12 @@ def run_benchmark(
         log_groundedness=(
             statistics.fmean(groundedness_values) if groundedness_values else 0.0
         ),
-        catch_rate=caught / label_total if label_total else 0.0,
-        repair_rate=repaired / label_total if label_total else 0.0,
+        catch_rate=sum(row["caught"] for row in fault_rows) / labeled,
+        repair_rate=sum(row["repaired"] for row in fault_rows) / labeled,
         ci_low=ci_low,
         ci_high=ci_high,
-        backend_calls_mean=statistics.fmean(calls) if calls else 0.0,
-        token_mean=statistics.fmean(tokens) if tokens else 0.0,
+        backend_calls_mean=statistics.fmean(r["backend_calls"] for r in ran) if ran else 0.0,
+        token_mean=statistics.fmean(r["token_usage"] for r in ran) if ran else 0.0,
         latency_ms_p50=_percentile(wall, 50) if wall else 0.0,
         latency_ms_p95=_percentile(wall, 95) if wall else 0.0,
         em_by_log_bucket={k: statistics.fmean(v) for k, v in sorted(buckets.items())},

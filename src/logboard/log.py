@@ -265,9 +265,9 @@ class SharedLog:
         return self._question
 
     def latest(self, *types: EntryType) -> Optional[LogEntry]:
-        """The newest committed entry of one of types, or of any if none are given."""
+        """The newest committed entry of one of types."""
         for entry in reversed(self.entries):
-            if not types or entry.entry_type in types:
+            if entry.entry_type in types:
                 return entry
         return None
 

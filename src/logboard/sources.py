@@ -173,14 +173,14 @@ def bundle_to_dict(bundle: SourceBundle) -> dict:
     }
 
 
-def load_table_csv(path: Path, table_id: str | None = None) -> Table:
-    """CSV with a header row; the file stem names the table unless given."""
+def load_table_csv(path: Path) -> Table:
+    """CSV with a header row; the file stem names the table."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"empty CSV table: {path}")
-    return Table(id=table_id or path.stem, header=rows[0], rows=rows[1:])
+    return Table(id=path.stem, header=rows[0], rows=rows[1:])
 
 
 def load_sources(path: str | Path) -> SourceBundle:

@@ -13,7 +13,7 @@ from logboard.agents import (
     VisualAgent,
     _images_shown,
     _passages_chosen,
-    _source_blocks,
+    build_agents,
     build_prompt,
     extract_doc_spans,
     extract_image_refs,
@@ -73,7 +73,7 @@ def fresh_log(question=GOLDEN_QUESTION):
 
 
 def retrieval_prompt(role, log, sources, config):
-    blocks = _source_blocks(role, sources, log.question(), SourceViews())
+    blocks, _ = build_agents(SourceViews())[role]._show(sources, log.question())
     return build_prompt(role, log, config, blocks)
 
 
@@ -567,7 +567,7 @@ def test_every_provenance_item_lies_inside_what_the_level_zero_blocks_rendered(
         backend = PerRoleBackend({"Question:": reply})
         entry = agent.act(log_with(question), sources, backend)
         (prompt,) = backend.prompts
-        level_zero = next(_source_blocks(agent.role, sources, question, SourceViews()))
+        level_zero = next(type(agent)(SourceViews())._show(sources, question)[0])
         assert level_zero in prompt
         for item in entry.provenance if entry else []:
             if isinstance(item, TableAnchor):

@@ -37,7 +37,7 @@ from logboard.log import (
 )
 from logboard.retrieval import retrieve
 from logboard.scheduler import SchedulerConfig, Termination
-from logboard.sources import Image, SourceBundle, Table
+from logboard.sources import Image, Passage, SourceBundle, Table
 from logboard.textutil import numeral_values, parse_numerals, qa_normalize
 
 from helpers import (
@@ -754,6 +754,75 @@ def test_record_whose_dry_run_raised_reports_its_error(tmp_path, monkeypatch, se
     assert 2 not in labeled
     assert len(labeled) == math.ceil(spec.rate * 5)
     assert sum(counting.runs.values()) == len(records) + len(labeled)
+
+
+def test_metrics_json_is_the_fold_of_the_other_files(tmp_path):
+    records, script = _delta_suite(6)
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=3)
+    run_benchmark(
+        records,
+        backend_factory=lambda: _DownFor(script, "Firm2"),
+        fault_spec=spec,
+        out_dir=tmp_path,
+    )
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    reports = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+    faults = json.loads((tmp_path / "faults.json").read_text())
+    assert faults and [i for i, r in enumerate(reports) if "error" in r] == [2]
+    assert metrics["catch_rate"] == sum(row["caught"] for row in faults) / len(faults)
+    assert metrics["repair_rate"] == sum(row["repaired"] for row in faults) / len(faults)
+    ran = [r for r in reports if "error" not in r]
+    assert metrics["backend_calls_mean"] == sum(r["backend_calls"] for r in ran) / len(ran)
+    assert metrics["token_mean"] == sum(r["token_usage"] for r in ran) / len(ran)
+    assert metrics["em"] == sum(r["em"] for r in reports) / len(reports)
+
+
+def test_a_mutated_append_rejected_as_a_duplicate_is_not_labeled(tmp_path, monkeypatch):
+    # The Context agent's long Quote repeats the committed Lookup, so it is
+    # counted as eligible before its append is rejected as a near-duplicate.
+    # At seed 0 the one target chosen of the two is that Quote.
+    sentence = (
+        "Revenue of Vexa was $50M in 2018 and $55M in 2019 according to the revenue "
+        "table, and the annual report adds that the rise came from higher sales volume "
+        "in every region, from new contracts signed with large customers, and from "
+        "steady prices across the whole product line during the year under review."
+    )
+    record = BenchmarkRecord(
+        "By how much did the revenue of Vexa increase from 2018 to 2019?",
+        SourceBundle(
+            tables=[Table("Table 1", ["Year", "Revenue"], [["2018", "$50M"], ["2019", "$55M"]])],
+            passages=[Passage("report", sentence + " Margins held steady.")],
+        ),
+        ["$5M increase"],
+    )
+    script = {
+        "table analyst": sentence,
+        "passage reader": sentence,
+        "summarizing agent": "The table shows $50M rising to $55M. Therefore revenue grew. "
+        "Answer: $5M increase.",
+        "verification agent": "Checks out against the log. (No issues flagged.)",
+    }
+    injectors = []
+
+    class Recording(harness._InFlightInjector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            injectors.append(self)
+
+    monkeypatch.setattr(harness, "_InFlightInjector", Recording)
+    metrics, (report,) = run_benchmark(
+        [record],
+        backend_factory=lambda: ScriptedBackend(script),
+        fault_spec=FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.5, seed=0),
+        out_dir=tmp_path,
+    )
+    dry, live = injectors
+    assert dry.occurrence == 2 and live.chosen == {1}
+    ((entry, _, _),) = live.mutated
+    assert entry.entry_type is EntryType.QUOTE and entry.step == -1
+    assert live.labels() == []
+    assert json.loads((tmp_path / "faults.json").read_text()) == []
+    assert metrics.catch_rate == 0.0 and report["em"] is True
 
 
 def test_load_benchmark_fixture_roundtrip():

@@ -295,8 +295,8 @@ def test_kept_lines_render_as_the_entries_do(plan):
         assert render_view(log) == _reference_render_view(log)
         queries = [e.content for e in log.entries if e.entry_type is EntryType.QUERY]
         assert log.question() == (queries[0] if queries else "")
-        for types in [(), (EntryType.ANSWER,), (EntryType.SUMMARY, EntryType.FLAG, EntryType.OK)]:
-            newest = [e for e in log.entries if not types or e.entry_type in types][-1:]
+        for types in [(EntryType.ANSWER,), (EntryType.SUMMARY, EntryType.FLAG, EntryType.OK)]:
+            newest = [e for e in log.entries if e.entry_type in types][-1:]
             assert log.latest(*types) is (newest[0] if newest else None)
 
 

@@ -16,7 +16,7 @@ from logboard.agents import (
     VISUAL_INSTRUCTIONS,
     AgentConfig,
     AgentRole,
-    _source_blocks,
+    VisualAgent,
     build_prompt,
 )
 from logboard.backends import DEFAULT_MAX_TOKENS, ScriptedBackend, UsageMixin
@@ -96,7 +96,7 @@ FIGURES = [
 
 def _visual_prompt(question: str) -> str:
     sources = SourceBundle(images=FIGURES)
-    blocks = _source_blocks(AgentRole.VISUAL, sources, question, SourceViews())
+    blocks, _ = VisualAgent(SourceViews())._show(sources, question)
     return build_prompt(AgentRole.VISUAL, log_with(question), AgentConfig(AgentRole.VISUAL), blocks)
 
 

@@ -7,7 +7,8 @@ one mention or a mutation could cut it apart. The loaders read untrusted
 JSON, so any document, however malformed, may only raise ValueError. The
 percentile replaces numpy's and must give its result to the bit. The
 numeral parser must read what the earlier dataclass-building parser read,
-mention for mention.
+mention for mention. The verifier's label rule (`verify._in_label`) may
+mark a numeral only in a text that `textutil.names` says names the id.
 """
 
 import json
@@ -17,14 +18,15 @@ import re
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logboard.gating import LogisticGate
 from logboard.harness import _percentile, _swap_two_numerals, perturb_numeral
 from logboard.log import _dedup_key, load_trace
 from logboard.sources import bundle_from_dict
-from logboard.textutil import is_year_like, jaccard, parse_numerals
+from logboard.textutil import is_year_like, jaccard, names, normalize, parse_numerals
+from logboard.verify import _in_label
 
 # --- numerals ----------------------------------------------------------------
 
@@ -307,3 +309,58 @@ def test_jaccard_and_word_ngrams_equal_the_set_formulas(xs, ys):
     a, b = grams
     expected = len(a & b) / len(a | b) if a or b else 1.0
     assert jaccard(a, b) == expected
+
+
+# --- naming an id ------------------------------------------------------------
+
+_ASCII = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=10)
+_NON_WORD = st.sampled_from(list(" .,;:()[]-/$%'\"!?"))
+_ID_WORDS = st.sampled_from(["Figure", "Table", "Fig.", "T", "a", "x2"]) | st.text(
+    st.sampled_from("abXY019_-. "), min_size=1, max_size=4
+)
+_ID_NUMERALS = st.sampled_from(["2", "12", "1.5", "2019", "-3", "$4M", "7%", "1,200"])
+
+
+@st.composite
+def ascii_ids(draw):
+    """Ids of one to three words and at least one numeral, joined by a space,
+    a hyphen, an underscore or nothing."""
+    parts = draw(st.lists(_ID_WORDS, max_size=2))
+    parts.insert(draw(st.integers(0, len(parts))), draw(_ID_NUMERALS))
+    return draw(st.sampled_from([" ", "-", "_", ""])).join(parts)
+
+
+@st.composite
+def ids_and_texts(draw):
+    """An id, and a text of ASCII runs among which it may be written as is,
+    upper- or lowercased."""
+    id_ = draw(ascii_ids())
+    variants = st.sampled_from([id_, id_.upper(), id_.lower()])
+    return id_, "".join(draw(st.lists(variants | _ASCII | _NON_WORD, max_size=6)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ids_and_texts())
+@example(("Figure 2", "See Figure 2 and Figure 12."))
+@example(("Table 1", "Table 12 and table 1, 2019"))
+def test_a_numeral_marked_as_in_a_label_sits_in_a_text_naming_the_id(case):
+    id_, text = case
+    named = names(normalize(text), normalize(id_))
+    for mention in parse_numerals(text):
+        if _in_label(mention, text, {id_.lower()}):
+            assert named, (text, mention.text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ascii_ids(), _ASCII, _ASCII, _NON_WORD, _NON_WORD)
+@example("Figure 2", "See", "now", " ", ".")
+@example("$4M-Table", "", "", "(", ")")
+def test_an_id_written_verbatim_between_non_word_characters_has_its_numerals_marked(
+    id_, before, after, left, right
+):
+    prefix, suffix = before + left, right + after
+    text = prefix + id_ + suffix
+    start, end = len(prefix), len(prefix) + len(id_)
+    for mention in parse_numerals(text):
+        if start <= mention.start and mention.end <= end:
+            assert _in_label(mention, text, {id_.lower()}), (text, mention.text)

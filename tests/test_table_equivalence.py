@@ -32,7 +32,10 @@ from logboard.agents import (
     AgentConfig,
     AgentRole,
     TableAgent,
-    _source_blocks,
+    _passage_blocks,
+    _passages_chosen,
+    _table_blocks,
+    build_agents,
     extract_table_anchors,
 )
 from logboard.backends import ScriptedBackend
@@ -471,7 +474,7 @@ def test_table_heavy_prompt_holds_the_entitys_two_rows_and_all_columns():
     assert sum(row[1] == "Revenue" for row in table.rows) > len(table.rows) // 3
     question = "By how much did the revenue of Giva increase from 2018 to 2019?"
     sources = SourceBundle(tables=[table])
-    blocks = _source_blocks(AgentRole.TABLE, sources, question, SourceViews())
+    blocks = _table_blocks(sources.tables, question, SourceViews())
     prompt = logboard.agents.build_prompt(
         AgentRole.TABLE, log_with(question), AgentConfig(AgentRole.TABLE), blocks
     )
@@ -671,7 +674,7 @@ def test_source_blocks_match_per_level_reference(case, texts, images):
         images=[Image(f"i{i}", caption, ocr) for i, (caption, ocr) in enumerate(images)],
     )
     for role in (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL):
-        blocks = list(_source_blocks(role, sources, question, SourceViews()))
+        blocks = list(build_agents(SourceViews())[role]._show(sources, question)[0])
         assert blocks == [
             reference_sources_block(role, sources, question, shrink) for shrink in range(4)
         ]
@@ -782,7 +785,7 @@ def test_large_table_blocks_match_reference(question):
     # 200 rows: more matching rows than any cap, and a fallback longer than 50.
     rows = [[f"item{i}", str(i), "revenue" if i % 3 else "cost"] for i in range(200)]
     sources = SourceBundle(tables=[Table("big", ["name", "count", "kind"], rows)])
-    blocks = list(_source_blocks(AgentRole.TABLE, sources, question, SourceViews()))
+    blocks = list(_table_blocks(sources.tables, question, SourceViews()))
     assert blocks == [
         reference_sources_block(AgentRole.TABLE, sources, question, shrink)
         for shrink in range(4)
@@ -812,8 +815,8 @@ def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     question = "What happened to sales growth?"
     config = AgentConfig(AgentRole.CONTEXT, context_window=128)
-    blocks = list(_source_blocks(AgentRole.CONTEXT, sources, question, SourceViews()))
-    fresh = _source_blocks(AgentRole.CONTEXT, sources, question, SourceViews())
+    blocks = list(_passage_blocks(_passages_chosen(sources, question), question, SourceViews()))
+    fresh = _passage_blocks(_passages_chosen(sources, question), question, SourceViews())
     prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), config, fresh)
     assert blocks[0] not in prompt and blocks[1] in prompt  # shrunk one level
     # Once for the blocks above, once for the prompt, both from the bundle's index.

@@ -23,7 +23,7 @@ from logboard.agents import (
     RETRIEVAL_ROLES,
     _images_shown,
     _passages_chosen,
-    _source_blocks,
+    build_agents,
     extract_doc_spans,
     extract_image_refs,
     extract_table_anchors,
@@ -218,10 +218,10 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
             assert shared.slice(table, question) == expected
         anchors = [extract_table_anchors(reply, sources, question, v) for v in (shared, fresh)]
         assert anchors[0] == anchors[1]
+        pair = (shared, fresh)
         for role in RETRIEVAL_ROLES:
-            assert list(_source_blocks(role, sources, question, shared)) == list(
-                _source_blocks(role, sources, question, fresh)
-            )
+            blocks = [list(build_agents(v)[role]._show(sources, question)[0]) for v in pair]
+            assert blocks[0] == blocks[1]
         chosen = _passages_chosen(sources, question)
         assert extract_doc_spans(reply, chosen, shared) == extract_doc_spans(reply, chosen, fresh)
         shown = [_images_shown(question, sources, views) for views in (shared, fresh)]
