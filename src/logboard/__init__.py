@@ -9,7 +9,6 @@ single re-engagement round, and stopping. The harness measures robustness
 """
 
 from .agents import (
-    AgentConfig,
     AgentRole,
     build_agents,
     build_prompt,

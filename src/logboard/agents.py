@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, repeat
 from operator import not_
@@ -51,7 +50,7 @@ from .retrieval import (
     SourceViews,
     TableSlice,
     render_table_slice,
-    select_table_slice,  # noqa: F401  (bound here for the benchmark tracer's wrapper test)
+    select_table_slice,
     truncate_span,
 )
 from .sources import Image, Passage, SourceBundle, Table
@@ -81,24 +80,16 @@ class AgentRole(Enum):
     __hash__ = object.__hash__  # identity, as for `log.EntryType`
 
 
-_DETERMINISTIC_ROLES = frozenset({AgentRole.SUMMARIZING, AgentRole.VERIFICATION})
+# Each role's sampling temperature: the Summarizer and verifier decode greedily.
+_TEMPERATURES = {
+    AgentRole.TABLE: 0.3,
+    AgentRole.CONTEXT: 0.3,
+    AgentRole.VISUAL: 0.3,
+    AgentRole.SUMMARIZING: 0.0,
+    AgentRole.VERIFICATION: 0.0,
+}
 
-
-@dataclass(frozen=True)
-class AgentConfig:
-    role: AgentRole
-    temperature: float | None = None
-    context_window: int = 4096
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.temperature is None:
-            temperature = 0.0 if self.role in _DETERMINISTIC_ROLES else 0.3
-            object.__setattr__(self, "temperature", temperature)
-
-
-# Each role's standard config, built once and shared; frozen, so no run changes it.
-_ROLE_CONFIGS = {role: AgentConfig(role) for role in AgentRole}
+CONTEXT_WINDOW = 4096  # estimated tokens (`log.token_estimate`) a prompt may take
 
 
 def _latest_flag_reason(log: SharedLog) -> str | None:
@@ -170,11 +161,9 @@ _INSTRUCTIONS = {
 }
 
 
-def _table_blocks(tables: list[Table], question: str, views: SourceViews) -> Iterator[str]:
+def _table_blocks(tables: list[Table], slices: list[TableSlice]) -> Iterator[str]:
     """The Table blocks at shrink levels 0 (full) to 3, lazily: each table's
-    slice for the question, read from views once and cut to fewer rows per
-    level."""
-    slices = [views.slice(table, question) for table in tables]
+    slice for the question, cut to fewer rows per level."""
     for row_cap in (None, 10, 3, 1):
         yield "\n\n".join(
             render_table_slice(table, TableSlice(slice_.kept_rows[:row_cap], slice_.kept_cols))
@@ -226,11 +215,10 @@ def _image_blocks(shown: list[Image]) -> Iterator[str]:
 def build_prompt(
     role: AgentRole,
     log: SharedLog,
-    config: AgentConfig,
     blocks: Iterable[str] = ("",),
     answer_text: str | None = None,
 ) -> str:
-    """Instantiate the role template within the configured context window.
+    """Instantiate the role template within `CONTEXT_WINDOW` estimated tokens.
 
     blocks is the source text at each shrink level, fullest first, as a
     retrieval agent's `_show` yields it; the Summarizer's and verifier's
@@ -262,11 +250,11 @@ def build_prompt(
 
     for block in blocks:
         prompt = compose(block, view)
-        if token_estimate(prompt) <= config.context_window:
+        if token_estimate(prompt) <= CONTEXT_WINDOW:
             return prompt
 
     def overshoot_chars(prompt: str) -> int:
-        return 4 * (token_estimate(prompt) - config.context_window) + 8
+        return 4 * (token_estimate(prompt) - CONTEXT_WINDOW) + 8
 
     # Shrink levels exhausted: hard-truncate sources first, then the log.
     cut = overshoot_chars(prompt)
@@ -287,22 +275,23 @@ def build_prompt(
 # --- provenance extraction ---------------------------------------------------
 
 def extract_table_anchors(
-    reply: str, sources: SourceBundle, question: str, views: SourceViews
+    reply: str, sources: SourceBundle, question: str, slices: list[TableSlice]
 ) -> list[TableAnchor]:
     """Anchors for the shown table cells the reply states, in (table, row, col) order.
 
     A Lookup cites only what its prompt showed: each table's slice for the
-    question (`views.slice`), its kept rows × kept columns. The rule takes
-    the whole slice, though the prompt's shrink levels show only its first
-    10, 3 or 1 kept rows; no workload shrinks a Table prompt. Only the
-    slices' distinct cells are normalized. A cell is stated when its
-    phrase is a run of consecutive normalized reply tokens. Each table's
-    phrases are looked up in the set of the reply's runs, built only up to
-    the longest phrase met. Cells whose text merely echoes the question are
-    left out (they are the lookup key, not the retrieved fact) unless no
-    table states another cell. Stated cells are sorted into these two sets
-    before any anchor is built, so anchors are built only for the chosen
-    cells, on the rows that hold one (found in C).
+    question (slices, one per table, as the Table act chose them), its
+    kept rows × kept columns. The rule takes the whole slice, though the
+    prompt's shrink levels show only its first 10, 3 or 1 kept rows; no
+    workload shrinks a Table prompt. Only the slices' distinct cells are
+    normalized. A cell is stated when its phrase is a run of consecutive
+    normalized reply tokens. Each table's phrases are looked up in the
+    set of the reply's runs, built only up to the longest phrase met.
+    Cells whose text merely echoes the question are left out (they are
+    the lookup key, not the retrieved fact) unless no table states
+    another cell. Stated cells are sorted into these two sets before any
+    anchor is built, so anchors are built only for the chosen cells, on
+    the rows that hold one (found in C).
 
     Of those rows, as of a slice's, only the most specific are cited: a
     row's set is the slice's stated cells, echoed or not, that it shows,
@@ -322,8 +311,7 @@ def extract_table_anchors(
     shown: list[tuple[str, TableSlice, list[list[str]]]] = []
     informative: list[set[str]] = []
     echoed: list[set[str]] = []
-    for table in sources.tables:
-        slice_ = views.slice(table, question)
+    for table, slice_ in zip(sources.tables, slices):
         cut = [[table.rows[r][c] for c in slice_.kept_cols] for r in slice_.kept_rows]
         shown.append((table.id, slice_, cut))
         phrases = {cell: normalize(cell) for cell in dict.fromkeys(chain.from_iterable(cut))}
@@ -464,17 +452,18 @@ def extract_image_refs(reply: str, shown: list[Image], views: SourceViews) -> li
     return refs
 
 
-def _generate(log: SharedLog, backend: TextBackend, config: AgentConfig, prompt: str) -> str:
+def _generate(log: SharedLog, backend: TextBackend, role: AgentRole, prompt: str) -> str:
     """The backend's reply to prompt: the one call path of every role.
 
-    Up to BACKEND_ATTEMPTS tries send the same prompt. RequestRejected is
-    raised at once, since sent again it would be refused again; the last
+    Up to BACKEND_ATTEMPTS tries send the same prompt, at the role's
+    temperature and with DEFAULT_MAX_TOKENS. RequestRejected is raised at
+    once, since sent again it would be refused again; the last
     TransportError is raised once the tries are spent. Each reply advances
     the log's clock by BACKEND_CALL_TICK_MS.
     """
     for attempt in range(1, BACKEND_ATTEMPTS + 1):
         try:
-            reply = backend.generate(prompt, config.temperature, config.max_tokens)
+            reply = backend.generate(prompt, _TEMPERATURES[role], DEFAULT_MAX_TOKENS)
         except TransportError as exc:
             if isinstance(exc, RequestRejected) or attempt == BACKEND_ATTEMPTS:
                 raise
@@ -499,7 +488,6 @@ class _RetrievalAgent:
     entry_type: EntryType
 
     def __init__(self, views: SourceViews) -> None:
-        self.config = _ROLE_CONFIGS[self.role]
         # The run's views, shared with its other agents (see `retrieval`).
         self.views = views
 
@@ -515,8 +503,8 @@ class _RetrievalAgent:
 
     def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
         blocks, cite = self._show(sources, log.question())
-        prompt = build_prompt(self.role, log, self.config, blocks)
-        reply = _generate(log, backend, self.config, prompt)
+        prompt = build_prompt(self.role, log, blocks)
+        reply = _generate(log, backend, self.role, prompt)
         if _is_abstention(reply):
             return None
         provenance = cite(reply)
@@ -548,8 +536,13 @@ class TableAgent(_RetrievalAgent):
         return super().act(log, sources, backend)
 
     def _show(self, sources: SourceBundle, question: str):
-        blocks = _table_blocks(sources.tables, question, self.views)
-        return blocks, lambda reply: extract_table_anchors(reply, sources, question, self.views)
+        # One choice of slices serves the blocks and the anchors.
+        slices = [
+            select_table_slice(table, question, self.views.table(table))
+            for table in sources.tables
+        ]
+        blocks = _table_blocks(sources.tables, slices)
+        return blocks, lambda reply: extract_table_anchors(reply, sources, question, slices)
 
 
 class ContextAgent(_RetrievalAgent):
@@ -610,9 +603,8 @@ def flagged_steps(content: str) -> list[int]:
 
 def summarize(log: SharedLog, backend: TextBackend) -> LogEntry | None:
     """A progress Summary or the final Answer, synthesized from the log."""
-    config = _ROLE_CONFIGS[AgentRole.SUMMARIZING]
-    prompt = build_prompt(AgentRole.SUMMARIZING, log, config)
-    reply = _generate(log, backend, config, prompt)
+    prompt = build_prompt(AgentRole.SUMMARIZING, log)
+    reply = _generate(log, backend, AgentRole.SUMMARIZING, prompt)
     if not reply.strip():
         logger.debug("Summarizer returned an empty reply")
         return None
@@ -630,7 +622,6 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     while the deterministic checks are clean, the verdict fails open to OK
     with a note; arithmetic failures can never be masked this way.
     """
-    config = _ROLE_CONFIGS[AgentRole.VERIFICATION]
     answer_entry = log.latest(EntryType.ANSWER)
     if answer_entry is None:
         raise ValueError("verification requires a prior Answer entry")
@@ -638,9 +629,9 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
     findings = verify_deterministic(log, answer_text)
     if findings:
         return LogEntry(VERIFICATION_AGENT, EntryType.FLAG, flag_content(findings[0]))
-    prompt = build_prompt(AgentRole.VERIFICATION, log, config, answer_text=answer_text)
+    prompt = build_prompt(AgentRole.VERIFICATION, log, answer_text=answer_text)
     try:
-        reply = _generate(log, backend, config, prompt)
+        reply = _generate(log, backend, AgentRole.VERIFICATION, prompt)
     except TransportError:
         return LogEntry(
             VERIFICATION_AGENT,
@@ -656,7 +647,7 @@ RETRIEVAL_ROLES = (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL)
 
 
 def build_agents(views: SourceViews) -> dict[AgentRole, object]:
-    """Fresh per-run retrieval agents with standard per-role temperatures, sharing views."""
+    """Fresh per-run retrieval agents sharing views."""
     return {
         AgentRole.TABLE: TableAgent(views),
         AgentRole.CONTEXT: ContextAgent(views),

@@ -114,6 +114,7 @@ class HttpBackend(UsageMixin):
                 payload = json.loads(response.read().decode("utf-8"))
             reply = payload["choices"][0]["message"]["content"]
         except urllib.error.HTTPError as exc:
+            exc.close()  # the error is also the reply: release its connection now
             if 400 <= exc.code < 500 and exc.code not in (408, 429):
                 raise RequestRejected(f"chat completion request rejected: {exc}") from exc
             raise TransportError(f"chat completion request failed: {exc}") from exc

@@ -48,12 +48,13 @@ from .textutil import (
     ARTICLES,
     NumericMention,
     canonical_numeral_token,
+    canonicalize_numerals,
     capitalized_spans,
     is_year_like,
     names,
     normalize,
     parse_numerals,
-    qa_normalize,
+    words,
 )
 from .verify import assess_answer_numerals
 
@@ -285,8 +286,10 @@ def _mutate_entry(
 # --- metrics ------------------------------------------------------------------
 
 def _answer_words(text: str) -> list[str]:
-    """The words ROUGE reads; exact match reads them without the articles."""
-    return qa_normalize(text, strip_articles=False).split()
+    """The words of the text with each numeral canonicalized ("$5M" and "5
+    million" give "5000000"): the words ROUGE reads; exact match reads them
+    without the articles."""
+    return words(canonicalize_numerals(text))
 
 
 def _exact_match_words(pred: list[str], golds: Iterable[list[str]]) -> bool:
@@ -616,7 +619,8 @@ def _bundle_views(records: Sequence[BenchmarkRecord]) -> Iterator[SourceViews]:
 def run_benchmark(
     records: Sequence[BenchmarkRecord],
     config: sched.SchedulerConfig | None = None,
-    backend_factory: Callable[[], TextBackend] | None = None,
+    *,
+    backend_factory: Callable[[], TextBackend],
     fault_spec: FaultSpec | None = None,
     gate: LogisticGate | None = None,
     out_dir: str | Path | None = None,
@@ -646,8 +650,6 @@ def run_benchmark(
     """
     if not records:
         raise ValueError("run_benchmark needs at least one record")
-    if backend_factory is None:
-        raise ValueError("run_benchmark needs a backend factory")
     config = config or sched.SchedulerConfig()
 
     def run_one(i: int, views: SourceViews, mutator: _InFlightInjector | None):

@@ -341,13 +341,20 @@ def parse_answer(content: str) -> Optional[str]:
     return None
 
 
-_OK_TOKEN_RE = re.compile(r"\bOK\b")
+# A standalone "OK", with the "not" or "...n't" word right before it, if any.
+_OK_TOKEN_RE = re.compile(r"(?:\b((?i:not)|\w+n['’]t)\s+)?\bOK\b")
 _NO_ISSUES_RE = re.compile(r"no issues flagged", re.IGNORECASE)
 
 
 def parse_verdict(content: str) -> bool:
-    """True when verification text says OK; anything else is a Flag."""
-    return bool(_OK_TOKEN_RE.search(content) or _NO_ISSUES_RE.search(content))
+    """True when verification text says OK; anything else is a Flag.
+
+    An "OK" directly after "not" (any case) or a word ending in "n't" is
+    no verdict: "Not OK: 55 - 50 is 5." and "This isn't OK." are Flags.
+    """
+    return any(match[1] is None for match in _OK_TOKEN_RE.finditer(content)) or bool(
+        _NO_ISSUES_RE.search(content)
+    )
 
 
 # --- JSONL trace interchange -------------------------------------------------

@@ -14,19 +14,20 @@ only passages that share a term with the question.
 
 What a source yields lives in a `SourceViews`, built on first use: a
 table's distinct cell strings and their lowered text as one `bytes`,
-which slicing searches, and its slice for each question asked of it, a
-passage's sentence spans and their tokens, and an image's id phrase,
-numerals and tokens. The views are the only place these live.
-(Anchoring reads no whole-table view: a Lookup cites only cells of its
-slice, so `agents.extract_table_anchors` normalizes only the slice's
-cells.) The views' lifetime is set in two places: a lone `scheduler.run`
-builds its own, and `harness.run_benchmark` shares one per bundle among
-the records of one call and drops it after the bundle's last record, so
-a bundle asked four questions builds its cell view once per pass.
-Nothing of it outlives the call, and nothing is kept on the sources: a
-bundle with large tables is often asked one question (as in the
-benchmark's `table_heavy`), so doing this at load time would only move
-its cost into set-up, and views kept on a bundle would spare the
+which slicing searches, a passage's sentence spans and their tokens, and
+an image's id phrase, numerals and tokens. The views are the only place
+these live. A slice depends on the question too: the Table act works it
+out once per table and hands it to both its prompt blocks and its
+anchoring. (Anchoring reads no whole-table view: a Lookup cites only
+cells of its slice, so `agents.extract_table_anchors` normalizes only
+the slice's cells.) The views' lifetime is set in two places: a lone
+`scheduler.run` builds its own, and `harness.run_benchmark` shares one
+per bundle among the records of one call and drops it after the bundle's
+last record, so a bundle asked four questions builds its cell view once
+per pass. Nothing of it outlives the call, and nothing is kept on the
+sources: a bundle with large tables is often asked one question (as in
+the benchmark's `table_heavy`), so doing this at load time would only
+move its cost into set-up, and views kept on a bundle would spare the
 benchmark's repeated passes a build that every `logboard bench` run
 pays.
 
@@ -222,16 +223,14 @@ class SourceViews:
     """What a bundle's sources yield, each built on first use (lifetime: see the module).
 
     A table's `table_cells`, a passage's `passage_sentences` and an
-    image's `image_facts` depend only on the source, and a table's slice
-    only on the table and the question, so every question given the same
-    views reads one build of each. Views are keyed by the source object,
-    which they hold so that its id is not reused; they assume the sources
-    do not change while the views live.
+    image's `image_facts` depend only on the source, so every question
+    given the same views reads one build of each. Views are keyed by the
+    source object, which they hold so that its id is not reused; they
+    assume the sources do not change while the views live.
     """
 
     def __init__(self) -> None:
         self._built: dict[int, tuple[object, object]] = {}  # id(source) -> (source, view)
-        self._slices: dict[tuple[int, str], TableSlice] = {}  # (id(table), question) -> slice
 
     def _view(self, source, build):
         held = self._built.get(id(source))
@@ -247,14 +246,6 @@ class SourceViews:
 
     def image(self, image: Image) -> ImageFacts:
         return self._view(image, image_facts)
-
-    def slice(self, table: Table, question: str) -> TableSlice:
-        """`select_table_slice` of the table; its cell view holds the table."""
-        key = (id(table), question)
-        slice_ = self._slices.get(key)
-        if slice_ is None:
-            slice_ = self._slices[key] = select_table_slice(table, question, self.table(table))
-        return slice_
 
 
 _FALLBACK_ROWS = 50

@@ -41,13 +41,10 @@ PER_AGENT_CAP = 2  # retrieval acts per role per run, re-engagement included
 class SchedulerConfig:
     max_rounds: int = 6
     verifier_enabled: bool = True
-    reengage_limit: int = 1
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.reengage_limit not in (0, 1):
-            raise ValueError("reengage_limit must be 0 or 1")
 
 
 class Termination(Enum):
@@ -75,7 +72,7 @@ class RunState:
         default_factory=lambda: {role: 0 for role in RETRIEVAL_ROLES}
     )
     new_entries_this_round: int = 0
-    re_engage_count: int = 0
+    reengaged: bool = False  # a Flag has bought the run's one re-engagement round
 
 
 @dataclass
@@ -218,8 +215,8 @@ def run(
                     committed = log.append(verdict) is AppendResult.ACCEPTED
                     if committed and verdict.entry_type is EntryType.OK:
                         termination = Termination.ANSWER_VERIFIED
-                    elif state.re_engage_count < config.reengage_limit:
-                        state.re_engage_count += 1
+                    elif not state.reengaged:
+                        state.reengaged = True
                         allowed_rounds = max(allowed_rounds, round_idx + 2)
                         retrieval_frozen = False
                         flag_granted = True

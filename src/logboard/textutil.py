@@ -194,20 +194,6 @@ def numeral_values(text: str) -> list[float]:
     return [m.value for m in parse_numerals(text)]
 
 
-def qa_normalize(text: str, strip_articles: bool = True) -> str:
-    """Answer normalization for exact match.
-
-    Lowercase, canonicalize numerals, strip punctuation and (by default)
-    articles, collapse whitespace. ROUGE keeps articles: they are tokens.
-    """
-    canon = canonicalize_numerals(text).lower()
-    stripped = re.sub(r"[^\w\s]", " ", canon)
-    words = stripped.split()
-    if strip_articles:
-        words = [w for w in words if w not in ARTICLES]
-    return " ".join(words)
-
-
 def names(words: str, name: str) -> bool:
     """Whether a text names an id, given the `normalize` of each: the id's
     words are a run of the text's. So "Figure 12" does not name "Figure 1",

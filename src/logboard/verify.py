@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from enum import Enum
 from typing import NamedTuple
 
 from .log import EntryType, ImageRef, LogEntry, SharedLog, TableAnchor
-from .textutil import NumericMention, is_year_like
+from .textutil import NumericMention, is_year_like, words
 
 
 class FindingKind(Enum):
@@ -109,37 +111,54 @@ def _cited_ids(entry: LogEntry) -> set[str]:
     }
 
 
-def _in_label(mention: NumericMention, text: str, ids: set[str]) -> bool:
-    """Whether the numeral lies inside an occurrence in text of one of ids,
-    matched as a whole word in any case: the 2 of "Figure 2" is a label, not
-    a value."""
-    numeral = mention.text.lower()
-    for label in ids:
-        at = label.find(numeral)
-        while at >= 0:
-            start = mention.start - at
-            end = start + len(label)
-            if start >= 0 and text[start:end].lower() == label:
-                edges = text[max(start - 1, 0) : start] + text[end : end + 1]
-                if not any(c.isalnum() or c == "_" for c in edges):
-                    return True
-            at = label.find(numeral, at + 1)
+@lru_cache(maxsize=1024)
+def _label_re(label: str) -> re.Pattern | None:
+    """What an id's occurrences in a lowered text match: its `textutil.words`
+    as a run of the text's words, so "figure-2" is one of "Figure 2" and
+    "fig. 2" one of "Fig 2". The left edge is tested after the first word,
+    so the search looks for that word's text before it tests anything
+    else. None for an id with no word, which no text names."""
+    parts = words(label)
+    if not parts:
+        return None
+    first, rest = parts[0], "".join(rf"\W+{word}" for word in parts[1:])
+    return re.compile(rf"{first}(?<!\w{first}){rest}(?!\w)")
+
+
+def _label_spans(text: str, ids: set[str]) -> list[tuple[int, int]]:
+    """Where text names one of ids (`textutil.names`, with offsets). The text
+    is lowered one character per character: "İ", which lowers to two, reads
+    as "i"."""
+    lowered = text.replace("İ", "i").lower()
+    return [
+        match.span()
+        for label in ids
+        if (pattern := _label_re(label)) is not None
+        for match in pattern.finditer(lowered)
+    ]
+
+
+def _in_label(mention: NumericMention, spans: list[tuple[int, int]]) -> bool:
+    """Whether the numeral overlaps one of the label spans: the 2 of "Figure
+    2", and the $4M of an id "$4M-Table" whose span starts at its 4, are
+    labels, not values."""
+    for start, end in spans:
+        if start < mention.end and mention.start < end:
+            return True
     return False
 
 
 def _pair_candidates(operands, op: str) -> list[_Candidate]:
     out = []
-    for i in range(len(operands)):
-        for j in range(i + 1, len(operands)):
-            (a, step_a), (b, step_b) = operands[i], operands[j]
-            unit = a.unit if a.unit == b.unit and a.explicit_unit else ""
-            if op == "delta":
-                out.append(_Candidate(b.value - a.value, b.raw - a.raw, unit, (step_a, step_b)))
-            elif op == "sum":
-                out.append(_Candidate(a.value + b.value, a.raw + b.raw, unit, (step_a, step_b)))
-            elif op == "ratio" and a.value != 0 and b.value != 0:
-                out.append(_Candidate(b.value / a.value, b.value / a.value, "", (step_a, step_b)))
-                out.append(_Candidate(a.value / b.value, a.value / b.value, "", (step_a, step_b)))
+    for (a, step_a), (b, step_b) in combinations(operands, 2):
+        unit = a.unit if a.unit == b.unit and a.explicit_unit else ""
+        if op == "delta":
+            out.append(_Candidate(b.value - a.value, b.raw - a.raw, unit, (step_a, step_b)))
+        elif op == "sum":
+            out.append(_Candidate(a.value + b.value, a.raw + b.raw, unit, (step_a, step_b)))
+        elif op == "ratio" and a.value != 0 and b.value != 0:
+            out.append(_Candidate(b.value / a.value, b.value / a.value, "", (step_a, step_b)))
+            out.append(_Candidate(a.value / b.value, a.value / b.value, "", (step_a, step_b)))
     return out
 
 
@@ -163,13 +182,13 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
     ev_mentions: list[tuple[NumericMention, int]] = []
     operands: list[tuple[NumericMention, int]] = []  # in log order, years and labels excluded
     for entry in log.evidence_entries():
-        ids = _cited_ids(entry) if entry.entry_type in _OPERAND_TYPES else None
+        spans = None
+        if entry.entry_type in _OPERAND_TYPES:
+            spans = _label_spans(entry.content, _cited_ids(entry))
         for mention in log.numerals(entry.content):
             ev_mentions.append((mention, entry.step))
-            if (
-                ids is not None
-                and not is_year_like(mention)
-                and not _in_label(mention, entry.content, ids)
+            if spans is not None and not is_year_like(mention) and not (
+                spans and _in_label(mention, spans)
             ):
                 operands.append((mention, entry.step))
     built: dict[str, list[_Candidate]] = {}

@@ -122,7 +122,7 @@ def test_criterion_02_termination_and_guardrails():
         assert result.metrics.backend_calls <= call_bound
         assert result.metrics.rounds <= config.max_rounds + 1
         flags = sum(1 for e in result.log.entries if e.entry_type is EntryType.FLAG)
-        assert flags <= config.reengage_limit + 1  # Flag-driven re-engagement <= 1
+        assert flags <= 2  # Flag-driven re-engagement <= 1
         # No-progress triggers exactly at its definition: the final audit of a
         # NoProgress run satisfies all three conditions, and no earlier round
         # of any run satisfied them while the run continued.

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import logboard.agents
 from logboard.agents import (
-    AgentConfig,
+    CONTEXT_WINDOW,
+    RETRIEVAL_ROLES,
     AgentRole,
     ContextAgent,
     TableAgent,
@@ -17,19 +18,18 @@ from logboard.agents import (
     build_prompt,
     extract_doc_spans,
     extract_image_refs,
-    extract_table_anchors,
     summarize,
     verification_act,
 )
 from logboard.backends import (
     BACKEND_CALL_TICK_MS,
+    DEFAULT_MAX_TOKENS,
     RequestRejected,
     ScriptedBackend,
     TransportError,
     UsageMixin,
 )
 from logboard.gating import extract_features
-import logboard.retrieval
 from logboard.scheduler import PER_AGENT_CAP, run
 from logboard.log import (
     SUMMARIZING_AGENT,
@@ -45,7 +45,7 @@ from logboard.retrieval import TOP_N, SourceViews, retrieve
 from logboard.sources import Image, Passage, SourceBundle, Table
 from logboard.textutil import split_sentences, tokenize
 
-from test_prompts import PerRoleBackend
+from test_prompts import PerRoleBackend, role_of
 from test_table_equivalence import (
     NUMERALS,
     WORDS,
@@ -72,9 +72,15 @@ def fresh_log(question=GOLDEN_QUESTION):
     return log_with(question)
 
 
-def retrieval_prompt(role, log, sources, config):
+def retrieval_prompt(role, log, sources):
     blocks, _ = build_agents(SourceViews())[role]._show(sources, log.question())
-    return build_prompt(role, log, config, blocks)
+    return build_prompt(role, log, blocks)
+
+
+def table_anchors(reply, sources, question):
+    """What a Table act over sources cites of the reply, from the act's own slices."""
+    _, cite = TableAgent(SourceViews())._show(sources, question)
+    return cite(reply)
 
 
 def test_visual_abstains_without_images():
@@ -150,9 +156,9 @@ def test_table_agent_never_acts_without_a_column(tables):
 
 def test_table_trigger_builds_no_slice(monkeypatch):
     calls = []
-    real = logboard.retrieval.select_table_slice
+    real = logboard.agents.select_table_slice
     monkeypatch.setattr(
-        logboard.retrieval, "select_table_slice", lambda *a: calls.append(a) or real(*a)
+        logboard.agents, "select_table_slice", lambda *a: calls.append(a) or real(*a)
     )
     agent = TableAgent(SourceViews())
     sources = golden_sources()
@@ -228,12 +234,10 @@ def test_summarizer_act_types():
 
 def test_build_prompt_directives():
     log = fresh_log()
-    summary_prompt = build_prompt(AgentRole.SUMMARIZING, log, AgentConfig(AgentRole.SUMMARIZING))
+    summary_prompt = build_prompt(AgentRole.SUMMARIZING, log)
     assert "Only use information from the log" in summary_prompt
     assert "Answer:" in summary_prompt
-    verify_prompt = build_prompt(
-        AgentRole.VERIFICATION, log, AgentConfig(AgentRole.VERIFICATION), answer_text="42"
-    )
+    verify_prompt = build_prompt(AgentRole.VERIFICATION, log, answer_text="42")
     assert "reply with OK" in verify_prompt
     assert "Proposed answer: 42" in verify_prompt
     assert GOLDEN_QUESTION in summary_prompt
@@ -244,7 +248,7 @@ def test_table_prompt_contains_only_selected_rows():
     rows[17] = ["widget", "17"]
     sources = SourceBundle(tables=[Table("big", ["name", "count"], rows)])
     log = fresh_log("How many widget units are there?")
-    prompt = retrieval_prompt(AgentRole.TABLE, log, sources, AgentConfig(AgentRole.TABLE))
+    prompt = retrieval_prompt(AgentRole.TABLE, log, sources)
     assert "widget" in prompt
     assert "item999" not in prompt
 
@@ -256,14 +260,15 @@ def test_prompt_fits_context_window():
     ]
     sources = SourceBundle(passages=huge_passages)
     log = fresh_log("What happened to sales growth?")
-    config = AgentConfig(AgentRole.CONTEXT, context_window=1200)
-    prompt = retrieval_prompt(AgentRole.CONTEXT, log, sources, config)
-    assert token_estimate(prompt) <= 1200
+    prompt = retrieval_prompt(AgentRole.CONTEXT, log, sources)
+    assert token_estimate(prompt) <= CONTEXT_WINDOW
+    # Every shrink level overflows, so the sources are cut to fit.
+    assert "[sources truncated]" in prompt
 
 
 def test_empty_log_prompt_contains_question_verbatim():
     log = fresh_log()
-    prompt = retrieval_prompt(AgentRole.TABLE, log, golden_sources(), AgentConfig(AgentRole.TABLE))
+    prompt = retrieval_prompt(AgentRole.TABLE, log, golden_sources())
     assert GOLDEN_QUESTION in prompt
 
 
@@ -273,25 +278,21 @@ def test_flag_reason_surfaces_in_retrieval_prompts():
     log.append(
         LogEntry("VerificationAgent", EntryType.FLAG, "Flagged missing item: CEO in 2020 missing.")
     )
-    prompt = retrieval_prompt(AgentRole.TABLE, log, golden_sources(), AgentConfig(AgentRole.TABLE))
+    prompt = retrieval_prompt(AgentRole.TABLE, log, golden_sources())
     assert "CEO in 2020 missing" in prompt
     assert "Target the missing or inconsistent item" in prompt
 
 
 def test_anchor_extraction_excludes_question_echoes():
     sources = golden_sources()
-    views = SourceViews()
-    anchors = extract_table_anchors(
+    anchors = table_anchors(
         "Revenue in 2018 was $50M, revenue in 2019 was $55M (from Table 1).",
         sources,
         GOLDEN_QUESTION,
-        views,
     )
     assert anchors == [TableAnchor("Table 1", 0, 1), TableAnchor("Table 1", 1, 1)]
     # If only question echoes match, fall back to them rather than none.
-    anchors = extract_table_anchors(
-        "The years 2018 and 2019 are covered.", sources, GOLDEN_QUESTION, views
-    )
+    anchors = table_anchors("The years 2018 and 2019 are covered.", sources, GOLDEN_QUESTION)
     assert {(a.row, a.col) for a in anchors} == {(0, 0), (1, 0)}
 
 
@@ -719,10 +720,21 @@ def test_verification_requires_answer():
 
 
 def test_role_temperature_defaults():
-    assert AgentConfig(AgentRole.SUMMARIZING).temperature == 0.0
-    assert AgentConfig(AgentRole.VERIFICATION).temperature == 0.0
-    assert AgentConfig(AgentRole.TABLE).temperature == 0.3
-    assert AgentConfig(AgentRole.CONTEXT, temperature=0.7).temperature == 0.7
+    # The Summarizer and verifier decode greedily; the retrieval roles sample
+    # a little. Every role asks for the backend's default reply budget.
+    sent = set()
+
+    class RecordingBackend(PerRoleBackend):
+        def generate(self, prompt, temperature, max_tokens=DEFAULT_MAX_TOKENS):
+            sent.add((role_of(prompt), temperature, max_tokens))
+            return super().generate(prompt, temperature, max_tokens)
+
+    records, script = shared_bundle_records(bundles=1, per_bundle=1)
+    run(records[0].question, records[0].sources, RecordingBackend(script))
+    run(GOLDEN_QUESTION, golden_sources(), RecordingBackend(golden_script()))
+    expected = {role.value: 0.3 for role in RETRIEVAL_ROLES}
+    expected.update(Summarizing=0.0, Verification=0.0)
+    assert sent == {(role, t, DEFAULT_MAX_TOKENS) for role, t in expected.items()}
 
 
 def test_role_type_discipline_through_act():

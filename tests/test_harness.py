@@ -18,6 +18,7 @@ from logboard.harness import (
     FaultLabel,
     FaultSpec,
     FaultType,
+    _answer_words,
     bootstrap_ci,
     catch_and_repair,
     exact_match,
@@ -38,7 +39,7 @@ from logboard.log import (
 from logboard.retrieval import retrieve
 from logboard.scheduler import SchedulerConfig, Termination
 from logboard.sources import Image, Passage, SourceBundle, Table
-from logboard.textutil import numeral_values, parse_numerals, qa_normalize
+from logboard.textutil import ARTICLES, numeral_values, parse_numerals
 
 from helpers import (
     FIXTURES,
@@ -300,10 +301,15 @@ def test_scoring_normalizes_each_text_once(monkeypatch):
     )
 
 
-def test_exact_match_is_equality_of_qa_normalize():
+def test_exact_match_is_equality_of_answer_words_without_articles():
+    def content(text):
+        return [word for word in _answer_words(text) if word not in ARTICLES]
+
     for pred, gold in [("The $5M increase.", "5 million increase"), ("an apple", "Apple"),
                        ("A $5M increase.", "$5m increase"), ("the", ""), ("a b", "b a")]:
-        assert exact_match(pred, [gold]) == (qa_normalize(pred) == qa_normalize(gold))
+        assert exact_match(pred, [gold]) == (content(pred) == content(gold))
+    assert exact_match("The $5M increase.", ["5 million increase"])
+    assert not exact_match("b c", ["c b"])
 
 
 def test_groundedness_rejects_empty_answer():

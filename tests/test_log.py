@@ -329,6 +329,11 @@ def test_parse_verdict():
     assert not parse_verdict("Flagged incorrect calculation: 55-50 is not 6.")
     assert not parse_verdict("The table value is unsupported; CEO in 2020 missing.")
     assert not parse_verdict("gibberish")
+    # An OK right after "not" or a word ending in "n't" is a rejection.
+    assert not parse_verdict("Not OK: 55 - 50 is 5, not 6.")
+    assert not parse_verdict("The answer is NOT OK.")
+    assert not parse_verdict("This isn't OK: the unit is wrong.")
+    assert parse_verdict("Everything checks out. OK.")
     # Standalone token only: lowercase or embedded "ok" is not a verdict.
     assert not parse_verdict("it is broken, not okay")
 

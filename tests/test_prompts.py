@@ -14,7 +14,6 @@ from logboard.agents import (
     TABLE_INSTRUCTIONS,
     VERIFICATION_INSTRUCTIONS,
     VISUAL_INSTRUCTIONS,
-    AgentConfig,
     AgentRole,
     VisualAgent,
     build_prompt,
@@ -97,7 +96,7 @@ FIGURES = [
 def _visual_prompt(question: str) -> str:
     sources = SourceBundle(images=FIGURES)
     blocks, _ = VisualAgent(SourceViews())._show(sources, question)
-    return build_prompt(AgentRole.VISUAL, log_with(question), AgentConfig(AgentRole.VISUAL), blocks)
+    return build_prompt(AgentRole.VISUAL, log_with(question), blocks)
 
 
 @pytest.mark.parametrize(

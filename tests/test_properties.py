@@ -7,8 +7,9 @@ one mention or a mutation could cut it apart. The loaders read untrusted
 JSON, so any document, however malformed, may only raise ValueError. The
 percentile replaces numpy's and must give its result to the bit. The
 numeral parser must read what the earlier dataclass-building parser read,
-mention for mention. The verifier's label rule (`verify._in_label`) may
-mark a numeral only in a text that `textutil.names` says names the id.
+mention for mention. The verifier's label rule (`verify._label_spans`)
+marks a numeral only in a text that `textutil.names` says names the id,
+and marks every numeral of each place where the text names it.
 """
 
 import json
@@ -25,8 +26,8 @@ from logboard.gating import LogisticGate
 from logboard.harness import _percentile, _swap_two_numerals, perturb_numeral
 from logboard.log import _dedup_key, load_trace
 from logboard.sources import bundle_from_dict
-from logboard.textutil import is_year_like, jaccard, names, normalize, parse_numerals
-from logboard.verify import _in_label
+from logboard.textutil import is_year_like, jaccard, names, normalize, parse_numerals, words
+from logboard.verify import _in_label, _label_spans
 
 # --- numerals ----------------------------------------------------------------
 
@@ -346,8 +347,9 @@ def ids_and_texts(draw):
 def test_a_numeral_marked_as_in_a_label_sits_in_a_text_naming_the_id(case):
     id_, text = case
     named = names(normalize(text), normalize(id_))
+    spans = _label_spans(text, {id_.lower()})
     for mention in parse_numerals(text):
-        if _in_label(mention, text, {id_.lower()}):
+        if _in_label(mention, spans):
             assert named, (text, mention.text)
 
 
@@ -361,6 +363,35 @@ def test_an_id_written_verbatim_between_non_word_characters_has_its_numerals_mar
     prefix, suffix = before + left, right + after
     text = prefix + id_ + suffix
     start, end = len(prefix), len(prefix) + len(id_)
+    spans = _label_spans(text, {id_.lower()})
     for mention in parse_numerals(text):
         if start <= mention.start and mention.end <= end:
-            assert _in_label(mention, text, {id_.lower()}), (text, mention.text)
+            assert _in_label(mention, spans), (text, mention.text)
+
+
+@st.composite
+def ids_named_in_texts(draw):
+    """An id, and a text that names it as `textutil.names` reads names: the
+    id's words in any case, joined by runs of non-word characters, between
+    non-word characters. Returns (id, text, start, end of the naming run)."""
+    id_ = draw(ascii_ids())
+    parts = [draw(st.sampled_from([w, w.upper()])) for w in words(id_)]
+    joints = [draw(st.text(_NON_WORD, min_size=1, max_size=3)) for _ in parts[1:]]
+    run = parts[0] + "".join(joint + part for joint, part in zip(joints, parts[1:]))
+    prefix = draw(_ASCII) + draw(_NON_WORD)
+    suffix = draw(_NON_WORD) + draw(_ASCII)
+    return id_, prefix + run + suffix, len(prefix), len(prefix) + len(run)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ids_named_in_texts())
+@example(("Figure 2", "See Figure-2 now", 4, 12))
+@example(("Figure 2", "See Figure  2 now", 4, 13))
+@example(("Fig 2", "See Fig. 2 now", 4, 10))
+def test_a_numeral_inside_a_run_naming_the_id_is_marked(case):
+    id_, text, start, end = case
+    assert names(normalize(text), normalize(id_))
+    spans = _label_spans(text, {id_.lower()})
+    for mention in parse_numerals(text):
+        if start <= mention.start and mention.end <= end:
+            assert _in_label(mention, spans), (text, mention.text)

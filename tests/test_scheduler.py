@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logboard
+import logboard.agents
 from logboard.agents import (
-    AgentConfig,
     AgentRole,
     TableAgent,
     build_agents,
@@ -21,7 +22,7 @@ from logboard.agents import (
 )
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
 from logboard.gating import extract_features
-from logboard.harness import FaultType, inject_faults
+from logboard.harness import FaultType, inject_faults, run_benchmark
 from logboard.log import EntryType, SharedLog, dump_trace, is_near_duplicate, parse_answer
 from logboard.retrieval import SourceViews, truncate_span
 from logboard.scheduler import (
@@ -82,15 +83,6 @@ def test_always_flag_gives_exactly_one_extra_round():
     flags = [e for e in result.log.entries if e.entry_type is EntryType.FLAG]
     assert len(flags) >= 1
     assert result.metrics.rounds == 2
-
-
-def test_reengage_limit_zero_stops_at_first_flag():
-    config = SchedulerConfig(reengage_limit=0)
-    result = run(
-        GOLDEN_QUESTION, golden_sources(), ScriptedBackend(always_flag_script()), config=config
-    )
-    assert result.termination is Termination.ANSWER_UNVERIFIED
-    assert result.metrics.rounds == 1
 
 
 def test_flag_in_final_round_still_gets_reengagement():
@@ -378,31 +370,30 @@ def test_empty_question_rejected():
 def test_scheduler_config_validation():
     with pytest.raises(ValueError):
         SchedulerConfig(max_rounds=0)
-    with pytest.raises(ValueError):
-        SchedulerConfig(reengage_limit=2)
 
 
 def test_configuration_surface():
     # A setting needs a caller outside the tests: the CLI, run_benchmark or
     # the benchmark script. One that only tests set is a second code path;
-    # make it a constant or delete it rather than add it here. The only
-    # test-set fields kept (reengage_limit, temperature, context_window)
-    # reach rules the runtime has: no re-engagement, prompt shrink levels.
+    # make it a constant or delete it rather than add it here. So a Flag buys
+    # one re-engagement round, and each role's temperature and the prompt's
+    # context window are constants of `agents`, with no per-agent config.
     # The scheduler gates exactly when run is given a gate; log entries are
     # corrupted only in flight, so inject_faults takes sources alone.
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
-        "max_rounds", "verifier_enabled", "reengage_limit",
+        "max_rounds", "verifier_enabled",
     ]
-    assert [f.name for f in dataclasses.fields(AgentConfig)] == [
-        "role", "temperature", "context_window", "max_tokens",
-    ]
+    assert not hasattr(logboard, "AgentConfig")
+    assert not hasattr(logboard.agents, "AgentConfig")
     # run_benchmark hands each run its bundle's views; a lone run builds its
     # own. Below run, views (and a passage's sentence spans) are required,
     # so nothing else builds them; prompts take their source text as blocks.
     assert list(inspect.signature(build_agents).parameters) == ["views"]
     required = inspect.Parameter.empty
-    for fn in (build_agents, extract_doc_spans, extract_image_refs, extract_table_anchors):
+    for fn in (build_agents, extract_doc_spans, extract_image_refs):
         assert inspect.signature(fn).parameters["views"].default is required
+    # A Lookup is anchored in the slices its Table act chose, which it is handed.
+    assert inspect.signature(extract_table_anchors).parameters["slices"].default is required
     assert inspect.signature(TableAgent).parameters["views"].default is required
     assert inspect.signature(truncate_span).parameters["spans"].default is required
     prompt_parameters = set(inspect.signature(build_prompt).parameters)
@@ -416,6 +407,8 @@ def test_configuration_surface():
     ]
     assert list(inspect.signature(extract_features).parameters) == ["entries", "new_entries"]
     assert list(inspect.signature(inject_faults).parameters) == ["bundle", "spec"]
+    factory = inspect.signature(run_benchmark).parameters["backend_factory"]
+    assert factory.kind is inspect.Parameter.KEYWORD_ONLY and factory.default is required
     assert [t.value for t in FaultType] == [
         "MissingRow", "RowOffByOne", "ArithmeticCorruption", "OcrMisread",
     ]
@@ -485,7 +478,6 @@ def guardrail_cases(draw):
     config = SchedulerConfig(
         max_rounds=draw(st.integers(1, 4)),
         verifier_enabled=draw(st.booleans()),
-        reengage_limit=draw(st.sampled_from([0, 1])),
     )
     return script, config, draw(st.booleans())
 
@@ -518,7 +510,7 @@ def test_guardrails_hold_for_any_scripted_replies(case):
     entries = result.log.entries
 
     flagged = any(e.entry_type is EntryType.FLAG for e in entries)
-    extra = config.reengage_limit if flagged else 0  # the round a Flag buys
+    extra = 1 if flagged else 0  # the round a Flag buys
     assert result.metrics.rounds <= config.max_rounds + extra
 
     offered = [e for e in events if e is not None]

@@ -10,8 +10,8 @@ extract_table_anchors, and a fresh slice and BM25 ranking at every
 prompt shrink level, a per-row join in render_table_slice, and the old
 normalize formula (blank what is neither word nor whitespace, then split).
 Of the code they check, they call only tokenize and split_sentences. The
-faster code must give the same results on any input, the Table agent must
-slice each table once per run, a run must build each table's cell view
+faster code must give the same results on any input, a Table act must
+slice each table once, a run must build each table's cell view
 once, tokenize no cell and normalize only the cells its slices show, and
 anchoring must build only the anchors it returns.
 """
@@ -29,7 +29,6 @@ import logboard.retrieval
 import logboard.textutil
 from logboard import retrieval
 from logboard.agents import (
-    AgentConfig,
     AgentRole,
     TableAgent,
     _passage_blocks,
@@ -191,8 +190,12 @@ def slice_of(table, question):
     return select_table_slice(table, question, table_cells(table))
 
 
+def slices_of(sources, question):
+    return [slice_of(table, question) for table in sources.tables]
+
+
 def anchors_of(reply, sources, question):
-    return extract_table_anchors(reply, sources, question, SourceViews())
+    return extract_table_anchors(reply, sources, question, slices_of(sources, question))
 
 
 def shown_cells(sources, question):
@@ -369,7 +372,8 @@ def test_anchoring_normalizes_each_distinct_cell_once_per_table(monkeypatch):
     # A table's view is built once, and it tokenizes and normalizes no cell.
     assert built == ["t1", "t2"] and tokenized == [] and calls == []
     reply, question = "The widget line was $7M.", "What was the widget line?"
-    anchors = extract_table_anchors(reply, sources, question, views)
+    slices = [select_table_slice(table, question, views.table(table)) for table in sources.tables]
+    anchors = extract_table_anchors(reply, sources, question, slices)
     # Slicing tokenizes the question and headers alone; no view is built again.
     assert not row_cells_tokenized(tokenized, sources.tables) and built == ["t1", "t2"]
     assert anchors == reference_extract_table_anchors(reply, sources, question)
@@ -474,10 +478,8 @@ def test_table_heavy_prompt_holds_the_entitys_two_rows_and_all_columns():
     assert sum(row[1] == "Revenue" for row in table.rows) > len(table.rows) // 3
     question = "By how much did the revenue of Giva increase from 2018 to 2019?"
     sources = SourceBundle(tables=[table])
-    blocks = _table_blocks(sources.tables, question, SourceViews())
-    prompt = logboard.agents.build_prompt(
-        AgentRole.TABLE, log_with(question), AgentConfig(AgentRole.TABLE), blocks
-    )
+    blocks = _table_blocks(sources.tables, slices_of(sources, question))
+    prompt = logboard.agents.build_prompt(AgentRole.TABLE, log_with(question), blocks)
     block = (
         "Table T:\nCompany | Metric | Year | Amount\n"
         "Giva | Revenue | 2018 | $310M\nGiva | Revenue | 2019 | $342M"
@@ -689,7 +691,7 @@ def two_table_sources():
     return SourceBundle(tables=[*sources.tables, staff], passages=sources.passages)
 
 
-def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
+def test_flag_reengaged_run_slices_each_table_once_per_act(monkeypatch):
     sliced = []
     acts = []
     indexed = []
@@ -723,7 +725,7 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     original_index = logboard.retrieval.index
     original_retrieve = logboard.retrieval.retrieve
     original_build_prompt = logboard.agents.build_prompt
-    monkeypatch.setattr(logboard.retrieval, "select_table_slice", counting_slice)
+    monkeypatch.setattr(logboard.agents, "select_table_slice", counting_slice)
     monkeypatch.setattr(TableAgent, "act", counting_act)
     monkeypatch.setattr(logboard.retrieval, "index", counting_index)
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
@@ -734,8 +736,9 @@ def test_flag_reengaged_run_slices_each_table_once(monkeypatch):
     result = run(GOLDEN_QUESTION, sources, ScriptedBackend(script))
 
     assert result.metrics.rounds == 2  # the Flag bought a re-engagement round
-    assert len(acts) >= 2
-    assert sorted(sliced) == ["Table 1", "Table 2"]
+    assert len(acts) == 2  # the first act, and the one the Flag re-opened
+    # Each act chooses its slices once, for its blocks and its anchors.
+    assert sorted(sliced) == ["Table 1", "Table 1", "Table 2", "Table 2"]
     # The run ranks from the bundle's index: one ranking per Context prompt.
     assert indexed == []
     assert context_prompts and len(ranked) == len(context_prompts)
@@ -785,7 +788,7 @@ def test_large_table_blocks_match_reference(question):
     # 200 rows: more matching rows than any cap, and a fallback longer than 50.
     rows = [[f"item{i}", str(i), "revenue" if i % 3 else "cost"] for i in range(200)]
     sources = SourceBundle(tables=[Table("big", ["name", "count", "kind"], rows)])
-    blocks = list(_table_blocks(sources.tables, question, SourceViews()))
+    blocks = list(_table_blocks(sources.tables, slices_of(sources, question)))
     assert blocks == [
         reference_sources_block(AgentRole.TABLE, sources, question, shrink)
         for shrink in range(4)
@@ -793,10 +796,10 @@ def test_large_table_blocks_match_reference(question):
 
 
 def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
-    passages = [
-        Passage(f"p{i}", ". ".join(f"sales word{j} growth" for j in range(60)) + ".")
-        for i in range(6)
-    ]
+    # Sentences of about 2,000 characters: the three shown passages' windows
+    # of three sentences overflow `CONTEXT_WINDOW`, and of two fit.
+    sentence = " ".join(f"sales word{j} growth" for j in range(100))
+    passages = [Passage(f"p{i}", ". ".join([sentence] * 8) + ".") for i in range(6)]
     sources = SourceBundle(passages=passages)
     indexed = []
     ranked = []
@@ -814,10 +817,9 @@ def test_shrunk_context_prompt_ranks_passages_once(monkeypatch):
     monkeypatch.setattr(logboard.retrieval, "index", counting_index)
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     question = "What happened to sales growth?"
-    config = AgentConfig(AgentRole.CONTEXT, context_window=128)
     blocks = list(_passage_blocks(_passages_chosen(sources, question), question, SourceViews()))
     fresh = _passage_blocks(_passages_chosen(sources, question), question, SourceViews())
-    prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), config, fresh)
+    prompt = logboard.agents.build_prompt(AgentRole.CONTEXT, log_with(question), fresh)
     assert blocks[0] not in prompt and blocks[1] in prompt  # shrunk one level
     # Once for the blocks above, once for the prompt, both from the bundle's index.
     assert indexed == []

@@ -39,8 +39,8 @@ def test_tracer_target_resolves(target):
 
 
 def test_agents_still_binds_select_table_slice():
-    # The benchmark's own tests check that the tracer rebinds this name in
-    # `logboard.agents` and restores it, so the module keeps binding it.
+    # The Table act calls the slice through this binding, which the tracer
+    # rebinds; the benchmark's own tests check that it does and restores it.
     import logboard.agents
     import logboard.retrieval
 
