@@ -17,6 +17,7 @@ import os
 from typing import Protocol, runtime_checkable
 
 from .log import token_estimate
+from .sources import json_strings, json_value
 
 API_KEY_ENV = "LOGBOARD_API_KEY"
 BASE_URL_ENV = "LOGBOARD_BASE_URL"
@@ -138,10 +139,15 @@ class ScriptedBackend(UsageMixin):
     """
 
     def __init__(self, script: dict[str, str | list[str]]) -> None:
+        """ValueError names a script that is not a JSON object, or a pattern
+        whose reply is neither a string nor a non-empty array of strings."""
         super().__init__()
         self._patterns: list[tuple[str, list[str], list[str]]] = []
-        for pattern, reply in script.items():
-            replies = list(reply) if isinstance(reply, list) else [reply]
+        for pattern, reply in json_value(script, dict, "a backend script").items():
+            if type(reply) is str:
+                replies = [reply]
+            else:
+                replies = json_strings(reply, f"the replies of pattern {pattern!r}")
             if not replies:
                 raise ValueError(f"pattern {pattern!r} has no replies")
             needles = [part for part in pattern.split("&&") if part]

@@ -125,7 +125,10 @@ def _backend_factory(args: argparse.Namespace) -> Callable[[], TextBackend]:
         if not path.exists():
             raise FileNotFoundError(f"scripted fixture not found: {path}")
         with open(path, encoding="utf-8") as fh:
-            script = json.load(fh)
+            try:
+                script = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"scripted fixture {path} is not JSON: {exc}") from None
         factory = lambda: ScriptedBackend(script)  # noqa: E731
     else:
         factory = lambda: HttpBackend(base_url=args.backend_url, model=args.model)  # noqa: E731

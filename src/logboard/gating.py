@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -114,15 +114,15 @@ def extract_features(entries: Sequence[LogEntry], new_entries: int) -> GateFeatu
     """
     image_present = int(any(mentions_image(e.content) for e in entries))
     summaries = _latest_summaries(entries)
+    gaps_latest = count_gap_phrases(summaries[-1].content) if summaries else 0
     if not summaries:
         confidence = 0.5
     elif summaries[-1].entry_type is EntryType.ANSWER:
         confidence = 1.0
-    elif count_gap_phrases(summaries[-1].content) > 0:
+    elif gaps_latest > 0:
         confidence = 0.0
     else:
         confidence = 0.5
-    gaps_latest = count_gap_phrases(summaries[-1].content) if summaries else 0
     gaps_previous = count_gap_phrases(summaries[-2].content) if len(summaries) > 1 else 0
     delta = gaps_latest - gaps_previous if summaries else 0
     return GateFeatures(
@@ -134,10 +134,8 @@ def extract_features(entries: Sequence[LogEntry], new_entries: int) -> GateFeatu
 
 
 def sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+    """The logistic, with z clipped to +-500 so exp stays finite."""
+    return 1.0 / (1.0 + math.exp(-min(max(z, -500.0), 500.0)))
 
 
 def _dot(w: Sequence[float], x: Sequence[float]) -> float:
@@ -147,11 +145,6 @@ def _dot(w: Sequence[float], x: Sequence[float]) -> float:
 def predict_continue(gate: LogisticGate, features: GateFeatures) -> float:
     """Probability that another retrieval round is worthwhile."""
     return sigmoid(_dot(gate.weights, features.as_vector()) + gate.bias)
-
-
-def _clipped_logistic(z: float) -> float:
-    """The training-time logistic, with z clipped to +-500 so exp stays finite."""
-    return 1.0 / (1.0 + math.exp(-min(max(z, -500.0), 500.0)))
 
 
 def train(
@@ -178,7 +171,7 @@ def train(
     w = [0.0, 0.0, 0.0, 0.0]
     b = 0.0
     for _ in range(epochs):
-        residuals = [_clipped_logistic(_dot(w, x) + b) - y for x, y in zip(xs, ys)]
+        residuals = [sigmoid(_dot(w, x) + b) - y for x, y in zip(xs, ys)]
         grad_w = [
             sum(r * x[j] for r, x in zip(residuals, xs)) / n + l2 * w[j] for j in range(4)
         ]
@@ -192,7 +185,7 @@ def train(
 def training_loss(samples: Sequence[GateSample], gate: LogisticGate, l2: float = 1e-3) -> float:
     total = 0.0
     for s in samples:
-        p = _clipped_logistic(_dot(gate.weights, s.features.as_vector()) + gate.bias)
+        p = sigmoid(_dot(gate.weights, s.features.as_vector()) + gate.bias)
         p = min(max(p, 1e-12), 1.0 - 1e-12)
         y = float(s.label)
         total += y * math.log(p) + (1.0 - y) * math.log(1.0 - p)
@@ -201,34 +194,29 @@ def training_loss(samples: Sequence[GateSample], gate: LogisticGate, l2: float =
 
 # --- mining samples from traces ----------------------------------------------
 
-@dataclass
-class _Round:
-    entries: list[LogEntry] = field(default_factory=list)
-
-
-def split_rounds(entries: Sequence[LogEntry]) -> list[_Round]:
-    """Group trace entries into rounds.
+def split_rounds(entries: Sequence[LogEntry]) -> list[list[LogEntry]]:
+    """Group trace entries into rounds, each a list of its entries.
 
     The JSONL trace carries no explicit round marker, so rounds are
     delimited by Summarizing entries (each optionally followed by a
     verification verdict). The seeding Query entry belongs to no round.
     """
-    rounds: list[_Round] = []
-    current = _Round()
+    rounds: list[list[LogEntry]] = []
+    current: list[LogEntry] = []
     closed = False
     for entry in entries:
-        if entry.entry_type is EntryType.QUERY and not rounds and not current.entries:
+        if entry.entry_type is EntryType.QUERY and not rounds and not current:
             continue
         if closed and entry.entry_type in (EntryType.FLAG, EntryType.OK):
-            rounds[-1].entries.append(entry)
+            rounds[-1].append(entry)
             continue
         closed = False
-        current.entries.append(entry)
+        current.append(entry)
         if entry.entry_type in (EntryType.SUMMARY, EntryType.ANSWER):
             rounds.append(current)
-            current = _Round()
+            current = []
             closed = True
-    if current.entries:
+    if current:
         rounds.append(current)
     return rounds
 
@@ -272,16 +260,16 @@ def mine_samples(traces: Iterable[Sequence[LogEntry]]) -> list[GateSample]:
         cites = [
             any(
                 _cited_in_answer(e, answer_words, answer_values)
-                for e in round_.entries
+                for e in round_
                 if e.entry_type in EVIDENCE_TYPES
             )
             for round_ in rounds
         ]
         prefix: list[LogEntry] = [e for e in entries if e.entry_type is EntryType.QUERY][:1]
         for idx, round_ in enumerate(rounds[:-1]):
-            prefix = prefix + round_.entries
+            prefix = prefix + round_
             label = int(any(cites[idx + 1 :]))
-            new_entries = sum(e.entry_type in EVIDENCE_TYPES for e in round_.entries)
+            new_entries = sum(e.entry_type in EVIDENCE_TYPES for e in round_)
             samples.append(GateSample(extract_features(prefix, new_entries), label))
     return samples
 

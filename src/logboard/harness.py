@@ -130,12 +130,8 @@ def perturb_numeral(
     assert body_match is not None
     body = body_match.group()
     decimals = len(body.split(".")[1]) if "." in body else 0
-    if decimals:
-        new_body = f"{new_raw:.{decimals}f}"
-    elif "," in body:
-        new_body = f"{int(new_raw):,}"
-    else:
-        new_body = str(int(new_raw))
+    grouping = "," if "," in body else ""
+    new_body = f"{new_raw:{grouping}.{decimals}f}"
     new_mention = mention.text.replace(body, new_body, 1)
     new_text = text[: mention.start] + text[mention.start : mention.end].replace(
         body, new_body, 1

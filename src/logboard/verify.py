@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .log import EntryType, ImageRef, LogEntry, SharedLog, TableAnchor
 from .textutil import NumericMention, is_year_like, words
@@ -37,29 +37,23 @@ class Finding:
             raise ValueError("finding detail must be non-empty")
 
 
-_DIFF_STEM = r"(?:increas|decreas|differen|chang|delta|drop|gain|grew|rose|fell|los|declin|shrank)"
-_SUM_STEM = r"(?:total|sum|combined|altogether)"
-_RATIO_STEM = r"(?:ratio|times)"
-
 _CONNECTOR = r"(?:of|by|was|is|:)?"
 
-# Any phrasing of each claim kind, anywhere in the answer.
-_PHRASE_RES = {
-    "delta": re.compile(_DIFF_STEM, re.IGNORECASE),
-    "sum": re.compile(_SUM_STEM, re.IGNORECASE),
-    "ratio": re.compile(_RATIO_STEM, re.IGNORECASE),
+# Each claim kind's phrasing, in the order classify_claim tries them, as
+# three patterns built from one stem: anywhere in the answer, right before
+# a numeral, and right after one.
+_CLAIM_KINDS = {
+    kind: (
+        re.compile(stem, re.IGNORECASE),
+        re.compile(stem + r"\w*\s+" + _CONNECTOR + r"\s*$", re.IGNORECASE),
+        re.compile(r"^\s*" + stem, re.IGNORECASE),
+    )
+    for kind, stem in (
+        ("delta", r"(?:increas|decreas|differen|chang|delta|drop|gain|grew|rose|fell|los|declin|shrank)"),
+        ("sum", r"(?:total|sum|combined|altogether)"),
+        ("ratio", r"(?:ratio|times)"),
+    )
 }
-
-
-def _attach_res(stem: str) -> tuple[re.Pattern, re.Pattern]:
-    before = re.compile(stem + r"\w*\s+" + _CONNECTOR + r"\s*$", re.IGNORECASE)
-    after = re.compile(r"^\s*" + stem, re.IGNORECASE)
-    return before, after
-
-
-_DIFF_BEFORE, _DIFF_AFTER = _attach_res(_DIFF_STEM)
-_SUM_BEFORE, _SUM_AFTER = _attach_res(_SUM_STEM)
-_RATIO_BEFORE, _RATIO_AFTER = _attach_res(_RATIO_STEM)
 
 _WINDOW = 24  # chars of context inspected on each side of a numeral
 
@@ -68,11 +62,7 @@ def classify_claim(text: str, mention: NumericMention) -> str:
     """delta / sum / ratio when a numeral is attached to such phrasing."""
     before = text[max(0, mention.start - _WINDOW) : mention.start]
     after = text[mention.end : mention.end + _WINDOW]
-    for kind, re_before, re_after in (
-        ("delta", _DIFF_BEFORE, _DIFF_AFTER),
-        ("sum", _SUM_BEFORE, _SUM_AFTER),
-        ("ratio", _RATIO_BEFORE, _RATIO_AFTER),
-    ):
+    for kind, (_, re_before, re_after) in _CLAIM_KINDS.items():
         if re_before.search(before) or re_after.search(after):
             return kind
     return "plain"
@@ -162,6 +152,20 @@ def _pair_candidates(operands, op: str) -> list[_Candidate]:
     return out
 
 
+def _unit_clashes(mention: NumericMention, pool: Iterable[_Candidate]) -> Iterator[_Candidate]:
+    """The items of pool whose number is the numeral's as written but whose
+    unit differs from its; none when either carries no unit. Ratio
+    candidates carry none."""
+    if mention.explicit_unit:
+        for cand in pool:
+            if (
+                cand.unit
+                and cand.unit != mention.unit
+                and abs(mention.raw - cand.raw) <= _tolerance(cand.raw)
+            ):
+                yield cand
+
+
 @dataclass
 class NumeralAssessment:
     mention: NumericMention
@@ -202,68 +206,49 @@ def assess_answer_numerals(answer_text: str, log: SharedLog) -> list[NumeralAsse
     assessments = []
     for mention in log.numerals(answer_text):
         kind = classify_claim(answer_text, mention)
-        assessment = NumeralAssessment(mention, kind, supported=True)
-        if kind in _PHRASE_RES and (pool := candidates(kind)):
-            if not _value_match(mention.value, (c.value for c in pool)):
-                unit_clash = None
-                if mention.explicit_unit and kind != "ratio":
-                    for cand in pool:
-                        if (
-                            cand.unit
-                            and cand.unit != mention.unit
-                            and abs(mention.raw - cand.raw) <= _tolerance(cand.raw)
-                        ):
-                            unit_clash = cand
-                            break
-                if unit_clash is not None:
-                    assessment.supported = False
-                    assessment.finding = Finding(
-                        FindingKind.UNIT_MISMATCH,
-                        f"claimed {mention.text} uses unit {mention.unit} but the "
-                        f"matching {kind} of Lookup values carries unit {unit_clash.unit}",
-                        list(unit_clash.steps),
-                    )
-                else:
-                    closest = min(pool, key=lambda c: abs(mention.value - c.value))
-                    assessment.supported = False
-                    assessment.finding = Finding(
-                        FindingKind.ARITHMETIC_MISMATCH,
-                        f"claimed {kind} {mention.text} but Lookup values support "
-                        f"{closest.value:g}",
-                        sorted({step for _, step in operands}),
-                    )
-            assessments.append(assessment)
-            continue
-
-        if _value_match(mention.value, (ev.value for ev, _ in ev_mentions)) or any(
-            phrase.search(answer_text)
-            and _value_match(mention.value, (c.value for c in candidates(op)))
-            for op, phrase in _PHRASE_RES.items()
-        ):
-            assessments.append(assessment)
-            continue
-        clash_steps: list[int] = []
-        if mention.explicit_unit:
-            for ev, step in ev_mentions:
-                if (
-                    ev.explicit_unit
-                    and ev.unit != mention.unit
-                    and abs(mention.raw - ev.raw) <= _tolerance(ev.raw)
-                ):
-                    clash_steps.append(step)
-        assessment.supported = False
-        if clash_steps:
-            assessment.finding = Finding(
-                FindingKind.UNIT_MISMATCH,
-                f"claimed {mention.text} disagrees in unit with evidence values",
-                sorted(set(clash_steps)),
+        pool = candidates(kind) if kind in _CLAIM_KINDS else []
+        refs = (cand.value for cand in pool) if pool else chain(
+            (ev.value for ev, _ in ev_mentions),
+            (
+                cand.value
+                for op, (anywhere, _, _) in _CLAIM_KINDS.items()
+                if anywhere.search(answer_text)
+                for cand in candidates(op)
+            ),
+        )
+        finding = None
+        if not _value_match(mention.value, refs):
+            clashes = _unit_clashes(
+                mention,
+                pool or (_Candidate(ev.value, ev.raw, ev.unit, (step,)) for ev, step in ev_mentions),
             )
-        else:
-            assessment.finding = Finding(
-                FindingKind.UNSUPPORTED_CLAIM,
-                f"answer numeral {mention.text} appears in no evidence entry",
-            )
-        assessments.append(assessment)
+            if pool and (clash := next(clashes, None)) is not None:
+                finding = Finding(
+                    FindingKind.UNIT_MISMATCH,
+                    f"claimed {mention.text} uses unit {mention.unit} but the "
+                    f"matching {kind} of Lookup values carries unit {clash.unit}",
+                    list(clash.steps),
+                )
+            elif pool:
+                closest = min(pool, key=lambda c: abs(mention.value - c.value))
+                finding = Finding(
+                    FindingKind.ARITHMETIC_MISMATCH,
+                    f"claimed {kind} {mention.text} but Lookup values support "
+                    f"{closest.value:g}",
+                    sorted({step for _, step in operands}),
+                )
+            elif clash_steps := sorted({clash.steps[0] for clash in clashes}):
+                finding = Finding(
+                    FindingKind.UNIT_MISMATCH,
+                    f"claimed {mention.text} disagrees in unit with evidence values",
+                    clash_steps,
+                )
+            else:
+                finding = Finding(
+                    FindingKind.UNSUPPORTED_CLAIM,
+                    f"answer numeral {mention.text} appears in no evidence entry",
+                )
+        assessments.append(NumeralAssessment(mention, kind, finding is None, finding))
     return assessments
 
 

@@ -267,6 +267,32 @@ def test_malformed_gate_file_is_one_error_line(tmp_path, capsys, command, conten
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[]", "a backend script must be a JSON object, not a JSON array"),
+        ('{"x": 5}', "the replies of pattern 'x' must be a JSON array, not a number"),
+        ('{"x": [1]}', "the replies of pattern 'x' item 0 must be a string, not a number"),
+        ("not json", "is not JSON: Expecting value"),
+    ],
+    ids=["array", "number-reply", "number-in-replies", "not-json"],
+)
+def test_malformed_scripted_fixture_is_one_error_line(tmp_path, capsys, content, message):
+    script = tmp_path / "script.json"
+    script.write_text(content, encoding="utf-8")
+    argv = ask_args(tmp_path / "run")
+    argv[argv.index("--scripted") + 1] = str(script)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    if content == "not json":
+        assert str(script) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_inject_writes_corrupted_sources_and_labels(tmp_path, capsys):
     code = main(
         [

@@ -165,7 +165,7 @@ def test_split_rounds_on_golden_trace():
     trace = run_golden().log.entries
     rounds = split_rounds(trace)
     assert len(rounds) == 1
-    assert [e.entry_type for e in rounds[0].entries] == [
+    assert [e.entry_type for e in rounds[0]] == [
         EntryType.LOOKUP,
         EntryType.QUOTE,
         EntryType.ANSWER,

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ def test_perturb_keeps_decimals_and_commas():
     assert new in ("6.2", "4.2")
     new_text, old, new = perturb("Total of 5,000,000 units.", rng)
     assert new in ("5,000,001", "4,999,999")
+
+
+def test_perturb_keeps_thousands_separators_with_decimals():
+    # Grouped numerals with decimals used to lose their commas ("1,234.5" -> "1235.5").
+    for numeral in ("1,234.5", "$1,234.50M", "12,345.67%", "9,999"):
+        text = f"Revenue was {numeral} in 2019."
+        for seed in range(4):
+            new_text, old, new = perturb(text, random.Random(seed))
+            assert old == numeral
+            assert re.sub(r"\d", "", new_text) == re.sub(r"\d", "", text)
+            assert abs(parse_numerals(new)[0].raw - parse_numerals(old)[0].raw) == pytest.approx(1.0)
 
 
 def test_perturb_keeps_one_sign_below_one():

@@ -2,7 +2,13 @@
 
 import random
 
-from logboard.verify import FindingKind, classify_claim, verify_deterministic
+from logboard.verify import (
+    _CLAIM_KINDS,
+    FindingKind,
+    _pair_candidates,
+    classify_claim,
+    verify_deterministic,
+)
 from logboard.textutil import parse_numerals
 
 from helpers import GOLDEN_QUESTION, log_with, lookup, quote, visual
@@ -194,6 +200,16 @@ def test_classify_claim_patterns():
     assert classify_claim(text2, parse_numerals(text2)[0]) == "delta"
     text3 = "The ratio was 2 to 1."
     assert classify_claim(text3, parse_numerals(text3)[0]) == "ratio"
+
+
+def test_every_claim_kind_has_pairs_and_phrasings():
+    operands = [(mention, step) for step, mention in enumerate(parse_numerals("3 and 5"), 1)]
+    for kind, (anywhere, _, _) in _CLAIM_KINDS.items():
+        assert _pair_candidates(operands, kind), kind
+        stems = anywhere.pattern.removeprefix("(?:").removesuffix(")").split("|")
+        for stem in stems:
+            text = f"A {stem} of 7."
+            assert classify_claim(text, parse_numerals(text)[0]) == kind, text
 
 
 def test_quote_near_miss_is_not_flagged():

@@ -27,9 +27,14 @@ from helpers import GOLDEN_ANSWER, log_with, lookup, quote, run_golden, visual
 
 # --- the eager reference -----------------------------------------------------
 
-_DIFF_ANY_RE = re.compile(verify._DIFF_STEM, re.IGNORECASE)
-_SUM_ANY_RE = re.compile(verify._SUM_STEM, re.IGNORECASE)
-_RATIO_ANY_RE = re.compile(verify._RATIO_STEM, re.IGNORECASE)
+# Literal copies of the verifier's claim stems, so the reference does not
+# read the table it checks.
+_DIFF_ANY_RE = re.compile(
+    r"(?:increas|decreas|differen|chang|delta|drop|gain|grew|rose|fell|los|declin|shrank)",
+    re.IGNORECASE,
+)
+_SUM_ANY_RE = re.compile(r"(?:total|sum|combined|altogether)", re.IGNORECASE)
+_RATIO_ANY_RE = re.compile(r"(?:ratio|times)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
