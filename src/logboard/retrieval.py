@@ -37,13 +37,15 @@ row's set strictly contains, with the columns whose cells matched beside
 the header-matched and numeric ones. Slicing finds the cells that hold
 each question token with `bytes.find` over the cells' text, so its
 Python work grows with the cells hit, not the cells held; it works out a
-row's token set once per distinct set of matching cells, tests each
-distinct cell for a digit once, and tests the rows and sums the columns
-in C, reading a column only when it must. It compiles no pattern, so a
-question not asked before costs what a repeated one does, and neither
-the view nor the slice holds anything per cell or per row that the
-garbage collector tracks, since such objects, made by the thousand,
-start its collections.
+row's token set once per distinct set of matching cells, and tests the
+rows in C. A column that neither a hit nor its header keeps is read,
+and its digit and non-blank cells are counted in C over its bytes, with
+no Python call per cell unless it holds text outside ASCII or a NUL;
+building the view makes no Python call per cell either. Slicing
+compiles no pattern, so a question not asked before costs what a
+repeated one does, and neither the view nor the slice holds anything
+per cell or per row that the garbage collector tracks, since such
+objects, made by the thousand, start its collections.
 """
 
 from __future__ import annotations
@@ -155,17 +157,19 @@ class TableCells(NamedTuple):
     """What slicing reads of a table's distinct cell strings.
 
     Every part is one flat object, so a view holds nothing per cell that
-    the garbage collector tracks, however large the table.
+    the garbage collector tracks, however large the table. The cells are
+    taken by a set, so their order differs between processes; no slice
+    depends on it. Whether a column is numeric is not part of the view:
+    a slice works it out only for a column that nothing else keeps.
     """
 
-    cells: list[str]  # each distinct cell string, in the order met
+    cells: list[str]  # each distinct cell string, in a set's order
     # Each cell's offset in `text`, then the offset one past the last cell's end.
     starts: list[int]
     # The lowered cells, one byte per code point: [a-z0-9] kept, every other
     # byte a space, and a space before, between and after the cells. A
     # token " t " found here is a whole `tokenize` token of one cell.
     text: bytes
-    weights: dict[str, int]  # each cell: 2 if it holds a digit, 1 if blank, else 0
 
 
 # Maps every byte but [a-z0-9] to a space.
@@ -175,17 +179,44 @@ _TOKEN_BYTES = bytes(
 
 
 def table_cells(table: Table) -> TableCells:
-    cells = list(dict.fromkeys(chain.from_iterable(table.rows)))
+    cells = list(set(chain.from_iterable(table.rows)))
     # Lowered one by one, so a cell's two-character lowering of "İ" stays
     # within that cell's length. "replace" encodes each code point outside
     # ASCII, lone surrogates too, as one "?", so offsets stay per code point.
     lowered = list(map(str.lower, cells))
     starts = list(accumulate(map(add, map(len, lowered), repeat(1)), initial=1))
     text = f" {' '.join(lowered)} ".encode("ascii", "replace").translate(_TOKEN_BYTES)
-    weights = {
-        cell: 2 if any(map(str.isdigit, cell)) else int(not cell.strip()) for cell in cells
-    }
-    return TableCells(cells, starts, text, weights)
+    return TableCells(cells, starts, text)
+
+
+# A column's cells joined by NUL, each after a NUL, marks a cell that holds a
+# digit, or one that is not blank, as a NUL followed by "1" once the bytes
+# that do not tell are deleted: for the digits, all but NUL and [0-9]; for
+# the rest, exactly the ASCII bytes that `str.strip` removes, which include
+# "\x1c" to "\x1f" (`bytes.isspace` does not count them).
+_DIGIT_MARKS = bytes.maketrans(b"0123456789", b"1" * 10)
+_NOT_DIGIT = bytes(byte for byte in range(256) if byte not in b"\x000123456789")
+_FILLED_MARKS = b"\x00" + b"1" * 255
+_ASCII_SPACE = bytes(byte for byte in range(128) if chr(byte).isspace())
+
+
+def _is_numeric_column(column: list[str]) -> bool:
+    """Whether more than half the column's non-blank cells hold a digit.
+
+    A digit is what `str.isdigit` calls one and a blank cell one that
+    `str.strip` empties. An ASCII column with no NUL in a cell is counted in
+    C over its bytes; any other column, whose bytes would not mark its cells
+    exactly, is tested cell by cell.
+    """
+    joined = "\x00" + "\x00".join(column)
+    if joined.isascii() and joined.count("\x00") == len(column):
+        data = joined.encode()
+        digits = data.translate(_DIGIT_MARKS, _NOT_DIGIT).count(b"\x001")
+        filled = data.translate(_FILLED_MARKS, _ASCII_SPACE).count(b"\x001")
+    else:
+        digits = sum(any(map(str.isdigit, cell)) for cell in column)
+        filled = sum(map(bool, map(str.strip, column)))
+    return 2 * digits > filled
 
 
 class Sentences(NamedTuple):
@@ -274,7 +305,7 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
     beside the rows that hold "giva" and "revenue".
     """
     q_tokens = set(tokenize(question))
-    distinct, starts, text, weight = cells
+    distinct, starts, text = cells
     find = text.find
     # Each cell that holds a question token, mapped to the padded tokens it
     # holds. An occurrence of " t " is a whole token of the cell it starts
@@ -301,16 +332,14 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
     maximal = {cells for cells, tokens in token_sets.items() if not any(map(tokens.__lt__, sets))}
     kept_rows = list(compress(candidates, map(maximal.__contains__, cell_sets)))
     # A column is read, by `itemgetter` over the rows, only when the tests
-    # before it have not kept it; the table is never transposed. 2 * digit
-    # cells > cells - blank cells: with a digit cell weighing 2, a blank one
-    # 1 and any other 0, a numeric column's weights sum past its length.
+    # before it have not kept it; the table is never transposed.
     kept = list(map(rows.__getitem__, kept_rows))
     kept_cols = [
         col
         for col, name in enumerate(table.header)
         if not hits.isdisjoint(map(itemgetter(col), kept))
         or not q_tokens.isdisjoint(tokenize(name))
-        or sum(map(weight.__getitem__, map(itemgetter(col), rows))) > len(rows)
+        or _is_numeric_column(list(map(itemgetter(col), rows)))
     ]
     if not kept_cols:
         kept_cols = list(range(len(table.header)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -83,7 +83,12 @@ class RunMetrics:
     wall_ms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "rounds": self.rounds,
+            "backend_calls": self.backend_calls,
+            "token_usage": self.token_usage,
+            "wall_ms": self.wall_ms,
+        }
 
 
 @dataclass

@@ -174,8 +174,9 @@ def bundle_to_dict(bundle: SourceBundle) -> dict:
 
 
 def load_table_csv(path: Path) -> Table:
-    """CSV with a header row; the file stem names the table."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """CSV with a header row; the file stem names the table. A leading
+    UTF-8 byte-order mark is dropped, as in the JSON files."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if not rows:
@@ -188,10 +189,11 @@ def load_sources(path: str | Path) -> SourceBundle:
 
     Directory layout: *.csv and tables*.json become tables, passages*.json
     an array of {"id","text"}, images*.json an array of image records.
+    Files are UTF-8, with or without a leading byte-order mark.
     """
     path = Path(path)
     if path.is_file():
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return bundle_from_dict(json.load(fh))
     if not path.is_dir():
         raise FileNotFoundError(f"sources path does not exist: {path}")
@@ -202,7 +204,7 @@ def load_sources(path: str | Path) -> SourceBundle:
         if child.suffix == ".csv":
             tables.append(load_table_csv(child))
         elif child.suffix == ".json":
-            with open(child, encoding="utf-8") as fh:
+            with open(child, encoding="utf-8-sig") as fh:
                 data = json.load(fh)
             name = child.stem.lower()
             if name.startswith("table"):

@@ -1,5 +1,6 @@
 """Harness: fault mutations, metrics oracles, bootstrap, benchmark runs."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -538,6 +539,20 @@ def test_benchmark_metrics_invariants():
         assert 0.0 <= rate <= 1.0
     assert metrics.ci_low <= metrics.em <= metrics.ci_high
     assert metrics.latency_ms_p50 <= metrics.latency_ms_p95
+
+
+def test_metrics_dicts_list_every_field_in_order_and_share_nothing():
+    records, script = _delta_suite(2)
+    metrics, _ = run_benchmark(records, backend_factory=lambda: ScriptedBackend(script))
+    run_metrics = scheduler.run(
+        records[0].question, records[0].sources, ScriptedBackend(script)
+    ).metrics
+    for held in (metrics, run_metrics):
+        written = held.to_dict()
+        assert list(written) == [f.name for f in dataclasses.fields(held)]
+        assert written == dataclasses.asdict(held)
+    buckets = metrics.to_dict()["em_by_log_bucket"]
+    assert buckets and buckets is not metrics.em_by_log_bucket
 
 
 def test_benchmark_fault_injection_catch_and_repair():

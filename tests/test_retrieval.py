@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ import logboard.retrieval
 from logboard.retrieval import (
     B,
     K1,
+    _is_numeric_column,
     index,
     render_visual_text,
     retrieve,
@@ -298,6 +300,34 @@ def test_a_table_view_and_its_slice_leave_the_collector_nothing_per_cell():
     # Slicing 5,000 rows allocates too few lasting tracked objects to start a collection.
     assert collections == []
     assert slice_.kept_rows == [2500] and slice_.kept_cols == [0, 1, 2, 3]
+
+
+def profiled_calls(work):
+    """How many Python and C function calls work() makes, as `sys.setprofile` sees them."""
+    calls = []
+
+    def record(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(event)
+
+    sys.setprofile(record)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_a_table_view_and_a_numeric_verdict_make_no_call_per_cell():
+    small, large = table_heavy_shaped(50), table_heavy_shaped(5000)
+    table_cells(small)  # a first build may fill lasting caches, such as the codec registry's
+    # As many calls for 5,000 rows as for 50: none is made per cell.
+    built = [profiled_calls(lambda table=table: table_cells(table)) for table in (small, large)]
+    assert built[0] == built[1]
+    amounts = [[row[3] for row in table.rows] for table in (small, large)]
+    assert all(map(_is_numeric_column, amounts))
+    decided = [profiled_calls(lambda column=column: _is_numeric_column(column)) for column in amounts]
+    assert decided[0] == decided[1]
 
 
 FIVE_SENTENCES = (

@@ -59,6 +59,33 @@ def test_load_table_csv(tmp_path):
     assert table.rows == [["2018", "$50M"], ["2019", "$55M"]]
 
 
+BOM = "\ufeff"
+
+
+def test_a_csv_table_with_a_byte_order_mark_loads_as_one_without(tmp_path):
+    text = "Company,Amount\nGiva,$342M\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "marked.csv").write_text(BOM + text, encoding="utf-8")
+    plain, marked = load_table_csv(tmp_path / "plain.csv"), load_table_csv(tmp_path / "marked.csv")
+    assert marked.header == plain.header == ["Company", "Amount"]
+    assert marked.rows == plain.rows == [["Giva", "$342M"]]
+
+
+def test_json_sources_with_a_byte_order_mark_load_as_ones_without(tmp_path):
+    document = {"tables": [], "passages": [{"id": "p", "text": "hi \u00e9"}], "images": []}
+    text = json.dumps(document, ensure_ascii=False)
+    expected = bundle_to_dict(bundle_from_dict(document))
+    for mark in ("", BOM):
+        (tmp_path / "bundle.json").write_text(mark + text, encoding="utf-8")
+        assert bundle_to_dict(load_sources(tmp_path / "bundle.json")) == expected
+        folder = tmp_path / f"dir{len(mark)}"
+        folder.mkdir()
+        (folder / "passages.json").write_text(
+            mark + json.dumps(document["passages"], ensure_ascii=False), encoding="utf-8"
+        )
+        assert bundle_to_dict(load_sources(folder)) == expected
+
+
 def test_load_sources_directory(tmp_path):
     (tmp_path / "revenue.csv").write_text("Year,Revenue\n2018,$50M\n", encoding="utf-8")
     (tmp_path / "tables_extra.json").write_text(

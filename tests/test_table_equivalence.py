@@ -229,13 +229,19 @@ class CountingPattern:
 # ASCII encoded as "?", so free text and questions also hold a literal "?",
 # a NUL, "²" (a digit to `isdigit` but not a decimal), the astral digit
 # "𝟙" and a lone surrogate, which a JSON "\ud800" escape loads as.
-MAPPED = "?\x00²𝟙\ud800"
+# Besides space, tab and newline, blank cells hold the whitespace that
+# `str.strip` removes but a rule over bytes could keep: "\x0b", and "\x1c"
+# and "\x1f", which `bytes.isspace` does not count, in ASCII; "\x85",
+# "\xa0" and the ideographic space "\u3000" outside it. Free text holds
+# them too, so numeric columns are decided both over bytes and cell by cell.
+SPACES = "\x0b\x1c\x1f\x85\xa0\u3000"
+MAPPED = "?\x00²𝟙\ud800" + SPACES
 WORDS = ["revenue", "2019", "Year", "total", "ünits", "straße", "σΣ", "ΟΔΟΣ", "İd", "Kelvin",
          "\u212am", "ſale", "cafe\u0301", "a_b", "snake_case", "line\nbreak",
          "20", "19", "rev", "x", "9"]
 NUMERALS = ["$1,000.5M", "-3.2%", "$50M", "1,234", "0.5", "7 million", "(12)"]
 PUNCT = [" ", "  ", ", ", ". ", "-", "_", "/", "$", "%", "(", ")", "'", "\t", "\n", ": "]
-BLANKS = ["", " ", "\t", "\n"]
+BLANKS = ["", " ", "\t", "\n", *SPACES]
 
 word = st.sampled_from(WORDS + NUMERALS)
 free_text = st.text(
@@ -440,6 +446,16 @@ def test_cells_after_ones_that_lower_longer_match_the_reference():
     table = Table("t", ["name", "kind"], [["İİİİ", "a"], ["b", "x"], ["İd b", "c"], ["i", "b"]])
     for question in ("b", "Which x?", "i d", "c or a", "d"):
         assert slice_of(table, question) == reference_select_table_slice(table, question)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_a_column_is_numeric_when_strip_empties_its_cell(space):
+    # One digit cell and one that holds only `space`: counted blank, as
+    # `str.strip` counts it, the Amount column is numeric; counted filled,
+    # it is not.
+    table = Table("t", ["Name", "Amount"], [["alpha", "7"], ["beta", space]])
+    assert slice_of(table, "alpha") == reference_select_table_slice(table, "alpha")
+    assert slice_of(table, "alpha").kept_cols == [0, 1]
 
 
 def test_slicing_a_new_question_compiles_no_pattern(monkeypatch):

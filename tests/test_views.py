@@ -1,9 +1,10 @@
 """Source views shared by the records of one bundle within a run_benchmark call.
 
-A bundle's prepared facts (each table's cell text and digit weights,
-each passage's sentences, each image's id phrase, numerals and tokens) are built once per bundle in each pass and dropped
-with the call. Sharing them must change no report, trace or
-metric, and a lone run builds exactly one views object.
+A bundle's prepared facts (each table's distinct cells and their text,
+each passage's sentences, each image's id phrase, numerals and tokens)
+are built once per bundle in each pass and dropped with the call.
+Sharing them must change no report, trace or metric, and a lone run
+builds exactly one views object.
 """
 
 import gc
