@@ -70,7 +70,7 @@ from .scheduler import (
     SchedulerConfig,
     Termination,
     TransportAbort,
-    offer_turn,
+    offer_turns,
     run,
     write_trace,
 )

@@ -4,9 +4,11 @@ Retrieval roles (Table, Context, Visual) are agents that decide for
 themselves whether to act on the current log; the Summarizing and
 Verification roles are the functions summarize and verification_act, which
 the scheduler calls. Each builds a role prompt over the rendered log and
-truncated sources, makes one backend call through _generate, and parses the
+truncated sources, makes one backend call through _send, and parses the
 reply into a typed entry with provenance extracted from source references.
-An abstention is a parsed outcome, not an error.
+A retrieval act is split in two, `prepare` and `entry`, so that a round's
+calls can go out together (`generate_round`) between them. An abstention
+is a parsed outcome, not an error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import logging
 import re
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
+from functools import partial
 from itertools import accumulate, chain, compress, repeat
 from operator import not_
 
@@ -23,6 +26,7 @@ from .backends import (
     BACKEND_ATTEMPTS,
     BACKEND_CALL_TICK_MS,
     DEFAULT_MAX_TOKENS,
+    HttpBackend,
     RequestRejected,
     TextBackend,
     TransportError,
@@ -452,24 +456,66 @@ def extract_image_refs(reply: str, shown: list[Image], views: SourceViews) -> li
     return refs
 
 
-def _generate(log: SharedLog, backend: TextBackend, role: AgentRole, prompt: str) -> str:
+def _send(backend: TextBackend, role: AgentRole, prompt: str) -> str:
     """The backend's reply to prompt: the one call path of every role.
 
     Up to BACKEND_ATTEMPTS tries send the same prompt, at the role's
     temperature and with DEFAULT_MAX_TOKENS. RequestRejected is raised at
     once, since sent again it would be refused again; the last
-    TransportError is raised once the tries are spent. Each reply advances
-    the log's clock by BACKEND_CALL_TICK_MS.
+    TransportError is raised once the tries are spent.
     """
     for attempt in range(1, BACKEND_ATTEMPTS + 1):
         try:
-            reply = backend.generate(prompt, _TEMPERATURES[role], DEFAULT_MAX_TOKENS)
+            return backend.generate(prompt, _TEMPERATURES[role], DEFAULT_MAX_TOKENS)
         except TransportError as exc:
             if isinstance(exc, RequestRejected) or attempt == BACKEND_ATTEMPTS:
                 raise
+
+
+def _generate(log: SharedLog, backend: TextBackend, role: AgentRole, prompt: str) -> str:
+    """The reply to a call sent on its own (the Summarizer's, the verifier's),
+    which advances the log's clock by BACKEND_CALL_TICK_MS."""
+    reply = _send(backend, role, prompt)
+    log.clock.advance(BACKEND_CALL_TICK_MS)
+    return reply
+
+
+def generate_round(
+    log: SharedLog, backend: TextBackend, calls: list[tuple[AgentRole, str]]
+) -> tuple[list[str], TransportError | None]:
+    """The replies to a round's retrieval prompts, sent together.
+
+    calls are (role, prompt) pairs in role order, and every one is made.
+    An HttpBackend gets two or more on one thread each, all in flight at
+    once; any other backend answers them in process, one after another. The
+    replies come back in call order, up to the first call whose tries are
+    spent, with that call's TransportError (None when every call got a
+    reply); no worker thread outlives the call. The replies advance the
+    log's clock by one BACKEND_CALL_TICK_MS, the slowest reply's, as they
+    were sent together.
+    """
+    if isinstance(backend, HttpBackend) and len(calls) > 1:
+        # Imported here, as only a live backend waits on its replies.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:  # joins its workers
+            futures = [pool.submit(_send, backend, role, prompt) for role, prompt in calls]
+        outcomes = (future.result for future in futures)
+    else:
+        outcomes = (partial(_send, backend, role, prompt) for role, prompt in calls)
+    replies: list[str] = []
+    failure = None
+    for outcome in outcomes:
+        try:
+            reply = outcome()
+        except TransportError as exc:
+            failure = failure or exc
             continue
+        if failure is None:
+            replies.append(reply)
+    if replies:
         log.clock.advance(BACKEND_CALL_TICK_MS)
-        return reply
+    return replies, failure
 
 
 def _is_abstention(reply: str) -> bool:
@@ -478,10 +524,14 @@ def _is_abstention(reply: str) -> bool:
 
 # --- agent implementations ---------------------------------------------------
 
+Cite = Callable[[str], list]  # a reply's provenance in what its prompt showed
+
+
 class _RetrievalAgent:
-    """One act of a retrieval role: a prompt, one backend call, and an entry
-    whose provenance points into what the prompt showed of the sources. A
-    reply that abstains or points at nothing shown is an abstention."""
+    """One act of a retrieval role: a prompt (`prepare`), one backend call
+    that the scheduler makes, and an entry (`entry`) whose provenance points
+    into what the prompt showed of the sources. A reply that abstains or
+    points at nothing shown is an abstention."""
 
     role: AgentRole
     author: str
@@ -494,17 +544,18 @@ class _RetrievalAgent:
     def notify_flag(self) -> None:
         """Most roles keep no coverage for a verification Flag to re-open."""
 
-    def _show(
-        self, sources: SourceBundle, question: str
-    ) -> tuple[Iterator[str], Callable[[str], list]]:
+    def _show(self, sources: SourceBundle, question: str) -> tuple[Iterator[str], Cite]:
         """The prompt's source blocks, and what cites a reply in what they
         show: what the reply states of it, empty when it states nothing."""
         raise NotImplementedError
 
-    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
+    def prepare(self, log: SharedLog, sources: SourceBundle) -> tuple[str, Cite]:
+        """The act's prompt over log, and what cites a reply to it."""
         blocks, cite = self._show(sources, log.question())
-        prompt = build_prompt(self.role, log, blocks)
-        reply = _generate(log, backend, self.role, prompt)
+        return build_prompt(self.role, log, blocks), cite
+
+    def entry(self, reply: str, cite: Cite) -> LogEntry | None:
+        """The act's entry for the backend's reply, or None for an abstention."""
         if _is_abstention(reply):
             return None
         provenance = cite(reply)
@@ -531,9 +582,9 @@ class TableAgent(_RetrievalAgent):
         """A verification Flag re-opens coverage for the re-engagement round."""
         self.covered = False
 
-    def act(self, log: SharedLog, sources: SourceBundle, backend: TextBackend) -> LogEntry | None:
+    def prepare(self, log: SharedLog, sources: SourceBundle) -> tuple[str, Cite]:
         self.covered = True
-        return super().act(log, sources, backend)
+        return super().prepare(log, sources)
 
     def _show(self, sources: SourceBundle, question: str):
         # One choice of slices serves the blocks and the anchors.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Protocol, runtime_checkable
 
 from .log import token_estimate
@@ -51,17 +52,21 @@ class TextBackend(Protocol):
 
 
 class UsageMixin:
-    """Call and token accounting shared by backend implementations."""
+    """Call and token accounting shared by backend implementations; the
+    counters stay exact when calls run on several threads at once."""
 
     def __init__(self) -> None:
         self.calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
+        self._lock = threading.Lock()
 
     def _record(self, prompt: str, reply: str) -> None:
-        self.calls += 1
-        self.prompt_tokens += token_estimate(prompt)
-        self.completion_tokens += token_estimate(reply)
+        prompt_tokens, completion_tokens = token_estimate(prompt), token_estimate(reply)
+        with self._lock:
+            self.calls += 1
+            self.prompt_tokens += prompt_tokens
+            self.completion_tokens += completion_tokens
 
 
 class HttpBackend(UsageMixin):

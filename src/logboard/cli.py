@@ -95,7 +95,7 @@ def _apply_config_file(
 ) -> argparse.Namespace:
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
-        with open(probe.config, encoding="utf-8") as fh:
+        with open(probe.config, encoding="utf-8-sig") as fh:
             try:
                 defaults = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -124,7 +124,7 @@ def _backend_factory(args: argparse.Namespace) -> Callable[[], TextBackend]:
         path = Path(args.scripted)
         if not path.exists():
             raise FileNotFoundError(f"scripted fixture not found: {path}")
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 script = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -232,7 +232,7 @@ def _markdown_escape(text: str) -> str:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    text = Path(args.trace_path).read_text(encoding="utf-8")
+    text = Path(args.trace_path).read_text(encoding="utf-8-sig")
     entries = load_trace(text)
     if args.format == "jsonl":
         sys.stdout.write(text)

@@ -82,7 +82,7 @@ class LogisticGate:
 
     @classmethod
     def load(cls, path: str | Path) -> "LogisticGate":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 return cls.from_dict(json.load(fh))
             except ValueError as exc:  # JSONDecodeError is one too
@@ -283,5 +283,5 @@ def mine_samples_from_dir(path: str | Path) -> list[GateSample]:
     traces = []
     for file in sorted(Path(path).glob("**/*.jsonl")):
         if file.name != "report.jsonl":
-            traces.append(load_trace(file.read_text(encoding="utf-8")))
+            traces.append(load_trace(file.read_text(encoding="utf-8-sig")))
     return mine_samples(traces)

@@ -510,7 +510,7 @@ def load_benchmark(path: str | Path) -> list[BenchmarkRecord]:
     base = Path(path).parent
     loaded: dict[Path, SourceBundle] = {}
     kind = "benchmark record"
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if not line:
             continue

@@ -1,10 +1,14 @@
 """Controller loop: turn offers, summarization, verification, stopping.
 
-One run is a sequential state machine over a fresh shared log. Each round
-offers turns to Table, Context, Visual in that fixed order, then invokes
-the Summarizer, then the Verifier on the committed Answer. A Flag buys a
-single re-engagement round; guardrails (max rounds, per-agent caps, dedup,
-no-progress detection) bound every run regardless of backend behavior.
+One run is a state machine over a fresh shared log. Each round offers
+turns to Table, Context and Visual, then invokes the Summarizer, then the
+Verifier on the committed Answer. The round rule: the retrieval roles
+decide, and build their prompts, from the log as it stood at the round's
+start; their backend calls go out together, and their entries are
+committed in that fixed role order, so a run's trace does not depend on
+which reply came back first. A Flag buys a single re-engagement round;
+guardrails (max rounds, per-agent caps, dedup, no-progress detection)
+bound every run regardless of backend behavior.
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .agents import RETRIEVAL_ROLES, AgentRole, build_agents, summarize, verification_act
+from .agents import (
+    RETRIEVAL_ROLES,
+    AgentRole,
+    build_agents,
+    generate_round,
+    summarize,
+    verification_act,
+)
 from .backends import BACKEND_ATTEMPTS, HttpBackend, RequestRejected, TextBackend, TransportError
 from .gating import LogisticGate, extract_features, predict_continue
 from .log import (
@@ -118,31 +129,44 @@ class TransportAbort(RuntimeError):
 EntryMutator = Callable[[LogEntry, SharedLog], LogEntry]
 
 
-def offer_turn(agent, state: RunState, log: SharedLog, sources: SourceBundle,
-               backend: TextBackend, round_idx: int,
-               mutator: EntryMutator | None = None) -> bool:
-    """Offer one retrieval turn; True iff an entry was accepted.
+def offer_turns(agents: list, state: RunState, log: SharedLog, sources: SourceBundle,
+                backend: TextBackend, round_idx: int,
+                mutator: EntryMutator | None = None) -> bool:
+    """Offer one round's retrieval turns; True iff an entry was accepted.
 
-    A dedup-rejected append still counts toward the role's cap but not
-    toward the round's new entries. Abstentions cost a backend call
-    but no cap.
+    Each agent, in the given (role) order, decides whether to act and
+    builds its prompt and citation closure from the log as it stands on
+    entry, so no turn sees an entry of its own round. The prompts then go
+    to the backend together (`generate_round`), and the replies become
+    entries committed in the agents' order. A dedup-rejected append still
+    counts toward the role's cap but not toward the round's new entries.
+    Abstentions cost a backend call but no cap. When a call's tries are
+    spent, the replies before it are committed and its TransportError is
+    raised.
     """
-    role = agent.role
-    if state.action_counts[role] >= PER_AGENT_CAP:
-        return False
-    if not agent.should_act(log, sources, round_idx):
-        return False
-    entry = agent.act(log, sources, backend)
-    if entry is None:
-        return False
-    if mutator is not None:
-        entry = mutator(entry, log)
-    result = log.append(entry)
-    state.action_counts[role] += 1
-    if result is AppendResult.ACCEPTED:
-        state.new_entries_this_round += 1
-        return True
-    return False
+    turns = [
+        (agent, *agent.prepare(log, sources))
+        for agent in agents
+        if state.action_counts[agent.role] < PER_AGENT_CAP
+        and agent.should_act(log, sources, round_idx)
+    ]
+    calls = [(agent.role, prompt) for agent, prompt, _ in turns]
+    replies, failure = generate_round(log, backend, calls)
+    accepted = False
+    for (agent, _, cite), reply in zip(turns, replies):
+        entry = agent.entry(reply, cite)
+        if entry is None:
+            continue
+        if mutator is not None:
+            entry = mutator(entry, log)
+        result = log.append(entry)
+        state.action_counts[agent.role] += 1
+        if result is AppendResult.ACCEPTED:
+            state.new_entries_this_round += 1
+            accepted = True
+    if failure is not None:
+        raise failure
+    return accepted
 
 
 def _default_clock(backend: TextBackend) -> Clock:
@@ -162,6 +186,13 @@ def run(
 ) -> RunResult:
     """Execute one question to termination and return the full accounting.
 
+    Each round's retrieval turns are offered together (`offer_turns`): an
+    HttpBackend gets their calls on up to three threads at once, any other
+    backend in process in role order. Under the SimClock that every
+    in-process backend runs on, the round's retrieval replies cost one
+    BACKEND_CALL_TICK_MS between them, so `wall_ms` is the latency a live
+    user would wait for if every reply took that long.
+
     gate, when given, may stop retrieval after a round that the gate deems
     not worth continuing. entry_mutator, when given, rewrites retrieval
     entries just before they are committed (the fault-injection hook); it
@@ -173,7 +204,8 @@ def run(
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
-    agents = build_agents(SourceViews() if views is None else views)
+    built = build_agents(SourceViews() if views is None else views)
+    agents = [built[role] for role in RETRIEVAL_ROLES]  # in role order
     log = SharedLog(clock=_default_clock(backend))
     log.append(LogEntry(USER, EntryType.QUERY, question))
     state = RunState()
@@ -188,9 +220,9 @@ def run(
 
     def pending_roles(next_round: int) -> bool:
         return any(
-            state.action_counts[role] < PER_AGENT_CAP
-            and agents[role].should_act(log, sources, next_round)
-            for role in RETRIEVAL_ROLES
+            state.action_counts[agent.role] < PER_AGENT_CAP
+            and agent.should_act(log, sources, next_round)
+            for agent in agents
         )
 
     try:
@@ -200,8 +232,7 @@ def run(
             retrieval_ran = not retrieval_frozen
 
             if not retrieval_frozen:
-                for role in RETRIEVAL_ROLES:
-                    offer_turn(agents[role], state, log, sources, backend, round_idx, entry_mutator)
+                offer_turns(agents, state, log, sources, backend, round_idx, entry_mutator)
 
             summary_entry = summarize(log, backend)
             if summary_entry is not None:
@@ -225,8 +256,8 @@ def run(
                         allowed_rounds = max(allowed_rounds, round_idx + 2)
                         retrieval_frozen = False
                         flag_granted = True
-                        for role in RETRIEVAL_ROLES:
-                            agents[role].notify_flag()
+                        for agent in agents:
+                            agent.notify_flag()
                     else:
                         termination = Termination.ANSWER_UNVERIFIED
                 else:
@@ -264,7 +295,7 @@ def run(
                     retrieval_frozen = True
 
             round_idx += 1
-    except TransportError as exc:  # _generate's tries are spent, or it was refused
+    except TransportError as exc:  # a call's tries are spent, or it was refused
         if isinstance(exc, RequestRejected):
             reason = "backend refused the request, not retried"
         else:

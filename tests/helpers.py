@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import random
 from pathlib import Path
@@ -17,6 +18,7 @@ from logboard import (
     Table,
     run,
 )
+from logboard.agents import _generate
 from logboard.backends import UsageMixin
 from logboard.log import (
     CONTEXT_AGENT,
@@ -37,6 +39,14 @@ GOLDEN_QUESTION = (
 GOLDEN_ANSWER = "$5M increase, due to higher sales volume."
 
 
+def bom_copy(path: Path, folder: Path) -> Path:
+    """A copy, in folder, of the UTF-8 file at path with a byte-order mark put before it."""
+    folder.mkdir(parents=True, exist_ok=True)
+    copy = folder / path.name
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
 def golden_sources() -> SourceBundle:
     from logboard.sources import load_sources
 
@@ -50,6 +60,36 @@ def golden_script() -> dict:
 
 def run_golden(**kwargs):
     return run(GOLDEN_QUESTION, golden_sources(), ScriptedBackend(golden_script()), **kwargs)
+
+
+# A passage-shaped bundle whose question names its figure, so that Table,
+# Context and Visual all act in the first round; FIGURE_SCRIPT answers every
+# role (patterns are each role prompt's own words, as in golden_script).
+FIGURE_QUESTION = "According to Figure 1, by how much did Giva revenue grow from 2018 to 2019?"
+FIGURE_SCRIPT = {
+    "table analyst": "Giva revenue was $310M in 2018 and $342M in 2019 (Table 1).",
+    "passage reader": "The annual report says: 'Giva revenue grew on strong demand.'",
+    "image interpreter": "Figure 1 plots Giva at $310M for 2018, then $342M for 2019.",
+    "summarizing agent": "Therefore Giva revenue grew by $32M. Answer: $32M increase",
+    "verification agent": "OK",
+}
+
+
+def figure_sources() -> SourceBundle:
+    return SourceBundle(
+        tables=[
+            Table(
+                "Table 1",
+                header=["Company", "Year", "Revenue"],
+                rows=[["Giva", "2018", "$310M"], ["Giva", "2019", "$342M"]],
+            )
+        ],
+        passages=[
+            Passage("report", "Giva revenue grew on strong demand. Costs held steady."),
+            Passage("notes", "Headcount was flat across the period."),
+        ],
+        images=[Image("Figure 1", "Revenue by year for Giva", "Giva 2018 $310M 2019 $342M")],
+    )
 
 
 def lookup(content: str, table_id: str = "t1") -> LogEntry:
@@ -68,6 +108,13 @@ def visual(content: str, image_id: str = "img1") -> LogEntry:
     return LogEntry(
         VISUAL_AGENT, EntryType.VISUAL, content, provenance=[ImageRef(image_id)]
     )
+
+
+def act(agent, log: SharedLog, sources: SourceBundle, backend) -> LogEntry | None:
+    """One retrieval act on its own: the agent's prompt over log, one reply
+    from backend, and the entry that the reply makes."""
+    prompt, cite = agent.prepare(log, sources)
+    return agent.entry(_generate(log, backend, agent.role, prompt), cite)
 
 
 def log_with(question: str, *entries: LogEntry) -> SharedLog:

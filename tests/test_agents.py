@@ -59,6 +59,7 @@ from test_table_equivalence import (
 from helpers import (
     GOLDEN_ANSWER,
     GOLDEN_QUESTION,
+    act,
     delta_record,
     golden_script,
     golden_sources,
@@ -130,7 +131,7 @@ def test_table_tracks_reported_columns():
     log = fresh_log()
     assert agent.should_act(log, sources, 0)
     backend = ScriptedBackend(golden_script())
-    entry = agent.act(log, sources, backend)
+    entry = act(agent, log, sources, backend)
     assert entry is not None and entry.entry_type is EntryType.LOOKUP
     # Coverage recorded: no uncovered relevant columns remain.
     assert not agent.should_act(log, sources, 1)
@@ -165,14 +166,16 @@ def test_table_trigger_builds_no_slice(monkeypatch):
     log = fresh_log()
     assert agent.should_act(log, sources, 0) and agent.should_act(log, sources, 1)
     assert calls == []
-    agent.act(log, sources, ScriptedBackend(golden_script()))
+    act(agent, log, sources, ScriptedBackend(golden_script()))
     assert len(calls) == len(sources.tables)
 
 
 def test_a_flag_reopens_one_table_act_within_the_cap(monkeypatch):
     acts = []
-    real_act = TableAgent.act
-    monkeypatch.setattr(TableAgent, "act", lambda self, *a: acts.append(1) or real_act(self, *a))
+    real_prepare = TableAgent.prepare
+    monkeypatch.setattr(
+        TableAgent, "prepare", lambda self, *a: acts.append(1) or real_prepare(self, *a)
+    )
     record, script = delta_record("FirmA", 50, 55)
 
     def corrupt_first_lookup(entry, log):
@@ -193,14 +196,14 @@ def test_a_flag_reopens_one_table_act_within_the_cap(monkeypatch):
 def test_table_act_extracts_two_anchors():
     agent = TableAgent(SourceViews())
     backend = ScriptedBackend(golden_script())
-    entry = agent.act(fresh_log(), golden_sources(), backend)
+    entry = act(agent, fresh_log(), golden_sources(), backend)
     assert entry.provenance == [TableAnchor("Table 1", 0, 1), TableAnchor("Table 1", 1, 1)]
 
 
 def test_context_act_quotes_span():
     agent = ContextAgent(SourceViews())
     backend = ScriptedBackend(golden_script())
-    entry = agent.act(fresh_log(), golden_sources(), backend)
+    entry = act(agent, fresh_log(), golden_sources(), backend)
     assert entry is not None and entry.entry_type is EntryType.QUOTE
     (span,) = entry.provenance
     (passage,) = [p for p in golden_sources().passages if p.id == span.doc_id]
@@ -211,16 +214,16 @@ def test_context_act_quotes_span():
 def test_context_abstains_on_no_relevant_info():
     agent = ContextAgent(SourceViews())
     backend = ScriptedBackend({"passage reader": "no relevant info found"})
-    assert agent.act(fresh_log(), golden_sources(), backend) is None
+    assert act(agent, fresh_log(), golden_sources(), backend) is None
 
 
 def test_unparseable_reply_becomes_abstention_not_malformed_entry():
     agent = ContextAgent(SourceViews())
     backend = ScriptedBackend({"passage reader": "complete gibberish zebra quantum"})
-    assert agent.act(fresh_log(), golden_sources(), backend) is None
+    assert act(agent, fresh_log(), golden_sources(), backend) is None
     table_agent = TableAgent(SourceViews())
     backend = ScriptedBackend({"table analyst": "nothing matches any cell here"})
-    assert table_agent.act(fresh_log(), golden_sources(), backend) is None
+    assert act(table_agent, fresh_log(), golden_sources(), backend) is None
 
 
 def test_summarizer_act_types():
@@ -465,7 +468,7 @@ def test_a_visual_act_works_out_its_shown_images_once(monkeypatch):
     ]
     question = "According to Figure 2, how did Bora revenue change?"
     backend = ScriptedBackend({"Image Figure 2:": "Bora revenue rose from $120M to $150M."})
-    entry = VisualAgent(SourceViews()).act(fresh_log(question), SourceBundle(images=images), backend)
+    entry = act(VisualAgent(SourceViews()), fresh_log(question), SourceBundle(images=images), backend)
     # One choice serves the prompt, which shows Figure 2 alone, and the refs.
     assert entry.provenance == [ImageRef("Figure 2")]
     assert asked == [question]
@@ -566,7 +569,7 @@ def test_every_provenance_item_lies_inside_what_the_level_zero_blocks_rendered(
         reply += f' "{text[start : data.draw(st.integers(start + 1, len(text)))]}"'
     for agent in (TableAgent(SourceViews()), ContextAgent(SourceViews()), VisualAgent(SourceViews())):
         backend = PerRoleBackend({"Question:": reply})
-        entry = agent.act(log_with(question), sources, backend)
+        entry = act(agent, log_with(question), sources, backend)
         (prompt,) = backend.prompts
         level_zero = next(type(agent)(SourceViews())._show(sources, question)[0])
         assert level_zero in prompt
@@ -745,7 +748,7 @@ def test_role_type_discipline_through_act():
         (TableAgent(SourceViews()), EntryType.LOOKUP),
         (ContextAgent(SourceViews()), EntryType.QUOTE),
     ):
-        entry = agent.act(log, sources, backend)
+        entry = act(agent, log, sources, backend)
         assert entry.entry_type is expected
     assert summarize(log, backend).entry_type is EntryType.ANSWER
 
@@ -756,6 +759,6 @@ def test_scripted_determinism_of_act():
     for _ in range(2):
         agent = TableAgent(SourceViews())
         backend = ScriptedBackend(golden_script())
-        entry = agent.act(fresh_log(), sources, backend)
+        entry = act(agent, fresh_log(), sources, backend)
         outs.append((entry.content, tuple(p.cite() for p in entry.provenance)))
     assert outs[0] == outs[1]

@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -22,9 +24,16 @@ from logboard.backends import (
     ScriptedBackend,
     TransportError,
 )
-from logboard.scheduler import TransportAbort, run
+from logboard.log import EntryType, token_estimate
+from logboard.scheduler import Termination, TransportAbort, run
 
-from helpers import GOLDEN_QUESTION, golden_sources
+from helpers import (
+    FIGURE_QUESTION,
+    FIGURE_SCRIPT,
+    GOLDEN_QUESTION,
+    figure_sources,
+    golden_sources,
+)
 
 
 def test_scripted_first_match_wins_in_file_order():
@@ -77,18 +86,20 @@ class _StubHandler(BaseHTTPRequestHandler):
         if _StubHandler.status != 200:
             self.send_error(_StubHandler.status)
             return
-        payload = {
-            "choices": [{"message": {"content": f"echo:{body['messages'][0]['content']}"}}]
-        }
-        raw = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        _reply_with(self, f"echo:{body['messages'][0]['content']}")
 
     def log_message(self, *args):
         pass
+
+
+def _reply_with(handler: BaseHTTPRequestHandler, content: str) -> None:
+    """Send a 200 chat-completion reply whose message is content."""
+    raw = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(raw)))
+    handler.end_headers()
+    handler.wfile.write(raw)
 
 
 @pytest.fixture()
@@ -137,18 +148,26 @@ def test_http_backend_requires_base_url(monkeypatch):
         HttpBackend()
 
 
-def test_import_leaves_urllib_request_unloaded():
-    # Only HttpBackend.generate sends, so only it imports urllib.request;
-    # and the runtime has no third-party dependency, numpy included.
+def loaded_by_import(modules: tuple[str, ...]) -> str:
+    """Which of modules a fresh `import logboard` loads, as a printed sorted list."""
     env = dict(os.environ, PYTHONPATH=str(Path(logboard.__file__).parents[1]))
-    code = (
-        "import sys, logboard; "
-        "print(sorted(m for m in ('urllib.request', 'numpy') if m in sys.modules))"
-    )
+    code = f"import sys, logboard; print(sorted(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_urllib_request_unloaded():
+    # Only HttpBackend.generate sends, so only it imports urllib.request;
+    # and the runtime has no third-party dependency, numpy included.
+    assert loaded_by_import(("urllib.request", "numpy")) == "[]"
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # Only a round's calls to an HttpBackend run on threads, so only they
+    # import concurrent.futures.
+    assert loaded_by_import(("concurrent.futures",)) == "[]"
 
 
 def _serve_payload(monkeypatch, payload):
@@ -156,6 +175,33 @@ def _serve_payload(monkeypatch, payload):
         return io.BytesIO(json.dumps(payload).encode("utf-8"))
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+
+
+def test_usage_counters_stay_exact_over_concurrent_generate_calls(monkeypatch):
+    # More threads than cores and a short switch interval, so that an
+    # unlocked read-modify-write of a counter would lose updates.
+    _serve_payload(monkeypatch, {"choices": [{"message": {"content": "four"}}]})
+    backend = HttpBackend(base_url="http://stub.invalid")
+    threads_n, calls_n = 8, 500
+
+    def work():
+        for _ in range(calls_n):
+            backend.generate("ping" * 4, 0.0)
+
+    threads = [threading.Thread(target=work) for _ in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert backend.calls == threads_n * calls_n
+    assert backend.prompt_tokens == 4 * backend.calls
+    assert backend.completion_tokens == backend.calls
 
 
 @pytest.mark.parametrize(
@@ -202,7 +248,9 @@ def test_run_sends_a_rejected_request_once_and_retries_the_rest(stub_server, sta
     _StubHandler.status = status
     with pytest.raises(TransportAbort) as exc:
         run(GOLDEN_QUESTION, golden_sources(), HttpBackend(base_url=stub_server))
-    assert len(_StubHandler.requests) == attempts
+    # The first round's Table and Context prompts go out together, each on its own tries.
+    sent = Counter(request["body"]["messages"][0]["content"] for request in _StubHandler.requests)
+    assert len(sent) == 2 and set(sent.values()) == {attempts}
     if attempts == 1:
         assert "not retried" in str(exc.value) and str(status) in str(exc.value)
     else:
@@ -226,4 +274,109 @@ def test_unreachable_backend_or_malformed_reply_is_retried(monkeypatch, error):
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     with pytest.raises(TransportAbort, match="after 2 retries"):
         run(GOLDEN_QUESTION, golden_sources(), HttpBackend(base_url="http://stub.invalid"))
-    assert len(attempts) == 3
+    # Each of the first round's two prompts (Table, Context) is tried three times.
+    sent = Counter(request.data for request in attempts)
+    assert len(sent) == 2 and set(sent.values()) == {3}
+
+
+class _RoundStub(BaseHTTPRequestHandler):
+    """Serves each request on its own thread with FIGURE_SCRIPT's reply for
+    the prompt's role, once `hold(role)` returns the status to send. Every
+    prompt received is kept in `prompts`."""
+
+    hold = staticmethod(lambda role: 200)
+    prompts: list = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        _RoundStub.prompts.append(prompt)
+        role = next(pattern for pattern in FIGURE_SCRIPT if pattern in prompt)
+        status = _RoundStub.hold(role)
+        if status != 200:
+            self.send_error(status)
+            return
+        _reply_with(self, FIGURE_SCRIPT[role])
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def round_stub():
+    _RoundStub.hold = staticmethod(lambda role: 200)
+    _RoundStub.prompts = []
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _RoundStub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+RETRIEVAL_PATTERNS = ("table analyst", "passage reader", "image interpreter")
+
+
+def executor_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+def test_a_rounds_three_retrieval_calls_are_in_flight_at_once(round_stub):
+    # No retrieval request is answered until all three are in flight; then
+    # Visual is answered first, Context next and Table last.
+    all_in_flight = threading.Barrier(3, timeout=5)
+    answered: list[str] = []
+    answering = {role: threading.Event() for role in RETRIEVAL_PATTERNS}
+    after = dict(zip(RETRIEVAL_PATTERNS, RETRIEVAL_PATTERNS[1:]))  # whom each role waits for
+
+    def hold(role):
+        if role in RETRIEVAL_PATTERNS:
+            all_in_flight.wait()
+            if role in after and not answering[after[role]].wait(timeout=5):
+                return 504
+            answered.append(role)
+            answering[role].set()
+        return 200
+
+    _RoundStub.hold = staticmethod(hold)
+    backend = HttpBackend(base_url=round_stub)
+    result = run(FIGURE_QUESTION, figure_sources(), backend)
+
+    assert answered == list(reversed(RETRIEVAL_PATTERNS))
+    assert result.termination is Termination.ANSWER_VERIFIED and result.metrics.rounds == 1
+    assert [e.entry_type for e in result.log.entries] == [
+        EntryType.QUERY, EntryType.LOOKUP, EntryType.QUOTE, EntryType.VISUAL,
+        EntryType.ANSWER, EntryType.OK,
+    ]
+    # The counters stay exact over the round's concurrent generate calls;
+    # each of the five roles was asked once.
+    assert backend.calls == len(_RoundStub.prompts) == 5
+    assert backend.prompt_tokens == sum(map(token_estimate, _RoundStub.prompts))
+    assert backend.completion_tokens == sum(map(token_estimate, FIGURE_SCRIPT.values()))
+    assert executor_threads() == []
+
+
+def test_a_spent_call_commits_the_replies_before_it_once_its_peers_are_joined(round_stub):
+    # Context's tries are all refused with 503; Visual's reply comes back
+    # only after that, and late. Table's Lookup is committed, Visual's reply
+    # is not, and run raises only once Visual's worker has finished.
+    context_spent = threading.Event()
+
+    def hold(role):
+        if role == "passage reader":
+            if sum("passage reader" in prompt for prompt in _RoundStub.prompts) == 3:
+                context_spent.set()
+            return 503
+        if role == "image interpreter":
+            context_spent.wait(timeout=5)
+            time.sleep(0.2)
+        return 200
+
+    _RoundStub.hold = staticmethod(hold)
+    backend = HttpBackend(base_url=round_stub)
+    with pytest.raises(TransportAbort, match="after 2 retries") as excinfo:
+        run(FIGURE_QUESTION, figure_sources(), backend)
+    partial = excinfo.value.partial_log
+    assert [e.entry_type for e in partial.entries] == [EntryType.QUERY, EntryType.LOOKUP]
+    assert backend.calls == 2  # Table's and Visual's replies, both counted before the raise
+    assert executor_threads() == []

@@ -12,7 +12,7 @@ from logboard.harness import run_benchmark
 from logboard.backends import BASE_URL_ENV, ScriptedBackend
 from logboard.sources import bundle_to_dict
 
-from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION, gate_fixture
+from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION, bom_copy, gate_fixture
 
 
 def ask_args(out_dir, *extra):
@@ -95,6 +95,14 @@ def test_ask_no_answer_exits_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out.strip() == ""
+
+
+def test_a_scripted_fixture_with_a_byte_order_mark_loads_as_one_without(tmp_path, capsys):
+    marked = bom_copy(FIXTURES / "golden_script.json", tmp_path / "marked")
+    code = main(ask_args(tmp_path / "run", "--scripted", str(marked)))
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.strip() == GOLDEN_ANSWER
 
 
 def test_ask_missing_fixture_is_error(tmp_path, capsys):
@@ -339,6 +347,19 @@ def test_trace_renders_markdown_table(tmp_path, capsys):
     assert any(line.startswith("| VerificationAgent (OK) |") for line in lines)
 
 
+def test_a_trace_with_a_byte_order_mark_renders_as_one_without(tmp_path, capsys):
+    main(ask_args(tmp_path))
+    capsys.readouterr()
+    rendered = []
+    for path in (tmp_path / "trace.jsonl", bom_copy(tmp_path / "trace.jsonl", tmp_path / "marked")):
+        for fmt in ("markdown", "jsonl"):
+            code = main(["trace", str(path), "--format", fmt])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            rendered.append(out)
+    assert rendered[2:] == rendered[:2]
+
+
 def test_trace_missing_content_is_clean_error(tmp_path, capsys):
     path = tmp_path / "trace.jsonl"
     path.write_text('{"agent": "User", "type": "Query", "step": 0}\n', encoding="utf-8")
@@ -440,6 +461,17 @@ def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "flag-wins" / "trace.jsonl").exists()
     capsys.readouterr()
+
+
+def test_a_config_file_with_a_byte_order_mark_loads_as_one_without(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_rounds": 4, "no_verify": True}), encoding="utf-8")
+    marked = bom_copy(config, tmp_path / "marked")
+    for path in (config, marked):
+        code = main(["--config", str(path), *ask_args(tmp_path / path.parent.name)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert out.strip() == GOLDEN_ANSWER and "AnswerUnverified" in err
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from logboard.gating import (
     LogisticGate,
     extract_features,
     mine_samples,
+    mine_samples_from_dir,
     predict_continue,
     sigmoid,
     split_rounds,
@@ -22,11 +23,13 @@ from logboard.log import (
     VERIFICATION_AGENT,
     EntryType,
     LogEntry,
+    dump_trace,
 )
 from logboard.scheduler import Termination, run
 from logboard.backends import ScriptedBackend
 
 from helpers import (
+    bom_copy,
     GOLDEN_QUESTION,
     golden_script,
     golden_sources,
@@ -154,6 +157,14 @@ def test_gate_json_roundtrip(tmp_path):
     assert loaded.threshold == gate.threshold
 
 
+def test_a_gate_file_with_a_byte_order_mark_loads_as_one_without(tmp_path):
+    gate, _ = train(separable_samples(), epochs=50, learning_rate=0.1)
+    gate.save(tmp_path / "gate.json")
+    plain = LogisticGate.load(tmp_path / "gate.json")
+    marked = LogisticGate.load(bom_copy(tmp_path / "gate.json", tmp_path / "marked"))
+    assert marked.to_dict() == plain.to_dict()
+
+
 def test_gate_rejects_nonfinite():
     with pytest.raises(ValueError):
         LogisticGate(weights=np.array([np.nan, 0, 0, 0]))
@@ -234,6 +245,18 @@ def test_mine_samples_labels_by_citation():
     assert [s.label for s in cited] == [1]
     uncited = mine_samples([_multi_round_trace(cite_round_one=False)])
     assert [s.label for s in uncited] == [0]
+
+
+def test_mined_traces_with_a_byte_order_mark_load_as_ones_without(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for cite in (True, False):
+        path = plain / f"cite_{cite}.jsonl"
+        path.write_text(dump_trace(_multi_round_trace(cite_round_one=cite)), encoding="utf-8")
+        bom_copy(path, tmp_path / "marked")
+    samples = mine_samples_from_dir(plain)
+    assert [s.label for s in samples] == [0, 1]
+    assert mine_samples_from_dir(tmp_path / "marked") == samples
 
 
 def test_an_answer_cites_an_entry_by_naming_its_source_id_as_whole_words():

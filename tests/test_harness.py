@@ -40,11 +40,12 @@ from logboard.log import (
 )
 from logboard.retrieval import retrieve
 from logboard.scheduler import SchedulerConfig, Termination
-from logboard.sources import Image, Passage, SourceBundle, Table
+from logboard.sources import Image, Passage, SourceBundle, Table, bundle_to_dict
 from logboard.textutil import ARTICLES, numeral_values, parse_numerals
 
 from helpers import (
     FIXTURES,
+    bom_copy,
     GOLDEN_ANSWER,
     GOLDEN_QUESTION,
     delta_record,
@@ -863,6 +864,14 @@ def test_load_benchmark_fixture_roundtrip():
     assert len(records) == 5
     assert all(r.gold_answers for r in records)
     assert records[0].sources.tables[0].id == "Table 1"
+
+
+def test_a_benchmark_file_with_a_byte_order_mark_loads_as_one_without(tmp_path):
+    def loaded(path):
+        return [(r.question, r.gold_answers, bundle_to_dict(r.sources)) for r in load_benchmark(path)]
+
+    plain = FIXTURES / "golden_bench.jsonl"
+    assert loaded(bom_copy(plain, tmp_path)) == loaded(plain)
 
 
 def test_load_benchmark_shares_one_bundle_per_sources_path(tmp_path, monkeypatch):

@@ -23,7 +23,16 @@ from logboard.agents import (
 from logboard.backends import ScriptedBackend, TransportError, UsageMixin
 from logboard.gating import extract_features
 from logboard.harness import FaultType, inject_faults, run_benchmark
-from logboard.log import EntryType, SharedLog, dump_trace, is_near_duplicate, parse_answer
+from logboard.log import (
+    CONTEXT_AGENT,
+    TABLE_AGENT,
+    VISUAL_AGENT,
+    EntryType,
+    SharedLog,
+    dump_trace,
+    is_near_duplicate,
+    parse_answer,
+)
 from logboard.retrieval import SourceViews, truncate_span
 from logboard.scheduler import (
     PER_AGENT_CAP,
@@ -31,16 +40,19 @@ from logboard.scheduler import (
     SchedulerConfig,
     Termination,
     TransportAbort,
-    offer_turn,
+    offer_turns,
     run,
 )
 from logboard.sources import Image, SourceBundle, Table
 from logboard.verify import verify_deterministic
 
 from helpers import (
+    FIGURE_QUESTION,
+    FIGURE_SCRIPT,
     GOLDEN_ANSWER,
     GOLDEN_QUESTION,
     RandomReplyBackend,
+    figure_sources,
     fuzz_sources,
     golden_script,
     golden_sources,
@@ -238,8 +250,8 @@ def test_offer_turn_cap_blocks_without_backend_call():
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    acted = offer_turn(
-        agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0,
+    acted = offer_turns(
+        [agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 0,
     )
     assert not acted and backend.calls == 0
 
@@ -252,8 +264,8 @@ def test_offer_turn_visual_idle_without_images():
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, "see the figure?"))
-    acted = offer_turn(
-        agents[AgentRole.VISUAL], state, log, SourceBundle(), backend, 0,
+    acted = offer_turns(
+        [agents[AgentRole.VISUAL]], state, log, SourceBundle(), backend, 0,
     )
     assert not acted and backend.calls == 0
 
@@ -266,8 +278,8 @@ def test_offer_turn_appends_lookup():
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    acted = offer_turn(
-        agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0,
+    acted = offer_turns(
+        [agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 0,
     )
     assert acted and state.new_entries_this_round == 1 and state.action_counts[AgentRole.TABLE] == 1
     assert log.entries[-1].entry_type is EntryType.LOOKUP
@@ -281,10 +293,10 @@ def test_dedup_rejected_append_counts_toward_cap_without_update():
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 0)
+    offer_turns([agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 0)
     agents[AgentRole.TABLE].notify_flag()  # re-open coverage; same reply comes back
     state.new_entries_this_round = 0
-    acted = offer_turn(agents[AgentRole.TABLE], state, log, golden_sources(), backend, 1)
+    acted = offer_turns([agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 1)
     assert not acted and not state.new_entries_this_round
     assert state.action_counts[AgentRole.TABLE] == 2
 
@@ -402,8 +414,8 @@ def test_configuration_surface():
     assert list(inspect.signature(run).parameters) == [
         "question", "sources", "backend", "config", "gate", "entry_mutator", "views",
     ]
-    assert list(inspect.signature(offer_turn).parameters) == [
-        "agent", "state", "log", "sources", "backend", "round_idx", "mutator",
+    assert list(inspect.signature(offer_turns).parameters) == [
+        "agents", "state", "log", "sources", "backend", "round_idx", "mutator",
     ]
     assert list(inspect.signature(extract_features).parameters) == ["entries", "new_entries"]
     assert list(inspect.signature(inject_faults).parameters) == ["bundle", "spec"]
@@ -543,6 +555,64 @@ def test_guardrails_hold_for_any_scripted_replies(case):
         assert not stalled or last  # a stalled round is the last one
         if last:
             assert stalled == (result.termination is Termination.NO_PROGRESS)
+
+
+RETRIEVAL_AUTHORS = (TABLE_AGENT, CONTEXT_AGENT, VISUAL_AGENT)  # in role order
+RETRIEVAL_OPENINGS = tuple(GUARDRAIL_REPLIES)[:3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(guardrail_cases())
+def test_a_rounds_retrieval_prompts_show_none_of_its_entries(case):
+    script, config, with_images = case
+    sources = fuzz_sources()
+    if with_images:
+        sources.images.append(Image("chart", caption="two lines", ocr_text="7 9"))
+    prompts: list[list[str]] = [[]]  # each round's retrieval prompts
+    offered: list[list] = [[]]  # each round's retrieval entries, as offered to the log
+
+    class RecordingBackend(ScriptedBackend):
+        def generate(self, prompt, temperature, max_tokens=512):
+            if SUMMARY_ROLE in prompt:  # the round's retrieval turns are over
+                prompts.append([])
+                offered.append([])
+            elif prompt.startswith(RETRIEVAL_OPENINGS):
+                prompts[-1].append(prompt)
+            return super().generate(prompt, temperature, max_tokens)
+
+    def record(entry, log):
+        offered[-1].append(entry)
+        return entry
+
+    result = run(
+        "How did the widget figure move?", sources, RecordingBackend(script),
+        config=config, entry_mutator=record,
+    )
+    committed = {id(e) for e in result.log.entries}
+    for round_prompts, round_entries in zip(prompts, offered):
+        entries = sorted((e for e in round_entries if id(e) in committed), key=lambda e: e.step)
+        for entry in entries:
+            assert not any(entry.content in prompt for prompt in round_prompts)
+        # Committed in role order, each role at most once a round.
+        authors = [RETRIEVAL_AUTHORS.index(e.agent) for e in entries]
+        assert authors == sorted(set(authors))
+
+
+def test_a_spent_call_commits_the_rounds_replies_before_it():
+    # In process the calls go one after another in role order. Context's
+    # tries are spent: Visual is still asked, but only the Lookup commits.
+    class ContextDown(ScriptedBackend):
+        def generate(self, prompt, temperature, max_tokens=512):
+            if "passage reader" in prompt:
+                raise TransportError("HTTP Error 503")
+            return super().generate(prompt, temperature, max_tokens)
+
+    backend = ContextDown(FIGURE_SCRIPT)
+    with pytest.raises(TransportAbort, match="after 2 retries") as excinfo:
+        run(FIGURE_QUESTION, figure_sources(), backend)
+    partial = excinfo.value.partial_log
+    assert [e.entry_type for e in partial.entries] == [EntryType.QUERY, EntryType.LOOKUP]
+    assert backend.calls == 2
 
 
 def test_visual_runs_and_anchors_image():

@@ -719,9 +719,9 @@ def test_flag_reengaged_run_slices_each_table_once_per_act(monkeypatch):
         assert cells == table_cells(table)
         return select_table_slice(table, question, cells)
 
-    def counting_act(agent, *args, **kwargs):
+    def counting_prepare(agent, *args, **kwargs):
         acts.append(agent.role)
-        return original_act(agent, *args, **kwargs)
+        return original_prepare(agent, *args, **kwargs)
 
     def counting_index(passages):
         indexed.append(len(passages))
@@ -737,12 +737,12 @@ def test_flag_reengaged_run_slices_each_table_once_per_act(monkeypatch):
         return original_build_prompt(role, *args, **kwargs)
 
     sources = two_table_sources()  # indexes its passages here, before the run
-    original_act = TableAgent.act
+    original_prepare = TableAgent.prepare
     original_index = logboard.retrieval.index
     original_retrieve = logboard.retrieval.retrieve
     original_build_prompt = logboard.agents.build_prompt
     monkeypatch.setattr(logboard.agents, "select_table_slice", counting_slice)
-    monkeypatch.setattr(TableAgent, "act", counting_act)
+    monkeypatch.setattr(TableAgent, "prepare", counting_prepare)
     monkeypatch.setattr(logboard.retrieval, "index", counting_index)
     monkeypatch.setattr(logboard.retrieval, "retrieve", counting_retrieve)
     monkeypatch.setattr(logboard.agents, "build_prompt", counting_build_prompt)
