@@ -399,9 +399,10 @@ def catch_and_repair(
 ) -> CatchRepair:
     """Catch: a Flag implicates the fault's step or names (`textutil.names`)
     its source id, so a Flag naming "Table 12" does not catch "Table 1".
-    Repair: a caught fault whose original value reappears in a later entry
-    of a run that ends verified; when the fault changed no numeral value
-    (an OCR swap), its original text must reappear as whole words."""
+    Repair: a caught fault whose original value reappears in a later
+    evidence entry that is not itself labeled, in a run that ends verified;
+    when the fault changed no numeral value (an OCR swap), its original text
+    must reappear as whole words."""
     if not labels:
         raise ValueError("catch_and_repair needs labels from inject_faults")
     flags = [e for e in final_log.entries if e.entry_type is EntryType.FLAG]
@@ -413,6 +414,9 @@ def catch_and_repair(
             first_flag_step = flag.step
     caught_targets: list[int | str] = []
     repaired_targets: list[int | str] = []
+    # A labeled entry is a fault, so it repairs nothing, even when it
+    # restates another fault's original value.
+    faulted_steps = {label.target for label in labels if isinstance(label.target, int)}
 
     def values(text: str) -> set[float]:
         return {m.value for m in final_log.numerals(text)}
@@ -430,7 +434,11 @@ def catch_and_repair(
             continue
         restored = values(label.original) - values(label.corrupted)
         for entry in final_log.entries:
-            if entry.step <= first_flag_step or entry.entry_type not in EVIDENCE_TYPES:
+            if (
+                entry.step <= first_flag_step
+                or entry.entry_type not in EVIDENCE_TYPES
+                or entry.step in faulted_steps
+            ):
                 continue
             if restored and restored <= values(entry.content):
                 repaired_targets.append(label.target)
@@ -495,6 +503,8 @@ class BenchmarkRecord:
     gold_answers: list[str]
 
     def __post_init__(self) -> None:
+        if not self.question.strip():
+            raise ValueError("a benchmark record's question must be non-empty")
         if not self.gold_answers:
             raise ValueError("a benchmark record needs at least one gold answer")
 
@@ -504,29 +514,38 @@ def load_benchmark(path: str | Path) -> list[BenchmarkRecord]:
 
     A record names its sources inline or by "sources_path" (relative to the
     JSONL file). Each distinct path is loaded once, so records naming one
-    path share one bundle, and with it one passage index.
+    path share one bundle, and with it one passage index. A bad record is
+    a ValueError that starts with "<path> line <n>: ".
     """
     records = []
     base = Path(path).parent
     loaded: dict[Path, SourceBundle] = {}
     kind = "benchmark record"
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    # Lines end at "\n" only: `splitlines` would also end one at a U+2028
+    # inside a JSON string, which json.dumps(ensure_ascii=False) writes raw.
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        data = json_value(json.loads(line), dict, kind)
-        question = json_field(data, "question", kind)
-        gold_answers = json_strings(json_field(data, "gold_answers", kind, list), "gold_answers")
-        if "sources_path" in data:
-            sources_path = base / json_field(data, "sources_path", kind)
-            if sources_path not in loaded:
-                loaded[sources_path] = load_sources(sources_path)
-            bundle = loaded[sources_path]
-        else:
-            bundle = bundle_from_dict(json_field(data, "sources", kind, dict, {}))
-        records.append(
-            BenchmarkRecord(question=question, sources=bundle, gold_answers=gold_answers)
-        )
+        try:
+            data = json_value(json.loads(line), dict, kind)
+            question = json_field(data, "question", kind)
+            gold_answers = json_strings(
+                json_field(data, "gold_answers", kind, list), "gold_answers"
+            )
+            if "sources_path" in data:
+                sources_path = base / json_field(data, "sources_path", kind)
+                if sources_path not in loaded:
+                    loaded[sources_path] = load_sources(sources_path)
+                bundle = loaded[sources_path]
+            else:
+                bundle = bundle_from_dict(json_field(data, "sources", kind, dict, {}))
+            records.append(
+                BenchmarkRecord(question=question, sources=bundle, gold_answers=gold_answers)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from exc
     return records
 
 
@@ -651,6 +670,13 @@ def run_benchmark(
     labels. Individual run failures score EM 0 with an error note; the
     benchmark always completes.
 
+    Each run is scored as soon as it ends, the dry runs too, and its
+    `RunResult` is then dropped, so the call holds at most one. Per
+    finished record it holds only what it will write: the report line, the
+    ROUGE scores and groundedness that `metrics.json` folds, the fault rows,
+    and, when `out_dir` is given, the trace entries. The dry outcome of a
+    record with a selected target is discarded once targets are chosen.
+
     In each pass, the records of one bundle share one `SourceViews`,
     built as the pass goes and dropped after the bundle's last record, so
     a bundle's question-independent source work is done once per pass. A
@@ -674,43 +700,16 @@ def run_benchmark(
             logger.exception("run failed for record %d", i)
             return None, f"{type(exc).__name__}: {exc}"
 
-    # A record's final (result, error): a kept dry run, or one that raised.
-    runs: dict[int, tuple[sched.RunResult | None, str | None]] = {}
-    chosen_by_record: dict[int, set[int]] = {}
-    if fault_spec is not None:
-        if fault_spec.fault_type not in _ENTRY_FAULTS:
-            raise ValueError(
-                f"in-run injection supports {sorted(t.value for t in _ENTRY_FAULTS)}; "
-                "apply source-level faults to records before the benchmark"
-            )
-        eligible: list[tuple[int, int]] = []
-        for i, views in enumerate(_bundle_views(records)):
-            counter = _InFlightInjector(fault_spec, i, set())
-            runs[i] = run_one(i, views, counter)
-            if runs[i][0] is not None:
-                eligible.extend((i, occ) for occ in range(counter.occurrence))
-        _require_targets(eligible, "eligible retrieval entries in the benchmark")
-        for pos in _select(len(eligible), fault_spec):
-            rec, occ = eligible[pos]
-            chosen_by_record.setdefault(rec, set()).add(occ)
-            runs.pop(rec, None)
-
-    reports: list[dict] = []
-    traces: list[list[LogEntry]] = []
-    fault_rows: list[dict] = []
-    rouge_sums = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
-    groundedness_values: list[float] = []
-    for (i, record), views in zip(enumerate(records), _bundle_views(records)):
-        injector = None
-        if i not in runs:
-            if fault_spec is not None:
-                injector = _InFlightInjector(fault_spec, i, chosen_by_record[i])
-            runs[i] = run_one(i, views, injector)
-        result, error = runs.pop(i)
-
+    def score(i: int, injector: _InFlightInjector | None,
+              result: sched.RunResult | None, error: str | None):
+        """What a finished run adds to the outputs: (report, ROUGE scores,
+        groundedness or None, fault rows, trace entries). The trace is
+        kept only when it will be written."""
+        record = records[i]
         answer = result.final_answer if result else None
         em = False
         best_rouge = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
+        groundedness = None
         if answer:
             # Each text is normalized once for both scores.
             answer_words = _answer_words(answer)
@@ -720,10 +719,7 @@ def run_benchmark(
                 scores = _rouge_words(answer_words, gold)
                 if scores["rougeL"] >= best_rouge["rougeL"]:
                     best_rouge = scores
-            groundedness_values.append(log_groundedness(answer, result.log))
-        for key in rouge_sums:
-            rouge_sums[key] += best_rouge[key]
-
+            groundedness = log_groundedness(answer, result.log)
         report = {
             "question": record.question,
             "answer": answer,
@@ -734,21 +730,61 @@ def run_benchmark(
         }
         if error:
             report["error"] = error
-        reports.append(report)
-        traces.append(result.log.entries if result else [])
         labels = injector.labels() if injector is not None and result else []
+        fault_rows = []
         if labels:
             outcome = catch_and_repair(
                 labels, result.log, result.termination is sched.Termination.ANSWER_VERIFIED
             )
-            fault_rows.extend(
+            fault_rows = [
                 {
                     **label.to_dict(),
                     "caught": label.target in outcome.caught_targets,
                     "repaired": label.target in outcome.repaired_targets,
                 }
                 for label in labels
+            ]
+        trace = result.log.entries if result and out_dir is not None else []
+        return report, best_rouge, groundedness, fault_rows, trace
+
+    # Each record's scored outcome, by record: its run is dropped once scored.
+    scored: dict[int, tuple] = {}
+    chosen_by_record: dict[int, set[int]] = {}
+    if fault_spec is not None:
+        if fault_spec.fault_type not in _ENTRY_FAULTS:
+            raise ValueError(
+                f"in-run injection supports {sorted(t.value for t in _ENTRY_FAULTS)}; "
+                "apply source-level faults to records before the benchmark"
             )
+        eligible: list[tuple[int, int]] = []
+        for i, views in enumerate(_bundle_views(records)):
+            counter = _InFlightInjector(fault_spec, i, set())  # counts, labels nothing
+            scored[i] = score(i, counter, *run_one(i, views, counter))
+            if "error" not in scored[i][0]:
+                eligible.extend((i, occ) for occ in range(counter.occurrence))
+        _require_targets(eligible, "eligible retrieval entries in the benchmark")
+        for pos in _select(len(eligible), fault_spec):
+            rec, occ = eligible[pos]
+            chosen_by_record.setdefault(rec, set()).add(occ)
+            scored.pop(rec, None)
+
+    for i, views in enumerate(_bundle_views(records)):
+        if i not in scored:
+            injector = None
+            if fault_spec is not None:
+                injector = _InFlightInjector(fault_spec, i, chosen_by_record[i])
+            scored[i] = score(i, injector, *run_one(i, views, injector))
+
+    # Folded in record order, so every sum adds in the same order.
+    reports, rouges, groundedness, rows_by_record, traces = map(
+        list, zip(*(scored.pop(i) for i in range(len(records))))
+    )
+    groundedness_values = [value for value in groundedness if value is not None]
+    fault_rows = [row for rows in rows_by_record for row in rows]
+    rouge_sums = {"rouge1": 0.0, "rouge2": 0.0, "rougeL": 0.0}
+    for scores in rouges:
+        for key in rouge_sums:
+            rouge_sums[key] += scores[key]
 
     em_values = [float(report["em"]) for report in reports]
     ran = [report for report in reports if "error" not in report]

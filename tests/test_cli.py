@@ -144,6 +144,33 @@ def test_bench_without_a_backend_is_one_error_line(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "report.jsonl").exists()
 
 
+_GOOD_RECORD = '{"question": "q?", "gold_answers": ["a"], "sources": {}}'
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["not json"], "line 1: Expecting value: line 1 column 1 (char 0)"),
+        ([_GOOD_RECORD, '{"gold_answers": ["a"]}'], "line 2: benchmark record has no 'question' field"),
+        ([_GOOD_RECORD, "", '{"question": "", "gold_answers": ["a"], "sources": {}}'],
+         "line 3: a benchmark record's question must be non-empty"),
+        (['{"question": "   ", "gold_answers": ["a"], "sources": {}}'],
+         "line 1: a benchmark record's question must be non-empty"),
+    ],
+    ids=["not-json", "no-question", "empty-question", "blank-question"],
+)
+def test_malformed_benchmark_file_is_one_error_line(tmp_path, capsys, lines, message):
+    dataset = tmp_path / "bench.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["bench", str(dataset), "--scripted", str(FIXTURES / "golden_bench_script.json"),
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {dataset} {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_with_faults_writes_faults_json(tmp_path):
     code = main(
         [

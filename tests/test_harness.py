@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -383,6 +384,27 @@ def test_repair_requires_restoration_and_verified_end():
     assert repaired.repair_rate == 1.0
 
 
+def test_a_labeled_entry_repairs_no_other_fault():
+    first = FaultLabel(1, FaultType.ARITHMETIC_CORRUPTION, "Revenue was $55M.", "Revenue was $56M.")
+    second = FaultLabel(
+        3,
+        FaultType.ARITHMETIC_CORRUPTION,
+        "Revenue was $55M and costs were $30M.",
+        "Revenue was $55M and costs were $31M.",
+    )
+    log = log_with("q?", lookup("Revenue was $56M."))
+    log.append(LogEntry(VERIFICATION_AGENT, EntryType.FLAG, "Flagged ArithmeticMismatch: bad [steps: 1]"))
+    log.append(lookup(second.corrupted))
+    assert [e.step for e in log.entries] == [0, 1, 2, 3]
+    # The second fault restates the first one's original $55M: no repair.
+    outcome = catch_and_repair([first, second], log, final_answer_ok=True)
+    assert (outcome.caught_targets, outcome.repaired_targets) == ([1], [])
+    log.append(lookup("Audited figure: revenue was $55M after all."))
+    assert log.entries[-1].step == 4
+    outcome = catch_and_repair([first, second], log, final_answer_ok=True)
+    assert (outcome.caught_targets, outcome.repaired_targets) == ([1], [1])
+
+
 def test_source_id_targets_catch_via_flag_text():
     label = FaultLabel("Table 7", FaultType.MISSING_ROW, "2019 | 55", "<row 1 deleted>")
     log = log_with("q?")
@@ -755,6 +777,58 @@ def test_reused_clean_runs_match_fault_free_outputs(tmp_path):
         assert reports["faulted"][i] != reports["clean"][i]
 
 
+def test_a_live_run_with_more_eligible_reads_labels_only_its_chosen_ones(tmp_path, monkeypatch):
+    # At rate 1.0 each record's one dry-run Lookup is chosen; the live run
+    # flags it and re-engages, and the second Lookup is eligible but unchosen.
+    records, script = _delta_suite(3)
+    injectors = []
+
+    class Recording(harness._InFlightInjector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            injectors.append(self)
+
+    monkeypatch.setattr(harness, "_InFlightInjector", Recording)
+    run_benchmark(
+        records,
+        backend_factory=lambda: ScriptedBackend(script),
+        fault_spec=FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=1.0, seed=3),
+        out_dir=tmp_path,
+    )
+    dry, live = injectors[: len(records)], injectors[len(records) :]
+    faults = json.loads((tmp_path / "faults.json").read_text())
+    assert [row["record"] for row in faults] == list(range(len(records)))
+    for i, row in enumerate(faults):
+        assert dry[i].occurrence == 1 and live[i].chosen == {0}
+        assert live[i].occurrence > dry[i].occurrence
+        trace = load_trace((tmp_path / f"trace_{i:03d}.jsonl").read_text())
+        assert [e.entry_type for e in trace].count(EntryType.LOOKUP) == 2
+        (entry,) = [e for e in trace if e.step == row["target"]]
+        assert entry.content == row["corrupted"] != row["original"]
+
+
+def test_fault_mode_holds_at_most_one_run_result(monkeypatch):
+    records, script = _delta_suite(12)
+    results, alive_at_start = [], []
+    real_run = scheduler.run
+
+    def alive():
+        return sum(ref() is not None for ref in results)
+
+    def tracked_run(*args, **kwargs):
+        alive_at_start.append(alive())
+        result = real_run(*args, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(scheduler, "run", tracked_run)
+    spec = FaultSpec(FaultType.ARITHMETIC_CORRUPTION, rate=0.3, seed=3)
+    run_benchmark(records, backend_factory=lambda: ScriptedBackend(script), fault_spec=spec)
+    assert len(results) > len(records)  # a dry pass, then live runs
+    assert max(alive_at_start) <= 1
+    assert alive() == 0
+
+
 class _DownFor(ScriptedBackend):
     """A scripted backend whose transport fails for prompts holding every needle."""
 
@@ -911,13 +985,26 @@ def test_load_benchmark_shares_one_bundle_per_sources_path(tmp_path, monkeypatch
     assert [doc_id for doc_id, _ in retrieve(shared.passage_index, "revenue")] == ["p1"]
 
 
+def test_load_benchmark_counts_lines_by_newline_only(tmp_path):
+    # A raw U+2028 inside a JSON string neither splits its record nor
+    # shifts the line number of a later one.
+    good = json.dumps({"question": "q\u2028two?", "gold_answers": ["a"]}, ensure_ascii=False)
+    path = tmp_path / "bench.jsonl"
+    path.write_text(f"{good}\r\n{{}}\r\n", encoding="utf-8")
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 2: .*no 'question' field"):
+        load_benchmark(path)
+    path.write_text(good + "\n", encoding="utf-8")
+    assert [r.question for r in load_benchmark(path)] == ["q\u2028two?"]
+
+
 @pytest.mark.parametrize("field", ["question", "gold_answers"])
 def test_load_benchmark_names_missing_field(tmp_path, field):
     record = {"question": "q?", "gold_answers": ["a"], "sources": {}}
     del record[field]
     path = tmp_path / "bench.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"no '{field}' field"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1: .*no '{field}' field"):
         load_benchmark(path)
 
 
@@ -929,10 +1016,14 @@ def test_load_benchmark_names_missing_field(tmp_path, field):
         ({"question": "q?", "gold_answers": "a"}, "'gold_answers' must be a JSON array, not a string"),
         ({"question": "q?", "gold_answers": [1]}, "gold_answers item 0 must be a string"),
         ({"question": "q?", "gold_answers": ["a"], "sources": []}, "'sources' must be a JSON object"),
+        ({"question": "", "gold_answers": ["a"]}, "question must be non-empty"),
+        ({"question": "   ", "gold_answers": ["a"]}, "question must be non-empty"),
+        ({"question": "q?", "gold_answers": []}, "at least one gold answer"),
     ],
 )
 def test_load_benchmark_names_mistyped_field(tmp_path, record, message):
     path = tmp_path / "bench.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
+    good = {"question": "q?", "gold_answers": ["a"]}
+    path.write_text(f"{json.dumps(good)}\n\n{json.dumps(record)}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: .*{re.escape(message)}"):
         load_benchmark(path)
