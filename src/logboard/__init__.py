@@ -72,7 +72,6 @@ from .scheduler import (
     TransportAbort,
     offer_turns,
     run,
-    write_trace,
 )
 from .sources import Image, Passage, SourceBundle, Table, load_sources
 from .verify import Finding, FindingKind, verify_deterministic

@@ -697,10 +697,6 @@ def verification_act(log: SharedLog, backend: TextBackend) -> LogEntry:
 RETRIEVAL_ROLES = (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL)
 
 
-def build_agents(views: SourceViews) -> dict[AgentRole, object]:
-    """Fresh per-run retrieval agents sharing views."""
-    return {
-        AgentRole.TABLE: TableAgent(views),
-        AgentRole.CONTEXT: ContextAgent(views),
-        AgentRole.VISUAL: VisualAgent(views),
-    }
+def build_agents(views: SourceViews) -> list:
+    """Fresh per-run retrieval agents sharing views, in RETRIEVAL_ROLES order."""
+    return [TableAgent(views), ContextAgent(views), VisualAgent(views)]

@@ -18,8 +18,8 @@ from pathlib import Path
 from .backends import BASE_URL_ENV, HttpBackend, ScriptedBackend, TextBackend
 from .gating import LogisticGate, mine_samples_from_dir, train
 from .harness import FaultSpec, FaultType, inject_faults, load_benchmark, run_benchmark
-from .log import load_trace
-from .scheduler import SchedulerConfig, TransportAbort, run, write_run_summary, write_trace
+from .log import dump_trace, load_trace
+from .scheduler import SchedulerConfig, TransportAbort, run
 from .sources import bundle_to_dict, json_value, load_sources
 
 FAULT_NAMES = {
@@ -144,9 +144,6 @@ def _scheduler_config(args: argparse.Namespace) -> SchedulerConfig:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    if not args.question.strip():
-        print("error: question must be non-empty", file=sys.stderr)
-        return 1
     sources = load_sources(args.sources)
     backend = _backend_factory(args)()
     gate = LogisticGate.load(args.gate) if args.gate else None
@@ -163,8 +160,10 @@ def cmd_ask(args: argparse.Namespace) -> int:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace(result, out / "trace.jsonl")
-    write_run_summary(result, out / "run.json")
+    (out / "trace.jsonl").write_text(dump_trace(result.log.entries), encoding="utf-8")
+    (out / "run.json").write_text(
+        json.dumps(result.summary_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     print(f"termination: {result.termination.value}", file=sys.stderr)
     if result.final_answer is not None:
         print(result.final_answer)
@@ -228,12 +227,16 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _markdown_escape(text: str) -> str:
-    return text.replace("|", "\\|").replace("\n", " ")
+    # Any line break that `str.splitlines` knows would end the table row.
+    return " ".join(text.replace("|", "\\|").splitlines())
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     text = Path(args.trace_path).read_text(encoding="utf-8-sig")
-    entries = load_trace(text)
+    try:
+        entries = load_trace(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.trace_path} {exc}") from exc
     if args.format == "jsonl":
         sys.stdout.write(text)
         return 0

@@ -283,5 +283,8 @@ def mine_samples_from_dir(path: str | Path) -> list[GateSample]:
     traces = []
     for file in sorted(Path(path).glob("**/*.jsonl")):
         if file.name != "report.jsonl":
-            traces.append(load_trace(file.read_text(encoding="utf-8-sig")))
+            try:
+                traces.append(load_trace(file.read_text(encoding="utf-8-sig")))
+            except ValueError as exc:
+                raise ValueError(f"{file} {exc}") from exc
     return mine_samples(traces)

@@ -458,13 +458,13 @@ def catch_and_repair(
     )
 
 
-def bootstrap_ci(
-    values: Sequence[float],
-    resamples: int = 1000,
-    level: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap of the mean (resampled with random.Random(seed))."""
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_LEVEL = 0.95
+
+
+def bootstrap_ci(values: Sequence[float], seed: int = 0) -> tuple[float, float]:
+    """Seeded percentile bootstrap of the mean (resampled with random.Random(seed)):
+    the BOOTSTRAP_LEVEL interval over BOOTSTRAP_RESAMPLES resampled means."""
     if len(values) == 0:
         raise ValueError("bootstrap_ci needs at least one value")
     if min(values) == max(values):
@@ -473,8 +473,8 @@ def bootstrap_ci(
         return float(values[0]), float(values[0])
     rng = random.Random(seed)
     n = len(values)
-    means = [statistics.fmean(rng.choices(values, k=n)) for _ in range(resamples)]
-    alpha = (1.0 - level) / 2.0
+    means = [statistics.fmean(rng.choices(values, k=n)) for _ in range(BOOTSTRAP_RESAMPLES)]
+    alpha = (1.0 - BOOTSTRAP_LEVEL) / 2.0
     return _percentile(means, 100 * alpha), _percentile(means, 100 * (1 - alpha))
 
 

@@ -175,25 +175,20 @@ def validate_entry(entry: LogEntry) -> None:
         )
 
 
-class Clock:
-    """Milliseconds since run start. Subclasses decide real vs simulated."""
+class RealClock:
+    """Wall-clock milliseconds since run start."""
 
-    def now_ms(self) -> int:
-        raise NotImplementedError
-
-    def advance(self, ms: int) -> None:  # pragma: no cover - overridden
-        pass
-
-
-class RealClock(Clock):
     def __init__(self) -> None:
         self._t0 = time.monotonic()
 
     def now_ms(self) -> int:
         return int((time.monotonic() - self._t0) * 1000)
 
+    def advance(self, ms: int) -> None:
+        """Wall time moves by itself; a backend call's tick adds nothing."""
 
-class SimClock(Clock):
+
+class SimClock:
     """Deterministic clock: time moves only when advance() is called.
 
     Used with scripted backends so traces and latency stats are
@@ -223,7 +218,7 @@ class SharedLog:
     a kept line never goes stale.
     """
 
-    def __init__(self, clock: Clock | None = None) -> None:
+    def __init__(self, clock: RealClock | SimClock | None = None) -> None:
         self.entries: list[LogEntry] = []
         self.next_step = 0
         self.clock = clock or SimClock()
@@ -419,10 +414,18 @@ def dump_trace(entries: Iterable[LogEntry]) -> str:
 
 
 def load_trace(text: str) -> list[LogEntry]:
-    """Parse a JSONL trace leniently (foreign traces are analyzable)."""
+    """Parse a JSONL trace leniently (foreign traces are analyzable).
+
+    A bad line is a ValueError that starts with "line <n>: ".
+    """
     entries = []
-    for line in text.splitlines():
+    # Lines end at "\n" only: `splitlines` would also end one at a U+2028
+    # inside a JSON string, which entry_to_json writes raw.
+    for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if line:
-            entries.append(entry_from_json(line))
+            try:
+                entries.append(entry_from_json(line))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
     return entries

@@ -13,35 +13,15 @@ bound every run regardless of backend behavior.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
-from .agents import (
-    RETRIEVAL_ROLES,
-    AgentRole,
-    build_agents,
-    generate_round,
-    summarize,
-    verification_act,
-)
+from .agents import AgentRole, build_agents, generate_round, summarize, verification_act
 from .backends import BACKEND_ATTEMPTS, HttpBackend, RequestRejected, TextBackend, TransportError
 from .gating import LogisticGate, extract_features, predict_continue
-from .log import (
-    USER,
-    Clock,
-    EntryType,
-    LogEntry,
-    RealClock,
-    AppendResult,
-    SharedLog,
-    SimClock,
-    dump_trace,
-    parse_answer,
-)
+from .log import USER, AppendResult, EntryType, LogEntry, RealClock, SharedLog, SimClock, parse_answer
 from .retrieval import SourceViews
 from .sources import SourceBundle
 
@@ -77,16 +57,6 @@ class RoundAudit:
 
 
 @dataclass
-class RunState:
-    consecutive_nonanswer_summaries: int = 0
-    action_counts: dict[AgentRole, int] = field(
-        default_factory=lambda: {role: 0 for role in RETRIEVAL_ROLES}
-    )
-    new_entries_this_round: int = 0
-    reengaged: bool = False  # a Flag has bought the run's one re-engagement round
-
-
-@dataclass
 class RunMetrics:
     rounds: int
     backend_calls: int
@@ -108,7 +78,7 @@ class RunResult:
     log: SharedLog
     termination: Termination
     metrics: RunMetrics
-    audits: list[RoundAudit] = field(default_factory=list)
+    audits: list[RoundAudit]
 
     def summary_dict(self) -> dict:
         return {
@@ -129,50 +99,46 @@ class TransportAbort(RuntimeError):
 EntryMutator = Callable[[LogEntry, SharedLog], LogEntry]
 
 
-def offer_turns(agents: list, state: RunState, log: SharedLog, sources: SourceBundle,
-                backend: TextBackend, round_idx: int,
-                mutator: EntryMutator | None = None) -> bool:
-    """Offer one round's retrieval turns; True iff an entry was accepted.
+def _takes_turn(agent, acts: dict[AgentRole, int], log: SharedLog, sources: SourceBundle,
+                round_idx: int) -> bool:
+    """The turn rule: a role under its cap whose trigger fires in this round."""
+    return acts[agent.role] < PER_AGENT_CAP and agent.should_act(log, sources, round_idx)
 
-    Each agent, in the given (role) order, decides whether to act and
-    builds its prompt and citation closure from the log as it stands on
-    entry, so no turn sees an entry of its own round. The prompts then go
-    to the backend together (`generate_round`), and the replies become
-    entries committed in the agents' order. A dedup-rejected append still
-    counts toward the role's cap but not toward the round's new entries.
-    Abstentions cost a backend call but no cap. When a call's tries are
-    spent, the replies before it are committed and its TransportError is
-    raised.
+
+def offer_turns(agents: list, acts: dict[AgentRole, int], log: SharedLog, sources: SourceBundle,
+                backend: TextBackend, round_idx: int,
+                mutator: EntryMutator | None = None) -> int:
+    """Offer one round's retrieval turns; return how many entries it committed.
+
+    Each agent, in the given (role) order, decides whether to act
+    (`_takes_turn`) and builds its prompt and citation closure from the log
+    as it stands on entry, so no turn sees an entry of its own round. The
+    prompts then go to the backend together (`generate_round`), and the
+    replies become entries committed in the agents' order. Each append
+    adds one to its role's count in `acts`, a dedup-rejected one too, but
+    only an accepted one counts toward the returned number. Abstentions
+    cost a backend call but no act. When a call's tries are spent, the
+    replies before it are committed and its TransportError is raised.
     """
     turns = [
         (agent, *agent.prepare(log, sources))
         for agent in agents
-        if state.action_counts[agent.role] < PER_AGENT_CAP
-        and agent.should_act(log, sources, round_idx)
+        if _takes_turn(agent, acts, log, sources, round_idx)
     ]
     calls = [(agent.role, prompt) for agent, prompt, _ in turns]
     replies, failure = generate_round(log, backend, calls)
-    accepted = False
+    committed = 0
     for (agent, _, cite), reply in zip(turns, replies):
         entry = agent.entry(reply, cite)
         if entry is None:
             continue
         if mutator is not None:
             entry = mutator(entry, log)
-        result = log.append(entry)
-        state.action_counts[agent.role] += 1
-        if result is AppendResult.ACCEPTED:
-            state.new_entries_this_round += 1
-            accepted = True
+        acts[agent.role] += 1
+        committed += log.append(entry) is AppendResult.ACCEPTED
     if failure is not None:
         raise failure
-    return accepted
-
-
-def _default_clock(backend: TextBackend) -> Clock:
-    # Only a live HTTP backend gets wall time; everything in-process is
-    # simulated so traces and latency stats reproduce byte-for-byte.
-    return RealClock() if isinstance(backend, HttpBackend) else SimClock()
+    return committed
 
 
 def run(
@@ -204,11 +170,14 @@ def run(
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
     config = config or SchedulerConfig()
-    built = build_agents(SourceViews() if views is None else views)
-    agents = [built[role] for role in RETRIEVAL_ROLES]  # in role order
-    log = SharedLog(clock=_default_clock(backend))
+    agents = build_agents(SourceViews() if views is None else views)
+    # Only a live HTTP backend gets wall time; everything in-process is
+    # simulated so traces and latency stats reproduce byte-for-byte.
+    log = SharedLog(clock=RealClock() if isinstance(backend, HttpBackend) else SimClock())
     log.append(LogEntry(USER, EntryType.QUERY, question))
-    state = RunState()
+    acts = {agent.role: 0 for agent in agents}  # retrieval acts per role, for PER_AGENT_CAP
+    idle_summaries = 0  # consecutive Summarizer turns without an Answer
+    reengaged = False  # a Flag has bought the run's one re-engagement round
     calls_before = backend.calls
     tokens_before = backend.prompt_tokens + backend.completion_tokens
 
@@ -218,21 +187,16 @@ def run(
     allowed_rounds = config.max_rounds
     round_idx = 0
 
-    def pending_roles(next_round: int) -> bool:
-        return any(
-            state.action_counts[agent.role] < PER_AGENT_CAP
-            and agent.should_act(log, sources, next_round)
-            for agent in agents
-        )
-
     try:
         while round_idx < allowed_rounds and termination is None:
-            state.new_entries_this_round = 0
+            new_entries = 0
             flag_granted = False
             retrieval_ran = not retrieval_frozen
 
             if not retrieval_frozen:
-                offer_turns(agents, state, log, sources, backend, round_idx, entry_mutator)
+                new_entries = offer_turns(
+                    agents, acts, log, sources, backend, round_idx, entry_mutator
+                )
 
             summary_entry = summarize(log, backend)
             if summary_entry is not None:
@@ -244,15 +208,15 @@ def run(
                 and summary_entry.entry_type is EntryType.ANSWER
                 and log.latest(EntryType.ANSWER) is not None
             ):
-                state.consecutive_nonanswer_summaries = 0
+                idle_summaries = 0
                 if config.verifier_enabled:
                     verdict = verification_act(log, backend)
                     # Only a committed OK verifies; a dedup-rejected verdict is a Flag.
                     committed = log.append(verdict) is AppendResult.ACCEPTED
                     if committed and verdict.entry_type is EntryType.OK:
                         termination = Termination.ANSWER_VERIFIED
-                    elif not state.reengaged:
-                        state.reengaged = True
+                    elif not reengaged:
+                        reengaged = True
                         allowed_rounds = max(allowed_rounds, round_idx + 2)
                         retrieval_frozen = False
                         flag_granted = True
@@ -263,15 +227,17 @@ def run(
                 else:
                     termination = Termination.ANSWER_UNVERIFIED
             else:
-                state.consecutive_nonanswer_summaries += 1
+                idle_summaries += 1
 
-            updated = state.new_entries_this_round > 0
-            any_pending = pending_roles(round_idx + 1)
+            updated = new_entries > 0
+            any_pending = any(
+                _takes_turn(agent, acts, log, sources, round_idx + 1) for agent in agents
+            )
             audits.append(
                 RoundAudit(
                     round_idx=round_idx,
                     updated=updated,
-                    consecutive_nonanswer_summaries=state.consecutive_nonanswer_summaries,
+                    consecutive_nonanswer_summaries=idle_summaries,
                     any_pending=any_pending,
                     retrieval_ran=retrieval_ran,
                 )
@@ -280,7 +246,7 @@ def run(
                 termination is None
                 and not updated
                 and not any_pending
-                and state.consecutive_nonanswer_summaries >= 2
+                and idle_summaries >= 2
             ):
                 termination = Termination.NO_PROGRESS
 
@@ -290,7 +256,7 @@ def run(
                 and not flag_granted
                 and not retrieval_frozen
             ):
-                features = extract_features(log.entries, state.new_entries_this_round)
+                features = extract_features(log.entries, new_entries)
                 if predict_continue(gate, features) < gate.threshold:
                     retrieval_frozen = True
 
@@ -324,13 +290,3 @@ def run(
         audits=audits,
     )
 
-
-def write_trace(result: RunResult, path: str | Path) -> None:
-    Path(path).write_text(dump_trace(result.log.entries), encoding="utf-8")
-
-
-def write_run_summary(result: RunResult, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(result.summary_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

@@ -178,7 +178,10 @@ def load_table_csv(path: Path) -> Table:
     UTF-8 byte-order mark is dropped, as in the JSON files."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:  # neither a ValueError nor an OSError
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"empty CSV table: {path}")
     return Table(id=path.stem, header=rows[0], rows=rows[1:])
@@ -189,12 +192,16 @@ def load_sources(path: str | Path) -> SourceBundle:
 
     Directory layout: *.csv and tables*.json become tables, passages*.json
     an array of {"id","text"}, images*.json an array of image records.
-    Files are UTF-8, with or without a leading byte-order mark.
+    Files are UTF-8, with or without a leading byte-order mark. A bad JSON
+    file is a ValueError that starts with its path.
     """
     path = Path(path)
     if path.is_file():
-        with open(path, encoding="utf-8-sig") as fh:
-            return bundle_from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                return bundle_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not path.is_dir():
         raise FileNotFoundError(f"sources path does not exist: {path}")
     tables: list[Table] = []
@@ -204,14 +211,17 @@ def load_sources(path: str | Path) -> SourceBundle:
         if child.suffix == ".csv":
             tables.append(load_table_csv(child))
         elif child.suffix == ".json":
-            with open(child, encoding="utf-8-sig") as fh:
-                data = json.load(fh)
             name = child.stem.lower()
-            if name.startswith("table"):
-                items = data if isinstance(data, list) else [data]
-                tables.extend(_table_from_dict(t) for t in items)
-            elif name.startswith("passage"):
-                passages.extend(_passage_from_dict(p) for p in json_value(data, list, child.name))
-            elif name.startswith("image"):
-                images.extend(_image_from_dict(i) for i in json_value(data, list, child.name))
+            try:
+                with open(child, encoding="utf-8-sig") as fh:
+                    data = json.load(fh)
+                if name.startswith("table"):
+                    items = data if isinstance(data, list) else [data]
+                    tables.extend(_table_from_dict(t) for t in items)
+                elif name.startswith("passage"):
+                    passages.extend(map(_passage_from_dict, json_value(data, list, "passages")))
+                elif name.startswith("image"):
+                    images.extend(map(_image_from_dict, json_value(data, list, "images")))
+            except ValueError as exc:
+                raise ValueError(f"{child}: {exc}") from exc
     return SourceBundle(tables=tables, passages=passages, images=images)

@@ -19,6 +19,8 @@ from logboard.backends import ScriptedBackend
 from logboard.cli import main as cli_main
 from logboard.gating import mine_samples, train
 from logboard.harness import (
+    BOOTSTRAP_LEVEL,
+    BOOTSTRAP_RESAMPLES,
     FaultSpec,
     FaultType,
     bootstrap_ci,
@@ -326,15 +328,16 @@ def test_criterion_07_gate_efficacy(tmp_path):
 
 def test_criterion_08_bootstrap_statistics():
     budget = Budget(5.0)
-    assert bootstrap_ci([0.8] * 100, resamples=1000, level=0.95) == (0.8, 0.8)
+    assert (BOOTSTRAP_RESAMPLES, BOOTSTRAP_LEVEL) == (1000, 0.95)
+    assert bootstrap_ci([0.8] * 100) == (0.8, 0.8)
     rng = random.Random(17)
     for _ in range(40):
         values = [rng.random() for _ in range(rng.randint(1, 80))]
-        low, high = bootstrap_ci(values, resamples=1000, level=0.95, seed=rng.randint(0, 9999))
+        low, high = bootstrap_ci(values, seed=rng.randint(0, 9999))
         mean = sum(values) / len(values)
         assert low <= mean + 1e-12 and mean - 1e-12 <= high
     draws = np.random.default_rng(21).binomial(1, 0.5, size=100).astype(float)
-    low, high = bootstrap_ci(draws, resamples=1000, level=0.95, seed=2)
+    low, high = bootstrap_ci(draws, seed=2)
     p_hat = draws.mean()
     analytic = 2 * 1.96 * math.sqrt(p_hat * (1 - p_hat) / 100)
     assert abs((high - low) - analytic) / analytic < 0.25

@@ -74,7 +74,8 @@ def fresh_log(question=GOLDEN_QUESTION):
 
 
 def retrieval_prompt(role, log, sources):
-    blocks, _ = build_agents(SourceViews())[role]._show(sources, log.question())
+    agent = build_agents(SourceViews())[RETRIEVAL_ROLES.index(role)]
+    blocks, _ = agent._show(sources, log.question())
     return build_prompt(role, log, blocks)
 
 

@@ -5,14 +5,24 @@ import json
 import pytest
 
 from logboard.cli import main
-from logboard.log import load_trace
+from logboard.log import dump_trace, load_trace
 
 from logboard.gating import LogisticGate
 from logboard.harness import run_benchmark
 from logboard.backends import BASE_URL_ENV, ScriptedBackend
 from logboard.sources import bundle_to_dict
 
-from helpers import FIXTURES, GOLDEN_ANSWER, GOLDEN_QUESTION, bom_copy, gate_fixture
+from helpers import (
+    FIXTURES,
+    GOLDEN_ANSWER,
+    GOLDEN_QUESTION,
+    bom_copy,
+    gate_fixture,
+    log_with,
+    lookup,
+    quote,
+    run_golden,
+)
 
 
 def ask_args(out_dir, *extra):
@@ -535,3 +545,117 @@ def test_cli_determinism_across_invocations(tmp_path, capsys):
     assert (tmp_path / "a" / "run.json").read_bytes() == (
         tmp_path / "b" / "run.json"
     ).read_bytes()
+
+
+def test_ask_writes_the_trace_and_summary_of_the_same_run_in_process(tmp_path, capsys):
+    code = main(ask_args(tmp_path))
+    capsys.readouterr()
+    assert code == 0
+    result = run_golden()
+    assert (tmp_path / "trace.jsonl").read_bytes() == dump_trace(result.log.entries).encode()
+    summary = json.dumps(result.summary_dict(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "run.json").read_bytes() == summary.encode()
+
+
+def _ask_or_bench(command, sources, tmp_path):
+    if command == "ask":
+        return ["ask", GOLDEN_QUESTION, "--sources", str(sources),
+                "--scripted", str(FIXTURES / "golden_script.json"), "--out", str(tmp_path / "out")]
+    dataset = tmp_path / "bench.jsonl"
+    record = {"question": GOLDEN_QUESTION, "gold_answers": [GOLDEN_ANSWER], "sources_path": str(sources)}
+    dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ["bench", str(dataset), "--scripted", str(FIXTURES / "golden_script.json"),
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["ask", "bench"])
+def test_a_csv_cell_over_the_field_limit_is_one_error_line(tmp_path, capsys, command):
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    table = sources / "notes.csv"
+    table.write_text("Year,Note\n2019,ok\n2020," + "x" * 131_073 + "\n", encoding="utf-8")
+    code = main(_ask_or_bench(command, sources, tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(f"{table} line 3: field larger than field limit (131072)\n")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ask", "bench"])
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("bad.json", "{'tables': []}",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("dir/tables.json", "5", "table must be a JSON object, not a number"),
+        ("dir/images.json", '{"id": "i"}', "images must be a JSON array, not a JSON object"),
+    ],
+    ids=["bundle-not-json", "directory-table-not-object", "directory-images-not-array"],
+)
+def test_a_bad_sources_file_names_itself(tmp_path, capsys, command, name, content, message):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(content, encoding="utf-8")
+    sources = path if path.parent == tmp_path else path.parent
+    code = main(_ask_or_bench(command, sources, tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(f"{path}: {message}\n")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content, cell",
+    [
+        ("a\rb\r\nc|d", "a b c\\|d"),  # json.dumps escapes these; the row must too
+        ("a\u2028b\u2029c\x85d", "a b c d"),  # entry_to_json writes these raw
+    ],
+)
+def test_trace_renders_an_entry_holding_line_breaks_on_one_row(tmp_path, capsys, content, cell):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(dump_trace(log_with("q?", quote(content)).entries), encoding="utf-8")
+    code = main(["trace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.split("\n")[3:] == [f"| ContextAgent (Quote) | {cell} |", ""]
+
+
+def test_trace_that_is_not_json_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("[1", encoding="utf-8")
+    code = main(["trace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path} line 1: Expecting ',' delimiter: line 1 column 3 (char 2)\n"
+
+
+def test_train_gate_reads_entries_holding_line_breaks_and_names_a_bad_trace(tmp_path, capsys):
+    from logboard.log import SUMMARIZING_AGENT, VERIFICATION_AGENT, EntryType, LogEntry
+
+    traces_dir = tmp_path / "traces"
+    traces_dir.mkdir()
+    for name, later in (("a", "Services brought in\u2028$12M per the notes."),
+                        ("b", "An unrelated aside\u2029about staffing levels.")):
+        log = log_with(f"q {name}?", lookup(f"Revenue {name} was $40M in the ledger."))
+        log.append(LogEntry(SUMMARIZING_AGENT, EntryType.SUMMARY, "A second number is missing."))
+        log.append(quote(later))
+        log.append(LogEntry(SUMMARIZING_AGENT, EntryType.ANSWER, "Answer: $40M plus $12M."))
+        log.append(LogEntry(VERIFICATION_AGENT, EntryType.OK, "OK"))
+        (traces_dir / f"{name}.jsonl").write_text(dump_trace(log.entries), encoding="utf-8")
+    gate_path = tmp_path / "gate.json"
+    code = main(["train-gate", str(traces_dir), "--out", str(gate_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "final loss" in out
+
+    bad = traces_dir / "c.jsonl"
+    bad.write_text(dump_trace(log.entries) + "[1\n", encoding="utf-8")
+    code = main(["train-gate", str(traces_dir), "--out", str(gate_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: {bad} line 7: Expecting ',' delimiter: line 1 column 3 (char 2)\n"

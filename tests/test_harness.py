@@ -468,7 +468,7 @@ def test_bootstrap_contains_mean():
 def test_bootstrap_matches_normal_approximation_width():
     rng = np.random.default_rng(12)
     values = rng.binomial(1, 0.5, size=100).astype(float)
-    low, high = bootstrap_ci(values, resamples=1000, level=0.95, seed=4)
+    low, high = bootstrap_ci(values, seed=4)
     p_hat = values.mean()
     analytic = 2 * 1.96 * math.sqrt(p_hat * (1 - p_hat) / 100)
     width = high - low

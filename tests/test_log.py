@@ -376,6 +376,19 @@ def test_load_trace_names_missing_field(field):
         load_trace(json.dumps(record) + "\n")
 
 
+def test_load_trace_ends_lines_at_newline_only():
+    # entry_to_json writes these three raw; `str.splitlines` ends a line at each.
+    contents = ["a\u2028b", "c\u2029d", "e\x85f"]
+    entries = [lookup(text) for text in contents]
+    assert [e.content for e in load_trace(dump_trace(entries))] == contents
+
+
+def test_load_trace_names_the_bad_line():
+    good = entry_to_json(LogEntry(USER, EntryType.QUERY, "q?", step=0))
+    with pytest.raises(ValueError, match="^line 3: Expecting ',' delimiter"):
+        load_trace(f"{good}\n\n[1\n")
+
+
 def test_load_trace_rejects_non_object_line():
     with pytest.raises(ValueError, match="not a JSON object"):
         load_trace("[1, 2]\n")

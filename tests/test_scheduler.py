@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import logboard
 import logboard.agents
+import logboard.scheduler
 from logboard.agents import (
+    RETRIEVAL_ROLES,
     AgentRole,
     TableAgent,
     build_agents,
@@ -36,7 +38,6 @@ from logboard.log import (
 from logboard.retrieval import SourceViews, truncate_span
 from logboard.scheduler import (
     PER_AGENT_CAP,
-    RunState,
     SchedulerConfig,
     Termination,
     TransportAbort,
@@ -241,64 +242,63 @@ def test_verifier_disabled_never_verifies():
     assert not [e for e in result.log.entries if e.entry_type in (EntryType.OK, EntryType.FLAG)]
 
 
+def no_acts() -> dict:
+    return {role: 0 for role in RETRIEVAL_ROLES}
+
+
 def test_offer_turn_cap_blocks_without_backend_call():
-    agents = build_agents(SourceViews())
+    table, _, _ = build_agents(SourceViews())
     backend = ScriptedBackend(golden_script())
-    state = RunState()
-    state.action_counts[AgentRole.TABLE] = 2
+    acts = no_acts()
+    acts[AgentRole.TABLE] = 2
     from logboard.log import USER, LogEntry, SharedLog
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    acted = offer_turns(
-        [agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 0,
-    )
-    assert not acted and backend.calls == 0
+    committed = offer_turns([table], acts, log, golden_sources(), backend, 0)
+    assert committed == 0 and backend.calls == 0
+    assert acts == {**no_acts(), AgentRole.TABLE: 2}
 
 
 def test_offer_turn_visual_idle_without_images():
-    agents = build_agents(SourceViews())
+    _, _, visual = build_agents(SourceViews())
     backend = ScriptedBackend({})
-    state = RunState()
+    acts = no_acts()
     from logboard.log import USER, LogEntry, SharedLog
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, "see the figure?"))
-    acted = offer_turns(
-        [agents[AgentRole.VISUAL]], state, log, SourceBundle(), backend, 0,
-    )
-    assert not acted and backend.calls == 0
+    committed = offer_turns([visual], acts, log, SourceBundle(), backend, 0)
+    assert committed == 0 and backend.calls == 0
+    assert acts == no_acts()
 
 
 def test_offer_turn_appends_lookup():
-    agents = build_agents(SourceViews())
+    table, _, _ = build_agents(SourceViews())
     backend = ScriptedBackend(golden_script())
-    state = RunState()
+    acts = no_acts()
     from logboard.log import USER, LogEntry, SharedLog
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    acted = offer_turns(
-        [agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 0,
-    )
-    assert acted and state.new_entries_this_round == 1 and state.action_counts[AgentRole.TABLE] == 1
+    committed = offer_turns([table], acts, log, golden_sources(), backend, 0)
+    assert committed == 1 and acts == {**no_acts(), AgentRole.TABLE: 1}
     assert log.entries[-1].entry_type is EntryType.LOOKUP
 
 
 def test_dedup_rejected_append_counts_toward_cap_without_update():
-    agents = build_agents(SourceViews())
+    table, _, _ = build_agents(SourceViews())
     backend = ScriptedBackend(golden_script())
-    state = RunState()
+    acts = no_acts()
     from logboard.log import USER, LogEntry, SharedLog
 
     log = SharedLog()
     log.append(LogEntry(USER, EntryType.QUERY, GOLDEN_QUESTION))
-    offer_turns([agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 0)
-    agents[AgentRole.TABLE].notify_flag()  # re-open coverage; same reply comes back
-    state.new_entries_this_round = 0
-    acted = offer_turns([agents[AgentRole.TABLE]], state, log, golden_sources(), backend, 1)
-    assert not acted and not state.new_entries_this_round
-    assert state.action_counts[AgentRole.TABLE] == 2
+    assert offer_turns([table], acts, log, golden_sources(), backend, 0) == 1
+    table.notify_flag()  # re-open coverage; same reply comes back
+    committed = offer_turns([table], acts, log, golden_sources(), backend, 1)
+    assert committed == 0 and backend.calls == 2
+    assert acts == {**no_acts(), AgentRole.TABLE: 2}
 
 
 class FlakyBackend(UsageMixin):
@@ -415,8 +415,12 @@ def test_configuration_surface():
         "question", "sources", "backend", "config", "gate", "entry_mutator", "views",
     ]
     assert list(inspect.signature(offer_turns).parameters) == [
-        "agents", "state", "log", "sources", "backend", "round_idx", "mutator",
+        "agents", "acts", "log", "sources", "backend", "round_idx", "mutator",
     ]
+    # A run's state lives in run's locals; the scheduler holds only the loop.
+    for gone in ("RunState", "_default_clock", "write_trace", "write_run_summary"):
+        assert not hasattr(logboard.scheduler, gone)
+    assert [agent.role for agent in build_agents(SourceViews())] == list(RETRIEVAL_ROLES)
     assert list(inspect.signature(extract_features).parameters) == ["entries", "new_entries"]
     assert list(inspect.signature(inject_faults).parameters) == ["bundle", "spec"]
     factory = inspect.signature(run_benchmark).parameters["backend_factory"]

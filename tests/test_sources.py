@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import re
+
 from logboard.sources import (
     Image,
     Passage,
@@ -150,8 +152,10 @@ def test_bundle_from_dict_names_mistyped_field(data, message):
 
 
 def test_load_sources_directory_rejects_non_array_passages(tmp_path):
-    (tmp_path / "passages.json").write_text(json.dumps({"id": "p", "text": "t"}), encoding="utf-8")
-    with pytest.raises(ValueError, match="passages.json must be a JSON array"):
+    path = tmp_path / "passages.json"
+    path.write_text(json.dumps({"id": "p", "text": "t"}), encoding="utf-8")
+    message = f"{path}: passages must be a JSON array, not a JSON object"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_sources(tmp_path)
 
 

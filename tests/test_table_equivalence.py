@@ -29,6 +29,7 @@ import logboard.retrieval
 import logboard.textutil
 from logboard import retrieval
 from logboard.agents import (
+    RETRIEVAL_ROLES,
     AgentRole,
     TableAgent,
     _passage_blocks,
@@ -692,7 +693,8 @@ def test_source_blocks_match_per_level_reference(case, texts, images):
         images=[Image(f"i{i}", caption, ocr) for i, (caption, ocr) in enumerate(images)],
     )
     for role in (AgentRole.TABLE, AgentRole.CONTEXT, AgentRole.VISUAL):
-        blocks = list(build_agents(SourceViews())[role]._show(sources, question)[0])
+        agent = build_agents(SourceViews())[RETRIEVAL_ROLES.index(role)]
+        blocks = list(agent._show(sources, question)[0])
         assert blocks == [
             reference_sources_block(role, sources, question, shrink) for shrink in range(4)
         ]

@@ -216,10 +216,11 @@ def test_one_view_shared_by_several_questions_matches_fresh_views(case, texts, i
             expected = select_table_slice(table, question, fresh.table(table))
             assert select_table_slice(table, question, shared.table(table)) == expected
         pair = (shared, fresh)
-        cites = [build_agents(v)[AgentRole.TABLE]._show(sources, question)[1] for v in pair]
+        tables = [build_agents(v)[RETRIEVAL_ROLES.index(AgentRole.TABLE)] for v in pair]
+        cites = [agent._show(sources, question)[1] for agent in tables]
         assert cites[0](reply) == cites[1](reply)
-        for role in RETRIEVAL_ROLES:
-            blocks = [list(build_agents(v)[role]._show(sources, question)[0]) for v in pair]
+        for agents in zip(*(build_agents(v) for v in pair)):  # one role's agent over each view
+            blocks = [list(agent._show(sources, question)[0]) for agent in agents]
             assert blocks[0] == blocks[1]
         chosen = _passages_chosen(sources, question)
         assert extract_doc_spans(reply, chosen, shared) == extract_doc_spans(reply, chosen, fresh)
