@@ -18,8 +18,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
-from operator import not_
+from itertools import accumulate, chain
 
 from . import retrieval
 from .backends import (
@@ -288,68 +287,47 @@ def extract_table_anchors(
     kept rows × kept columns. The rule takes the whole slice, though the
     prompt's shrink levels show only its first 10, 3 or 1 kept rows; no
     workload shrinks a Table prompt. Only the slices' distinct cells are
-    normalized. A cell is stated when its phrase is a run of consecutive
-    normalized reply tokens. Each table's phrases are looked up in the
-    set of the reply's runs, built only up to the longest phrase met.
-    Cells whose text merely echoes the question are left out (they are
-    the lookup key, not the retrieved fact) unless no table states
-    another cell. Stated cells are sorted into these two sets before any
-    anchor is built, so anchors are built only for the chosen cells, on
-    the rows that hold one (found in C).
+    normalized. A cell is stated by the reply, or echoed by the question,
+    when its normalized phrase is not blank and, padded with spaces, occurs
+    in the padded normalized reply, or question. Echoed cells are left out
+    (they are the lookup key, not the retrieved fact) unless no table
+    states another cell; anchors are built only for the chosen cells.
 
-    Of those rows, as of a slice's, only the most specific are cited: a
-    row's set is the slice's stated cells, echoed or not, that it shows,
-    and a row is kept unless another row's set strictly contains its own.
-    So a row that only happens to hold a stated amount is passed over
+    Of the rows that hold a stated cell, only the most specific are cited
+    (`retrieval.most_specific_rows`, each stated cell weighed by itself): a
+    row is kept unless another row states a strict superset of its stated
+    cells. So a row that only happens to hold a stated amount is passed over
     beside the rows that also hold the question's entity and year, while a
-    reply that states a lone value cites every shown row that holds it.
+    reply that states a lone value cites every shown row that holds it. A
+    row stating only echoed cells cites nothing and passes over no other.
     """
-    reply_tokens = normalize(reply).split()
-    runs: set[str] = set()  # space-joined runs of up to `built` reply tokens
-    built = 0
-    # Tokens hold no spaces, so a padded phrase occurs in the padded
-    # question exactly when it is a run of the question's tokens.
+    # Tokens hold no spaces, so a padded phrase occurs in a padded text
+    # exactly when it is a run of the text's tokens.
+    padded_reply = f" {normalize(reply)} "
     padded_question = f" {normalize(question)} "
-    # Per table: its slice, the shown cells of each kept row, and the stated
-    # cells that the question does not echo, and those it does.
-    shown: list[tuple[str, TableSlice, list[list[str]]]] = []
-    informative: list[set[str]] = []
-    echoed: list[set[str]] = []
+    # Per table: its id, slice, kept rows' shown cells, and stated cells.
+    shown: list[tuple[str, TableSlice, list[list[str]], dict[str, tuple[str]]]] = []
+    echoed: set[str] = set()
     for table, slice_ in zip(sources.tables, slices):
         cut = [[table.rows[r][c] for c in slice_.kept_cols] for r in slice_.kept_rows]
-        shown.append((table.id, slice_, cut))
-        phrases = {cell: normalize(cell) for cell in dict.fromkeys(chain.from_iterable(cut))}
-        # Words in the longest phrase; a blank phrase counts one but is no run.
-        longest = max(map(str.count, phrases.values(), repeat(" ")), default=-1) + 1
-        while built < longest and built < len(reply_tokens):
-            built += 1
-            runs.update(
-                " ".join(reply_tokens[i : i + built])
-                for i in range(len(reply_tokens) - built + 1)
-            )
-        informative.append(set())
-        echoed.append(set())
-        for cell in compress(phrases, map(runs.__contains__, phrases.values())):
-            (echoed if f" {phrases[cell]} " in padded_question else informative)[-1].add(cell)
-    # A stated cell is taken from its slice, so some table states an
-    # informative cell exactly when some informative anchor exists.
-    chosen = informative if any(informative) else echoed
+        stated = {}
+        for cell in dict.fromkeys(chain.from_iterable(cut)):
+            padded = f" {normalize(cell)} "
+            if padded != "  " and padded in padded_reply:
+                stated[cell] = (cell,)
+                if padded in padded_question:
+                    echoed.add(cell)
+        shown.append((table.id, slice_, cut, stated))
+    informative = any(stated.keys() - echoed for *_, stated in shown)
     anchors: list[TableAnchor] = []
-    for (table_id, slice_, cut), cells, told, echoes in zip(shown, chosen, informative, echoed):
-        candidates = list(compress(range(len(cut)), map(not_, map(cells.isdisjoint, cut))))
-        # Each candidate row's stated cells. The maximal sets are found among
-        # the distinct ones, which are few however many rows hold a cell.
-        stated = frozenset(told).union(echoes)
-        row_sets = list(map(stated.intersection, map(cut.__getitem__, candidates)))
-        distinct = set(row_sets)
-        maximal = {held for held in distinct if not any(map(held.__lt__, distinct))}
-        for i in compress(candidates, map(maximal.__contains__, row_sets)):
-            row = slice_.kept_rows[i]
-            anchors.extend(
-                TableAnchor(table_id, row, col)
-                for col, cell in zip(slice_.kept_cols, cut[i])
-                if cell in cells
-            )
+    for table_id, slice_, cut, stated in shown:
+        cells = stated.keys() - echoed if informative else stated.keys()
+        anchors.extend(
+            TableAnchor(table_id, slice_.kept_rows[i], col)
+            for i in retrieval.most_specific_rows(cut, stated)
+            for col, cell in zip(slice_.kept_cols, cut[i])
+            if cell in cells
+        )
     return anchors
 
 

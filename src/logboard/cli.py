@@ -232,8 +232,8 @@ def _markdown_escape(text: str) -> str:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    text = Path(args.trace_path).read_text(encoding="utf-8-sig")
     try:
+        text = Path(args.trace_path).read_text(encoding="utf-8-sig")
         entries = load_trace(text)
     except ValueError as exc:
         raise ValueError(f"{args.trace_path} {exc}") from exc

@@ -567,22 +567,8 @@ class Metrics:
     em_by_log_bucket: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "rougeL": self.rougeL,
-            "log_groundedness": self.log_groundedness,
-            "catch_rate": self.catch_rate,
-            "repair_rate": self.repair_rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "backend_calls_mean": self.backend_calls_mean,
-            "token_mean": self.token_mean,
-            "latency_ms_p50": self.latency_ms_p50,
-            "latency_ms_p95": self.latency_ms_p95,
-            "em_by_log_bucket": dict(self.em_by_log_bucket),
-        }
+        """Every field, in field order, with its own copy of the buckets."""
+        return vars(self) | {"em_by_log_bucket": dict(self.em_by_log_bucket)}
 
 
 class _InFlightInjector:

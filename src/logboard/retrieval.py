@@ -56,7 +56,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat, tee
 from operator import add, itemgetter, not_
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .textutil import is_year_like, normalize, parse_numerals, split_sentences, tokenize
 
@@ -282,6 +282,25 @@ class SourceViews:
 _FALLBACK_ROWS = 50
 
 
+def most_specific_rows(rows: Sequence[Sequence[str]], weights: dict[str, Iterable]) -> list[int]:
+    """The positions, in order, of the rows that hold a key of weights and
+    whose union of their keys' weights no other such row's union strictly
+    contains. A slice weighs each hit cell by the question tokens it holds,
+    a Lookup each stated cell by itself. Unions are worked out once per
+    distinct set of keys, which are few and stored once, however many rows
+    hold a key; the rows are tested in C.
+    """
+    keys = frozenset(weights)
+    candidates = list(compress(range(len(rows)), map(not_, map(keys.isdisjoint, rows))))
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    made, same = tee(map(keys.intersection, map(rows.__getitem__, candidates)))
+    key_sets = list(map(shared.setdefault, made, same))
+    unions = {held: frozenset().union(*map(weights.__getitem__, held)) for held in shared}
+    sets = unions.values()
+    maximal = {held for held, union in unions.items() if not any(map(union.__lt__, sets))}
+    return list(compress(candidates, map(maximal.__contains__, key_sets)))
+
+
 def select_table_slice(table: Table, question: str, cells: TableCells) -> TableSlice:
     """The question's most specific rows, with the columns that name them.
 
@@ -318,26 +337,15 @@ def select_table_slice(table: Table, question: str, cells: TableCells) -> TableS
             k = bisect_right(starts, at + 1) - 1
             matched.setdefault(distinct[k], []).append(needle)
             at = find(needle, starts[k + 1] - 1)
-    hits = frozenset(matched)
     rows = table.rows
-    candidates = list(compress(range(len(rows)), map(not_, map(hits.isdisjoint, rows))))
-    # A row's question tokens are those of its hit cells, worked out once per
-    # distinct set of hit cells; those sets are few, so comparing them is cheap.
-    # Equal sets are stored once, so the list holds a few sets, not one per row.
-    shared: dict[frozenset[str], frozenset[str]] = {}
-    made, same = tee(map(hits.intersection, map(rows.__getitem__, candidates)))
-    cell_sets = list(map(shared.setdefault, made, same))
-    token_sets = {cells: frozenset().union(*map(matched.__getitem__, cells)) for cells in shared}
-    sets = token_sets.values()
-    maximal = {cells for cells, tokens in token_sets.items() if not any(map(tokens.__lt__, sets))}
-    kept_rows = list(compress(candidates, map(maximal.__contains__, cell_sets)))
+    kept_rows = most_specific_rows(rows, matched)
     # A column is read, by `itemgetter` over the rows, only when the tests
     # before it have not kept it; the table is never transposed.
     kept = list(map(rows.__getitem__, kept_rows))
     kept_cols = [
         col
         for col, name in enumerate(table.header)
-        if not hits.isdisjoint(map(itemgetter(col), kept))
+        if not matched.keys().isdisjoint(map(itemgetter(col), kept))
         or not q_tokens.isdisjoint(tokenize(name))
         or _is_numeric_column(list(map(itemgetter(col), rows)))
     ]

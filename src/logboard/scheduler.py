@@ -64,12 +64,7 @@ class RunMetrics:
     wall_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "backend_calls": self.backend_calls,
-            "token_usage": self.token_usage,
-            "wall_ms": self.wall_ms,
-        }
+        return dict(vars(self))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import retrieval
@@ -25,12 +26,14 @@ class Table:
     rows: list[list[str]]
 
     def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.header):
-                raise ValueError(
-                    f"table {self.id!r} is not rectangular: row {i} has "
-                    f"{len(row)} cells, header has {len(self.header)}"
-                )
+        width = len(self.header)
+        # All widths are tested at once, in C; only a bad table is walked.
+        if not all(map(width.__eq__, map(len, self.rows))):
+            i = next(i for i, row in enumerate(self.rows) if len(row) != width)
+            raise ValueError(
+                f"table {self.id!r} is not rectangular: row {i} has "
+                f"{len(self.rows[i])} cells, header has {width}"
+            )
 
 
 @dataclass
@@ -184,7 +187,17 @@ def load_table_csv(path: Path) -> Table:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"empty CSV table: {path}")
-    return Table(id=path.stem, header=rows[0], rows=rows[1:])
+    try:
+        return Table(id=path.stem, header=rows[0], rows=rows[1:])
+    except ValueError:  # a row's width is not the header's
+        width = len(rows[0])
+    # Blank lines are skipped, so a row's index is not its line: the file is
+    # read again up to the first bad row, which ends on the line named.
+    bad = next(i for i, row in enumerate(rows) if len(row) != width)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(islice(filter(None, reader), bad, None))
+    raise ValueError(f"{path} line {reader.line_num}: row has {len(rows[bad])} cells, header has {width}")
 
 
 def load_sources(path: str | Path) -> SourceBundle:

@@ -10,9 +10,10 @@ Lookup values is always flagged, independent of any backend model.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -116,16 +117,23 @@ def _label_re(label: str) -> re.Pattern | None:
 
 
 def _label_spans(text: str, ids: set[str]) -> list[tuple[int, int]]:
-    """Where text names one of ids (`textutil.names`, with offsets). The text
-    is lowered one character per character: "İ", which lowers to two, reads
-    as "i"."""
-    lowered = text.replace("İ", "i").lower()
-    return [
+    """Where text names one of ids (`textutil.names`, with offsets into text).
+
+    The text is lowered as `textutil.words` lowers it, so "İ" reads as "i"
+    and a combining dot, and offsets are mapped back to the text's own. A
+    span that ends between a lowered İ's two characters ends after the İ.
+    """
+    lowered = text.lower()
+    spans = [
         match.span()
         for label in ids
         if (pattern := _label_re(label)) is not None
         for match in pattern.finditer(lowered)
     ]
+    if not spans or len(lowered) == len(text):  # only İ lowers to two characters
+        return spans
+    ends = list(accumulate(map(len, map(str.lower, text)), initial=0))
+    return [(bisect_left(ends, start), bisect_left(ends, end)) for start, end in spans]
 
 
 def _in_label(mention: NumericMention, spans: list[tuple[int, int]]) -> bool:

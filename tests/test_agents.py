@@ -8,6 +8,7 @@ import logboard.agents
 from logboard.agents import (
     CONTEXT_WINDOW,
     RETRIEVAL_ROLES,
+    SUMMARIZING_INSTRUCTIONS,
     AgentRole,
     ContextAgent,
     TableAgent,
@@ -33,12 +34,15 @@ from logboard.gating import extract_features
 from logboard.scheduler import PER_AGENT_CAP, run
 from logboard.log import (
     SUMMARIZING_AGENT,
+    TABLE_AGENT,
+    TARGET_AFTER,
     DocSpan,
     EntryType,
     ImageRef,
     LogEntry,
     TableAnchor,
     parse_answer,
+    render_view,
     token_estimate,
 )
 from logboard.retrieval import TOP_N, SourceViews, retrieve
@@ -268,6 +272,24 @@ def test_prompt_fits_context_window():
     assert token_estimate(prompt) <= CONTEXT_WINDOW
     # Every shrink level overflows, so the sources are cut to fit.
     assert "[sources truncated]" in prompt
+
+
+def test_a_log_whose_citations_alone_overflow_is_cut_from_the_oldest_end():
+    # Each Lookup cites 40 cells, so even the stub that folds every entry
+    # keeps about 7,000 tokens of citations: the view stays above
+    # TARGET_AFTER, and the prompt cuts the oldest part of it.
+    log = log_with("What changed?")
+    for i in range(40):
+        anchors = [TableAnchor("t1", i, col) for col in range(40)]
+        log.append(LogEntry(TABLE_AGENT, EntryType.LOOKUP, f"entry {i} value v{i}", provenance=anchors))
+    view = render_view(log)
+    assert view.startswith(f"{SUMMARIZING_AGENT} (Summary): [history: 40 earlier entries compressed]")
+    assert token_estimate(view) > TARGET_AFTER
+    prompt = build_prompt(AgentRole.SUMMARIZING, log)
+    assert token_estimate(prompt) <= CONTEXT_WINDOW
+    assert "[earlier log truncated] ..." in prompt
+    assert prompt.startswith(SUMMARIZING_INSTRUCTIONS) and "Question: What changed?" in prompt
+    assert view.endswith(prompt.split("[earlier log truncated] ...", 1)[1])
 
 
 def test_empty_log_prompt_contains_question_verbatim():

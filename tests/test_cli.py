@@ -659,3 +659,82 @@ def test_train_gate_reads_entries_holding_line_breaks_and_names_a_bad_trace(tmp_
     out, err = capsys.readouterr()
     assert code == 1
     assert err == f"error: {bad} line 7: Expecting ',' delimiter: line 1 column 3 (char 2)\n"
+
+
+@pytest.mark.parametrize("command", ["ask", "bench"])
+@pytest.mark.parametrize(
+    "content, line",
+    [("Year,Revenue\n2019,$5M,extra\n", 2), ("Year,Revenue\n\n2019,$5M\n\n2020\n", 5)],
+    ids=["wide", "narrow-after-blank-lines"],
+)
+def test_a_csv_row_of_the_wrong_width_names_its_file_and_line(tmp_path, capsys, command, content, line):
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    table = sources / "t.csv"
+    table.write_text(content, encoding="utf-8")
+    code = main(_ask_or_bench(command, sources, tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    cells = len(content.rstrip("\n").split("\n")[-1].split(","))
+    assert err.endswith(f"{table} line {line}: row has {cells} cells, header has 2\n")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "train-gate"])
+def test_a_trace_that_is_not_utf8_names_its_file(tmp_path, capsys, command):
+    path = tmp_path / "traces" / "a.jsonl"
+    path.parent.mkdir()
+    path.write_bytes(b"\xff\xfe{}\n")
+    if command == "trace":
+        code = main(["trace", str(path)])
+    else:
+        code = main(["train-gate", str(path.parent), "--out", str(tmp_path / "gate.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path} 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+def test_ask_whose_backend_never_answers_is_one_error_line(tmp_path, capsys, monkeypatch):
+    import urllib.error
+    import urllib.request
+
+    def urlopen(request, timeout):
+        raise urllib.error.URLError("connection refused")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    args = ["ask", GOLDEN_QUESTION, "--sources", str(FIXTURES / "golden_sources.json"),
+            "--backend-url", "http://stub.invalid", "--out", str(tmp_path / "out")]
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: backend transport failed after 2 retries: "
+        "chat completion request failed: <urlopen error connection refused>\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given", [["--fault-type", "arithmetic"], ["--fault-rate", "0.5"]])
+def test_bench_with_half_a_fault_spec_is_one_error_line(tmp_path, capsys, given):
+    code = main(["bench", str(FIXTURES / "golden_bench.jsonl"), "--scripted",
+                 str(FIXTURES / "golden_bench_script.json"), "--out", str(tmp_path / "out"), *given])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: --fault-type and --fault-rate go together\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_gate_over_a_directory_without_traces_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "report.jsonl").write_text("", encoding="utf-8")
+    code = main(["train-gate", str(tmp_path), "--out", str(tmp_path / "gate.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: no usable traces found\n"
+    assert not (tmp_path / "gate.json").exists()

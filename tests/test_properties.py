@@ -9,7 +9,8 @@ percentile replaces numpy's and must give its result to the bit. The
 numeral parser must read what the earlier dataclass-building parser read,
 mention for mention. The verifier's label rule (`verify._label_spans`)
 marks a numeral only in a text that `textutil.names` says names the id,
-and marks every numeral of each place where the text names it.
+and marks every numeral of each place where the text names it; it finds a
+place exactly when `names` is true, in texts holding "İ" too.
 """
 
 import json
@@ -395,3 +396,33 @@ def test_a_numeral_inside_a_run_naming_the_id_is_marked(case):
     for mention in parse_numerals(text):
         if start <= mention.start and mention.end <= end:
             assert _in_label(mention, spans), (text, mention.text)
+
+
+# "İ" lowers to "i" and a combining dot (U+0307), which is not a word
+# character: `textutil.words` reads "İstanbul" as "i" and "stanbul".
+_DOTTED = "aisI\u0130\u0307 2-."
+
+
+@st.composite
+def dotted_ids_and_texts(draw):
+    """An id and a text over a few characters, "İ" and its combining dot
+    among them, in which the id may be written as is, upper- or lowercased."""
+    id_ = draw(st.text(st.sampled_from(_DOTTED), min_size=1, max_size=6))
+    pieces = st.sampled_from([id_, id_.upper(), id_.lower()]) | st.text(
+        st.sampled_from(_DOTTED), max_size=4
+    )
+    return id_, "".join(draw(st.lists(pieces, max_size=5)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(dotted_ids_and_texts())
+@example(("Figure İstanbul", "Figure İstanbul shows 5 and 7."))
+@example(("Figure i", "Figure İstanbul shows 5 and 7."))
+@example(("İ2", "xİ2 and İ2"))
+def test_label_spans_find_a_span_exactly_where_the_text_names_the_id(case):
+    id_, text = case
+    spans = _label_spans(text, {id_.lower()})
+    assert bool(spans) == names(normalize(text), normalize(id_)), (id_, text)
+    # Each span is a place in the text itself whose words are the id's.
+    for start, end in spans:
+        assert normalize(text[start:end]) == normalize(id_), (id_, text, start, end)

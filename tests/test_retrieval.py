@@ -360,6 +360,18 @@ def test_truncate_span_idempotent():
     assert truncate_span(once, (inner, inner + 5), 1, split_sentences(once)) == once
 
 
+def test_truncate_span_of_a_passage_without_sentences_is_the_passage():
+    assert truncate_span(" \n ", (0, 2), 1, split_sentences(" \n ")) == " \n "
+
+
+def test_truncate_span_on_trailing_whitespace_snaps_to_the_nearest_sentence():
+    text = "One thing happened. Two things followed.   "
+    spans = split_sentences(text)
+    assert len(spans) == 2 and spans[-1][1] < len(text) - 1
+    assert truncate_span(text, (len(text) - 2, len(text) - 1), 0, spans) == "Two things followed."
+    assert truncate_span(text, (len(text), len(text)), 1, spans) == text.strip()
+
+
 def test_truncate_span_rejects_bad_range():
     with pytest.raises(ValueError):
         truncate_span("short.", (0, 99), 1, split_sentences("short."))
